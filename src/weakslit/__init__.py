@@ -14,9 +14,9 @@ from .errors import (CoverageWarning, ConfigError, GeometryError,
                      ResolutionError, WeakslitError, WindowRangeError)
 from .grid import LabFrame, SimGrid, make_grid
 from .states import (SlitGeometry, TransverseState, build_double_slit,
-                     build_momentum_peak, build_single_slit)
-from .channels import (Branch, MeasurementChannel, apply_channel,
-                       classical_kick, identity_channel, scully_wwm)
+                     build_momentum_peak)
+from .channels import (Branch, MeasurementChannel, classical_kick,
+                       identity_channel, scully_wwm)
 from .weak_values import (MomentumWindow, TransferDistribution, WvpCurve,
                           conditional_wvp, joint_wvp, momentum_distribution,
                           transfer_distribution, window_mask, window_project)
@@ -40,10 +40,10 @@ __all__ = [
     "SimGrid", "LabFrame", "make_grid",
     # states
     "SlitGeometry", "TransverseState", "build_double_slit",
-    "build_single_slit", "build_momentum_peak",
+    "build_momentum_peak",
     # channels
     "Branch", "MeasurementChannel", "identity_channel", "scully_wwm",
-    "classical_kick", "apply_channel",
+    "classical_kick",
     # weak values
     "MomentumWindow", "WvpCurve", "TransferDistribution", "joint_wvp",
     "conditional_wvp", "momentum_distribution", "transfer_distribution",

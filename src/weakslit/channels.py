@@ -1,12 +1,18 @@
 """Measurement channels: labelled branch (Kraus) operators on pol (x) position.
 
-Three channel families cover the study:
+Every branch has one form: optionally swap the H and V polarisations,
+then multiply both by a position function u(x) sampled on the channel's
+grid.  The three channel families differ only in their u:
 
-* ``identity_channel`` - no interaction at all;
-* ``scully_wwm`` - a which-way marker that flips the polarisation of
-  the left half-line and leaves the spatial density untouched;
-* ``classical_kick`` - random momentum kicks drawn from a positive
-  distribution, the classical baseline for momentum disturbance.
+* ``identity_channel(grid)`` - one branch with u = 1, no interaction
+  at all;
+* ``scully_wwm(geom, grid)`` - a which-way marker: u is the 0/1
+  indicator of the left half-line with the polarisation swapped, plus
+  the indicator of the right half-line without; the spatial density is
+  untouched;
+* ``classical_kick(kicks, grid)`` - random momentum kicks drawn from a
+  positive distribution, u_j = sqrt(prob_j) exp(i q_j x): the classical
+  baseline for momentum disturbance.
 
 Branches carry a ``sector`` label grouping the branches that originate
 from a single unitary interaction.  Amplitudes are summed coherently
@@ -17,11 +23,13 @@ polarisation eraser recombines amplitudes: branches of one unitary can
 interfere again, distinct classical outcomes cannot.
 """
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
-from .errors import ConfigError, GridMismatchError
+from .errors import ConfigError
 from .grid import SimGrid
 from .states import SlitGeometry, TransverseState
 
@@ -31,53 +39,38 @@ __all__ = [
     "identity_channel",
     "scully_wwm",
     "classical_kick",
-    "apply_channel",
 ]
 
 
 @dataclass(frozen=True)
 class Branch:
-    """One labelled branch operator.
+    """One labelled branch operator K = u(x) S.
 
-    kind "mask": multiply by the stored 0/1 support indicator, then
-    apply the polarisation map.  kind "ramp": multiply both
-    polarisations by amplitude * exp(i * q_kick * x).  kind
-    "identity": pass through.
+    S swaps the two polarisations when ``swap`` is set and is the
+    identity otherwise; ``u`` holds u(x) on the channel's grid.
     """
 
     label: str
     sector: int
-    kind: str
-    pol: str = "keep"
-    mask: np.ndarray | None = None
-    q_kick: float = 0.0
-    amplitude: float = 1.0
+    u: np.ndarray
+    swap: bool = False
 
-    def coefficient_sq(self, grid: SimGrid) -> np.ndarray:
-        """Diagonal of K^dagger K (polarisation maps are unitary)."""
-        if self.kind == "mask":
-            return self.mask.astype(float)
-        return np.full(grid.n_points, self.amplitude ** 2)
+    def coefficient_sq(self) -> np.ndarray:
+        """Diagonal of K^dagger K, which is |u|^2 (the swap is unitary)."""
+        return np.abs(self.u) ** 2
 
     def apply(self, state: TransverseState) -> TransverseState:
-        h, v = state.amp_h, state.amp_v
-        if self.pol == "swap":
-            h, v = v, h
-        if self.kind == "mask":
-            h, v = h * self.mask, v * self.mask
-        elif self.kind == "ramp":
-            phase = self.amplitude * np.exp(1j * self.q_kick * state.grid.x)
-            h, v = h * phase, v * phase
-        return TransverseState(state.grid, h, v, state.sharp_edges)
+        amps = state.amps[::-1] if self.swap else state.amps
+        return TransverseState(state.grid, amps * self.u, state.sharp_edges)
 
 
 @dataclass(frozen=True)
 class MeasurementChannel:
-    """A labelled Kraus set; ``grid`` is set for grid-bound channels."""
+    """A labelled Kraus set whose branch multipliers live on ``grid``."""
 
     name: str
     branches: tuple[Branch, ...]
-    grid: SimGrid | None = None
+    grid: SimGrid
 
     @property
     def sectors(self) -> tuple[int, ...]:
@@ -87,19 +80,16 @@ class MeasurementChannel:
                 seen.append(b.sector)
         return tuple(seen)
 
-    def completeness_defect(self, grid: SimGrid) -> float:
+    def completeness_defect(self) -> float:
         """max |diag(sum_k K_k^dag K_k) - 1| over the position samples."""
-        total = np.zeros(grid.n_points)
-        for b in self.branches:
-            total += b.coefficient_sq(grid)
+        total = sum(b.coefficient_sq() for b in self.branches)
         return float(np.max(np.abs(total - 1.0)))
 
 
-def identity_channel() -> MeasurementChannel:
-    """The do-nothing channel (single identity branch)."""
+def identity_channel(grid: SimGrid) -> MeasurementChannel:
+    """The do-nothing channel (single branch with u = 1)."""
     return MeasurementChannel(
-        "identity", (Branch("id", sector=0, kind="identity"),)
-    )
+        "identity", (Branch("id", 0, np.ones(grid.n_points)),), grid)
 
 
 def scully_wwm(geom: SlitGeometry, grid: SimGrid) -> MeasurementChannel:
@@ -114,43 +104,34 @@ def scully_wwm(geom: SlitGeometry, grid: SimGrid) -> MeasurementChannel:
     """
     if geom.separation <= geom.width:
         raise ConfigError("slits overlap; which-way marking is undefined")
-    x = grid.x
-    left = Branch("left", sector=0, kind="mask", pol="swap", mask=x < 0.0)
-    right = Branch("right", sector=0, kind="mask", pol="keep", mask=x >= 0.0)
-    return MeasurementChannel("scully_wwm", (left, right), grid)
+    left = grid.x < 0.0
+    return MeasurementChannel("scully_wwm", (
+        Branch("left", 0, left.astype(float), swap=True),
+        Branch("right", 0, (~left).astype(float)),
+    ), grid)
 
 
-def classical_kick(kicks: list[tuple[float, float]]) -> MeasurementChannel:
+def classical_kick(kicks: list[tuple[float, float]],
+                   grid: SimGrid) -> MeasurementChannel:
     """Random-momentum-kick channel from (q_j, prob_j) pairs.
 
-    Branch j is sqrt(prob_j) * exp(i q_j x): a momentum translation by
-    q_j occurring with probability prob_j.  Probabilities must be
-    nonnegative and sum to one.
+    Branch j has u = sqrt(prob_j) * exp(i q_j x): a momentum translation
+    by q_j occurring with probability prob_j.  Both numbers must be
+    finite; probabilities must be nonnegative and sum to one.
     """
     if not kicks:
         raise ConfigError("classical_kick needs at least one (q, prob) pair")
+    if any(isinstance(v, bool) or not isinstance(v, Real)
+           or not math.isfinite(v) for pair in kicks for v in pair):
+        raise ConfigError(f"kick q and prob must be finite numbers, got {kicks}")
     probs = np.array([pr for _, pr in kicks], dtype=float)
     if np.any(probs < 0.0):
         raise ConfigError(f"negative kick probability in {kicks}")
     if abs(probs.sum() - 1.0) > 1e-12:
         raise ConfigError(f"kick probabilities sum to {probs.sum()}, not 1")
     branches = tuple(
-        Branch(f"kick{j}", sector=j, kind="ramp", q_kick=float(q),
-               amplitude=float(np.sqrt(pr)))
+        Branch(f"kick{j}", j,
+               float(np.sqrt(pr)) * np.exp(1j * float(q) * grid.x))
         for j, (q, pr) in enumerate(kicks)
     )
-    return MeasurementChannel("classical_kick", branches)
-
-
-def apply_channel(state: TransverseState,
-                  ch: MeasurementChannel) -> list[tuple[str, TransverseState]]:
-    """All branch outputs (label, unnormalised state).
-
-    Branch norms squared sum to one for any normalised input by
-    completeness of the Kraus set.
-    """
-    if ch.grid is not None and ch.grid != state.grid:
-        raise GridMismatchError(
-            f"channel {ch.name!r} built on a different grid than the state"
-        )
-    return [(b.label, b.apply(state)) for b in ch.branches]
+    return MeasurementChannel("classical_kick", branches, grid)

@@ -8,12 +8,11 @@ Exit codes: 0 success, 2 configuration errors, 3 numeric-domain errors,
 """
 
 import argparse
-import copy
 import json
 import sys
 from pathlib import Path
 
-from .config import PRESETS, apply_override, from_dict
+from .config import DEFAULTS, PRESETS, from_dict, merge, parse_override
 from .errors import (ConfigError, GridMismatchError, MomentUndefinedError,
                      OutputError, ResolutionError, WindowRangeError)
 from .outputs import emit_outputs
@@ -50,18 +49,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _deep_update(base: dict, override: dict) -> None:
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(base.get(key), dict):
-            _deep_update(base[key], value)
-        else:
-            base[key] = copy.deepcopy(value)
-
-
 def _load_raw_config(args) -> dict:
-    raw: dict = {}
+    raw = DEFAULTS
     if args.preset:
-        _deep_update(raw, PRESETS[args.preset])
+        raw = merge(raw, PRESETS[args.preset])
     if args.config:
         text = Path(args.config).read_text(encoding="utf-8")
         if text.strip():
@@ -73,11 +64,11 @@ def _load_raw_config(args) -> dict:
             if not isinstance(payload, dict):
                 raise ConfigError(f"{args.config}: config root must be a "
                                   "JSON object")
-            _deep_update(raw, payload)
+            raw = merge(raw, payload)
     for assignment in args.overrides:
-        raw = apply_override(raw, assignment)
+        raw = merge(raw, parse_override(assignment))
     if args.out:
-        raw["output_dir"] = args.out
+        raw = merge(raw, {"output_dir": args.out})
     return raw
 
 

@@ -26,7 +26,7 @@ from .states import SlitGeometry, TransverseState, build_double_slit
 from .weak_values import ERASERS, MomentumWindow
 
 __all__ = ["ScenarioConfig", "parse_config", "from_dict", "PRESETS",
-           "apply_override", "DEFAULTS"]
+           "merge", "parse_override", "DEFAULTS"]
 
 _TWO_PI = 2.0 * math.pi
 
@@ -81,7 +81,14 @@ _DEFAULT_QMAX = [round(v, 10) for v in np.linspace(0.5, 4.0 * _TWO_PI, 48)]
 _DEFAULT_KAPPA = [_TWO_PI * k for k in (1.0, 2.0, 4.0, 8.0, 16.0)]
 
 
-def _merge(base: dict, override: dict, path: str = "") -> dict:
+def merge(base: dict, override: dict, path: str = "") -> dict:
+    """A copy of ``base`` with ``override`` merged in, key by key.
+
+    Every key must already exist in ``base``; the error names its dotted
+    path.  Objects merge recursively and may only meet objects: an
+    override that descends into a scalar, or replaces an object with a
+    scalar, is an error too.
+    """
     out = copy.deepcopy(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
@@ -90,7 +97,9 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
         if isinstance(base[key], dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"{where!r} must be an object")
-            out[key] = _merge(base[key], value, where)
+            out[key] = merge(base[key], value, where)
+        elif isinstance(value, dict):
+            raise ConfigError(f"override path {where!r} crosses a scalar")
         else:
             out[key] = copy.deepcopy(value)
     return out
@@ -100,8 +109,9 @@ def _require_number(data, path, positive=True):
     value = data
     for part in path.split("."):
         value = value[part]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{path!r} must be a number, got {value!r}")
+    if not isinstance(value, (int, float)) or isinstance(value, bool) \
+            or not math.isfinite(value):
+        raise ConfigError(f"{path!r} must be a finite number, got {value!r}")
     if positive and not value > 0:
         raise ConfigError(f"{path!r} must be positive, got {value}")
     return value
@@ -140,11 +150,11 @@ class ScenarioConfig:
     def build_channel(self, grid: SimGrid) -> MeasurementChannel:
         ch = self.data["channel"]
         if ch["kind"] == "identity":
-            return identity_channel()
+            return identity_channel(grid)
         if ch["kind"] == "scully":
             return scully_wwm(self.slit_geometry(), grid)
         if ch["kind"] == "kick":
-            return classical_kick([(q, pr) for q, pr in ch["kicks"]])
+            return classical_kick([(q, pr) for q, pr in ch["kicks"]], grid)
         raise ConfigError(f"unknown channel kind {ch['kind']!r}")
 
     def window_width_internal(self) -> float:
@@ -231,10 +241,13 @@ def _validate(data: dict):
         raise ConfigError(
             f"'eraser' must be one of {ERASERS}, got {data['eraser']!r}")
     ratios = data["pointer"]["ratios"]
-    if not isinstance(ratios, list) or not ratios \
+    # The sweep reports a convergence slope, which needs two ratios.
+    if not isinstance(ratios, list) \
             or any(not isinstance(r, (int, float)) or not 0 < r <= 1
-                   for r in ratios):
-        raise ConfigError("'pointer.ratios' must be a list of ratios in (0, 1]")
+                   for r in ratios) \
+            or len(set(ratios)) < 2:
+        raise ConfigError("'pointer.ratios' must be a list of at least two "
+                          "distinct ratios in (0, 1]")
     reg = data["regularization"]
     for key in ("q_max", "kappa"):
         values = reg[key]
@@ -251,7 +264,7 @@ def from_dict(overrides: dict) -> ScenarioConfig:
     """Fill defaults, validate, and freeze a configuration."""
     if not isinstance(overrides, dict):
         raise ConfigError("config root must be a JSON object")
-    data = _merge(DEFAULTS, overrides)
+    data = merge(DEFAULTS, overrides)
     _validate(data)
     return ScenarioConfig(data)
 
@@ -267,11 +280,11 @@ def parse_config(text: str) -> ScenarioConfig:
     return from_dict(payload)
 
 
-def apply_override(data: dict, assignment: str) -> dict:
-    """Apply one ``dotted.path=value`` override to a raw config dict.
+def parse_override(assignment: str) -> dict:
+    """One ``dotted.path=value`` override as a nested dict for :func:`merge`.
 
     The value is parsed as JSON when possible, otherwise taken as a
-    bare string; returns a new dict.
+    bare string.
     """
     if "=" not in assignment:
         raise ConfigError(f"override {assignment!r} is not of form key=value")
@@ -280,12 +293,6 @@ def apply_override(data: dict, assignment: str) -> dict:
         value = json.loads(raw_value)
     except json.JSONDecodeError:
         value = raw_value
-    out = copy.deepcopy(data)
-    node = out
-    parts = path.split(".")
-    for part in parts[:-1]:
-        node = node.setdefault(part, {})
-        if not isinstance(node, dict):
-            raise ConfigError(f"override path {path!r} crosses a scalar")
-    node[parts[-1]] = value
-    return out
+    for part in reversed(path.split(".")):
+        value = {part: value}
+    return value

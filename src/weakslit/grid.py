@@ -17,7 +17,6 @@ Parseval holds to round-off and round trips are exact.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.constants import c as _C_LIGHT, h as _H_PLANCK
 
 from .errors import ConfigError, GridMismatchError
 
@@ -56,11 +55,6 @@ class SimGrid:
         """Centred momentum samples, conjugate to :attr:`x`."""
         n = self.n_points
         return (np.arange(n) - n // 2) * self.dp
-
-    # Alias used by a few call sites that read better with this name.
-    @property
-    def p_grid(self) -> np.ndarray:
-        return self.p
 
     def _check(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values)
@@ -137,11 +131,6 @@ class LabFrame:
         for name in ("wavelength", "focal_length", "slit_separation"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"LabFrame.{name} must be positive")
-
-    @property
-    def mass(self) -> float:
-        """Effective mass h/(c*wavelength), in kg."""
-        return _H_PLANCK / (_C_LIGHT * self.wavelength)
 
     @property
     def fringe_period(self) -> float:

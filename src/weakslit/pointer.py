@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import MeasurementChannel
-from .errors import ConfigError, WindowRangeError
+from .errors import ConfigError
 from .grid import LabFrame
 from .states import TransverseState
 from .weak_values import (EPS_DEN_FRACTION, MomentumWindow, WvpCurve,
@@ -143,15 +143,8 @@ def run_tagged(state: TransverseState, ch: MeasurementChannel,
     """
     window = pointer.window()
     grid = state.grid
-    lo, hi = window.bounds
-    if lo < grid.p[0] or hi > grid.p[-1]:
-        raise WindowRangeError(
-            f"pointer window [{lo:.4g}, {hi:.4g}] outside the simulated "
-            f"momentum range [{grid.p[0]:.4g}, {grid.p[-1]:.4g}]"
-        )
     proj = window_project(state, window)
-    rest = TransverseState(grid, state.amp_h - proj.amp_h,
-                           state.amp_v - proj.amp_v, state.sharp_edges)
+    rest = TransverseState(grid, state.amps - proj.amps, state.sharp_edges)
     tagged = np.concatenate(_sector_momentum_sums(proj, ch), axis=0)
     untagged = np.concatenate(_sector_momentum_sums(rest, ch), axis=0)
     return IntensityMap(grid.p.copy(), untagged, tagged, pointer.sigma,
@@ -190,13 +183,17 @@ def convergence_sweep(state: TransverseState, ch: MeasurementChannel,
 
     Ratios are sorted descending; errors are max-abs deviations from
     the analytic conditional curve over samples where both are defined.
+    The tagged and untagged amplitudes do not depend on D, so the state
+    is propagated once and only the displacement varies.
     """
     ratios = tuple(sorted((float(r) for r in ratios), reverse=True))
-    window = pointer.window()
-    analytic = conditional_wvp(state, ch, window)
+    analytic = conditional_wvp(state, ch, pointer.window())
+    imap = run_tagged(state, ch, pointer)
     errors = []
     for ratio in ratios:
-        est = estimate_wvp(run_tagged(state, ch, pointer.at_ratio(ratio)))
+        spec = pointer.at_ratio(ratio)
+        est = estimate_wvp(replace(imap, displacement=spec.displacement,
+                                   ratio=spec.ratio))
         both = analytic.defined & est.defined
         errors.append(float(np.max(np.abs(est.values[both]
                                           - analytic.values[both]))))

@@ -94,7 +94,6 @@ class _Scene:
 def _run_wvp(scene: _Scene) -> ResultBundle:
     window = scene.config.focus_window()
     curve = conditional_wvp(scene.state, scene.channel, window, scene.eraser)
-    j = joint_wvp(scene.state, scene.channel, window, scene.eraser)
     dens_in = momentum_distribution(scene.state)
     dens_out = momentum_distribution(scene.state, scene.channel)
     p = scene.grid.p
@@ -103,7 +102,7 @@ def _run_wvp(scene: _Scene) -> ResultBundle:
     bundle.tables["wvp"] = Table("wvp", (
         ("p_f", "hbar/s"), ("p_f_lab", "mm"), ("conditional", "1"),
         ("joint", "s/hbar"), ("defined", "0/1"),
-    ), np.column_stack([p, scene.lab_mm(p), curve.values, j,
+    ), np.column_stack([p, scene.lab_mm(p), curve.values, curve.joint,
                         curve.defined.astype(float)]))
     bundle.tables["intensity"] = Table("intensity", (
         ("p_f", "hbar/s"), ("p_f_lab", "mm"),
@@ -211,8 +210,7 @@ def _run_eraser(scene: _Scene) -> ResultBundle:
     plus = conditional_wvp(state, ch, window, "plus45")
     minus = conditional_wvp(state, ch, window, "minus45")
     j_none = joint_wvp(state, ch, window, "none")
-    j_plus = joint_wvp(state, ch, window, "plus45")
-    j_minus = joint_wvp(state, ch, window, "minus45")
+    j_plus, j_minus = plus.joint, minus.joint
     p = scene.grid.p
     in_window = window_mask(scene.grid, window) > 0.5
     out = ~in_window

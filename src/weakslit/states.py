@@ -1,9 +1,9 @@
 """Initial transverse states: slit apertures and momentum-space Gaussians.
 
 Every constructor returns a normalised two-polarisation state.  The
-horizontal component carries the optical field at the aperture; the
-vertical component starts empty and is populated only by which-way
-tagging downstream.
+horizontal component (row 0) carries the optical field at the aperture;
+the vertical component (row 1) starts empty and is populated only by
+which-way tagging downstream.
 """
 
 from dataclasses import dataclass
@@ -18,7 +18,6 @@ __all__ = [
     "SlitGeometry",
     "TransverseState",
     "build_double_slit",
-    "build_single_slit",
     "build_momentum_peak",
 ]
 
@@ -62,33 +61,38 @@ class SlitGeometry:
 class TransverseState:
     """Two-polarisation complex field on a :class:`SimGrid`.
 
-    ``sharp_edges`` records whether the construction used discontinuous
-    apertures; moment computations refuse such states because their
-    momentum variance diverges.
+    ``amps`` has shape (2, n): row 0 is the horizontal and row 1 the
+    vertical polarisation.  ``sharp_edges`` records whether the
+    construction used discontinuous apertures; moment computations
+    refuse such states because their momentum variance diverges.
     """
 
     grid: SimGrid
-    amp_h: np.ndarray
-    amp_v: np.ndarray
+    amps: np.ndarray
     sharp_edges: bool = False
 
     def norm_sq(self) -> float:
         """Total probability, integrating both polarisations over x."""
-        dens = np.abs(self.amp_h) ** 2 + np.abs(self.amp_v) ** 2
-        return float(np.sum(dens) * self.grid.dx)
+        return float(np.sum(self.spatial_density()) * self.grid.dx)
 
     def normalized(self) -> "TransverseState":
         n = np.sqrt(self.norm_sq())
-        return TransverseState(self.grid, self.amp_h / n, self.amp_v / n,
-                               self.sharp_edges)
+        return TransverseState(self.grid, self.amps / n, self.sharp_edges)
 
-    def momentum_amplitudes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(H, V) momentum-space amplitudes via the unitary transform."""
-        return (self.grid.to_momentum(self.amp_h),
-                self.grid.to_momentum(self.amp_v))
+    def momentum_amplitudes(self) -> np.ndarray:
+        """(2, n) momentum-space amplitudes via the unitary transform."""
+        return self.grid.to_momentum(self.amps)
 
     def spatial_density(self) -> np.ndarray:
-        return np.abs(self.amp_h) ** 2 + np.abs(self.amp_v) ** 2
+        return np.sum(np.abs(self.amps) ** 2, axis=0)
+
+
+def _h_polarised(grid: SimGrid, field: np.ndarray,
+                 sharp_edges: bool) -> TransverseState:
+    """Normalised state carrying ``field`` in H and nothing in V."""
+    amps = np.zeros((2, grid.n_points), dtype=complex)
+    amps[0] = field
+    return TransverseState(grid, amps, sharp_edges).normalized()
 
 
 def _slit_amplitude(geom: SlitGeometry, grid: SimGrid, center: float) -> np.ndarray:
@@ -127,23 +131,7 @@ def build_double_slit(geom: SlitGeometry, grid: SimGrid,
     half = geom.separation / 2.0
     amp = (weights[0] * _slit_amplitude(geom, grid, -half)
            + weights[1] * _slit_amplitude(geom, grid, +half))
-    state = TransverseState(grid, amp.astype(complex),
-                            np.zeros(grid.n_points, dtype=complex),
-                            sharp_edges=geom.sharp)
-    return state.normalized()
-
-
-def build_single_slit(geom: SlitGeometry, grid: SimGrid,
-                      which: str = "left") -> TransverseState:
-    """Normalised single-slit state at -s/2 ("left") or +s/2 ("right")."""
-    if which not in ("left", "right"):
-        raise GeometryError(f"which must be 'left' or 'right', got {which!r}")
-    center = -geom.separation / 2.0 if which == "left" else geom.separation / 2.0
-    amp = _slit_amplitude(geom, grid, center)
-    state = TransverseState(grid, amp.astype(complex),
-                            np.zeros(grid.n_points, dtype=complex),
-                            sharp_edges=geom.sharp)
-    return state.normalized()
+    return _h_polarised(grid, amp, geom.sharp)
 
 
 def build_momentum_peak(p0: float, width: float, grid: SimGrid) -> TransverseState:
@@ -158,7 +146,4 @@ def build_momentum_peak(p0: float, width: float, grid: SimGrid) -> TransverseSta
             f"momentum width {width} below 4 grid bins ({4.0 * grid.dp:.4g})"
         )
     tilde = np.exp(-((grid.p - p0) ** 2) / (2.0 * width ** 2)).astype(complex)
-    amp = grid.from_momentum(tilde)
-    state = TransverseState(grid, amp, np.zeros(grid.n_points, dtype=complex),
-                            sharp_edges=False)
-    return state.normalized()
+    return _h_polarised(grid, grid.from_momentum(tilde), False)

@@ -27,7 +27,8 @@ from typing import Iterable
 import numpy as np
 
 from .channels import MeasurementChannel
-from .errors import ConfigError, CoverageWarning, GridMismatchError, ResolutionError
+from .errors import (ConfigError, CoverageWarning, GridMismatchError,
+                     ResolutionError, WindowRangeError)
 from .grid import SimGrid
 from .states import TransverseState
 
@@ -81,6 +82,8 @@ class WvpCurve:
 
     ``values`` holds NaN where the post-selection density is below the
     definedness threshold; ``defined`` is the corresponding mask.
+    ``joint`` is the numerator J(p_f), defined everywhere; pointer
+    estimates leave it None.
     """
 
     p_f: np.ndarray
@@ -88,6 +91,7 @@ class WvpCurve:
     defined: np.ndarray
     window: MomentumWindow
     eraser: str
+    joint: np.ndarray | None = None
 
 
 @dataclass
@@ -128,6 +132,13 @@ def _check_eraser(eraser: str):
         raise ConfigError(f"eraser must be one of {ERASERS}, got {eraser!r}")
 
 
+def _check_width(grid: SimGrid, width: float):
+    if width < 2.0 * grid.dp:
+        raise ResolutionError(
+            f"window width {width} narrower than 2 bins ({2.0 * grid.dp:.4g})"
+        )
+
+
 def window_mask(grid: SimGrid, window: MomentumWindow) -> np.ndarray:
     """Indicator of the window on the momentum samples.
 
@@ -145,40 +156,41 @@ def window_mask(grid: SimGrid, window: MomentumWindow) -> np.ndarray:
 
 
 def window_project(state: TransverseState, window: MomentumWindow) -> TransverseState:
-    """Project the state onto one momentum window (unnormalised result)."""
-    if window.width < 2.0 * state.grid.dp:
-        raise ResolutionError(
-            f"window width {window.width} narrower than 2 bins "
-            f"({2.0 * state.grid.dp:.4g})"
+    """Project the state onto one momentum window (unnormalised result).
+
+    Refuses windows narrower than two bins (:class:`ResolutionError`)
+    and windows that hold no momentum sample at all
+    (:class:`WindowRangeError`).
+    """
+    grid = state.grid
+    _check_width(grid, window.width)
+    mask = window_mask(grid, window)
+    if not mask.any():
+        lo, hi = window.bounds
+        raise WindowRangeError(
+            f"window [{lo:.4g}, {hi:.4g}] outside the simulated momentum "
+            f"range [{grid.p[0]:.4g}, {grid.p[-1]:.4g}]"
         )
-    mask = window_mask(state.grid, window)
-    h_t, v_t = state.momentum_amplitudes()
     return TransverseState(
-        state.grid,
-        state.grid.from_momentum(mask * h_t),
-        state.grid.from_momentum(mask * v_t),
-        state.sharp_edges,
-    )
+        grid, grid.from_momentum(mask * state.momentum_amplitudes()),
+        state.sharp_edges)
 
 
-def _sector_momentum_sums(state: TransverseState,
-                          ch: MeasurementChannel) -> list[np.ndarray]:
-    """Coherent branch sums per sector, as (2, n) momentum amplitudes."""
-    if ch.grid is not None and ch.grid != state.grid:
+def _sector_momentum_sums(state: TransverseState, ch: MeasurementChannel,
+                          eraser: str = "none") -> list[np.ndarray]:
+    """Coherent branch sums per sector, as eraser-projected momentum
+    amplitudes: (2, n) for "none", (1, n) otherwise."""
+    if ch.grid != state.grid:
         raise GridMismatchError(
             f"channel {ch.name!r} built on a different grid than the state"
         )
-    grid = state.grid
     sums = []
     for sector in ch.sectors:
-        acc = np.zeros((2, grid.n_points), dtype=complex)
+        acc = np.zeros((2, state.grid.n_points), dtype=complex)
         for branch in ch.branches:
-            if branch.sector != sector:
-                continue
-            out = branch.apply(state)
-            acc[0] += out.amp_h
-            acc[1] += out.amp_v
-        sums.append(grid.to_momentum(acc))
+            if branch.sector == sector:
+                acc += branch.apply(state).amps
+        sums.append(_eraser_project(state.grid.to_momentum(acc), eraser))
     return sums
 
 
@@ -194,6 +206,24 @@ def _eraser_project(amps: np.ndarray, eraser: str) -> np.ndarray:
     return ((amps[0] + sign * amps[1]) / np.sqrt(2.0))[np.newaxis, :]
 
 
+def _joint(chi: TransverseState, psi_erased: list[np.ndarray],
+           ch: MeasurementChannel, eraser: str) -> np.ndarray:
+    """J(p_f) of the window-projected state ``chi`` against the full
+    state's sector sums ``psi_erased``."""
+    j = np.zeros(chi.grid.n_points)
+    for ce, pe in zip(_sector_momentum_sums(chi, ch, eraser), psi_erased):
+        j += np.real(np.sum(ce * np.conj(pe), axis=0))
+    return j
+
+
+def _density(erased: list[np.ndarray]) -> np.ndarray:
+    """Unnormalised momentum density of eraser-projected amplitudes."""
+    dens = np.zeros(erased[0].shape[-1])
+    for pe in erased:
+        dens += np.sum(np.abs(pe) ** 2, axis=0)
+    return dens
+
+
 def joint_wvp(state: TransverseState, ch: MeasurementChannel,
               window: MomentumWindow, eraser: str = "none") -> np.ndarray:
     """J(p_f): conditional WVP times post-selection density, per sample.
@@ -204,24 +234,8 @@ def joint_wvp(state: TransverseState, ch: MeasurementChannel,
     everywhere, negative where the weak value leaves [0, 1].
     """
     _check_eraser(eraser)
-    proj = window_project(state, window)
-    j = np.zeros(state.grid.n_points)
-    for psi_sec, chi_sec in zip(_sector_momentum_sums(state, ch),
-                                _sector_momentum_sums(proj, ch)):
-        pe = _eraser_project(psi_sec, eraser)
-        ce = _eraser_project(chi_sec, eraser)
-        j += np.real(np.sum(ce * np.conj(pe), axis=0))
-    return j
-
-
-def _post_selection_density(state: TransverseState, ch: MeasurementChannel,
-                            eraser: str) -> np.ndarray:
-    """Unnormalised momentum density of the channel output (eraser-resolved)."""
-    dens = np.zeros(state.grid.n_points)
-    for psi_sec in _sector_momentum_sums(state, ch):
-        pe = _eraser_project(psi_sec, eraser)
-        dens += np.sum(np.abs(pe) ** 2, axis=0)
-    return dens
+    return _joint(window_project(state, window),
+                  _sector_momentum_sums(state, ch, eraser), ch, eraser)
 
 
 def conditional_wvp(state: TransverseState, ch: MeasurementChannel,
@@ -234,12 +248,13 @@ def conditional_wvp(state: TransverseState, ch: MeasurementChannel,
     the defined part is the window indicator.
     """
     _check_eraser(eraser)
-    j = joint_wvp(state, ch, window, eraser)
-    dens = _post_selection_density(state, ch, eraser)
+    psi_erased = _sector_momentum_sums(state, ch, eraser)
+    j = _joint(window_project(state, window), psi_erased, ch, eraser)
+    dens = _density(psi_erased)
     defined = dens > EPS_DEN_FRACTION * dens.max()
     values = np.full(state.grid.n_points, np.nan)
     values[defined] = j[defined] / dens[defined]
-    return WvpCurve(state.grid.p.copy(), values, defined, window, eraser)
+    return WvpCurve(state.grid.p.copy(), values, defined, window, eraser, j)
 
 
 def momentum_distribution(state: TransverseState,
@@ -248,13 +263,10 @@ def momentum_distribution(state: TransverseState,
     """Normalised momentum density before (ch=None) or after a channel."""
     _check_eraser(eraser)
     if ch is None:
-        h_t, v_t = state.momentum_amplitudes()
-        dens = np.abs(h_t) ** 2 + np.abs(v_t) ** 2
-        if eraser != "none":
-            sign = 1.0 if eraser == "plus45" else -1.0
-            dens = np.abs((h_t + sign * v_t) / np.sqrt(2.0)) ** 2
+        erased = [_eraser_project(state.momentum_amplitudes(), eraser)]
     else:
-        dens = _post_selection_density(state, ch, eraser)
+        erased = _sector_momentum_sums(state, ch, eraser)
+    dens = _density(erased)
     return dens / (np.sum(dens) * state.grid.dp)
 
 
@@ -293,20 +305,15 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
     """
     _check_eraser(eraser)
     grid = state.grid
-    if window_width < 2.0 * grid.dp:
-        raise ResolutionError(
-            f"window width {window_width} narrower than 2 bins "
-            f"({2.0 * grid.dp:.4g})"
-        )
+    _check_width(grid, window_width)
     if indices is None:
         indices = _tiling_indices(grid, window_width)
     indices = tuple(int(n) for n in indices)
 
-    h_t, v_t = state.momentum_amplitudes()
-    input_dens = np.abs(h_t) ** 2 + np.abs(v_t) ** 2
+    amps_t = state.momentum_amplitudes()
+    input_dens = np.sum(np.abs(amps_t) ** 2, axis=0)
     # The full-state side of J does not depend on the window: hoist it.
-    psi_erased = [_eraser_project(sec, eraser)
-                  for sec in _sector_momentum_sums(state, ch)]
+    psi_erased = _sector_momentum_sums(state, ch, eraser)
 
     acc = np.zeros(grid.n_points)
     coverage = 0.0
@@ -318,13 +325,9 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
         coverage += window_mass
         if window_mass == 0.0:
             continue
-        proj = TransverseState(grid, grid.from_momentum(mask * h_t),
-                               grid.from_momentum(mask * v_t),
-                               state.sharp_edges)
-        j = np.zeros(n)
-        for chi_sec, pe in zip(_sector_momentum_sums(proj, ch), psi_erased):
-            ce = _eraser_project(chi_sec, eraser)
-            j += np.real(np.sum(ce * np.conj(pe), axis=0))
+        chi = TransverseState(grid, grid.from_momentum(mask * amps_t),
+                              state.sharp_edges)
+        j = _joint(chi, psi_erased, ch, eraser)
         shift = int(round(window.center / grid.dp))
         if shift >= n or shift <= -n:
             continue

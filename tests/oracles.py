@@ -25,36 +25,29 @@ def idft_matrix(grid) -> np.ndarray:
     return np.exp(1j * np.outer(grid.x, grid.p)) * (grid.dp / ROOT_2PI)
 
 
-def _apply_branch(grid, branch, h, v):
-    if branch.pol == "swap":
-        h, v = v, h
-    if branch.kind == "mask":
-        h, v = h * branch.mask, v * branch.mask
-    elif branch.kind == "ramp":
-        phase = branch.amplitude * np.exp(1j * branch.q_kick * grid.x)
-        h, v = h * phase, v * phase
-    return h, v
+def _apply_branch(branch, amps):
+    if branch.swap:
+        amps = amps[::-1]
+    return amps * branch.u
 
 
-def _sector_amps(grid, h, v, ch, dft):
+def _sector_amps(amps, ch, dft):
     """Per sector: coherently summed branch outputs in momentum space."""
     out = []
     for sector in ch.sectors:
-        acc_h = np.zeros(grid.n_points, dtype=complex)
-        acc_v = np.zeros(grid.n_points, dtype=complex)
+        acc = np.zeros_like(amps, dtype=complex)
         for branch in ch.branches:
             if branch.sector == sector:
-                bh, bv = _apply_branch(grid, branch, h, v)
-                acc_h, acc_v = acc_h + bh, acc_v + bv
-        out.append((dft @ acc_h, dft @ acc_v))
+                acc = acc + _apply_branch(branch, amps)
+        out.append(acc @ dft.T)
     return out
 
 
-def _erase(h_t, v_t, eraser):
+def _erase(amps_t, eraser):
     if eraser == "none":
-        return [h_t, v_t]
+        return list(amps_t)
     sign = 1.0 if eraser == "plus45" else -1.0
-    return [(h_t + sign * v_t) / np.sqrt(2.0)]
+    return [(amps_t[0] + sign * amps_t[1]) / np.sqrt(2.0)]
 
 
 def dense_joint(state, ch, window, eraser="none"):
@@ -63,14 +56,13 @@ def dense_joint(state, ch, window, eraser="none"):
     dft, idft = dft_matrix(grid), idft_matrix(grid)
     lo, hi = window.bounds
     sel = ((grid.p >= lo) & (grid.p < hi)).astype(float)
-    chi_h = idft @ (sel * (dft @ state.amp_h))
-    chi_v = idft @ (sel * (dft @ state.amp_v))
+    chi = (sel * (state.amps @ dft.T)) @ idft.T
 
-    psi_amps = _sector_amps(grid, state.amp_h, state.amp_v, ch, dft)
-    chi_amps = _sector_amps(grid, chi_h, chi_v, ch, dft)
+    psi_amps = _sector_amps(state.amps, ch, dft)
+    chi_amps = _sector_amps(chi, ch, dft)
     j = np.zeros(grid.n_points)
-    for (ph, pv), (xh, xv) in zip(psi_amps, chi_amps):
-        for pe, ce in zip(_erase(ph, pv, eraser), _erase(xh, xv, eraser)):
+    for psi_t, chi_t in zip(psi_amps, chi_amps):
+        for pe, ce in zip(_erase(psi_t, eraser), _erase(chi_t, eraser)):
             j += np.real(ce * np.conj(pe))
     return j
 
@@ -81,8 +73,8 @@ def dense_conditional(state, ch, window, eraser="none"):
     dft = dft_matrix(grid)
     j = dense_joint(state, ch, window, eraser)
     dens = np.zeros(grid.n_points)
-    for ph, pv in _sector_amps(grid, state.amp_h, state.amp_v, ch, dft):
-        for pe in _erase(ph, pv, eraser):
+    for psi_t in _sector_amps(state.amps, ch, dft):
+        for pe in _erase(psi_t, eraser):
             dens += np.abs(pe) ** 2
     defined = dens > 1e-6 * dens.max()
     values = np.full(grid.n_points, np.nan)
@@ -98,7 +90,7 @@ def dense_transfer(state, ch, width, indices, eraser="none"):
     """
     grid = state.grid
     dft = dft_matrix(grid)
-    dens = (np.abs(dft @ state.amp_h) ** 2 + np.abs(dft @ state.amp_v) ** 2)
+    dens = np.sum(np.abs(state.amps @ dft.T) ** 2, axis=0)
     acc = np.zeros(grid.n_points)
     coverage = 0.0
     for idx in indices:

@@ -80,7 +80,7 @@ def test_criterion_02_indicator_limit(bench):
     mask = window_mask(bench.grid, bench.window)
     devs = {}
     for label, curve in (
-        ("identity", conditional_wvp(bench.state, identity_channel(),
+        ("identity", conditional_wvp(bench.state, identity_channel(bench.grid),
                                      bench.window)),
         ("erased +45", conditional_wvp(bench.state, bench.marker,
                                        bench.window, "plus45")),
@@ -128,7 +128,7 @@ def test_criterion_05_mass_beyond_one_unit(bench):
     with pytest.warns(CoverageWarning):
         marked = transfer_distribution(bench.state, bench.marker, bench.width,
                                        bench.indices)
-        plain = transfer_distribution(bench.state, identity_channel(),
+        plain = transfer_distribution(bench.state, identity_channel(bench.grid),
                                       bench.width, bench.indices)
     mass = marked.mass_outside(1.0)
     floor = plain.mass_outside(1.0)
@@ -199,8 +199,9 @@ def test_criterion_07_moment_matching(bench):
     kicks = [(24.0 * grid.dp, 0.35), (-36.0 * grid.dp, 0.65)]
     mean_ref = sum(pr * q for q, pr in kicks)
     var_ref = sum(pr * q * q for q, pr in kicks) - mean_ref ** 2
-    kdist = transfer_distribution(state, classical_kick(kicks), width)
-    kdirect = moment_change(state, classical_kick(kicks))
+    kick = classical_kick(kicks, grid)
+    kdist = transfer_distribution(state, kick, width)
+    kdirect = moment_change(state, kick)
     rels = (
         abs(mean_transfer(kdist) - mean_ref) / abs(mean_ref),
         abs(transfer_variance(kdist) - win_var - var_ref) / var_ref,
@@ -226,7 +227,7 @@ def test_criterion_08_classical_equivalence():
     for kicks in ([(24.0 * grid.dp, 1.0)],
                   [(12.0 * grid.dp, 0.4), (-36.0 * grid.dp, 0.6)],
                   [(0.0, 0.3), (48.0 * grid.dp, 0.3), (-24.0 * grid.dp, 0.4)]):
-        ch = classical_kick(kicks)
+        ch = classical_kick(kicks, grid)
         d_slit = transfer_distribution(slit, ch, width)
         d_gauss = transfer_distribution(gauss, ch, width)
         ref = kick_rect_density(d_slit.q, kicks, width)

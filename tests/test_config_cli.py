@@ -11,7 +11,7 @@ import pytest
 
 from weakslit import ConfigError, PRESETS, from_dict, parse_config
 from weakslit.cli import main
-from weakslit.config import DEFAULTS, apply_override
+from weakslit.config import DEFAULTS, merge, parse_override
 
 TWO_PI = 2.0 * math.pi
 
@@ -86,6 +86,10 @@ class TestValidation:
         {"pointer": {"ratios": []}},
         {"pointer": {"ratios": [1.5]}},
         {"pointer": {"ratios": [0.0]}},
+        {"pointer": {"ratios": [0.1]}},          # a sweep needs two ratios
+        {"pointer": {"ratios": [0.1, 0.1]}},
+        {"grid": {"x_extent": math.inf}},
+        {"lab": {"focal_length": math.nan}},
         {"regularization": {"q_max": [-1.0]}},
         {"output_dir": ""},
     ])
@@ -105,19 +109,25 @@ class TestParsingAndOverrides:
             parse_config("[1, 2]")
 
     def test_override_parses_json_values(self):
-        raw = apply_override({}, "grid.n_points=1024")
-        assert raw == {"grid": {"n_points": 1024}}
-        raw = apply_override(raw, "regularization.q_max=[1.0, 2.5]")
+        assert parse_override("grid.n_points=1024") \
+            == {"grid": {"n_points": 1024}}
+        raw = merge(DEFAULTS, parse_override("grid.n_points=1024"))
+        raw = merge(raw, parse_override("regularization.q_max=[1.0, 2.5]"))
+        assert raw["grid"] == {"n_points": 1024, "x_extent": 64.0}
         assert raw["regularization"]["q_max"] == [1.0, 2.5]
 
     def test_override_falls_back_to_bare_string(self):
-        assert apply_override({}, "eraser=plus45") == {"eraser": "plus45"}
+        assert parse_override("eraser=plus45") == {"eraser": "plus45"}
 
     def test_override_error_paths(self):
+        with pytest.raises(ConfigError, match="crosses a scalar"):
+            merge({"eraser": "none"}, parse_override("eraser.kind=1"))
+        with pytest.raises(ConfigError, match="'grid' must be an object"):
+            merge(DEFAULTS, parse_override("grid=5"))
+        with pytest.raises(ConfigError, match="'grid.widht'"):
+            merge(DEFAULTS, parse_override("grid.widht=5"))
         with pytest.raises(ConfigError):
-            apply_override({"eraser": "none"}, "eraser.kind=1")
-        with pytest.raises(ConfigError):
-            apply_override({}, "no-equals-sign")
+            parse_override("no-equals-sign")
 
 
 class TestConfigHash:
@@ -217,6 +227,26 @@ class TestCliExitCodes:
         cfg.write_text("{ not json")
         assert main(["wvp", "--config", str(cfg),
                      "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["transfer", "--set", "channel.kind=kick",
+         "--set", 'channel.kicks=[["a",1]]'],
+        ["transfer", "--set", "channel.kind=kick",
+         "--set", "channel.kicks=[[Infinity,1]]"],
+        ["wvp", "--set", "grid.x_extent=Infinity"],
+        ["sweep", "--preset", "paper", "--set", "pointer.ratios=[0.1]"],
+    ])
+    def test_rejected_values(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_window_outside_grid_range(self, tmp_path, capsys):
+        rc = main(["wvp", "--preset", "paper",
+                   "--set", "windows.focus_index=100000",
+                   "--out", str(tmp_path / "x")] + FAST)
+        assert rc == 3
+        assert "outside the simulated momentum range" \
+            in capsys.readouterr().err
 
     def test_unresolvable_window_width(self, tmp_path, capsys):
         rc = main(["wvp", "--set", "windows.sliver_width=1e-9",

@@ -109,14 +109,14 @@ class TestLabFrame:
         assert isinstance(pos, float)
 
     def test_effective_mass_and_window_relation(self, lab):
-        """The sliver width maps to (m c / f) * delta of physical momentum."""
-        assert lab.mass * const.c * lab.wavelength / const.h == pytest.approx(
-            1.0, rel=1e-15)
+        """The sliver width maps to (m c / f) * delta of physical momentum,
+        with the photon's effective mass m = h / (c * wavelength)."""
+        mass = const.h / (const.c * lab.wavelength)
         delta = 1.77e-3
         width_internal = lab.momentum_from_position(delta)
         width_physical = width_internal * const.hbar / lab.slit_separation
         assert width_physical == pytest.approx(
-            lab.mass * const.c * delta / lab.focal_length, rel=1e-12)
+            mass * const.c * delta / lab.focal_length, rel=1e-12)
 
     @pytest.mark.parametrize("kwargs", [
         dict(wavelength=0.0, focal_length=1.0, slit_separation=80e-6),

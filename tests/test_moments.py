@@ -105,15 +105,15 @@ class TestMomentChange:
         with pytest.raises(MomentUndefinedError):
             moment_change(slit_state, wwm)
 
-    def test_identity_changes_nothing(self, smooth_state):
-        d_mean, d_var = moment_change(smooth_state, identity_channel())
+    def test_identity_changes_nothing(self, smooth_state, grid):
+        d_mean, d_var = moment_change(smooth_state, identity_channel(grid))
         assert d_mean == pytest.approx(0.0, abs=1e-13)
         assert d_var == pytest.approx(0.0, abs=1e-11)
 
     def test_kick_moments(self, smooth_state, grid):
         kicks = [(30.0 * grid.dp, 0.25), (-10.0 * grid.dp, 0.75)]
         d_mean, d_var = moment_change(smooth_state,
-                                      classical_kick(kicks))
+                                      classical_kick(kicks, grid))
         q = np.array([k for k, _ in kicks])
         pr = np.array([p for _, p in kicks])
         exp_mean = float(np.sum(pr * q))

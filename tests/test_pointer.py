@@ -49,19 +49,21 @@ def test_window_outside_grid_range_is_rejected(geom, spec, lab):
     far = PointerSpec(spec.sigma, spec.displacement, spec.sliver_width,
                       index=-12, lab=lab)  # but centre -16.9 is not
     with pytest.raises(WindowRangeError):
-        run_tagged(state, identity_channel(), far)
+        run_tagged(state, identity_channel(coarse), far)
 
 
 class TestMarginal:
-    def test_identity_marginal_is_channel_density(self, slit_state, spec):
-        imap = run_tagged(slit_state, identity_channel(), spec)
+    def test_identity_marginal_is_channel_density(self, slit_state, grid,
+                                                  spec):
+        imap = run_tagged(slit_state, identity_channel(grid), spec)
         h_t, v_t = slit_state.momentum_amplitudes()
         dens = np.abs(h_t) ** 2 + np.abs(v_t) ** 2
         np.testing.assert_allclose(imap.marginal(), dens,
                                    atol=1e-13 * dens.max())
 
     def test_kick_marginal_is_channel_density(self, smooth_state, grid, spec):
-        ch = classical_kick([(12.0 * grid.dp, 0.4), (-6.0 * grid.dp, 0.6)])
+        ch = classical_kick([(12.0 * grid.dp, 0.4), (-6.0 * grid.dp, 0.6)],
+                            grid)
         imap = run_tagged(smooth_state, ch, spec)
         dens = np.zeros(grid.n_points)
         for amps in (np.abs(imap.untagged) ** 2, np.abs(imap.tagged) ** 2):

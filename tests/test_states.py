@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from weakslit import (GeometryError, ResolutionError, SlitGeometry,
-                      build_double_slit, build_momentum_peak,
-                      build_single_slit, make_grid)
+                      build_double_slit, build_momentum_peak, make_grid)
 
 from oracles import double_slit_momentum_amplitude
 
@@ -35,7 +34,8 @@ class TestSlitGeometry:
 
 def test_double_slit_is_normalised_h_polarised(slit_state):
     assert slit_state.norm_sq() == pytest.approx(1.0, rel=1e-12)
-    assert np.all(slit_state.amp_v == 0.0)
+    assert slit_state.amps.shape == (2, slit_state.grid.n_points)
+    assert np.all(slit_state.amps[1] == 0.0)
     assert slit_state.sharp_edges
 
 
@@ -69,8 +69,8 @@ def test_double_slit_fringe_zeros(slit_state, grid):
 
 def test_sharp_edges_take_midpoint_value(geom, grid):
     """Slit edges land on lattice sites here; the sample gets half height."""
-    state = build_single_slit(geom, grid, which="left")
-    amp = state.amp_h.real
+    state = build_double_slit(geom, grid, weights=(1.0, 0.0))
+    amp = state.amps[0].real
     interior = np.max(amp)
     for edge in (-0.75, -0.25):
         k = int(np.argmin(np.abs(grid.x - edge)))
@@ -79,21 +79,24 @@ def test_sharp_edges_take_midpoint_value(geom, grid):
 
 
 def test_single_slit_sides(geom, grid):
-    left = build_single_slit(geom, grid, which="left")
-    right = build_single_slit(geom, grid, which="right")
+    left = build_double_slit(geom, grid, weights=(1.0, 0.0))
+    right = build_double_slit(geom, grid, weights=(0.0, 1.0))
     x = grid.x
     mean_left = float(np.sum(left.spatial_density() * x) * grid.dx)
     mean_right = float(np.sum(right.spatial_density() * x) * grid.dx)
     assert mean_left == pytest.approx(-0.5, abs=1e-9)
     assert mean_right == pytest.approx(+0.5, abs=1e-9)
-    with pytest.raises(GeometryError):
-        build_single_slit(geom, grid, which="centre")
 
 
 def test_zero_weight_reduces_to_single_slit(geom, grid):
+    """One dark slit leaves a normalised top-hat over the other slit."""
     pair = build_double_slit(geom, grid, weights=(1.0, 0.0))
-    single = build_single_slit(geom, grid, which="left")
-    np.testing.assert_allclose(pair.amp_h, single.amp_h, atol=1e-14)
+    inside = np.abs(grid.x + 0.5) < 0.25 - 1e-12
+    outside = np.abs(grid.x + 0.5) > 0.25 + 1e-12
+    top = pair.amps[0][inside]
+    np.testing.assert_allclose(top, top[0], rtol=1e-12)
+    np.testing.assert_array_equal(pair.amps[0][outside], 0.0)
+    assert pair.norm_sq() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_slit_needs_margin_inside_grid(geom):
