@@ -19,7 +19,7 @@ import numpy as np
 
 from .channels import MeasurementChannel, classical_kick, identity_channel, scully_wwm
 from .errors import ConfigError
-from .grid import LabFrame, SimGrid, make_grid
+from .grid import MAX_POINTS, LabFrame, SimGrid, make_grid
 from .moments import RegularizationSpec
 from .pointer import PointerSpec
 from .states import SlitGeometry, TransverseState, build_double_slit
@@ -216,10 +216,11 @@ def _validate(data: dict):
     if geo["edge_scale"] is not None:
         _require_number(data, "geometry.edge_scale")
     n_points = data["grid"]["n_points"]
-    if not isinstance(n_points, int) or n_points < 8 \
+    if not isinstance(n_points, int) or not 8 <= n_points <= MAX_POINTS \
             or (n_points & (n_points - 1)) != 0:
         raise ConfigError(
-            f"'grid.n_points' must be a power of two >= 8, got {n_points!r}")
+            f"'grid.n_points' must be a power of two in [8, {MAX_POINTS}], "
+            f"got {n_points!r}")
     ch = data["channel"]
     if ch["kind"] not in ("identity", "scully", "kick"):
         raise ConfigError(f"'channel.kind': unknown kind {ch['kind']!r}")
@@ -252,10 +253,10 @@ def _validate(data: dict):
     for key in ("q_max", "kappa"):
         values = reg[key]
         if not isinstance(values, list) \
-                or any(not isinstance(v, (int, float)) or v <= 0
-                       for v in values):
-            raise ConfigError(
-                f"'regularization.{key}' must be a list of positive numbers")
+                or any(not isinstance(v, (int, float)) or isinstance(v, bool)
+                       or not math.isfinite(v) or v <= 0 for v in values):
+            raise ConfigError(f"'regularization.{key}' must be a list of "
+                              "positive finite numbers")
     if not isinstance(data["output_dir"], str) or not data["output_dir"]:
         raise ConfigError("'output_dir' must be a non-empty string")
 

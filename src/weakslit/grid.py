@@ -22,6 +22,10 @@ from .errors import ConfigError, GridMismatchError
 
 __all__ = ["SimGrid", "LabFrame", "make_grid"]
 
+#: Largest accepted grid.  A 2^22-point state is 128 MiB of (2, n)
+#: complex amplitudes, and every analysis holds several such arrays.
+MAX_POINTS = 2 ** 22
+
 
 @dataclass(frozen=True)
 class SimGrid:
@@ -99,12 +103,13 @@ def make_grid(n_points: int, x_extent: float) -> SimGrid:
     Parameters
     ----------
     n_points : int
-        Must be a power of two, at least 8.
+        Must be a power of two, at least 8 and at most :data:`MAX_POINTS`.
     x_extent : float
         Total width, > 0, in internal length units.
     """
-    if n_points < 8 or (n_points & (n_points - 1)) != 0:
-        raise ConfigError(f"n_points must be a power of two >= 8, got {n_points}")
+    if not 8 <= n_points <= MAX_POINTS or (n_points & (n_points - 1)) != 0:
+        raise ConfigError(f"n_points must be a power of two in "
+                          f"[8, {MAX_POINTS}], got {n_points}")
     if not x_extent > 0.0:
         raise ConfigError(f"x_extent must be positive, got {x_extent}")
     return SimGrid(int(n_points), float(x_extent))

@@ -41,6 +41,8 @@ def render_plot(series, title, xlabel, ylabel,
     finite = np.isfinite(ys) & np.isfinite(xs)
     x_lo, x_hi = float(xs[finite].min()), float(xs[finite].max())
     y_lo, y_hi = float(ys[finite].min()), float(ys[finite].max())
+    if x_lo == x_hi:
+        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
     if y_lo == y_hi:
         y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
     pad = 0.05 * (y_hi - y_lo)

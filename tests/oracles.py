@@ -5,12 +5,20 @@ Fourier transform is an explicit N x N matrix, window projectors are
 boolean selections in momentum space, and joint quantities are
 assembled branch by branch.  O(N^2) per curve is fine at N <= 256 and
 keeps every intermediate inspectable.  None of it touches the FFT code
-paths under test.
+paths under test, except :func:`loop_transfer`: the per-window transfer
+loop, which reuses the package's single-window J kernel and checks the
+correlation-form assembly at production grid sizes.
 """
+
+import warnings
 
 import numpy as np
 
-from weakslit import MomentumWindow
+from weakslit import MomentumWindow, TransferDistribution, TransverseState
+from weakslit.errors import CoverageWarning
+from weakslit.weak_values import (COVERAGE_MIN, _check_eraser, _check_width,
+                                  _joint, _sector_momentum_sums,
+                                  _tiling_indices, window_mask)
 
 ROOT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -107,6 +115,59 @@ def dense_transfer(state, ch, width, indices, eraser="none"):
             rolled[:-m] = 0.0
         acc += rolled
     return grid.p.copy(), acc / coverage, coverage
+
+
+def loop_transfer(state, ch, window_width, indices=None, eraser="none"):
+    """The per-window transfer assembly: one projection and one
+    channel pass per window, each window's J shifted to its centre.
+
+    O(W N log N).  This was the package's implementation before the
+    correlation form; kept verbatim as the oracle for it.
+    """
+    _check_eraser(eraser)
+    grid = state.grid
+    _check_width(grid, window_width)
+    if indices is None:
+        indices = _tiling_indices(grid, window_width)
+    indices = tuple(int(n) for n in indices)
+
+    amps_t = state.momentum_amplitudes()
+    input_dens = np.sum(np.abs(amps_t) ** 2, axis=0)
+    # The full-state side of J does not depend on the window: hoist it.
+    psi_erased = _sector_momentum_sums(state, ch, eraser)
+
+    acc = np.zeros(grid.n_points)
+    coverage = 0.0
+    n = grid.n_points
+    for idx in indices:
+        window = MomentumWindow(idx, window_width)
+        mask = window_mask(grid, window)
+        window_mass = float(np.sum(mask * input_dens) * grid.dp)
+        coverage += window_mass
+        if window_mass == 0.0:
+            continue
+        chi = TransverseState(grid, grid.from_momentum(mask * amps_t),
+                              state.sharp_edges)
+        j = _joint(chi, psi_erased, ch, eraser)
+        shift = int(round(window.center / grid.dp))
+        if shift >= n or shift <= -n:
+            continue
+        if shift >= 0:
+            acc[: n - shift] += j[shift:]
+        else:
+            acc[-shift:] += j[: n + shift]
+
+    if coverage < COVERAGE_MIN:
+        warnings.warn(
+            CoverageWarning(
+                f"window tiling covers {coverage:.4f} of the momentum mass "
+                f"(< {COVERAGE_MIN}); density is normalised to the covered part"
+            ),
+            stacklevel=2,
+        )
+    density = acc / coverage
+    return TransferDistribution(grid.p.copy(), density, window_width,
+                                indices, coverage, eraser)
 
 
 def double_slit_momentum_amplitude(p, width, separation=1.0):

@@ -92,6 +92,11 @@ class TestValidation:
         {"lab": {"focal_length": math.nan}},
         {"regularization": {"q_max": [-1.0]}},
         {"output_dir": ""},
+        {"regularization": {"q_max": [math.nan]}},
+        {"regularization": {"kappa": [math.nan]}},
+        {"regularization": {"kappa": [math.inf]}},
+        {"regularization": {"q_max": [True]}},
+        {"grid": {"n_points": 2 ** 23}},         # above the 2^22 cap
     ])
     def test_rejected(self, overrides):
         with pytest.raises(ConfigError):
@@ -239,6 +244,31 @@ class TestCliExitCodes:
     def test_rejected_values(self, tmp_path, capsys, argv):
         assert main(argv + ["--out", str(tmp_path / "x")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", [
+        "regularization.kappa=[NaN]",
+        "regularization.q_max=[NaN]",
+        "regularization.q_max=[true]",
+        "regularization.kappa=[true]",
+        # refused by validation, before any array is allocated
+        "grid.n_points=1073741824",
+    ])
+    def test_rejected_sweeps_and_grid_size(self, tmp_path, capsys, override):
+        assert main(["variance", "--set", override,
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::weakslit.errors.CoverageWarning")
+    @pytest.mark.parametrize("override", [
+        "regularization.q_max=[1.0]",
+        "regularization.q_max=[2.0, 2.0]",
+        "regularization.kappa=[6.0]",
+    ])
+    def test_one_point_sweep_plots(self, tmp_path, override):
+        out = tmp_path / "x"
+        assert main(["variance", "--set", override, "--out", str(out)]) == 0
+        for name in ("variance_sharp.svg", "variance_apodized.svg"):
+            ET.fromstring((out / name).read_text())
 
     def test_window_outside_grid_range(self, tmp_path, capsys):
         rc = main(["wvp", "--preset", "paper",

@@ -68,6 +68,12 @@ def test_constant_series_still_renders():
     assert len(_elements(doc, "polyline")) == 1
 
 
+def test_single_point_still_renders():
+    doc = _render([(np.array([1.0]), np.array([0.25]), "one")])
+    ET.fromstring(doc)
+    assert "nan" not in doc and "inf" not in doc
+
+
 def test_rendering_is_deterministic():
     x = np.linspace(-3.0, 3.0, 200)
     series = [(x, np.exp(-x ** 2), "bump")]

@@ -1,6 +1,7 @@
 """Weak-value engine: window algebra, joint/conditional curves, transfer
 assembly.  Dense-matrix oracles from tests/oracles.py back every
-nontrivial identity on a 256-point grid.
+nontrivial identity on a 256-point grid; the per-window loop oracle
+backs the correlation-form transfer assembly at 256 and 4096 points.
 """
 
 import warnings
@@ -9,14 +10,17 @@ import numpy as np
 import pytest
 
 from weakslit import (ConfigError, CoverageWarning, GridMismatchError,
-                      MomentumWindow, ResolutionError, TransferDistribution,
+                      MomentumWindow, ResolutionError, SlitGeometry,
+                      TransferDistribution, TransverseState,
                       build_double_slit, classical_kick, conditional_wvp,
                       identity_channel, joint_wvp, make_grid,
                       momentum_distribution, scully_wwm,
                       transfer_distribution, window_mask, window_project)
+from weakslit.weak_values import ERASERS, _tiling_weights
 
 from conftest import WINDOW_WIDTH
-from oracles import dense_conditional, dense_joint, dense_transfer, kick_rect_density
+from oracles import (dense_conditional, dense_joint, dense_transfer,
+                     kick_rect_density, loop_transfer)
 
 
 def full_tiling(grid, width):
@@ -62,6 +66,35 @@ class TestWindowAlgebra:
     def test_project_rejects_unresolvable_window(self, slit_state, grid):
         with pytest.raises(ResolutionError):
             window_project(slit_state, MomentumWindow(0, 1.9 * grid.dp))
+
+    @pytest.mark.parametrize("bins", [None, 14.0])
+    def test_tiling_weights_reproduce_window_mask(self, grid, bins):
+        """The one-pass window assignment equals window_mask bit for bit.
+
+        14 dp puts every window edge on a sample, so the half-weight
+        boundary rule is exercised too.
+        """
+        width = WINDOW_WIDTH if bins is None else bins * grid.dp
+        indices = tuple(full_tiling(grid, width))
+        samples, windows, weights = _tiling_weights(grid, width, indices)
+        for idx in indices:
+            sel = windows == idx
+            assert np.unique(samples[sel]).size == np.count_nonzero(sel)
+            mask = np.zeros(grid.n_points)
+            mask[samples[sel]] = weights[sel]
+            assert np.array_equal(
+                mask, window_mask(grid, MomentumWindow(idx, width)))
+        assert np.any(weights == 0.5) == (bins is not None)
+
+    def test_tiling_weights_count_repeated_windows(self, grid):
+        samples, windows, weights = _tiling_weights(
+            grid, WINDOW_WIDTH, (0, 0, 3))
+        assert set(windows.tolist()) == {0, 3}
+        for idx, times in ((0, 2.0), (3, 1.0)):
+            sel = windows == idx
+            mask = window_mask(grid, MomentumWindow(idx, WINDOW_WIDTH))
+            np.testing.assert_array_equal(weights[sel],
+                                          times * mask[samples[sel]])
 
 
 class TestJointAndConditional:
@@ -236,3 +269,78 @@ class TestTransferDistribution:
             expected = erfc(a / (sigma * np.sqrt(2.0)))
             assert dist.mass_outside(a) == pytest.approx(expected, rel=2e-2)
         assert dist.mass_outside(45.0) == 0.0
+
+
+_INDEX_SETS = {
+    "fifteen": lambda grid: range(-7, 8),
+    "full": lambda grid: full_tiling(grid, WINDOW_WIDTH),
+    # repeated, unordered, gapped, and (at 256 points) off the grid
+    "sparse": lambda grid: [0, 0, 3, -2, 40],
+}
+
+
+def _equivalence_channel(kind, geom, grid):
+    if kind == "identity":
+        return identity_channel(grid)
+    if kind == "scully":
+        return scully_wwm(geom, grid)
+    # one kick on the momentum lattice, one between samples, whose
+    # momentum-space kernel is a Dirichlet kernel rather than a delta
+    return classical_kick([(3.0 * grid.dp, 0.6), (-2.37 * grid.dp, 0.4)],
+                          grid)
+
+
+class TestCorrelationForm:
+    """transfer_distribution against the per-window loop it replaced.
+
+    Bound: max |density difference| <= 1e-13 * max |density|, and the
+    coverage agrees to 1e-14; the two differ only in summation order.
+    """
+
+    @pytest.mark.parametrize("n_points", [256, 4096])
+    @pytest.mark.parametrize("edge", ["sharp", "gaussian_smoothed"])
+    @pytest.mark.parametrize("kind", ["identity", "scully", "kick"])
+    @pytest.mark.parametrize("eraser", ERASERS)
+    @pytest.mark.parametrize("index_set", sorted(_INDEX_SETS))
+    def test_matches_the_window_loop(self, n_points, edge, kind, eraser,
+                                     index_set):
+        grid = make_grid(n_points, 16.0 if n_points == 256 else 64.0)
+        geom = SlitGeometry(width=0.5, separation=1.0, edge_profile=edge)
+        state = build_double_slit(geom, grid)
+        ch = _equivalence_channel(kind, geom, grid)
+        indices = _INDEX_SETS[index_set](grid)
+        with warnings.catch_warnings(record=True) as fast_warned:
+            warnings.simplefilter("always")
+            fast = transfer_distribution(state, ch, WINDOW_WIDTH, indices,
+                                         eraser)
+        with warnings.catch_warnings(record=True) as slow_warned:
+            warnings.simplefilter("always")
+            slow = loop_transfer(state, ch, WINDOW_WIDTH, indices, eraser)
+        assert [w.category for w in fast_warned] \
+            == [w.category for w in slow_warned]
+        assert fast.windows == slow.windows
+        np.testing.assert_array_equal(fast.q, slow.q)
+        assert abs(fast.coverage - slow.coverage) <= 1e-14
+        scale = np.max(np.abs(slow.density))
+        assert np.max(np.abs(fast.density - slow.density)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("kind", ["scully", "kick"])
+    @pytest.mark.parametrize("where", ["full", "low_edge", "high_edge"])
+    def test_white_noise_state_at_the_grid_edges(self, geom, dense_grid,
+                                                 kind, where):
+        """Both polarisations nonzero on every sample, so each lag of each
+        correlation carries weight, including those next to aliasing."""
+        rng = np.random.default_rng(7)
+        amps = rng.normal(size=(2, 256)) + 1j * rng.normal(size=(2, 256))
+        state = TransverseState(dense_grid, amps).normalized()
+        ch = _equivalence_channel(kind, geom, dense_grid)
+        tiling = full_tiling(dense_grid, WINDOW_WIDTH)
+        indices = {"full": tiling, "low_edge": tiling[:4],
+                   "high_edge": tiling[-4:]}[where]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CoverageWarning)
+            fast = transfer_distribution(state, ch, WINDOW_WIDTH, indices)
+            slow = loop_transfer(state, ch, WINDOW_WIDTH, indices)
+        assert abs(fast.coverage - slow.coverage) <= 1e-14
+        scale = np.max(np.abs(slow.density))
+        assert np.max(np.abs(fast.density - slow.density)) <= 1e-13 * scale
