@@ -6,7 +6,7 @@ grid.  The three channel families differ only in their u:
 
 * ``identity_channel(grid)`` - one branch with u = 1, no interaction
   at all;
-* ``scully_wwm(geom, grid)`` - a which-way marker: u is the 0/1
+* ``scully_wwm(grid)`` - a which-way marker: u is the 0/1
   indicator of the left half-line with the polarisation swapped, plus
   the indicator of the right half-line without; the spatial density is
   untouched;
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import SimGrid
-from .states import SlitGeometry, TransverseState
+from .states import TransverseState
 
 __all__ = [
     "Branch",
@@ -92,18 +92,17 @@ def identity_channel(grid: SimGrid) -> MeasurementChannel:
         "identity", (Branch("id", 0, np.ones(grid.n_points)),), grid)
 
 
-def scully_wwm(geom: SlitGeometry, grid: SimGrid) -> MeasurementChannel:
+def scully_wwm(grid: SimGrid) -> MeasurementChannel:
     """Which-way marker: flip polarisation on x < 0, keep it on x >= 0.
 
     Acting at the slit-image plane, the half-line split is equivalent
     to projecting onto the individual slit supports (the field between
-    the slits vanishes for any valid geometry) but is insensitive to
-    how edge samples are assigned.  The summed spatial density is
-    pointwise unchanged; only the polarisation record differs.  Both
-    branches belong to one sector: together they form a single unitary.
+    the slits vanishes, since every :class:`SlitGeometry` has
+    separation > width) but is insensitive to how edge samples are
+    assigned.  The summed spatial density is pointwise unchanged; only
+    the polarisation record differs.  Both branches belong to one
+    sector: together they form a single unitary.
     """
-    if geom.separation <= geom.width:
-        raise ConfigError("slits overlap; which-way marking is undefined")
     left = grid.x < 0.0
     return MeasurementChannel("scully_wwm", (
         Branch("left", 0, left.astype(float), swap=True),
@@ -119,8 +118,11 @@ def classical_kick(kicks: list[tuple[float, float]],
     by q_j occurring with probability prob_j.  Both numbers must be
     finite; probabilities must be nonnegative and sum to one.
     """
-    if not kicks:
-        raise ConfigError("classical_kick needs at least one (q, prob) pair")
+    if not kicks or any(not isinstance(pair, (list, tuple)) or len(pair) != 2
+                        for pair in kicks):
+        raise ConfigError(
+            f"classical_kick needs a non-empty list of (q, prob) pairs, "
+            f"got {kicks!r}")
     if any(isinstance(v, bool) or not isinstance(v, Real)
            or not math.isfinite(v) for pair in kicks for v in pair):
         raise ConfigError(f"kick q and prob must be finite numbers, got {kicks}")

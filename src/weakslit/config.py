@@ -13,17 +13,18 @@ import copy
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+import sys
+from contextlib import contextmanager
 
 import numpy as np
 
 from .channels import MeasurementChannel, classical_kick, identity_channel, scully_wwm
 from .errors import ConfigError
-from .grid import MAX_POINTS, LabFrame, SimGrid, make_grid
+from .grid import LabFrame, SimGrid, make_grid
 from .moments import RegularizationSpec
 from .pointer import PointerSpec
 from .states import SlitGeometry, TransverseState, build_double_slit
-from .weak_values import ERASERS, MomentumWindow
+from .weak_values import _check_eraser
 
 __all__ = ["ScenarioConfig", "parse_config", "from_dict", "PRESETS",
            "merge", "parse_override", "DEFAULTS"]
@@ -105,89 +106,104 @@ def merge(base: dict, override: dict, path: str = "") -> dict:
     return out
 
 
-def _require_number(data, path, positive=True):
-    value = data
-    for part in path.split("."):
-        value = value[part]
-    if not isinstance(value, (int, float)) or isinstance(value, bool) \
-            or not math.isfinite(value):
-        raise ConfigError(f"{path!r} must be a finite number, got {value!r}")
-    if positive and not value > 0:
-        raise ConfigError(f"{path!r} must be positive, got {value}")
+def _number(value, path: str, integer: bool = False):
+    """``value`` if it is a finite number (an int if ``integer``), never a bool.
+
+    The bound keeps every accepted number convertible to a float: JSON
+    allows integers of any size.
+    """
+    kind = int if integer else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kind) \
+            or not abs(value) <= sys.float_info.max:
+        noun = "an integer" if integer else "a finite number"
+        raise ConfigError(f"{path!r} must be {noun}, got {value!r}")
     return value
 
 
-@dataclass(frozen=True)
+@contextmanager
+def _key(path: str):
+    """Re-raise a constructor's :class:`ConfigError` under its config key."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise type(exc)(f"{path!r}: {exc}") from None
+
+
 class ScenarioConfig:
-    """Validated scenario; ``data`` is the fully-filled canonical dict."""
+    """A validated scenario: the canonical dict ``data`` and its objects.
 
-    data: dict
+    The constructor checks the JSON shape of the fully filled ``data``
+    (:func:`_validate`), then builds every object once, in dependency
+    order.  Each object's constructor checks its own ranges, orderings,
+    names and sums; their errors come back prefixed with the config key.
+    ``lab`` comes first because it refuses a non-positive
+    ``geometry.separation``, which ``geometry`` divides by.
+    """
 
-    # -- builders ---------------------------------------------------------
-    def lab_frame(self) -> LabFrame:
-        lab = self.data["lab"]
-        return LabFrame(lab["wavelength"], lab["focal_length"],
-                        self.data["geometry"]["separation"])
+    def __init__(self, data: dict):
+        _validate(data)
+        self.data = data
+        geo, win, pt = data["geometry"], data["windows"], data["pointer"]
+        sep = geo["separation"]
+        with _key("lab"):
+            self.lab = LabFrame(data["lab"]["wavelength"],
+                                data["lab"]["focal_length"], sep)
+        with _key("grid"):
+            self.grid = make_grid(data["grid"]["n_points"],
+                                  data["grid"]["x_extent"])
+        with _key("geometry"):
+            scale = geo["edge_scale"]
+            self.geometry = SlitGeometry(
+                width=geo["width"] / sep,
+                separation=1.0,
+                edge_profile=geo["edge_profile"],
+                edge_scale=None if scale is None else scale / sep,
+            )
+            self.state = self.build_state(self.grid)
+        with _key("channel"):
+            self.channel = self.build_channel(self.grid)
+        with _key("eraser"):
+            _check_eraser(data["eraser"])
+        with _key("pointer"):
+            self.pointer = PointerSpec(pt["sigma"], pt["displacement"],
+                                       win["sliver_width"], win["focus_index"],
+                                       self.lab)
+        with _key("regularization"):
+            reg = data["regularization"]
+            self.regularization = RegularizationSpec(
+                tuple(reg["q_max"] or _DEFAULT_QMAX),
+                tuple(reg["kappa"] or _DEFAULT_KAPPA))
 
     def sim_grid(self) -> SimGrid:
-        g = self.data["grid"]
-        return make_grid(g["n_points"], g["x_extent"])
-
-    def slit_geometry(self) -> SlitGeometry:
-        geo = self.data["geometry"]
-        sep = geo["separation"]
-        edge_scale = geo["edge_scale"]
-        return SlitGeometry(
-            width=geo["width"] / sep,
-            separation=1.0,
-            edge_profile=geo["edge_profile"],
-            edge_scale=None if edge_scale is None else edge_scale / sep,
-        )
+        """The built grid, ``self.grid``."""
+        return self.grid
 
     def build_state(self, grid: SimGrid) -> TransverseState:
-        return build_double_slit(self.slit_geometry(), grid)
+        return build_double_slit(self.geometry, grid)
 
     def build_channel(self, grid: SimGrid) -> MeasurementChannel:
         ch = self.data["channel"]
         if ch["kind"] == "identity":
             return identity_channel(grid)
         if ch["kind"] == "scully":
-            return scully_wwm(self.slit_geometry(), grid)
+            return scully_wwm(grid)
         if ch["kind"] == "kick":
-            return classical_kick([(q, pr) for q, pr in ch["kicks"]], grid)
+            return classical_kick(ch["kicks"], grid)
         raise ConfigError(f"unknown channel kind {ch['kind']!r}")
 
     def window_width_internal(self) -> float:
-        return float(self.lab_frame().momentum_from_position(
-            self.data["windows"]["sliver_width"]))
+        return self.pointer.window().width
 
     def window_indices(self) -> range:
         count = self.data["windows"]["count"]
         half = (count - 1) // 2
         return range(-half, half + 1)
 
-    def focus_window(self) -> MomentumWindow:
-        return MomentumWindow(self.data["windows"]["focus_index"],
-                              self.window_width_internal())
-
     def eraser(self) -> str:
         return self.data["eraser"]
 
-    def pointer_spec(self) -> PointerSpec:
-        pt = self.data["pointer"]
-        return PointerSpec(pt["sigma"], pt["displacement"],
-                           self.data["windows"]["sliver_width"],
-                           self.data["windows"]["focus_index"],
-                           self.lab_frame())
-
     def pointer_ratios(self) -> tuple[float, ...]:
         return tuple(self.data["pointer"]["ratios"])
-
-    def regularization(self) -> RegularizationSpec:
-        reg = self.data["regularization"]
-        q_max = reg["q_max"] or _DEFAULT_QMAX
-        kappa = reg["kappa"] or _DEFAULT_KAPPA
-        return RegularizationSpec(tuple(q_max), tuple(kappa))
 
     def output_dir(self) -> str:
         return self.data["output_dir"]
@@ -199,75 +215,54 @@ class ScenarioConfig:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def _leaf(data: dict, path: str):
+    for part in path.split("."):
+        data = data[part]
+    return data
+
+
 def _validate(data: dict):
+    """The JSON-shape rules, and the rules that no built object owns.
+
+    Ranges, orderings, names and sums are checked by the constructors
+    that :class:`ScenarioConfig` calls, not here.
+    """
     for path in ("geometry.width", "geometry.separation", "lab.wavelength",
                  "lab.focal_length", "grid.x_extent", "windows.sliver_width",
                  "pointer.sigma", "pointer.displacement"):
-        _require_number(data, path)
-    geo = data["geometry"]
-    if geo["separation"] <= geo["width"]:
-        raise ConfigError(
-            f"'geometry': need separation > width, got "
-            f"{geo['separation']} <= {geo['width']}"
-        )
-    if geo["edge_profile"] not in ("sharp", "gaussian_smoothed"):
-        raise ConfigError(
-            f"'geometry.edge_profile': unknown profile {geo['edge_profile']!r}")
-    if geo["edge_scale"] is not None:
-        _require_number(data, "geometry.edge_scale")
-    n_points = data["grid"]["n_points"]
-    if not isinstance(n_points, int) or not 8 <= n_points <= MAX_POINTS \
-            or (n_points & (n_points - 1)) != 0:
-        raise ConfigError(
-            f"'grid.n_points' must be a power of two in [8, {MAX_POINTS}], "
-            f"got {n_points!r}")
-    ch = data["channel"]
-    if ch["kind"] not in ("identity", "scully", "kick"):
-        raise ConfigError(f"'channel.kind': unknown kind {ch['kind']!r}")
-    if ch["kind"] == "kick":
-        kicks = ch["kicks"]
-        if (not isinstance(kicks, list) or not kicks
-                or not all(isinstance(k, list) and len(k) == 2 for k in kicks)):
-            raise ConfigError(
-                "'channel.kicks' must be a non-empty list of [q, prob] pairs")
-    win = data["windows"]
-    if not isinstance(win["count"], int) or win["count"] < 1 \
-            or win["count"] % 2 == 0:
-        raise ConfigError(
-            f"'windows.count' must be an odd positive integer, got "
-            f"{win['count']!r}")
-    if not isinstance(win["focus_index"], int):
-        raise ConfigError("'windows.focus_index' must be an integer")
-    if data["eraser"] not in ERASERS:
-        raise ConfigError(
-            f"'eraser' must be one of {ERASERS}, got {data['eraser']!r}")
-    ratios = data["pointer"]["ratios"]
-    # The sweep reports a convergence slope, which needs two ratios.
-    if not isinstance(ratios, list) \
-            or any(not isinstance(r, (int, float)) or not 0 < r <= 1
-                   for r in ratios) \
-            or len(set(ratios)) < 2:
-        raise ConfigError("'pointer.ratios' must be a list of at least two "
-                          "distinct ratios in (0, 1]")
-    reg = data["regularization"]
-    for key in ("q_max", "kappa"):
-        values = reg[key]
-        if not isinstance(values, list) \
-                or any(not isinstance(v, (int, float)) or isinstance(v, bool)
-                       or not math.isfinite(v) or v <= 0 for v in values):
-            raise ConfigError(f"'regularization.{key}' must be a list of "
-                              "positive finite numbers")
+        _number(_leaf(data, path), path)
+    if data["geometry"]["edge_scale"] is not None:
+        _number(data["geometry"]["edge_scale"], "geometry.edge_scale")
+    for path in ("grid.n_points", "windows.count", "windows.focus_index"):
+        _number(_leaf(data, path), path, integer=True)
+    for path in ("channel.kicks", "pointer.ratios", "regularization.q_max",
+                 "regularization.kappa"):
+        if not isinstance(_leaf(data, path), list):
+            raise ConfigError(f"{path!r} must be a list")
+    for path in ("pointer.ratios", "regularization.q_max",
+                 "regularization.kappa"):
+        for value in _leaf(data, path):
+            _number(value, path)
     if not isinstance(data["output_dir"], str) or not data["output_dir"]:
         raise ConfigError("'output_dir' must be a non-empty string")
+    # Windows narrower than 2 dp are refused, so at most n/2 + 2 of them
+    # can hold a sample; a larger count only costs time and memory.
+    count = data["windows"]["count"]
+    if not 1 <= count <= data["grid"]["n_points"] or count % 2 == 0:
+        raise ConfigError(f"'windows.count' must be an odd integer in "
+                          f"[1, grid.n_points], got {count}")
+    ratios = data["pointer"]["ratios"]
+    # The sweep reports a convergence slope, which needs two ratios.
+    if len(set(ratios)) < 2 or not all(0 < r <= 1 for r in ratios):
+        raise ConfigError("'pointer.ratios' must hold at least two distinct "
+                          "ratios in (0, 1]")
 
 
 def from_dict(overrides: dict) -> ScenarioConfig:
-    """Fill defaults, validate, and freeze a configuration."""
+    """Fill defaults, check the JSON shape, and build the scenario once."""
     if not isinstance(overrides, dict):
         raise ConfigError("config root must be a JSON object")
-    data = merge(DEFAULTS, overrides)
-    _validate(data)
-    return ScenarioConfig(data)
+    return ScenarioConfig(merge(DEFAULTS, overrides))
 
 
 def parse_config(text: str) -> ScenarioConfig:

@@ -87,15 +87,6 @@ class SimGrid:
         scale = self.n_points * self.dp / np.sqrt(2.0 * np.pi)
         return np.fft.fftshift(spec, axes=-1) * scale
 
-    def norm_x(self, values: np.ndarray) -> float:
-        """L2 norm of position samples (includes both polarisations if stacked)."""
-        values = self._check(values)
-        return float(np.sqrt(np.sum(np.abs(values) ** 2) * self.dx))
-
-    def norm_p(self, values: np.ndarray) -> float:
-        values = self._check(values)
-        return float(np.sqrt(np.sum(np.abs(values) ** 2) * self.dp))
-
 
 def make_grid(n_points: int, x_extent: float) -> SimGrid:
     """Build a :class:`SimGrid`, validating the discretisation.

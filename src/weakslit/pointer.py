@@ -117,17 +117,6 @@ class IntensityMap:
         out[ok] = num[ok] / den[ok]
         return out
 
-    def intensity(self, y) -> np.ndarray:
-        """Evaluate I(p_f, y); returns shape (len(y), n_p) for array y."""
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        norm = (2.0 / (np.pi * self.sigma ** 2)) ** 0.25
-        g0 = norm * np.exp(-(y ** 2) / self.sigma ** 2)
-        gd = norm * np.exp(-((y - self.displacement) ** 2) / self.sigma ** 2)
-        # rows: y samples; columns: p_f samples; sum over rank-2 terms
-        field = (self.untagged[np.newaxis, :, :] * g0[:, np.newaxis, np.newaxis]
-                 + self.tagged[np.newaxis, :, :] * gd[:, np.newaxis, np.newaxis])
-        return np.sum(np.abs(field) ** 2, axis=1)
-
 
 def run_tagged(state: TransverseState, ch: MeasurementChannel,
                pointer: PointerSpec) -> IntensityMap:

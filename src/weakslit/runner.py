@@ -59,19 +59,18 @@ class ResultBundle:
 
 
 class _Scene:
-    """Shared per-run objects derived from the config."""
+    """The config's built objects plus the per-run plot helpers."""
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
-        self.grid = config.sim_grid()
-        self.lab = config.lab_frame()
-        self.state = config.build_state(self.grid)
-        self.channel = config.build_channel(self.grid)
+        self.grid = config.grid
+        self.state = config.state
+        self.channel = config.channel
         self.width = config.window_width_internal()
         self.indices = config.window_indices()
         self.eraser = config.eraser()
         # focal-plane millimetres per internal momentum unit
-        self.mm_per_unit = float(self.lab.focal_plane_position(1.0)) * 1e3
+        self.mm_per_unit = float(config.lab.focal_plane_position(1.0)) * 1e3
 
     def lab_mm(self, p_internal: np.ndarray) -> np.ndarray:
         return p_internal * self.mm_per_unit
@@ -92,7 +91,7 @@ class _Scene:
 
 
 def _run_wvp(scene: _Scene) -> ResultBundle:
-    window = scene.config.focus_window()
+    window = scene.config.pointer.window()
     curve = conditional_wvp(scene.state, scene.channel, window, scene.eraser)
     dens_in = momentum_distribution(scene.state)
     dens_out = momentum_distribution(scene.state, scene.channel)
@@ -163,7 +162,7 @@ def _run_transfer(scene: _Scene) -> ResultBundle:
 def _run_variance(scene: _Scene) -> ResultBundle:
     dist = transfer_distribution(scene.state, scene.channel, scene.width,
                                  scene.indices, scene.eraser)
-    reg = scene.config.regularization()
+    reg = scene.config.regularization
     reg.validate_range(dist)
     sharp = np.array([sharp_cutoff_variance(dist, q) for q in reg.q_max])
     report = apodization_sweep(dist, reg.kappa)
@@ -205,7 +204,7 @@ def _run_variance(scene: _Scene) -> ResultBundle:
 
 
 def _run_eraser(scene: _Scene) -> ResultBundle:
-    window = scene.config.focus_window()
+    window = scene.config.pointer.window()
     state, ch = scene.state, scene.channel
     plus = conditional_wvp(state, ch, window, "plus45")
     minus = conditional_wvp(state, ch, window, "minus45")
@@ -255,7 +254,7 @@ def _run_eraser(scene: _Scene) -> ResultBundle:
 
 
 def _run_pointer(scene: _Scene) -> ResultBundle:
-    spec = scene.config.pointer_spec()
+    spec = scene.config.pointer
     imap = run_tagged(scene.state, scene.channel, spec)
     est = estimate_wvp(imap)
     analytic = conditional_wvp(scene.state, scene.channel, spec.window())
@@ -294,7 +293,7 @@ def _run_pointer(scene: _Scene) -> ResultBundle:
 
 
 def _run_sweep(scene: _Scene) -> ResultBundle:
-    spec = scene.config.pointer_spec()
+    spec = scene.config.pointer
     report = convergence_sweep(scene.state, scene.channel, spec,
                                scene.config.pointer_ratios())
     ratios = np.array(report.ratios)

@@ -6,10 +6,10 @@ the vertical component (row 1) starts empty and is populated only by
 which-way tagging downstream.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import GeometryError, ResolutionError
 from .grid import SimGrid
@@ -112,7 +112,12 @@ def _slit_amplitude(geom: SlitGeometry, grid: SimGrid, center: float) -> np.ndar
         amp[np.isclose(x, hi, rtol=0.0, atol=1e-12 * grid.dx)] = 0.5
         return amp
     scale = geom.edge_scale * np.sqrt(2.0)
-    return 0.5 * (erf((x - lo) / scale) - erf((x - hi) / scale))
+    return 0.5 * (_erf((x - lo) / scale) - _erf((x - hi) / scale))
+
+
+def _erf(z: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`math.erf`; numpy has no error function."""
+    return np.array([math.erf(v) for v in z.tolist()])
 
 
 def build_double_slit(geom: SlitGeometry, grid: SimGrid,
@@ -131,6 +136,9 @@ def build_double_slit(geom: SlitGeometry, grid: SimGrid,
     half = geom.separation / 2.0
     amp = (weights[0] * _slit_amplitude(geom, grid, -half)
            + weights[1] * _slit_amplitude(geom, grid, +half))
+    if not amp.any():
+        raise GeometryError(
+            f"the slits transmit on no sample of a grid with dx = {grid.dx:.4g}")
     return _h_polarised(grid, amp, geom.sharp)
 
 

@@ -32,7 +32,8 @@ def render_plot(series, title, xlabel, ylabel,
                 x2label=None, x2scale=None) -> str:
     """Render labelled (x, y) series to an SVG document string.
 
-    series: list of (x array, y array, label).  NaNs split a polyline.
+    series: list of (x array, y array, label).  NaNs split a polyline;
+    a finite point with no finite neighbour is drawn as a dot.
     x2label/x2scale add a top axis with ticks at bottom-tick * x2scale.
     """
     margin_t = 56 if x2label else 34
@@ -111,7 +112,12 @@ def render_plot(series, title, xlabel, ylabel,
         # split into contiguous finite runs so gaps stay gaps
         runs = np.split(np.arange(len(y)), np.nonzero(np.diff(ok.astype(int)))[0] + 1)
         for run in runs:
-            if len(run) < 2 or not ok[run[0]]:
+            if len(run) == 0 or not ok[run[0]]:
+                continue
+            if len(run) == 1:
+                # a polyline needs two points; mark a lone one with a dot
+                out.append(f'<circle cx="{_fmt(px(x[run[0]]))}" '
+                           f'cy="{_fmt(py(y[run[0]]))}" r="2" fill="{color}"/>')
                 continue
             pts = " ".join(f"{_fmt(px(xv))},{_fmt(py(yv))}"
                            for xv, yv in zip(x[run], y[run]))

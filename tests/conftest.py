@@ -53,8 +53,8 @@ def smooth_state(smooth_geom, grid):
 
 
 @pytest.fixture(scope="session")
-def wwm(geom, grid):
-    return scully_wwm(geom, grid)
+def wwm(grid):
+    return scully_wwm(grid)
 
 
 @pytest.fixture

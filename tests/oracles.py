@@ -185,6 +185,18 @@ def kick_rect_density(q, kicks, width):
     return out
 
 
+def pointer_intensity(imap, y):
+    """Evaluate I(p_f, y) of an IntensityMap; shape (len(y), n_p)."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    norm = (2.0 / (np.pi * imap.sigma ** 2)) ** 0.25
+    g0 = norm * np.exp(-(y ** 2) / imap.sigma ** 2)
+    gd = norm * np.exp(-((y - imap.displacement) ** 2) / imap.sigma ** 2)
+    # rows: y samples; columns: p_f samples; sum over rank-2 terms
+    field = (imap.untagged[np.newaxis, :, :] * g0[:, np.newaxis, np.newaxis]
+             + imap.tagged[np.newaxis, :, :] * gd[:, np.newaxis, np.newaxis])
+    return np.sum(np.abs(field) ** 2, axis=1)
+
+
 def ygrid_pointer_stats(imap, n_y=4001, span=8.0):
     """Pointer marginal and centroid by brute-force y quadrature.
 
@@ -193,7 +205,7 @@ def ygrid_pointer_stats(imap, n_y=4001, span=8.0):
     """
     y = np.linspace(-span * imap.sigma,
                     span * imap.sigma + imap.displacement, n_y)
-    intensity = imap.intensity(y)
+    intensity = pointer_intensity(imap, y)
     marginal = np.trapezoid(intensity, y, axis=0)
     first = np.trapezoid(intensity * y[:, np.newaxis], y, axis=0)
     centroid = np.where(marginal > 1e-6 * marginal.max(),

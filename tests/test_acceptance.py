@@ -40,13 +40,11 @@ def _report(num, ok, detail, elapsed, budget):
 def bench():
     """The flagship marked-slit scenario on the production grid."""
     cfg = from_dict(PRESETS["paper"])
-    grid = cfg.sim_grid()
     ns = SimpleNamespace(
-        cfg=cfg, grid=grid, lab=cfg.lab_frame(),
-        state=cfg.build_state(grid),
-        marker=cfg.build_channel(grid),
+        cfg=cfg, grid=cfg.grid, lab=cfg.lab, state=cfg.state,
+        marker=cfg.channel,
         width=cfg.window_width_internal(),
-        window=cfg.focus_window(),
+        window=cfg.pointer.window(),
         indices=cfg.window_indices(),
     )
     ns.mm_per_unit = ns.lab.focal_plane_position(1.0) * 1e3
@@ -145,11 +143,11 @@ def test_criterion_06_variance_regularization(bench):
     big = make_grid(2 ** 16, 64.0)
     geom = SlitGeometry(width=0.5, separation=1.0)
     state = build_double_slit(geom, big)
-    marker = scully_wwm(geom, big)
+    marker = scully_wwm(big)
     with pytest.warns(CoverageWarning):
         dist = transfer_distribution(state, marker, bench.width, range(-7, 8))
 
-    q_maxes = bench.cfg.regularization().q_max  # sweep of (0, 4 h/s]
+    q_maxes = bench.cfg.regularization.q_max  # sweep of (0, 4 h/s]
     sharp = np.array([sharp_cutoff_variance(dist, q) for q in q_maxes])
     signs = np.sign(sharp[np.abs(sharp) > 0.0])
     changes = int(np.sum(signs[1:] * signs[:-1] < 0.0))
@@ -175,7 +173,7 @@ def test_criterion_07_moment_matching(bench):
     # dense-matrix oracle first: same construction, no FFTs, N = 256
     dgrid = make_grid(256, 16.0)
     dstate = build_double_slit(smooth, dgrid)
-    dmarker = scully_wwm(smooth, dgrid)
+    dmarker = scully_wwm(dgrid)
     with pytest.warns(CoverageWarning):
         fast = transfer_distribution(dstate, dmarker, bench.width,
                                      range(-7, 8))
@@ -188,7 +186,7 @@ def test_criterion_07_moment_matching(bench):
     width = 15.0 * grid.dp  # lattice-aligned windows keep moments exact
     win_var = window_variance(width, grid.dp)
 
-    marker = scully_wwm(smooth, grid)
+    marker = scully_wwm(grid)
     dist = transfer_distribution(state, marker, width)
     scully_mean = mean_transfer(dist)
     scully_var = transfer_variance(dist) - win_var
@@ -251,7 +249,7 @@ def test_criterion_09_pointer_convergence(bench):
     t0 = time.perf_counter()
     ratios = bench.cfg.pointer_ratios()
     report = convergence_sweep(bench.state, bench.marker,
-                               bench.cfg.pointer_spec(), ratios)
+                               bench.cfg.pointer, ratios)
     slope = report.slope()
     at_bench = report.errors[report.ratios.index(0.139)]
     elapsed = time.perf_counter() - t0

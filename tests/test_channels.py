@@ -57,8 +57,8 @@ class TestScullyWwm:
         assert sum(masses) == pytest.approx(1.0, rel=1e-12)
         assert masses[0] == pytest.approx(0.5, rel=1e-12)
 
-    def test_grid_mismatch_rejected(self, slit_state, geom):
-        other = scully_wwm(geom, make_grid(1024, 32.0))
+    def test_grid_mismatch_rejected(self, slit_state):
+        other = scully_wwm(make_grid(1024, 32.0))
         with pytest.raises(GridMismatchError):
             momentum_distribution(slit_state, other)
 
@@ -67,7 +67,7 @@ class TestClassicalKick:
     def test_validation(self, grid):
         for kicks in ([], [(1.0, -0.2), (2.0, 1.2)], [(1.0, 0.5), (2.0, 0.6)],
                       [("a", 1.0)], [(math.inf, 1.0)], [(0.0, math.nan)],
-                      [(True, 1.0)]):
+                      [(True, 1.0)], [(1.0, 0.5, 0.2)], [1.0]):
             with pytest.raises(ConfigError):
                 classical_kick(kicks, grid)
 

@@ -24,7 +24,7 @@ class TestDefaultsAndPresets:
         grid = cfg.sim_grid()
         assert grid.n_points == 16384 and grid.x_extent == 64.0
         assert cfg.window_indices() == range(-7, 8)
-        assert cfg.focus_window().index == -1
+        assert cfg.pointer.window().index == -1
 
     def test_window_width_crosses_unit_systems(self):
         cfg = from_dict({})
@@ -42,7 +42,7 @@ class TestDefaultsAndPresets:
     def test_paper_preset_toggles_the_marker_only(self):
         cfg = from_dict(PRESETS["paper"])
         assert cfg.data["channel"]["kind"] == "scully"
-        geom = cfg.slit_geometry()
+        geom = cfg.geometry
         assert geom.width == pytest.approx(0.5)
         assert geom.separation == 1.0
         base = {k: v for k, v in cfg.data.items() if k != "channel"}
@@ -50,13 +50,13 @@ class TestDefaultsAndPresets:
                         if k != "channel"}
 
     def test_regularization_sweeps_fill_in(self):
-        reg = from_dict({}).regularization()
+        reg = from_dict({}).regularization
         assert len(reg.q_max) == 48
         assert reg.q_max[0] == pytest.approx(0.5)
         assert reg.q_max[-1] == pytest.approx(4.0 * TWO_PI)
         assert reg.kappa == tuple(TWO_PI * k for k in (1.0, 2.0, 4.0, 8.0, 16.0))
         explicit = from_dict({"regularization": {"q_max": [1.0, 2.0]}})
-        assert explicit.regularization().q_max == (1.0, 2.0)
+        assert explicit.regularization.q_max == (1.0, 2.0)
 
     def test_defaults_are_not_mutated_by_merging(self):
         before = json.dumps(DEFAULTS, sort_keys=True)
@@ -97,10 +97,40 @@ class TestValidation:
         {"regularization": {"kappa": [math.inf]}},
         {"regularization": {"q_max": [True]}},
         {"grid": {"n_points": 2 ** 23}},         # above the 2^22 cap
+        {"windows": {"count": True}},
+        {"windows": {"focus_index": True}},
+        {"pointer": {"ratios": [True, 0.5]}},
+        {"geometry": {"separation": 0}},
+        {"geometry": {"separation": -8e-5}},
+        {"grid": {"n_points": 1024}, "windows": {"count": 1025}},
+        {"grid": {"x_extent": 1.5}},             # slits reach the grid edge
+        {"channel": {"kind": "kick", "kicks": "[[0.5, 1]]"}},
+        {"windows": {"focus_index": 10 ** 400}},  # not representable as a float
     ])
     def test_rejected(self, overrides):
         with pytest.raises(ConfigError):
             from_dict(overrides)
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"geometry": {"separation": 0}}, "lab"),
+        ({"grid": {"x_extent": 1.5}}, "geometry"),
+        ({"geometry": {"edge_profile": "soft"}}, "geometry"),
+        ({"grid": {"n_points": 1000}}, "grid"),
+        ({"channel": {"kind": "kick", "kicks": [[1.0, 0.5, 0.2]]}}, "channel"),
+        ({"eraser": "maybe"}, "eraser"),
+        ({"pointer": {"sigma": -1.0}}, "pointer"),
+        ({"regularization": {"kappa": [-1.0]}}, "regularization"),
+    ])
+    def test_constructor_errors_carry_their_key(self, overrides, key):
+        with pytest.raises(ConfigError, match=f"^'{key}': "):
+            from_dict(overrides)
+
+    def test_scenario_objects_are_built_from_the_data(self):
+        cfg = from_dict(PRESETS["paper"])
+        assert cfg.grid is cfg.sim_grid() and cfg.state.grid is cfg.grid
+        assert cfg.channel.name == "scully_wwm" and cfg.channel.grid is cfg.grid
+        assert cfg.lab.slit_separation == 80e-6
+        assert cfg.pointer.index == -1 and cfg.pointer.lab is cfg.lab
 
 
 class TestParsingAndOverrides:
@@ -240,6 +270,15 @@ class TestCliExitCodes:
          "--set", "channel.kicks=[[Infinity,1]]"],
         ["wvp", "--set", "grid.x_extent=Infinity"],
         ["sweep", "--preset", "paper", "--set", "pointer.ratios=[0.1]"],
+        ["transfer", "--set", "windows.count=true"],
+        ["wvp", "--set", "windows.focus_index=true"],
+        ["sweep", "--set", "pointer.ratios=[true,0.5]"],
+        ["wvp", "--set", "geometry.separation=0"],
+        ["wvp", "--set", "geometry.separation=-8e-5"],
+        ["wvp", "--set", "grid.x_extent=1.5"],
+        # refused by validation; running it would cost memory in the count
+        ["transfer", "--set", "grid.n_points=1024",
+         "--set", "windows.count=400001"],
     ])
     def test_rejected_values(self, tmp_path, capsys, argv):
         assert main(argv + ["--out", str(tmp_path / "x")]) == 2

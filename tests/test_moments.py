@@ -121,9 +121,9 @@ class TestMomentChange:
         assert d_mean == pytest.approx(exp_mean, rel=1e-10)
         assert d_var == pytest.approx(exp_var, rel=1e-10)
 
-    def test_marker_changes_nothing(self, smooth_state, smooth_geom, grid):
+    def test_marker_changes_nothing(self, smooth_state, grid):
         """Which-way marking leaves the momentum density's moments alone."""
-        ch = scully_wwm(smooth_geom, grid)
+        ch = scully_wwm(grid)
         d_mean, d_var = moment_change(smooth_state, ch)
         assert d_mean == pytest.approx(0.0, abs=1e-10)
         assert d_var == pytest.approx(0.0, abs=1e-6)

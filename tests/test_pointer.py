@@ -89,7 +89,7 @@ class TestAgainstYGridQuadrature:
 
     def test_marginal_and_centroid(self, geom, dense_grid, spec):
         state = build_double_slit(geom, dense_grid)
-        ch = scully_wwm(geom, dense_grid)
+        ch = scully_wwm(dense_grid)
         imap = run_tagged(state, ch, spec)
         marg_o, cent_o = ygrid_pointer_stats(imap)
         np.testing.assert_allclose(imap.marginal(), marg_o,

@@ -1,5 +1,8 @@
 """Aperture states: geometry validation, normalisation, closed-form spectra."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -105,6 +108,13 @@ def test_slit_needs_margin_inside_grid(geom):
         build_double_slit(geom, tight)
 
 
+def test_slits_between_samples_are_refused(geom):
+    """A slit narrower than dx and between samples would leave no field."""
+    coarse = make_grid(1024, 1024.0)
+    with pytest.raises(GeometryError, match="no sample"):
+        build_double_slit(geom, coarse)
+
+
 def test_smoothed_slits_suppress_spectral_tails(slit_state, smooth_state, grid):
     """Sharp edges give 1/p^2 tails; erf edges kill them exponentially."""
     far = np.abs(grid.p) > 25.0 * 2.0 * np.pi
@@ -115,6 +125,26 @@ def test_smoothed_slits_suppress_spectral_tails(slit_state, smooth_state, grid):
     smooth_tail = np.max(np.abs(smooth_t[far]) ** 2)
     assert smooth_state.sharp_edges is False
     assert smooth_tail < 1e-8 * sharp_tail
+
+
+def test_smoothed_edges_match_scipy_erf(smooth_geom, grid):
+    """The package's elementwise math.erf against scipy's, on one slit."""
+    from scipy.special import erf
+
+    state = build_double_slit(smooth_geom, grid, weights=(0.0, 1.0))
+    x = grid.x
+    scale = smooth_geom.edge_scale * np.sqrt(2.0)
+    lo, hi = 0.5 - smooth_geom.width / 2.0, 0.5 + smooth_geom.width / 2.0
+    amp = 0.5 * (erf((x - lo) / scale) - erf((x - hi) / scale))
+    amp /= np.sqrt(np.sum(amp ** 2) * grid.dx)
+    np.testing.assert_allclose(state.amps[0].real, amp, rtol=0.0, atol=1e-15)
+
+
+def test_import_leaves_scipy_out():
+    code = "import sys, weakslit; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 class TestMomentumPeak:

@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 
-from weakslit.svg import render_plot
+from weakslit.svg import PALETTE, render_plot
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -72,6 +72,23 @@ def test_single_point_still_renders():
     doc = _render([(np.array([1.0]), np.array([0.25]), "one")])
     ET.fromstring(doc)
     assert "nan" not in doc and "inf" not in doc
+    (dot,) = _elements(doc, "circle")
+    assert dot.get("fill") == PALETTE[0]
+    assert not _elements(doc, "polyline")
+
+
+def test_empty_series_beside_a_full_one():
+    x = np.linspace(0.0, 1.0, 5)
+    doc = _render([(x, x, "full"), (np.array([]), np.array([]), "empty")])
+    assert len(_elements(doc, "polyline")) == 1
+
+
+def test_isolated_point_between_gaps_is_a_dot():
+    x = np.linspace(0.0, 1.0, 9)
+    y = np.array([0.0, 1.0, np.nan, 2.0, np.nan, 3.0, 4.0, np.nan, 5.0])
+    doc = _render([(x, y, "dotted")])
+    assert len(_elements(doc, "polyline")) == 2
+    assert len(_elements(doc, "circle")) == 2
 
 
 def test_rendering_is_deterministic():

@@ -130,9 +130,8 @@ class TestJointAndConditional:
         with pytest.raises(ConfigError):
             joint_wvp(slit_state, wwm, focus_window, eraser="circular")
 
-    def test_channel_grid_must_match_state(self, slit_state, geom,
-                                           focus_window):
-        other = scully_wwm(geom, make_grid(1024, 32.0))
+    def test_channel_grid_must_match_state(self, slit_state, focus_window):
+        other = scully_wwm(make_grid(1024, 32.0))
         with pytest.raises(GridMismatchError):
             joint_wvp(slit_state, other, focus_window)
 
@@ -153,8 +152,8 @@ class TestDenseOracle:
     """The FFT pipeline against explicit transform matrices, N = 256."""
 
     @pytest.mark.parametrize("eraser", ["none", "plus45", "minus45"])
-    def test_joint_scully(self, dense_state, geom, dense_grid, eraser):
-        ch = scully_wwm(geom, dense_grid)
+    def test_joint_scully(self, dense_state, dense_grid, eraser):
+        ch = scully_wwm(dense_grid)
         win = MomentumWindow(-1, WINDOW_WIDTH)
         fast = joint_wvp(dense_state, ch, win, eraser)
         slow = dense_joint(dense_state, ch, win, eraser)
@@ -170,8 +169,8 @@ class TestDenseOracle:
             slow = dense_joint(dense_state, ch, win)
             np.testing.assert_allclose(fast, slow, atol=1e-12)
 
-    def test_conditional_scully(self, dense_state, geom, dense_grid):
-        ch = scully_wwm(geom, dense_grid)
+    def test_conditional_scully(self, dense_state, dense_grid):
+        ch = scully_wwm(dense_grid)
         win = MomentumWindow(0, WINDOW_WIDTH)
         curve = conditional_wvp(dense_state, ch, win)
         values, defined = dense_conditional(dense_state, ch, win)
@@ -179,8 +178,8 @@ class TestDenseOracle:
         np.testing.assert_allclose(curve.values[defined], values[defined],
                                    atol=1e-9)
 
-    def test_transfer_scully(self, dense_state, geom, dense_grid):
-        ch = scully_wwm(geom, dense_grid)
+    def test_transfer_scully(self, dense_state, dense_grid):
+        ch = scully_wwm(dense_grid)
         indices = full_tiling(dense_grid, WINDOW_WIDTH)
         dist = transfer_distribution(dense_state, ch, WINDOW_WIDTH, indices)
         _, slow, coverage = dense_transfer(dense_state, ch, WINDOW_WIDTH,
@@ -279,11 +278,11 @@ _INDEX_SETS = {
 }
 
 
-def _equivalence_channel(kind, geom, grid):
+def _equivalence_channel(kind, grid):
     if kind == "identity":
         return identity_channel(grid)
     if kind == "scully":
-        return scully_wwm(geom, grid)
+        return scully_wwm(grid)
     # one kick on the momentum lattice, one between samples, whose
     # momentum-space kernel is a Dirichlet kernel rather than a delta
     return classical_kick([(3.0 * grid.dp, 0.6), (-2.37 * grid.dp, 0.4)],
@@ -307,7 +306,7 @@ class TestCorrelationForm:
         grid = make_grid(n_points, 16.0 if n_points == 256 else 64.0)
         geom = SlitGeometry(width=0.5, separation=1.0, edge_profile=edge)
         state = build_double_slit(geom, grid)
-        ch = _equivalence_channel(kind, geom, grid)
+        ch = _equivalence_channel(kind, grid)
         indices = _INDEX_SETS[index_set](grid)
         with warnings.catch_warnings(record=True) as fast_warned:
             warnings.simplefilter("always")
@@ -326,14 +325,14 @@ class TestCorrelationForm:
 
     @pytest.mark.parametrize("kind", ["scully", "kick"])
     @pytest.mark.parametrize("where", ["full", "low_edge", "high_edge"])
-    def test_white_noise_state_at_the_grid_edges(self, geom, dense_grid,
-                                                 kind, where):
+    def test_white_noise_state_at_the_grid_edges(self, dense_grid, kind,
+                                                 where):
         """Both polarisations nonzero on every sample, so each lag of each
         correlation carries weight, including those next to aliasing."""
         rng = np.random.default_rng(7)
         amps = rng.normal(size=(2, 256)) + 1j * rng.normal(size=(2, 256))
         state = TransverseState(dense_grid, amps).normalized()
-        ch = _equivalence_channel(kind, geom, dense_grid)
+        ch = _equivalence_channel(kind, dense_grid)
         tiling = full_tiling(dense_grid, WINDOW_WIDTH)
         indices = {"full": tiling, "low_edge": tiling[:4],
                    "high_edge": tiling[-4:]}[where]
