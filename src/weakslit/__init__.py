@@ -18,8 +18,9 @@ from .states import (SlitGeometry, TransverseState, build_double_slit,
 from .channels import (Branch, MeasurementChannel, classical_kick,
                        identity_channel, scully_wwm)
 from .weak_values import (MomentumWindow, TransferDistribution, WvpCurve,
-                          conditional_wvp, joint_wvp, momentum_distribution,
-                          transfer_distribution, window_mask, window_project)
+                          conditional_wvp, eraser_curves, joint_wvp,
+                          momentum_distribution, transfer_distribution,
+                          window_mask, window_project)
 from .moments import (ApodizationReport, RegularizationSpec,
                       apodization_sweep, apodized_variance, mean_transfer,
                       moment_change, sharp_cutoff_variance, transfer_variance,
@@ -46,7 +47,8 @@ __all__ = [
     "classical_kick",
     # weak values
     "MomentumWindow", "WvpCurve", "TransferDistribution", "joint_wvp",
-    "conditional_wvp", "momentum_distribution", "transfer_distribution",
+    "conditional_wvp", "eraser_curves", "momentum_distribution",
+    "transfer_distribution",
     "window_mask", "window_project",
     # moments and regularization
     "RegularizationSpec", "ApodizationReport", "mean_transfer",

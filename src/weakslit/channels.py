@@ -116,7 +116,9 @@ def classical_kick(kicks: list[tuple[float, float]],
 
     Branch j has u = sqrt(prob_j) * exp(i q_j x): a momentum translation
     by q_j occurring with probability prob_j.  Both numbers must be
-    finite; probabilities must be nonnegative and sum to one.
+    finite; probabilities must be nonnegative and sum to one.  |q_j| may
+    not exceed |p[0]|, the lattice's momentum range: on the grid,
+    exp(i q x) for a larger q equals a smaller kick.
     """
     if not kicks or any(not isinstance(pair, (list, tuple)) or len(pair) != 2
                         for pair in kicks):
@@ -131,6 +133,12 @@ def classical_kick(kicks: list[tuple[float, float]],
         raise ConfigError(f"negative kick probability in {kicks}")
     if abs(probs.sum() - 1.0) > 1e-12:
         raise ConfigError(f"kick probabilities sum to {probs.sum()}, not 1")
+    q_max = abs(float(grid.p[0]))
+    if any(abs(q) > q_max for q, _ in kicks):
+        raise ConfigError(
+            f"kick |q| must not exceed the lattice momentum range {q_max:.6g}: "
+            f"on the grid a larger kick is the same as a smaller one, "
+            f"got {kicks}")
     branches = tuple(
         Branch(f"kick{j}", j,
                float(np.sqrt(pr)) * np.exp(1j * float(q) * grid.x))

@@ -51,6 +51,7 @@ __all__ = [
     "window_project",
     "joint_wvp",
     "conditional_wvp",
+    "eraser_curves",
     "transfer_distribution",
     "momentum_distribution",
 ]
@@ -230,12 +231,12 @@ def _eraser_project(amps: np.ndarray, eraser: str) -> np.ndarray:
     return ((amps[0] + sign * amps[1]) / np.sqrt(2.0))[np.newaxis, :]
 
 
-def _joint(chi: TransverseState, psi_erased: list[np.ndarray],
-           ch: MeasurementChannel, eraser: str) -> np.ndarray:
-    """J(p_f) of the window-projected state ``chi`` against the full
-    state's sector sums ``psi_erased``."""
-    j = np.zeros(chi.grid.n_points)
-    for ce, pe in zip(_sector_momentum_sums(chi, ch, eraser), psi_erased):
+def _joint(chi_erased: list[np.ndarray],
+           psi_erased: list[np.ndarray]) -> np.ndarray:
+    """J(p_f) from the window-projected state's sector sums ``chi_erased``
+    and the full state's ``psi_erased``, both eraser-projected."""
+    j = np.zeros(psi_erased[0].shape[-1])
+    for ce, pe in zip(chi_erased, psi_erased):
         j += np.real(np.sum(ce * np.conj(pe), axis=0))
     return j
 
@@ -257,9 +258,7 @@ def joint_wvp(state: TransverseState, ch: MeasurementChannel,
     window-projected state and that of the full state.  Finite
     everywhere, negative where the weak value leaves [0, 1].
     """
-    _check_eraser(eraser)
-    return _joint(window_project(state, window),
-                  _sector_momentum_sums(state, ch, eraser), ch, eraser)
+    return conditional_wvp(state, ch, window, eraser).joint
 
 
 def conditional_wvp(state: TransverseState, ch: MeasurementChannel,
@@ -271,14 +270,34 @@ def conditional_wvp(state: TransverseState, ch: MeasurementChannel,
     the identity channel (or the +45 eraser on the which-way marker)
     the defined part is the window indicator.
     """
-    _check_eraser(eraser)
-    psi_erased = _sector_momentum_sums(state, ch, eraser)
-    j = _joint(window_project(state, window), psi_erased, ch, eraser)
-    dens = _density(psi_erased)
-    defined = dens > EPS_DEN_FRACTION * dens.max()
-    values = np.full(state.grid.n_points, np.nan)
-    values[defined] = j[defined] / dens[defined]
-    return WvpCurve(state.grid.p.copy(), values, defined, window, eraser, j)
+    return eraser_curves(state, ch, window, (eraser,))[eraser]
+
+
+def eraser_curves(state: TransverseState, ch: MeasurementChannel,
+                  window: MomentumWindow,
+                  erasers: Iterable[str] = ERASERS) -> dict[str, WvpCurve]:
+    """:func:`conditional_wvp` for each eraser setting, keyed by setting.
+
+    The window projection and the un-erased (2, n) sector sums of both
+    states do not depend on the eraser, so they are built once and only
+    the eraser projection is applied per setting.
+    """
+    erasers = tuple(erasers)
+    for eraser in erasers:
+        _check_eraser(eraser)
+    psi_sums = _sector_momentum_sums(state, ch)
+    chi_sums = _sector_momentum_sums(window_project(state, window), ch)
+    curves = {}
+    for eraser in erasers:
+        psi_erased = [_eraser_project(s, eraser) for s in psi_sums]
+        j = _joint([_eraser_project(s, eraser) for s in chi_sums], psi_erased)
+        dens = _density(psi_erased)
+        defined = dens > EPS_DEN_FRACTION * dens.max()
+        values = np.full(state.grid.n_points, np.nan)
+        values[defined] = j[defined] / dens[defined]
+        curves[eraser] = WvpCurve(state.grid.p.copy(), values, defined,
+                                  window, eraser, j)
+    return curves
 
 
 def momentum_distribution(state: TransverseState,

@@ -5,20 +5,28 @@ Fourier transform is an explicit N x N matrix, window projectors are
 boolean selections in momentum space, and joint quantities are
 assembled branch by branch.  O(N^2) per curve is fine at N <= 256 and
 keeps every intermediate inspectable.  None of it touches the FFT code
-paths under test, except :func:`loop_transfer`: the per-window transfer
-loop, which reuses the package's single-window J kernel and checks the
-correlation-form assembly at production grid sizes.
+paths under test, except the ``loop_*`` functions: the package's earlier
+one-thing-at-a-time implementations, kept as oracles for the faster
+paths that replaced them.  :func:`loop_transfer` is the per-window
+transfer loop, :func:`loop_conditional_wvp` one eraser setting per call,
+:func:`loop_convergence_sweep` one intensity map per ratio and
+:func:`loop_table_csv` one formatting call per CSV value.
 """
 
+import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
-from weakslit import MomentumWindow, TransferDistribution, TransverseState
+from weakslit import (MomentumWindow, TransferDistribution, TransverseState,
+                      conditional_wvp, estimate_wvp, run_tagged)
 from weakslit.errors import CoverageWarning
-from weakslit.weak_values import (COVERAGE_MIN, _check_eraser, _check_width,
+from weakslit.weak_values import (COVERAGE_MIN, EPS_DEN_FRACTION,
+                                  _check_eraser, _check_width, _density,
                                   _joint, _sector_momentum_sums,
-                                  _tiling_indices, window_mask)
+                                  _tiling_indices, window_mask,
+                                  window_project)
 
 ROOT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -148,7 +156,7 @@ def loop_transfer(state, ch, window_width, indices=None, eraser="none"):
             continue
         chi = TransverseState(grid, grid.from_momentum(mask * amps_t),
                               state.sharp_edges)
-        j = _joint(chi, psi_erased, ch, eraser)
+        j = _joint(_sector_momentum_sums(chi, ch, eraser), psi_erased)
         shift = int(round(window.center / grid.dp))
         if shift >= n or shift <= -n:
             continue
@@ -168,6 +176,44 @@ def loop_transfer(state, ch, window_width, indices=None, eraser="none"):
     density = acc / coverage
     return TransferDistribution(grid.p.copy(), density, window_width,
                                 indices, coverage, eraser)
+
+
+def loop_conditional_wvp(state, ch, window, eraser="none"):
+    """(values, defined, joint) of one eraser setting, built from its own
+    window projection and its own eraser-projected sector sums.
+
+    This was the package's ``conditional_wvp`` before the eraser
+    settings shared one projection; the oracle for ``eraser_curves``.
+    """
+    _check_eraser(eraser)
+    psi_erased = _sector_momentum_sums(state, ch, eraser)
+    chi = window_project(state, window)
+    j = _joint(_sector_momentum_sums(chi, ch, eraser), psi_erased)
+    dens = _density(psi_erased)
+    defined = dens > EPS_DEN_FRACTION * dens.max()
+    values = np.full(state.grid.n_points, np.nan)
+    values[defined] = j[defined] / dens[defined]
+    return values, defined, j
+
+
+def loop_convergence_sweep(state, ch, pointer, ratios):
+    """(ratios, errors) with one IntensityMap and one estimate per ratio.
+
+    This was the package's ``convergence_sweep`` before the row sums
+    were hoisted out of the ratio loop.
+    """
+    ratios = tuple(sorted((float(r) for r in ratios), reverse=True))
+    analytic = conditional_wvp(state, ch, pointer.window())
+    imap = run_tagged(state, ch, pointer)
+    errors = []
+    for ratio in ratios:
+        spec = pointer.at_ratio(ratio)
+        est = estimate_wvp(replace(imap, displacement=spec.displacement,
+                                   ratio=spec.ratio))
+        both = analytic.defined & est.defined
+        errors.append(float(np.max(np.abs(est.values[both]
+                                          - analytic.values[both]))))
+    return ratios, tuple(errors)
 
 
 def double_slit_momentum_amplitude(p, width, separation=1.0):
@@ -211,3 +257,22 @@ def ygrid_pointer_stats(imap, n_y=4001, span=8.0):
     centroid = np.where(marginal > 1e-6 * marginal.max(),
                         first / marginal, np.nan)
     return marginal, centroid
+
+
+def _format_value(value: float) -> str:
+    if isinstance(value, float) and math.isnan(value):
+        return "nan"
+    return "%.12g" % value
+
+
+def loop_table_csv(table) -> str:
+    """The per-value CSV writer: one formatting call per number.
+
+    This was the package's ``outputs._table_csv`` before rows were
+    formatted in blocks; kept verbatim as the oracle for it.
+    """
+    header = ",".join(f"{name} [{unit}]" for name, unit in table.columns)
+    lines = [header]
+    for row in table.data:
+        lines.append(",".join(_format_value(v) for v in row))
+    return "\n".join(lines) + "\n"

@@ -71,6 +71,15 @@ class TestClassicalKick:
             with pytest.raises(ConfigError):
                 classical_kick(kicks, grid)
 
+    def test_kicks_beyond_the_lattice_range_are_refused(self, grid):
+        """exp(iqx) on the lattice cannot tell q from q - 2 p_max."""
+        edge = abs(float(grid.p[0]))
+        for q in (edge, -edge, 3.0):
+            classical_kick([(q, 1.0)], grid)
+        for q in (np.nextafter(edge, np.inf), -2.0 * edge, 1e300):
+            with pytest.raises(ConfigError, match="lattice momentum range"):
+                classical_kick([(0.0, 0.5), (q, 0.5)], grid)
+
     def test_sectors_and_completeness(self, grid):
         ch = classical_kick([(0.5, 0.25), (-0.5, 0.75)], grid)
         assert ch.sectors == (0, 1)

@@ -284,6 +284,26 @@ class TestCliExitCodes:
         assert main(argv + ["--out", str(tmp_path / "x")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["pointer", "sweep"])
+    @pytest.mark.parametrize("override, code", [
+        ("pointer.sigma=1e-300", 0),
+        ("pointer.sigma=1e-320", 2),
+        ("pointer.displacement=1e-300", 0),
+    ])
+    def test_extreme_pointer_scales(self, tmp_path, capsys, command,
+                                    override, code):
+        assert main([command, "--preset", "paper", "--set", override,
+                     "--out", str(tmp_path / "x")]) == code
+        if code == 2:
+            assert "config error: 'pointer': " in capsys.readouterr().err
+
+    def test_aliased_kick_is_refused(self, tmp_path, capsys):
+        assert main(["transfer", "--set", "channel.kind=kick",
+                     "--set", "channel.kicks=[[1e300,1]]",
+                     "--set", "grid.n_points=1024",
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "config error: 'channel': " in capsys.readouterr().err
+
     @pytest.mark.parametrize("override", [
         "regularization.kappa=[NaN]",
         "regularization.q_max=[NaN]",

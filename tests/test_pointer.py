@@ -10,7 +10,7 @@ from weakslit import (ConfigError, ConvergenceReport, PointerSpec,
                       run_tagged, scully_wwm)
 
 from conftest import WINDOW_WIDTH
-from oracles import ygrid_pointer_stats
+from oracles import loop_convergence_sweep, ygrid_pointer_stats
 
 
 @pytest.fixture
@@ -32,6 +32,20 @@ class TestPointerSpec:
         assert weak.ratio == pytest.approx(0.01, rel=1e-12)
         with pytest.raises(ConfigError):
             spec.at_ratio(0.0)
+
+    def test_at_ratio_refuses_an_underflowing_displacement(self, lab):
+        tiny = PointerSpec(sigma=1e-320, displacement=1e-321,
+                           sliver_width=1e-3, index=0, lab=lab)
+        assert tiny.at_ratio(0.5).displacement > 0.0
+        with pytest.raises(ConfigError, match="underflows"):
+            tiny.at_ratio(1e-5)
+
+    @pytest.mark.parametrize("sigma, displacement", [
+        (1e-320, 1e-4), (5e-324, 1.0), (1e-300, 1e300)])
+    def test_ratio_must_be_finite(self, lab, sigma, displacement):
+        with pytest.raises(ConfigError, match="not a finite number"):
+            PointerSpec(sigma=sigma, displacement=displacement,
+                        sliver_width=1e-3, index=0, lab=lab)
 
     @pytest.mark.parametrize("field,value", [
         ("sigma", 0.0), ("displacement", -1e-4), ("sliver_width", 0.0)])
@@ -103,6 +117,17 @@ class TestAgainstYGridQuadrature:
         assert np.exp(-spec.ratio ** 2 / 2.0) == pytest.approx(
             np.exp(-spec.displacement ** 2 / (2.0 * spec.sigma ** 2)))
 
+    @pytest.mark.parametrize("sigma, displacement, expected", [
+        (1e-300, 1.4e-4, 0.0),     # D/sigma = 1.4e296: r*r is inf
+        (1.01e-3, 1e-300, 1.0),    # r*r underflows to 0
+        (1e-310, 1e-310, np.exp(-0.5))])
+    def test_overlap_of_extreme_scales(self, slit_state, wwm, spec, sigma,
+                                       displacement, expected):
+        imap = run_tagged(slit_state, wwm, spec)
+        imap.sigma, imap.displacement = sigma, displacement
+        assert imap.overlap == expected
+        assert np.all(np.isfinite(imap.marginal()))
+
 
 class TestEstimator:
     def test_weak_limit_matches_analytic_curve(self, slit_state, wwm, spec):
@@ -118,6 +143,18 @@ class TestEstimator:
         assert report.ratios == (0.3, 0.05, 0.01, 0.001)
         assert report.monotone_decreasing
         assert report.slope() == pytest.approx(2.0, abs=0.4)
+
+    @pytest.mark.parametrize("channel", ["scully", "kick"])
+    def test_sweep_equals_one_map_per_ratio(self, slit_state, smooth_state,
+                                            grid, spec, channel):
+        """Hoisting the D-independent row sums changes no bit."""
+        ch = (scully_wwm(grid) if channel == "scully"
+              else classical_kick([(0.7, 0.4), (-1.3, 0.6)], grid))
+        ratios = [0.3, 0.139, 0.05, 0.01, 0.001, 0.2, 1.0, 1e-6]
+        for state in (slit_state, smooth_state):
+            report = convergence_sweep(state, ch, spec, ratios)
+            assert (report.ratios, report.errors) == loop_convergence_sweep(
+                state, ch, spec, ratios)
 
     def test_report_slope_between_any_entries(self):
         report = ConvergenceReport((0.1, 0.01), (1e-2, 1e-4))

@@ -13,14 +13,14 @@ from weakslit import (ConfigError, CoverageWarning, GridMismatchError,
                       MomentumWindow, ResolutionError, SlitGeometry,
                       TransferDistribution, TransverseState,
                       build_double_slit, classical_kick, conditional_wvp,
-                      identity_channel, joint_wvp, make_grid,
+                      eraser_curves, identity_channel, joint_wvp, make_grid,
                       momentum_distribution, scully_wwm,
                       transfer_distribution, window_mask, window_project)
 from weakslit.weak_values import ERASERS, _tiling_weights
 
 from conftest import WINDOW_WIDTH
 from oracles import (dense_conditional, dense_joint, dense_transfer,
-                     kick_rect_density, loop_transfer)
+                     kick_rect_density, loop_conditional_wvp, loop_transfer)
 
 
 def full_tiling(grid, width):
@@ -141,6 +141,39 @@ class TestJointAndConditional:
         j_plus = joint_wvp(slit_state, wwm, focus_window, "plus45")
         j_minus = joint_wvp(slit_state, wwm, focus_window, "minus45")
         np.testing.assert_allclose(j_plus + j_minus, j_none, atol=1e-13)
+
+
+class TestEraserCurves:
+    """One projection and one set of sector sums for every eraser
+    setting equals one call per setting, bit for bit."""
+
+    @pytest.mark.parametrize("channel", ["scully", "kick", "identity"])
+    def test_equals_one_call_per_setting(self, slit_state, smooth_state,
+                                         grid, focus_window, channel):
+        ch = {"scully": scully_wwm(grid),
+              "kick": classical_kick([(0.7, 0.4), (-1.3, 0.6)], grid),
+              "identity": identity_channel(grid)}[channel]
+        for state in (slit_state, smooth_state):
+            curves = eraser_curves(state, ch, focus_window)
+            assert tuple(curves) == ERASERS
+            for eraser, curve in curves.items():
+                values, defined, joint = loop_conditional_wvp(
+                    state, ch, focus_window, eraser)
+                assert curve.eraser == eraser
+                assert curve.window == focus_window
+                np.testing.assert_array_equal(curve.values, values)
+                np.testing.assert_array_equal(curve.defined, defined)
+                np.testing.assert_array_equal(curve.joint, joint)
+                single = conditional_wvp(state, ch, focus_window, eraser)
+                np.testing.assert_array_equal(single.values, values)
+                np.testing.assert_array_equal(
+                    joint_wvp(state, ch, focus_window, eraser), joint)
+
+    def test_subset_and_validation(self, slit_state, wwm, focus_window):
+        curves = eraser_curves(slit_state, wwm, focus_window, ["minus45"])
+        assert list(curves) == ["minus45"]
+        with pytest.raises(ConfigError):
+            eraser_curves(slit_state, wwm, focus_window, ["none", "circular"])
 
 
 @pytest.fixture(scope="module")
