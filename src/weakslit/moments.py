@@ -63,7 +63,7 @@ class RegularizationSpec:
 
 def mean_transfer(dist: TransferDistribution) -> float:
     """First moment of the transfer density, trapezoid on the native grid."""
-    return float(np.trapezoid(dist.density * dist.q, dist.q))
+    return _density_moments(dist.density, dist.q)[0]
 
 
 def transfer_variance(dist: TransferDistribution) -> float:
@@ -72,9 +72,7 @@ def transfer_variance(dist: TransferDistribution) -> float:
     Only meaningful when the density decays fast enough -- smooth-edge
     scenarios; for sharp edges use the regularised sweeps instead.
     """
-    mean = mean_transfer(dist)
-    second = float(np.trapezoid(dist.density * dist.q ** 2, dist.q))
-    return second - mean ** 2
+    return _density_moments(dist.density, dist.q)[1]
 
 
 def sharp_cutoff_variance(dist: TransferDistribution, q_max: float) -> float:
@@ -153,6 +151,7 @@ def window_variance(width: float, dp: float = 0.0) -> float:
 
 
 def _density_moments(dens: np.ndarray, p: np.ndarray) -> tuple[float, float]:
+    """(mean, variance) of a density sampled on p, trapezoid quadrature."""
     mean = float(np.trapezoid(dens * p, p))
     second = float(np.trapezoid(dens * p ** 2, p))
     return mean, second - mean ** 2

@@ -1,17 +1,27 @@
 """Finite-strength pointer emulation of the weak momentum measurement.
 
-The laboratory scheme tags the momentum-window part of the beam with a
-small vertical displacement D of an otherwise untouched Gaussian
-profile of 1/e^2 half-width sigma.  Downstream of the measurement
-channel the joint intensity is, per coherent sector and polarisation,
+The laboratory scheme tags the momentum-window part chi of the state
+psi with a small vertical displacement D of an otherwise untouched
+Gaussian profile of 1/e^2 half-width sigma.  Downstream of the channel
+U the joint intensity is, per coherent sector and polarisation,
 
-    I(p_f, y) = | A_untagged(p_f) G_0(y) + A_tagged(p_f) G_D(y) |^2,
+    I(p_f, y) = | u(p_f) G_0(y) + t(p_f) G_D(y) |^2,
 
-with G_a(y) = (2/(pi sigma^2))^(1/4) exp(-(y-a)^2/sigma^2).  Because
-the y dependence is spanned by just two Gaussians, every y integral is
-analytic; no y grid exists anywhere.  The conditional centroid divided
-by D estimates the conditional weak-valued probability and converges
-to it quadratically as D/sigma -> 0.
+with G_a(y) = (2/(pi sigma^2))^(1/4) exp(-(y-a)^2/sigma^2), t = U chi
+and u = U psi - U chi.  Every y integral is analytic (no y grid exists
+anywhere) and, summed over the rows, needs only three D-independent
+curves of the window's conditional curve: J = Re sum <U chi, U psi>
+(``joint``), P = sum |U psi|^2 (``density``) and T = sum |U chi|^2
+(``strong``), since Re sum u conj(t) = J - T, sum |t|^2 = T and
+sum |u|^2 + |t|^2 = P - 2 (J - T).  With c = <G_0|G_D> = exp(-r^2/2)
+and r = D/sigma, the y marginal is P - 2 (1 - c)(J - T) and the
+conditional centroid divided by D is
+
+    (T + c (J - T)) / (P - 2 (1 - c)(J - T)).
+
+It tends to the conditional weak-valued probability J/P as r -> 0
+(c -> 1), quadratically in r, and to T / (P - 2 (J - T)), the tagged
+fraction of a projective measurement of the window, as c -> 0.
 """
 
 import math
@@ -24,8 +34,7 @@ from .errors import ConfigError
 from .grid import LabFrame
 from .states import TransverseState
 from .weak_values import (EPS_DEN_FRACTION, MomentumWindow, WvpCurve,
-                          conditional_wvp, window_project,
-                          _sector_momentum_sums)
+                          conditional_wvp)
 
 __all__ = [
     "PointerSpec",
@@ -94,22 +103,17 @@ def _overlap(displacement: float, sigma: float) -> float:
     return float(np.exp(-0.5 * r * r))
 
 
-def _row_sums(untagged: np.ndarray, tagged: np.ndarray) -> tuple:
-    """(cross, tagged_w, squares) per p_f sample, summed over the rows:
-    Re sum untagged conj(tagged), sum |tagged|^2 and
-    sum |untagged|^2 + |tagged|^2.  None of them depends on D."""
-    cross = np.sum(np.real(untagged * np.conj(tagged)), axis=0)
-    tagged_w = np.sum(np.abs(tagged) ** 2, axis=0)
-    squares = np.sum(np.abs(untagged) ** 2 + np.abs(tagged) ** 2, axis=0)
-    return cross, tagged_w, squares
+def _marginal(curve: WvpCurve, overlap: float) -> np.ndarray:
+    """y-integrated intensity per p_f sample, P - 2 (1 - c)(J - T)."""
+    return (curve.density
+            - 2.0 * (1.0 - overlap) * (curve.joint - curve.strong))
 
 
-def _centroid(sums: tuple, displacement: float, overlap: float) -> np.ndarray:
-    """Mean vertical displacement from :func:`_row_sums`; NaN where the
-    y-integrated intensity is below the definedness threshold."""
-    cross, tagged_w, squares = sums
-    num = displacement * (tagged_w + overlap * cross)
-    den = squares + 2.0 * overlap * cross
+def _estimate(curve: WvpCurve, overlap: float) -> np.ndarray:
+    """Centroid over D per p_f sample, (T + c (J - T)) / marginal; NaN
+    where the marginal is below the definedness threshold."""
+    num = curve.strong + overlap * (curve.joint - curve.strong)
+    den = _marginal(curve, overlap)
     out = np.full(den.shape, np.nan)
     ok = den > EPS_DEN_FRACTION * den.max()
     out[ok] = num[ok] / den[ok]
@@ -118,19 +122,13 @@ def _centroid(sums: tuple, displacement: float, overlap: float) -> np.ndarray:
 
 @dataclass
 class IntensityMap:
-    """Rank-2 representation of the joint (p_f, y) intensity.
+    """The joint (p_f, y) intensity through its y integrals: ``analytic``
+    is the tagged window's conditional curve, whose ``joint``, ``density``
+    and ``strong`` are the J, P and T of the module docstring."""
 
-    ``untagged`` and ``tagged`` stack one row per (sector,
-    polarisation) term; the y profile attached to each row is G_0 for
-    untagged and G_D for tagged amplitude.
-    """
-
-    p_f: np.ndarray
-    untagged: np.ndarray
-    tagged: np.ndarray
+    analytic: WvpCurve
     sigma: float
     displacement: float
-    window: MomentumWindow
     ratio: float
 
     @property
@@ -140,43 +138,30 @@ class IntensityMap:
 
     def marginal(self) -> np.ndarray:
         """y-integrated intensity per p_f sample."""
-        cross, _, squares = _row_sums(self.untagged, self.tagged)
-        return squares + 2.0 * self.overlap * cross
+        return _marginal(self.analytic, self.overlap)
 
     def centroid(self) -> np.ndarray:
         """Mean vertical displacement d(p_f); NaN where intensity vanishes."""
-        return _centroid(_row_sums(self.untagged, self.tagged),
-                         self.displacement, self.overlap)
+        return self.displacement * _estimate(self.analytic, self.overlap)
 
 
 def run_tagged(state: TransverseState, ch: MeasurementChannel,
                pointer: PointerSpec) -> IntensityMap:
-    """Propagate the tagged state through the channel.
+    """The window's conditional curve with the pointer's sigma and D.
 
-    The window projection happens before the channel (the tag is
-    applied where initial momentum is resolved); both the tagged and
-    untagged parts then evolve branch-by-branch.  Marginalising the
-    result over y returns the channel momentum density exactly for
-    momentum-diagonal channels; a which-way marker mixes the two y
-    profiles into overlapping momenta, so its marginal picks up the
-    tag's physical back-action, of order (D/sigma)^2.
+    The y marginal is the channel density P where J = T, as for
+    momentum-diagonal channels; a which-way marker adds the tag's
+    back-action -2 (1 - c)(J - T), of order (D/sigma)^2.
     """
-    window = pointer.window()
-    grid = state.grid
-    proj = window_project(state, window)
-    rest = TransverseState(grid, state.amps - proj.amps, state.sharp_edges)
-    tagged = np.concatenate(_sector_momentum_sums(proj, ch), axis=0)
-    untagged = np.concatenate(_sector_momentum_sums(rest, ch), axis=0)
-    return IntensityMap(grid.p.copy(), untagged, tagged, pointer.sigma,
-                        pointer.displacement, window, pointer.ratio)
+    return IntensityMap(conditional_wvp(state, ch, pointer.window()),
+                        pointer.sigma, pointer.displacement, pointer.ratio)
 
 
 def estimate_wvp(imap: IntensityMap) -> WvpCurve:
     """Centroid estimator d/D of the conditional weak-valued probability."""
-    d = imap.centroid()
-    values = d / imap.displacement
-    defined = np.isfinite(values)
-    return WvpCurve(imap.p_f.copy(), values, defined, imap.window, "none")
+    values = _estimate(imap.analytic, imap.overlap)
+    return WvpCurve(imap.analytic.p_f.copy(), values, np.isfinite(values),
+                    imap.analytic.window, "none")
 
 
 @dataclass(frozen=True)
@@ -203,18 +188,15 @@ def convergence_sweep(state: TransverseState, ch: MeasurementChannel,
 
     Ratios are sorted descending; errors are max-abs deviations from
     the analytic conditional curve over samples where both are defined.
-    The tagged and untagged amplitudes do not depend on D, so the state
-    is propagated once and their row sums are taken once; each ratio
-    costs only the O(N) centroid of :func:`estimate_wvp`.
+    J, P and T do not depend on D, so the state is propagated once;
+    each ratio costs only the O(N) estimate of :func:`estimate_wvp`.
     """
     ratios = tuple(sorted((float(r) for r in ratios), reverse=True))
-    analytic = conditional_wvp(state, ch, pointer.window())
-    imap = run_tagged(state, ch, pointer)
-    sums = _row_sums(imap.untagged, imap.tagged)
+    analytic = run_tagged(state, ch, pointer).analytic
     errors = []
     for ratio in ratios:
         d = pointer.at_ratio(ratio).displacement
-        values = _centroid(sums, d, _overlap(d, pointer.sigma)) / d
+        values = _estimate(analytic, _overlap(d, pointer.sigma))
         both = analytic.defined & np.isfinite(values)
         errors.append(float(np.max(np.abs(values[both]
                                           - analytic.values[both]))))

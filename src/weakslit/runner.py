@@ -32,9 +32,8 @@ PLOT_RANGE = 4.0 * _TWO_PI
 
 @dataclass
 class Table:
-    """A named data table with (column, unit) headers."""
+    """A data table with (column, unit) headers; the bundle's key names it."""
 
-    name: str
     columns: tuple[tuple[str, str], ...]
     data: np.ndarray
 
@@ -101,12 +100,12 @@ def _run_wvp(scene: _Scene) -> ResultBundle:
     p = scene.grid.p
 
     bundle = ResultBundle("wvp")
-    bundle.tables["wvp"] = Table("wvp", (
+    bundle.tables["wvp"] = Table((
         ("p_f", "hbar/s"), ("p_f_lab", "mm"), ("conditional", "1"),
         ("joint", "s/hbar"), ("defined", "0/1"),
     ), np.column_stack([p, scene.lab_mm(p), curve.values, curve.joint,
                         curve.defined.astype(float)]))
-    bundle.tables["intensity"] = Table("intensity", (
+    bundle.tables["intensity"] = Table((
         ("p_f", "hbar/s"), ("p_f_lab", "mm"),
         ("input_density", "s/hbar"), ("output_density", "s/hbar"),
     ), np.column_stack([p, scene.lab_mm(p), dens_in, dens_out]))
@@ -138,7 +137,7 @@ def _run_transfer(scene: _Scene) -> ResultBundle:
     dist = transfer_distribution(scene.state, scene.channel, scene.width,
                                  scene.indices, scene.eraser)
     bundle = ResultBundle("transfer")
-    bundle.tables["transfer"] = Table("transfer", (
+    bundle.tables["transfer"] = Table((
         ("q", "hbar/s"), ("q_lab", "mm"), ("density", "s/hbar"),
     ), np.column_stack([dist.q, scene.lab_mm(dist.q), dist.density]))
     bundle.summary = {
@@ -174,10 +173,10 @@ def _run_variance(scene: _Scene) -> ResultBundle:
     sign_changes = int(np.sum(signs[1:] * signs[:-1] < 0.0))
 
     bundle = ResultBundle("variance")
-    bundle.tables["variance_sharp"] = Table("variance_sharp", (
+    bundle.tables["variance_sharp"] = Table((
         ("q_max", "hbar/s"), ("value", "(hbar/s)^2"),
     ), np.column_stack([np.array(reg.q_max), sharp]))
-    bundle.tables["variance_apodized"] = Table("variance_apodized", (
+    bundle.tables["variance_apodized"] = Table((
         ("kappa", "hbar/s"), ("value", "(hbar/s)^2"),
     ), np.column_stack([np.array(report.kappas), np.array(report.values)]))
     bundle.summary = {
@@ -223,14 +222,14 @@ def _run_eraser(scene: _Scene) -> ResultBundle:
                                       - indicator[plus.defined])))
 
     bundle = ResultBundle("eraser")
-    bundle.tables["eraser_curves"] = Table("eraser_curves", (
+    bundle.tables["eraser_curves"] = Table((
         ("p_f", "hbar/s"), ("p_f_lab", "mm"),
         ("plus45", "1"), ("plus45_defined", "0/1"),
         ("minus45", "1"), ("minus45_defined", "0/1"),
     ), np.column_stack([p, scene.lab_mm(p), plus.values,
                         plus.defined.astype(float), minus.values,
                         minus.defined.astype(float)]))
-    bundle.tables["eraser_joint"] = Table("eraser_joint", (
+    bundle.tables["eraser_joint"] = Table((
         ("p_f", "hbar/s"), ("joint_none", "s/hbar"),
         ("joint_plus45", "s/hbar"), ("joint_minus45", "s/hbar"),
     ), np.column_stack([p, j_none, j_plus, j_minus]))
@@ -258,16 +257,16 @@ def _run_pointer(scene: _Scene) -> ResultBundle:
     spec = scene.config.pointer
     imap = run_tagged(scene.state, scene.channel, spec)
     est = estimate_wvp(imap)
-    analytic = conditional_wvp(scene.state, scene.channel, spec.window())
+    analytic = imap.analytic
     both = est.defined & analytic.defined
     dev = float(np.max(np.abs(est.values[both] - analytic.values[both])))
-    dens = momentum_distribution(scene.state, scene.channel)
+    dens = analytic.density / (np.sum(analytic.density) * scene.grid.dp)
     marg = imap.marginal()
     marg = marg / (np.sum(marg) * scene.grid.dp)
     p = scene.grid.p
 
     bundle = ResultBundle("pointer")
-    bundle.tables["pointer"] = Table("pointer", (
+    bundle.tables["pointer"] = Table((
         ("p_f", "hbar/s"), ("p_f_lab", "mm"), ("estimate", "1"),
         ("estimate_defined", "0/1"), ("analytic", "1"),
         ("analytic_defined", "0/1"),
@@ -301,7 +300,7 @@ def _run_sweep(scene: _Scene) -> ResultBundle:
     errors = np.array(report.errors)
 
     bundle = ResultBundle("sweep")
-    bundle.tables["sweep"] = Table("sweep", (
+    bundle.tables["sweep"] = Table((
         ("ratio", "1"), ("max_abs_error", "1"),
     ), np.column_stack([ratios, errors]))
     bundle.summary = {

@@ -24,6 +24,10 @@ __all__ = [
 #: Samples of clearance required between a slit edge and the grid boundary.
 EDGE_MARGIN = 4
 
+#: Largest field, relative to its peak, allowed on the EDGE_MARGIN samples
+#: at either end of the grid, where it would wrap around to the other end.
+EDGE_TAIL = 1e-12
+
 
 @dataclass(frozen=True)
 class SlitGeometry:
@@ -139,6 +143,13 @@ def build_double_slit(geom: SlitGeometry, grid: SimGrid,
     if not amp.any():
         raise GeometryError(
             f"the slits transmit on no sample of a grid with dx = {grid.dx:.4g}")
+    tail = (np.abs(np.r_[amp[:EDGE_MARGIN], amp[-EDGE_MARGIN:]]).max()
+            / np.abs(amp).max())
+    if tail > EDGE_TAIL:
+        raise GeometryError(
+            f"the field within {EDGE_MARGIN} samples of the grid boundary is "
+            f"{tail:.3g} of its peak (> {EDGE_TAIL}) and would wrap around "
+            f"the periodic grid; shorten edge_scale")
     return _h_polarised(grid, amp, geom.sharp)
 
 

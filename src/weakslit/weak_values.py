@@ -93,8 +93,10 @@ class WvpCurve:
 
     ``values`` holds NaN where the post-selection density is below the
     definedness threshold; ``defined`` is the corresponding mask.
-    ``joint`` is the numerator J(p_f), defined everywhere; pointer
-    estimates leave it None.
+    ``joint`` is the numerator J(p_f), defined everywhere, ``density``
+    the denominator P(p_f) = sum |e(U psi)|^2 and ``strong``
+    T(p_f) = sum |e(U chi)|^2, the joint probability a projective
+    measurement of the window gives.  Pointer estimates leave them None.
     """
 
     p_f: np.ndarray
@@ -103,6 +105,8 @@ class WvpCurve:
     window: MomentumWindow
     eraser: str
     joint: np.ndarray | None = None
+    density: np.ndarray | None = None
+    strong: np.ndarray | None = None
 
 
 @dataclass
@@ -290,13 +294,15 @@ def eraser_curves(state: TransverseState, ch: MeasurementChannel,
     curves = {}
     for eraser in erasers:
         psi_erased = [_eraser_project(s, eraser) for s in psi_sums]
-        j = _joint([_eraser_project(s, eraser) for s in chi_sums], psi_erased)
+        chi_erased = [_eraser_project(s, eraser) for s in chi_sums]
+        j = _joint(chi_erased, psi_erased)
         dens = _density(psi_erased)
         defined = dens > EPS_DEN_FRACTION * dens.max()
         values = np.full(state.grid.n_points, np.nan)
         values[defined] = j[defined] / dens[defined]
         curves[eraser] = WvpCurve(state.grid.p.copy(), values, defined,
-                                  window, eraser, j)
+                                  window, eraser, j, dens,
+                                  _density(chi_erased))
     return curves
 
 

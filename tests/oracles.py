@@ -9,18 +9,21 @@ paths under test, except the ``loop_*`` functions: the package's earlier
 one-thing-at-a-time implementations, kept as oracles for the faster
 paths that replaced them.  :func:`loop_transfer` is the per-window
 transfer loop, :func:`loop_conditional_wvp` one eraser setting per call,
-:func:`loop_convergence_sweep` one intensity map per ratio and
-:func:`loop_table_csv` one formatting call per CSV value.
+:func:`loop_convergence_sweep` one intensity map per ratio,
+:func:`loop_table_csv` one formatting call per CSV value, and
+:func:`stack_run_tagged` and :func:`stack_convergence_sweep` the pointer
+built from complex amplitude stacks rather than from J, P and T.
 """
 
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from weakslit import (MomentumWindow, TransferDistribution, TransverseState,
                       conditional_wvp, estimate_wvp, run_tagged)
+from weakslit.pointer import _overlap
 from weakslit.errors import CoverageWarning
 from weakslit.weak_values import (COVERAGE_MIN, EPS_DEN_FRACTION,
                                   _check_eraser, _check_width, _density,
@@ -231,27 +234,135 @@ def kick_rect_density(q, kicks, width):
     return out
 
 
-def pointer_intensity(imap, y):
-    """Evaluate I(p_f, y) of an IntensityMap; shape (len(y), n_p)."""
+def _row_sums(untagged: np.ndarray, tagged: np.ndarray) -> tuple:
+    """(cross, tagged_w, squares) per p_f sample, summed over the rows:
+    Re sum untagged conj(tagged), sum |tagged|^2 and
+    sum |untagged|^2 + |tagged|^2.  None of them depends on D."""
+    cross = np.sum(np.real(untagged * np.conj(tagged)), axis=0)
+    tagged_w = np.sum(np.abs(tagged) ** 2, axis=0)
+    squares = np.sum(np.abs(untagged) ** 2 + np.abs(tagged) ** 2, axis=0)
+    return cross, tagged_w, squares
+
+
+def _centroid(sums: tuple, displacement: float, overlap: float) -> np.ndarray:
+    """Mean vertical displacement from :func:`_row_sums`; NaN where the
+    y-integrated intensity is below the definedness threshold."""
+    cross, tagged_w, squares = sums
+    num = displacement * (tagged_w + overlap * cross)
+    den = squares + 2.0 * overlap * cross
+    out = np.full(den.shape, np.nan)
+    ok = den > EPS_DEN_FRACTION * den.max()
+    out[ok] = num[ok] / den[ok]
+    return out
+
+
+@dataclass
+class StackMap:
+    """Rank-2 representation of the joint (p_f, y) intensity.
+
+    ``untagged`` and ``tagged`` stack one row per (sector,
+    polarisation) term; the y profile attached to each row is G_0 for
+    untagged and G_D for tagged amplitude.
+    """
+
+    p_f: np.ndarray
+    untagged: np.ndarray
+    tagged: np.ndarray
+    sigma: float
+    displacement: float
+    window: MomentumWindow
+    ratio: float
+
+    @property
+    def overlap(self) -> float:
+        """<G_0|G_D> = exp(-D^2 / (2 sigma^2))."""
+        return _overlap(self.displacement, self.sigma)
+
+    def marginal(self) -> np.ndarray:
+        """y-integrated intensity per p_f sample."""
+        cross, _, squares = _row_sums(self.untagged, self.tagged)
+        return squares + 2.0 * self.overlap * cross
+
+    def centroid(self) -> np.ndarray:
+        """Mean vertical displacement d(p_f); NaN where intensity vanishes."""
+        return _centroid(_row_sums(self.untagged, self.tagged),
+                         self.displacement, self.overlap)
+
+
+def stack_run_tagged(state, ch, pointer) -> StackMap:
+    """Propagate the tagged state through the channel.
+
+    The window projection and its complement each pass through the
+    channel, and their sector sums are kept as complex (rows, n)
+    stacks.  This was the package's ``run_tagged`` before the pointer
+    was built from the conditional curve's J, P and T; the oracle for
+    ``run_tagged``.
+    """
+    window = pointer.window()
+    grid = state.grid
+    proj = window_project(state, window)
+    rest = TransverseState(grid, state.amps - proj.amps, state.sharp_edges)
+    tagged = np.concatenate(_sector_momentum_sums(proj, ch), axis=0)
+    untagged = np.concatenate(_sector_momentum_sums(rest, ch), axis=0)
+    return StackMap(grid.p.copy(), untagged, tagged, pointer.sigma,
+                    pointer.displacement, window, pointer.ratio)
+
+
+def stack_convergence_sweep(state, ch, pointer, ratios):
+    """(ratios, errors) from the row sums of :func:`stack_run_tagged`.
+
+    This was the package's ``convergence_sweep`` before the pointer was
+    built from J, P and T.
+    """
+    ratios = tuple(sorted((float(r) for r in ratios), reverse=True))
+    analytic = conditional_wvp(state, ch, pointer.window())
+    imap = stack_run_tagged(state, ch, pointer)
+    sums = _row_sums(imap.untagged, imap.tagged)
+    errors = []
+    for ratio in ratios:
+        d = pointer.at_ratio(ratio).displacement
+        values = _centroid(sums, d, _overlap(d, pointer.sigma)) / d
+        both = analytic.defined & np.isfinite(values)
+        errors.append(float(np.max(np.abs(values[both]
+                                          - analytic.values[both]))))
+    return ratios, tuple(errors)
+
+
+def dense_pointer_stacks(state, ch, window):
+    """(untagged, tagged) momentum stacks, one row per (sector,
+    polarisation), from explicit transform matrices: the channel
+    outputs of the rest of the state and of its window projection."""
+    grid = state.grid
+    dft, idft = dft_matrix(grid), idft_matrix(grid)
+    lo, hi = window.bounds
+    sel = ((grid.p >= lo) & (grid.p < hi)).astype(float)
+    chi = (sel * (state.amps @ dft.T)) @ idft.T
+    tagged = np.concatenate(_sector_amps(chi, ch, dft), axis=0)
+    untagged = np.concatenate(_sector_amps(state.amps - chi, ch, dft), axis=0)
+    return untagged, tagged
+
+
+def pointer_intensity(untagged, tagged, sigma, displacement, y):
+    """Evaluate I(p_f, y) of two amplitude stacks; shape (len(y), n_p)."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    norm = (2.0 / (np.pi * imap.sigma ** 2)) ** 0.25
-    g0 = norm * np.exp(-(y ** 2) / imap.sigma ** 2)
-    gd = norm * np.exp(-((y - imap.displacement) ** 2) / imap.sigma ** 2)
+    norm = (2.0 / (np.pi * sigma ** 2)) ** 0.25
+    g0 = norm * np.exp(-(y ** 2) / sigma ** 2)
+    gd = norm * np.exp(-((y - displacement) ** 2) / sigma ** 2)
     # rows: y samples; columns: p_f samples; sum over rank-2 terms
-    field = (imap.untagged[np.newaxis, :, :] * g0[:, np.newaxis, np.newaxis]
-             + imap.tagged[np.newaxis, :, :] * gd[:, np.newaxis, np.newaxis])
+    field = (untagged[np.newaxis, :, :] * g0[:, np.newaxis, np.newaxis]
+             + tagged[np.newaxis, :, :] * gd[:, np.newaxis, np.newaxis])
     return np.sum(np.abs(field) ** 2, axis=1)
 
 
-def ygrid_pointer_stats(imap, n_y=4001, span=8.0):
+def ygrid_pointer_stats(untagged, tagged, sigma, displacement, n_y=4001,
+                        span=8.0):
     """Pointer marginal and centroid by brute-force y quadrature.
 
     Cross-checks the closed-form Gaussian integrals in the package
     against trapezoid integration of the evaluated intensity.
     """
-    y = np.linspace(-span * imap.sigma,
-                    span * imap.sigma + imap.displacement, n_y)
-    intensity = pointer_intensity(imap, y)
+    y = np.linspace(-span * sigma, span * sigma + displacement, n_y)
+    intensity = pointer_intensity(untagged, tagged, sigma, displacement, y)
     marginal = np.trapezoid(intensity, y, axis=0)
     first = np.trapezoid(intensity * y[:, np.newaxis], y, axis=0)
     centroid = np.where(marginal > 1e-6 * marginal.max(),

@@ -304,6 +304,13 @@ class TestCliExitCodes:
                      "--out", str(tmp_path / "x")]) == 2
         assert "config error: 'channel': " in capsys.readouterr().err
 
+    def test_smoothed_edge_wraparound_is_refused(self, tmp_path, capsys):
+        assert main(["variance", "--set",
+                     "geometry.edge_profile=gaussian_smoothed",
+                     "--set", "geometry.edge_scale=1e-3",
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "config error: 'geometry': " in capsys.readouterr().err
+
     @pytest.mark.parametrize("override", [
         "regularization.kappa=[NaN]",
         "regularization.q_max=[NaN]",

@@ -40,6 +40,13 @@ class TestGaussianClosedForms:
         assert mean_transfer(dist) == pytest.approx(0.7, abs=1e-10)
         assert transfer_variance(dist) == pytest.approx(1.5 ** 2, rel=1e-10)
 
+    def test_moments_are_the_trapezoid_integrals(self):
+        dist = gaussian_dist(mu=0.7, sigma=1.5)
+        mean = float(np.trapezoid(dist.density * dist.q, dist.q))
+        second = float(np.trapezoid(dist.density * dist.q ** 2, dist.q))
+        assert mean_transfer(dist) == mean
+        assert transfer_variance(dist) == second - mean ** 2
+
     def test_sharp_cutoff_approaches_full_variance(self):
         dist = gaussian_dist(mu=0.0, sigma=1.5)
         # for a centred Gaussian the second moment inside +-q_max grows

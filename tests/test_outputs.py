@@ -23,7 +23,7 @@ def _table(data, units=None):
     data = np.asarray(data, dtype=float)
     cols = data.shape[1]
     names = tuple((f"c{k}", units or "1") for k in range(cols))
-    return Table("t", names, data)
+    return Table(names, data)
 
 
 def assert_matches_oracle(table):

@@ -1,16 +1,20 @@
 """Pointer emulation: rank-2 intensity algebra and estimator convergence."""
 
+import math
+
 import numpy as np
 import pytest
 
 from weakslit import (ConfigError, ConvergenceReport, PointerSpec,
-                      WindowRangeError, build_double_slit, classical_kick,
-                      conditional_wvp, convergence_sweep, estimate_wvp,
-                      identity_channel, make_grid, momentum_distribution,
-                      run_tagged, scully_wwm)
+                      SlitGeometry, WindowRangeError, build_double_slit,
+                      classical_kick, conditional_wvp, convergence_sweep,
+                      estimate_wvp, from_dict, identity_channel, make_grid,
+                      momentum_distribution, run, run_tagged, scully_wwm)
 
 from conftest import WINDOW_WIDTH
-from oracles import loop_convergence_sweep, ygrid_pointer_stats
+from oracles import (_row_sums, dense_pointer_stacks, loop_convergence_sweep,
+                     stack_convergence_sweep, stack_run_tagged,
+                     ygrid_pointer_stats)
 
 
 @pytest.fixture
@@ -79,8 +83,9 @@ class TestMarginal:
         ch = classical_kick([(12.0 * grid.dp, 0.4), (-6.0 * grid.dp, 0.6)],
                             grid)
         imap = run_tagged(smooth_state, ch, spec)
+        stacks = stack_run_tagged(smooth_state, ch, spec)
         dens = np.zeros(grid.n_points)
-        for amps in (np.abs(imap.untagged) ** 2, np.abs(imap.tagged) ** 2):
+        for amps in (np.abs(stacks.untagged) ** 2, np.abs(stacks.tagged) ** 2):
             dens += np.sum(amps, axis=0)
         # disjoint momentum supports within each sector: no cross term
         np.testing.assert_allclose(imap.marginal(), dens,
@@ -102,10 +107,14 @@ class TestAgainstYGridQuadrature:
     """The closed-form Gaussian integrals vs brute-force y sampling."""
 
     def test_marginal_and_centroid(self, geom, dense_grid, spec):
+        """The whole pointer path: the y integrals and the J, P and T they
+        read, against stacks built with dense transform matrices."""
         state = build_double_slit(geom, dense_grid)
         ch = scully_wwm(dense_grid)
         imap = run_tagged(state, ch, spec)
-        marg_o, cent_o = ygrid_pointer_stats(imap)
+        untagged, tagged = dense_pointer_stacks(state, ch, spec.window())
+        marg_o, cent_o = ygrid_pointer_stats(untagged, tagged, spec.sigma,
+                                             spec.displacement)
         np.testing.assert_allclose(imap.marginal(), marg_o,
                                    atol=1e-8 * marg_o.max())
         cent = imap.centroid()
@@ -159,3 +168,83 @@ class TestEstimator:
     def test_report_slope_between_any_entries(self):
         report = ConvergenceReport((0.1, 0.01), (1e-2, 1e-4))
         assert report.slope(0, 1) == pytest.approx(2.0, rel=1e-12)
+
+
+class TestAgainstAmplitudeStacks:
+    """J, P and T against the complex (rows, n) stacks they replace.
+
+    Worst values seen over these cases: marginal 9.3e-16 of its maximum,
+    centroid 5.4e-13 of D (at samples just above the definedness
+    threshold), sweep errors 1.6e-13.
+    """
+
+    @pytest.mark.parametrize("n_points, extent", [(256, 16.0), (4096, 64.0)])
+    @pytest.mark.parametrize("edge", ["sharp", "gaussian_smoothed"])
+    @pytest.mark.parametrize("channel", ["identity", "scully", "kick"])
+    def test_marginal_centroid_and_sweep(self, spec, n_points, extent, edge,
+                                         channel):
+        grid = make_grid(n_points, extent)
+        state = build_double_slit(SlitGeometry(0.5, 1.0, edge), grid)
+        ch = {"identity": identity_channel, "scully": scully_wwm,
+              "kick": lambda g: classical_kick([(0.7, 0.4), (-1.3, 0.6)],
+                                               g)}[channel](grid)
+        for ratio in (1.0, spec.ratio, 1e-3):
+            pointer = spec.at_ratio(ratio)
+            imap = run_tagged(state, ch, pointer)
+            stacks = stack_run_tagged(state, ch, pointer)
+            marg, marg_o = imap.marginal(), stacks.marginal()
+            assert np.max(np.abs(marg - marg_o)) <= 1e-14 * marg_o.max()
+            cent, cent_o = imap.centroid(), stacks.centroid()
+            ok = np.isfinite(cent_o)
+            np.testing.assert_array_equal(np.isfinite(cent), ok)
+            assert (np.max(np.abs(cent[ok] - cent_o[ok]))
+                    <= 5e-12 * pointer.displacement)
+        ratios = [1.0, 0.3, 0.139, 0.05, 0.01, 0.001, 1e-6]
+        report = convergence_sweep(state, ch, spec, ratios)
+        ratios_o, errors_o = stack_convergence_sweep(state, ch, spec, ratios)
+        assert report.ratios == ratios_o
+        np.testing.assert_allclose(report.errors, errors_o, rtol=0.0,
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("channel", ["scully", "kick"])
+    def test_strong_limit_is_the_tagged_fraction(self, slit_state, grid,
+                                                 spec, channel):
+        """With c = 0 the estimate is T / (P - 2 (J - T)), the tagged
+        fraction sum |t|^2 / sum (|u|^2 + |t|^2) of the stacks (worst
+        difference seen 2.1e-14)."""
+        ch = (scully_wwm(grid) if channel == "scully"
+              else classical_kick([(0.7, 0.4), (-1.3, 0.6)], grid))
+        strong = spec.at_ratio(100.0)
+        imap = run_tagged(slit_state, ch, strong)
+        assert imap.overlap == 0.0
+        est = estimate_wvp(imap)
+        stacks = stack_run_tagged(slit_state, ch, strong)
+        _, tagged_w, squares = _row_sums(stacks.untagged, stacks.tagged)
+        ok = squares > 1e-6 * squares.max()
+        np.testing.assert_array_equal(est.defined, ok)
+        np.testing.assert_allclose(est.values[ok],
+                                   tagged_w[ok] / squares[ok],
+                                   rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("command, rows", [
+    ("wvp", 12), ("eraser", 8), ("pointer", 8), ("sweep", 8)])
+def test_one_projection_and_one_channel_pass(monkeypatch, command, rows):
+    """FFT rows per command at 1,024 points on the paper scenario: the
+    pointer and the sweep take one window projection and one channel
+    pass, as the eraser does."""
+    config = from_dict({"channel": {"kind": "scully"},
+                        "grid": {"n_points": 1024}})
+    counted = []
+
+    def counting(fn):
+        def wrapper(a, *args, axis=-1, **kwargs):
+            shape = np.shape(a)
+            counted.append(math.prod(shape) // shape[axis])
+            return fn(a, *args, axis=axis, **kwargs)
+        return wrapper
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+    run(config, command)
+    assert sum(counted) == rows

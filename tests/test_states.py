@@ -8,6 +8,7 @@ import pytest
 
 from weakslit import (GeometryError, ResolutionError, SlitGeometry,
                       build_double_slit, build_momentum_peak, make_grid)
+from weakslit.states import EDGE_MARGIN
 
 from oracles import double_slit_momentum_amplitude
 
@@ -113,6 +114,19 @@ def test_slits_between_samples_are_refused(geom):
     coarse = make_grid(1024, 1024.0)
     with pytest.raises(GeometryError, match="no sample"):
         build_double_slit(geom, coarse)
+
+
+def test_smoothed_tails_must_not_wrap_around_the_grid(grid):
+    """An erf tail reaching the periodic boundary wraps onto the far end:
+    refused.  Edge scales up to width * 5 leave exact zeros there."""
+    for scale in (5e-5, 0.05, 0.5, 2.5):
+        state = build_double_slit(
+            SlitGeometry(0.5, 1.0, "gaussian_smoothed", scale), grid)
+        amp = state.amps[0]
+        assert not amp[:EDGE_MARGIN].any() and not amp[-EDGE_MARGIN:].any()
+    with pytest.raises(GeometryError, match="wrap around"):
+        build_double_slit(
+            SlitGeometry(0.5, 1.0, "gaussian_smoothed", 12.5), grid)
 
 
 def test_smoothed_slits_suppress_spectral_tails(slit_state, smooth_state, grid):
