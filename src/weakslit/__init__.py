@@ -20,7 +20,7 @@ from .channels import (Branch, MeasurementChannel, classical_kick,
 from .weak_values import (MomentumWindow, TransferDistribution, WvpCurve,
                           conditional_wvp, eraser_curves, joint_wvp,
                           momentum_distribution, transfer_distribution,
-                          window_mask, window_project)
+                          window_mask)
 from .moments import (ApodizationReport, RegularizationSpec,
                       apodization_sweep, apodized_variance, mean_transfer,
                       moment_change, sharp_cutoff_variance, transfer_variance,
@@ -49,7 +49,7 @@ __all__ = [
     "MomentumWindow", "WvpCurve", "TransferDistribution", "joint_wvp",
     "conditional_wvp", "eraser_curves", "momentum_distribution",
     "transfer_distribution",
-    "window_mask", "window_project",
+    "window_mask",
     # moments and regularization
     "RegularizationSpec", "ApodizationReport", "mean_transfer",
     "transfer_variance", "sharp_cutoff_variance", "apodized_variance",

@@ -1,8 +1,6 @@
 """Allow ``python -m weakslit``."""
 
-import sys
-
-from .cli import main
+from .cli import console_entry
 
 if __name__ == "__main__":
-    sys.exit(main())
+    console_entry()

@@ -306,8 +306,10 @@ def _run_sweep(scene: _Scene) -> ResultBundle:
     bundle.summary = {
         "ratios": list(report.ratios),
         "errors": list(report.errors),
-        "slope_smallest_pair": report.slope(),
+        "slope_smallest_pair": report.slope_smallest_pair,
         "monotone_decreasing": report.monotone_decreasing,
+        "roundoff_floor": {"error": report.floor,
+                           "ratios_under": report.under_floor},
     }
     bundle.figures.append(Figure(
         "sweep",

@@ -48,7 +48,6 @@ __all__ = [
     "WvpCurve",
     "TransferDistribution",
     "window_mask",
-    "window_project",
     "joint_wvp",
     "conditional_wvp",
     "eraser_curves",
@@ -177,7 +176,7 @@ def window_mask(grid: SimGrid, window: MomentumWindow) -> np.ndarray:
     return _indicator(grid, *window.bounds)
 
 
-def window_project(state: TransverseState, window: MomentumWindow) -> TransverseState:
+def _window_project(state: TransverseState, window: MomentumWindow) -> TransverseState:
     """Project the state onto one momentum window (unnormalised result).
 
     Refuses windows narrower than two bins (:class:`ResolutionError`)
@@ -290,7 +289,7 @@ def eraser_curves(state: TransverseState, ch: MeasurementChannel,
     for eraser in erasers:
         _check_eraser(eraser)
     psi_sums = _sector_momentum_sums(state, ch)
-    chi_sums = _sector_momentum_sums(window_project(state, window), ch)
+    chi_sums = _sector_momentum_sums(_window_project(state, window), ch)
     curves = {}
     for eraser in erasers:
         psi_erased = [_eraser_project(s, eraser) for s in psi_sums]

@@ -7,6 +7,11 @@ acceptance tests build their own grids at the sizes their runtimes are
 specified for.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +23,22 @@ from weakslit import (LabFrame, MomentumWindow, SlitGeometry,
 BENCH_LAB = LabFrame(wavelength=633e-9, focal_length=1.0,
                      slit_separation=80e-6)
 WINDOW_WIDTH = float(BENCH_LAB.momentum_from_position(1.77e-3))
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(*args, **kwargs) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a child process that imports this checkout.
+
+    ``src/`` goes first on the child's ``PYTHONPATH``, so the child finds
+    the package whether or not it is installed.  stdout and stderr are
+    piped and returned as text.
+    """
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path),
+                          **kwargs)
 
 
 @pytest.fixture(scope="session")

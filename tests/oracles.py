@@ -28,8 +28,8 @@ from weakslit.errors import CoverageWarning
 from weakslit.weak_values import (COVERAGE_MIN, EPS_DEN_FRACTION,
                                   _check_eraser, _check_width, _density,
                                   _joint, _sector_momentum_sums,
-                                  _tiling_indices, window_mask,
-                                  window_project)
+                                  _tiling_indices, _window_project,
+                                  window_mask)
 
 ROOT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -190,7 +190,7 @@ def loop_conditional_wvp(state, ch, window, eraser="none"):
     """
     _check_eraser(eraser)
     psi_erased = _sector_momentum_sums(state, ch, eraser)
-    chi = window_project(state, window)
+    chi = _window_project(state, window)
     j = _joint(_sector_momentum_sums(chi, ch, eraser), psi_erased)
     dens = _density(psi_erased)
     defined = dens > EPS_DEN_FRACTION * dens.max()
@@ -244,6 +244,13 @@ def _row_sums(untagged: np.ndarray, tagged: np.ndarray) -> tuple:
     return cross, tagged_w, squares
 
 
+def pointer_centroid(imap) -> np.ndarray:
+    """Mean vertical displacement d(p_f) of an ``IntensityMap``: D times
+    the estimate; NaN where the intensity vanishes.  Only the tests read
+    it, so it lives here rather than on ``IntensityMap``."""
+    return imap.displacement * estimate_wvp(imap).values
+
+
 def _centroid(sums: tuple, displacement: float, overlap: float) -> np.ndarray:
     """Mean vertical displacement from :func:`_row_sums`; NaN where the
     y-integrated intensity is below the definedness threshold."""
@@ -276,7 +283,7 @@ class StackMap:
     @property
     def overlap(self) -> float:
         """<G_0|G_D> = exp(-D^2 / (2 sigma^2))."""
-        return _overlap(self.displacement, self.sigma)
+        return _overlap(self.displacement, self.sigma)[0]
 
     def marginal(self) -> np.ndarray:
         """y-integrated intensity per p_f sample."""
@@ -300,7 +307,7 @@ def stack_run_tagged(state, ch, pointer) -> StackMap:
     """
     window = pointer.window()
     grid = state.grid
-    proj = window_project(state, window)
+    proj = _window_project(state, window)
     rest = TransverseState(grid, state.amps - proj.amps, state.sharp_edges)
     tagged = np.concatenate(_sector_momentum_sums(proj, ch), axis=0)
     untagged = np.concatenate(_sector_momentum_sums(rest, ch), axis=0)
@@ -321,7 +328,7 @@ def stack_convergence_sweep(state, ch, pointer, ratios):
     errors = []
     for ratio in ratios:
         d = pointer.at_ratio(ratio).displacement
-        values = _centroid(sums, d, _overlap(d, pointer.sigma)) / d
+        values = _centroid(sums, d, _overlap(d, pointer.sigma)[0]) / d
         both = analytic.defined & np.isfinite(values)
         errors.append(float(np.max(np.abs(values[both]
                                           - analytic.values[both]))))

@@ -1,8 +1,9 @@
 """Config schema, layering, hashing, and the command-line front end."""
 
+import io
 import json
 import math
-import subprocess
+import os
 import sys
 import xml.etree.ElementTree as ET
 
@@ -10,8 +11,10 @@ import numpy as np
 import pytest
 
 from weakslit import ConfigError, PRESETS, from_dict, parse_config
-from weakslit.cli import main
+from weakslit.cli import console_entry, main
 from weakslit.config import DEFAULTS, merge, parse_override
+
+from conftest import run_python
 
 TWO_PI = 2.0 * math.pi
 
@@ -239,11 +242,19 @@ class TestCliRuns:
         assert summary["summary"]["window_index"] == -1
 
     def test_module_entry_point(self, tmp_path):
-        proc = subprocess.run(
-            [sys.executable, "-m", "weakslit", "wvp",
-             "--out", str(tmp_path / "m")] + FAST,
-            capture_output=True, text=True)
+        """``python -m weakslit`` prints every file it wrote and writes
+        the same bytes as an in-process ``main``."""
+        args = ["pointer", "--preset", "paper"] + FAST
+        out, ref = tmp_path / "m", tmp_path / "ref"
+        proc = run_python("-m", "weakslit", *args, "--out", str(out))
         assert proc.returncode == 0, proc.stderr
+        names = sorted(p.name for p in out.iterdir())
+        assert sorted(proc.stdout.splitlines()) \
+            == sorted(str(out / n) for n in names)
+        assert main(args + ["--out", str(ref)]) == 0
+        assert names == sorted(p.name for p in ref.iterdir())
+        for name in names:
+            assert (out / name).read_bytes() == (ref / name).read_bytes()
 
 
 class TestCliExitCodes:
@@ -371,3 +382,73 @@ class TestCliExitCodes:
             main(["wvp", "--preset", "imaginary",
                   "--out", str(tmp_path / "x")])
         assert excinfo.value.code == 2
+
+
+class TestConsoleEntry:
+    """``console_entry`` ends the process with ``os._exit`` once stdout
+    and stderr are flushed; exit codes and messages are those of
+    ``main``."""
+
+    @pytest.mark.parametrize("args, code, message", [
+        (["wvp", "--set", "grid.n_points=3"], 2, "config error: "),
+        (["wvp", "--preset", "paper", "--set", "windows.focus_index=100000"]
+         + FAST, 3, "numeric error: "),
+        (["wvp", "--config", "absent.json"], 4, "i/o error: "),
+    ])
+    def test_exit_codes_through_the_module(self, tmp_path, args, code,
+                                           message):
+        proc = run_python("-m", "weakslit", *args, "--out", "x",
+                          cwd=tmp_path)
+        assert proc.returncode == code
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(message)
+        assert "Traceback" not in proc.stderr
+
+    def test_module_skips_interpreter_finalization(self, tmp_path):
+        """No atexit handler runs: the process ends in ``os._exit``."""
+        argv = ["weakslit", "wvp", "--out", str(tmp_path / "x")] + FAST
+        code = ("import atexit, runpy, sys; "
+                "atexit.register(print, 'finalized'); "
+                f"sys.argv = {argv!r}; "
+                "runpy.run_module('weakslit', run_name='__main__')")
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith("wvp.svg\n")
+        assert "finalized" not in proc.stdout
+
+    def test_coverage_warning_reaches_stderr(self, tmp_path):
+        proc = run_python("-m", "weakslit", "transfer", "--preset", "paper",
+                          "--out", str(tmp_path / "t"), *FAST)
+        assert proc.returncode == 0, proc.stderr
+        assert "CoverageWarning: window tiling covers" in proc.stderr
+
+    def test_exits_with_the_code_main_returns(self, tmp_path, monkeypatch):
+        codes = []
+        monkeypatch.setattr(os, "_exit", codes.append)
+        assert main(["wvp", "--out", str(tmp_path / "a")] + FAST) == 0
+        assert codes == []
+        console_entry(["wvp", "--set", "grid.n_points=3",
+                       "--out", str(tmp_path / "b")])
+        assert codes == [2]
+
+    def test_failing_flush_exits_4(self, tmp_path, monkeypatch, capsys):
+        class ClosedPipe(io.StringIO):
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        codes = []
+        monkeypatch.setattr(os, "_exit", codes.append)
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        console_entry(["wvp", "--out", str(tmp_path / "x")] + FAST)
+        assert codes == [4]
+        assert "i/o error: cannot flush output" in capsys.readouterr().err
+
+    def test_unbuffered_closed_stdout_is_an_io_error(self, tmp_path,
+                                                     monkeypatch, capsys):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["wvp", "--out", str(tmp_path / "x")] + FAST) == 4
+        assert "i/o error: " in capsys.readouterr().err

@@ -1,20 +1,27 @@
-"""Property: ``from_dict`` builds a scenario or raises ``ConfigError``.
+"""Properties: ``from_dict`` builds a scenario or raises ``ConfigError``,
+and ``cli.main`` returns one of the documented exit codes.
 
 Random leaves of ``DEFAULTS`` are replaced by wrong types, bools, NaN,
 +-inf, zero, negatives, tiny and huge finite numbers, and empty and
 one-element lists.  Whatever they hold, the one validation path either
 returns a built scenario or refuses it with a ``ConfigError``; nothing
-else may escape.  ``grid.n_points`` is kept at most 2^12 when it is an
+else may escape.  The same values, given as ``--set`` overrides to any
+command with and without ``--preset``, make the command line exit 0, 2,
+3 or 4, never 1.  ``grid.n_points`` is kept at most 2^12 when it is an
 integer, so that every accepted scenario builds quickly.
 """
 
+import json
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakslit import ConfigError, from_dict
+from weakslit.cli import main
 from weakslit.config import DEFAULTS
+from weakslit.runner import COMMANDS
 
 MAX_TEST_POINTS = 2 ** 12
 
@@ -58,11 +65,16 @@ VALUES = st.one_of(
 )
 
 
+def _bounded(path: tuple, value):
+    if path == ("grid", "n_points") and type(value) is int:
+        return min(value, MAX_TEST_POINTS)
+    return value
+
+
 def _overrides(replacements: dict) -> dict:
     out: dict = {}
     for path, value in replacements.items():
-        if path == ("grid", "n_points") and type(value) is int:
-            value = min(value, MAX_TEST_POINTS)
+        value = _bounded(path, value)
         node = out
         for key in path[:-1]:
             node = node.setdefault(key, {})
@@ -83,3 +95,62 @@ def test_from_dict_builds_or_raises_config_error(replacements):
         return
     assert config.state.grid is config.grid
     assert config.channel.grid is config.grid
+
+
+def _assignment(path: tuple, value) -> str:
+    return ".".join(path) + "=" + json.dumps(_bounded(path, value))
+
+
+def _bare(path: tuple, text: str) -> str:
+    return ".".join(path) + "=" + text
+
+
+def _scaled(path: tuple, scale: float) -> str:
+    """An assignment of the default at *path* with every number times
+    *scale*; integers stay integers."""
+    def scaled(value):
+        if isinstance(value, list):
+            return [scaled(v) for v in value]
+        if type(value) is int:
+            return int(value * scale)
+        return value * scale if type(value) is float else value
+    node = DEFAULTS
+    for key in path:
+        node = node[key]
+    return _assignment(path, scaled(node))
+
+
+SCALES = st.sampled_from([-1.0, 0.0, 1e-300, 1e-12, 1e-3, 0.5, 1.0, 2.0,
+                          1e3, 1e12, 1e300])
+
+# --set values as JSON (NaN and +-Infinity included), as bare strings
+# that are not JSON, the defaults at extreme scales (twice: they get
+# past validation most often), and assignments with no known key or
+# no "=".
+ASSIGNMENTS = st.one_of(
+    st.builds(_assignment, st.sampled_from(LEAVES), VALUES),
+    st.builds(_scaled, st.sampled_from(LEAVES), SCALES),
+    st.builds(_scaled, st.sampled_from(LEAVES), SCALES),
+    st.builds(_bare, st.sampled_from(LEAVES), st.text(max_size=3)),
+    st.sampled_from(["nope.key=1", "grid=3", "no-equals", "=1"]),
+)
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli-property")
+
+
+@pytest.mark.filterwarnings("ignore::weakslit.errors.CoverageWarning")
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(command=st.sampled_from(sorted(COMMANDS)), preset=st.booleans(),
+       assignments=st.lists(ASSIGNMENTS, max_size=4))
+def test_cli_exits_with_a_documented_code(out_dir, command, preset,
+                                          assignments):
+    # the defaults' 2^14 grid would make every accepted example slow
+    argv = [command, "--out", str(out_dir), "--set", "grid.n_points=1024"]
+    if preset:
+        argv += ["--preset", "paper"]
+    for assignment in assignments:
+        argv += ["--set", assignment]
+    assert main(argv) in (0, 2, 3, 4)

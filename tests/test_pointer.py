@@ -5,16 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from weakslit import (ConfigError, ConvergenceReport, PointerSpec,
-                      SlitGeometry, WindowRangeError, build_double_slit,
-                      classical_kick, conditional_wvp, convergence_sweep,
-                      estimate_wvp, from_dict, identity_channel, make_grid,
-                      momentum_distribution, run, run_tagged, scully_wwm)
+from weakslit import (ConfigError, ConvergenceReport, IntensityMap,
+                      PointerSpec, SlitGeometry, WindowRangeError, WvpCurve,
+                      build_double_slit, classical_kick, conditional_wvp,
+                      convergence_sweep, estimate_wvp, from_dict,
+                      identity_channel, make_grid, momentum_distribution, run,
+                      run_tagged, scully_wwm)
 
 from conftest import WINDOW_WIDTH
 from oracles import (_row_sums, dense_pointer_stacks, loop_convergence_sweep,
-                     stack_convergence_sweep, stack_run_tagged,
-                     ygrid_pointer_stats)
+                     pointer_centroid, stack_convergence_sweep,
+                     stack_run_tagged, ygrid_pointer_stats)
 
 
 @pytest.fixture
@@ -117,7 +118,7 @@ class TestAgainstYGridQuadrature:
                                              spec.displacement)
         np.testing.assert_allclose(imap.marginal(), marg_o,
                                    atol=1e-8 * marg_o.max())
-        cent = imap.centroid()
+        cent = pointer_centroid(imap)
         both = np.isfinite(cent) & np.isfinite(cent_o)
         np.testing.assert_allclose(cent[both], cent_o[both],
                                    atol=1e-8 * spec.displacement)
@@ -136,6 +137,22 @@ class TestAgainstYGridQuadrature:
         imap.sigma, imap.displacement = sigma, displacement
         assert imap.overlap == expected
         assert np.all(np.isfinite(imap.marginal()))
+
+
+    @pytest.mark.parametrize("ratio", [1e-3, 1e-5, 1e-8])
+    def test_one_minus_overlap_is_exact_at_small_ratios(self, spec, ratio):
+        """With P = 0 and J - T = -1/2 the marginal is 1 - c itself.  It
+        must match 1 - exp(-r^2/2) = r^2/2 - r^4/8 + r^6/48 (the next
+        term is below 1e-20 relative here); ``1.0 - c`` is off by about
+        eps / (r^2/2) relative: 1.2e-10 at r = 1e-3, 8.3e-8 at 1e-5."""
+        zeros = np.zeros(3)
+        curve = WvpCurve(zeros, zeros, np.ones(3, bool), spec.window(),
+                         "none", joint=zeros, density=zeros,
+                         strong=np.full(3, 0.5))
+        imap = IntensityMap(curve, 1.0, ratio, ratio)
+        series = ratio ** 2 / 2 - ratio ** 4 / 8 + ratio ** 6 / 48
+        np.testing.assert_allclose(imap.marginal(), series, rtol=1e-15,
+                                   atol=0.0)
 
 
 class TestEstimator:
@@ -166,8 +183,37 @@ class TestEstimator:
                 state, ch, spec, ratios)
 
     def test_report_slope_between_any_entries(self):
-        report = ConvergenceReport((0.1, 0.01), (1e-2, 1e-4))
+        report = ConvergenceReport((0.1, 0.01), (1e-2, 1e-4), 0.0)
         assert report.slope(0, 1) == pytest.approx(2.0, rel=1e-12)
+
+    def test_errors_at_or_below_the_floor_count_as_exact(self):
+        ratios = (1.0, 0.3, 0.1, 0.01, 0.001)
+        report = ConvergenceReport(ratios, (1e-2, 1e-3, 1e-4, 1e-15, 5e-16),
+                                   1e-15)
+        assert report.under_floor == 2
+        assert report.monotone_decreasing
+        assert report.slope_smallest_pair == report.slope(1, 2)
+        assert ConvergenceReport(ratios[:2], (1e-2, 1e-15),
+                                 1e-15).slope_smallest_pair is None
+        assert not ConvergenceReport(ratios[:2], (1e-2, 1e-1),
+                                     1e-15).monotone_decreasing
+
+    def test_identity_sweep_is_all_round_off(self, tmp_path):
+        """The estimator is exact on the identity channel: no error is
+        above the floor, so the summary states no slope."""
+        config = from_dict({"grid": {"n_points": 1024}})
+        summary = run(config, "sweep").summary
+        assert summary["roundoff_floor"]["ratios_under"] == 5
+        assert summary["slope_smallest_pair"] is None
+        assert summary["monotone_decreasing"] is True
+        assert max(summary["errors"]) <= summary["roundoff_floor"]["error"]
+
+    def test_scully_sweep_is_above_the_floor(self, slit_state, wwm, spec):
+        report = convergence_sweep(slit_state, wwm, spec,
+                                   [0.3, 0.139, 0.05, 0.01, 0.001])
+        assert report.under_floor == 0
+        assert report.slope_smallest_pair == report.slope()
+        assert 0.0 < report.floor < 1e-13
 
 
 class TestAgainstAmplitudeStacks:
@@ -194,7 +240,7 @@ class TestAgainstAmplitudeStacks:
             stacks = stack_run_tagged(state, ch, pointer)
             marg, marg_o = imap.marginal(), stacks.marginal()
             assert np.max(np.abs(marg - marg_o)) <= 1e-14 * marg_o.max()
-            cent, cent_o = imap.centroid(), stacks.centroid()
+            cent, cent_o = pointer_centroid(imap), stacks.centroid()
             ok = np.isfinite(cent_o)
             np.testing.assert_array_equal(np.isfinite(cent), ok)
             assert (np.max(np.abs(cent[ok] - cent_o[ok]))

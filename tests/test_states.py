@@ -1,8 +1,5 @@
 """Aperture states: geometry validation, normalisation, closed-form spectra."""
 
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -10,6 +7,7 @@ from weakslit import (GeometryError, ResolutionError, SlitGeometry,
                       build_double_slit, build_momentum_peak, make_grid)
 from weakslit.states import EDGE_MARGIN
 
+from conftest import run_python
 from oracles import double_slit_momentum_amplitude
 
 
@@ -156,8 +154,7 @@ def test_smoothed_edges_match_scipy_erf(smooth_geom, grid):
 
 def test_import_leaves_scipy_out():
     code = "import sys, weakslit; print('scipy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True)
+    proc = run_python("-c", code, check=True)
     assert proc.stdout.strip() == "False"
 
 

@@ -15,8 +15,8 @@ from weakslit import (ConfigError, CoverageWarning, GridMismatchError,
                       build_double_slit, classical_kick, conditional_wvp,
                       eraser_curves, identity_channel, joint_wvp, make_grid,
                       momentum_distribution, scully_wwm,
-                      transfer_distribution, window_mask, window_project)
-from weakslit.weak_values import ERASERS, _tiling_weights
+                      transfer_distribution, window_mask)
+from weakslit.weak_values import ERASERS, _tiling_weights, _window_project
 
 from conftest import WINDOW_WIDTH
 from oracles import (dense_conditional, dense_joint, dense_transfer,
@@ -51,7 +51,7 @@ class TestWindowAlgebra:
         np.testing.assert_array_equal(mask[k0 - 7:k0 + 8], 1.0)
 
     def test_project_keeps_window_mass_only(self, slit_state, focus_window):
-        proj = window_project(slit_state, focus_window)
+        proj = _window_project(slit_state, focus_window)
         mask = window_mask(slit_state.grid, focus_window)
         h_t, _ = slit_state.momentum_amplitudes()
         expected = float(np.sum(mask * np.abs(h_t) ** 2) * slit_state.grid.dp)
@@ -59,13 +59,13 @@ class TestWindowAlgebra:
         assert proj.norm_sq() < 1.0
 
     def test_project_is_idempotent_off_lattice(self, slit_state, focus_window):
-        once = window_project(slit_state, focus_window)
-        twice = window_project(once, focus_window)
+        once = _window_project(slit_state, focus_window)
+        twice = _window_project(once, focus_window)
         np.testing.assert_allclose(twice.amps, once.amps, atol=1e-13)
 
     def test_project_rejects_unresolvable_window(self, slit_state, grid):
         with pytest.raises(ResolutionError):
-            window_project(slit_state, MomentumWindow(0, 1.9 * grid.dp))
+            _window_project(slit_state, MomentumWindow(0, 1.9 * grid.dp))
 
     @pytest.mark.parametrize("bins", [None, 14.0])
     def test_tiling_weights_reproduce_window_mask(self, grid, bins):
