@@ -7,6 +7,8 @@ byte-identical files — so output directories diff cleanly.
 import json
 from pathlib import Path
 
+import numpy as np
+
 from .errors import OutputError
 from .runner import ResultBundle
 from .svg import render_plot
@@ -14,28 +16,28 @@ from .svg import render_plot
 __all__ = ["emit_outputs"]
 
 
-#: Rows formatted by one ``%`` operation.  The bound keeps the argument
-#: tuple small: one tuple for a whole 2^16-row table raises peak memory.
+#: Rows formatted by one ``%`` operation and written at once.  The bound
+#: keeps the argument tuple and the text in memory at one block, whatever
+#: the table's length.
 _BLOCK_ROWS = 4096
 
 
-def _table_csv(table) -> str:
-    """The table as CSV text: a header, then one line per row.
+def _table_csv(table):
+    """Yield the table as CSV text: the header line, then one block of
+    rows at a time.
 
     Every number is printed as ``%.12g``, which spells undefined samples
-    ``nan`` and infinities ``inf``/``-inf``.  Each block of rows is one
-    ``%`` operation on a repeated row template, so formatting costs no
-    Python call per value.
+    ``nan`` and infinities ``inf``/``-inf``; a bool column reads 0/1.
+    Each block stacks only its own slice of the columns and is one ``%``
+    operation on a repeated row template, so formatting costs no Python
+    call per value.
     """
-    header = ",".join(f"{name} [{unit}]" for name, unit in table.columns)
-    data = table.data
-    row = ",".join(["%.12g"] * data.shape[1])
-    parts = [header]
-    for start in range(0, len(data), _BLOCK_ROWS):
-        block = data[start:start + _BLOCK_ROWS]
-        parts.append("\n".join([row] * len(block))
-                     % tuple(block.ravel().tolist()))
-    return "\n".join(parts) + "\n"
+    yield ",".join(f"{name} [{unit}]" for name, unit in table.columns) + "\n"
+    row = ",".join(["%.12g"] * len(table.data)) + "\n"
+    for start in range(0, len(table.data[0]), _BLOCK_ROWS):
+        block = np.column_stack([c[start:start + _BLOCK_ROWS]
+                                 for c in table.data])
+        yield row * len(block) % tuple(block.ravel().tolist())
 
 
 def _json_ready(obj):
@@ -49,9 +51,11 @@ def _json_ready(obj):
     return obj
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write(path: Path, chunks) -> None:
+    """Write the strings of *chunks* to *path* one after another."""
     try:
-        path.write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(chunks)
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc}") from exc
 
@@ -67,7 +71,7 @@ def emit_outputs(bundle: ResultBundle, out_dir) -> list:
     written = []
     for name, table in sorted(bundle.tables.items()):
         path = root / f"{name}.csv"
-        _write_text(path, _table_csv(table))
+        _write(path, _table_csv(table))
         written.append(path)
 
     summary_doc = {
@@ -76,13 +80,13 @@ def emit_outputs(bundle: ResultBundle, out_dir) -> list:
         "provenance": _json_ready(bundle.provenance),
     }
     path = root / "summary.json"
-    _write_text(path, json.dumps(summary_doc, sort_keys=True, indent=2) + "\n")
+    _write(path, (json.dumps(summary_doc, sort_keys=True, indent=2), "\n"))
     written.append(path)
 
     for fig in bundle.figures:
         path = root / f"{fig.name}.svg"
-        _write_text(path, render_plot(
+        _write(path, (render_plot(
             fig.series, title=fig.title, xlabel=fig.xlabel, ylabel=fig.ylabel,
-            x2label=fig.x2label, x2scale=fig.x2scale))
+            x2label=fig.x2label, x2scale=fig.x2scale),))
         written.append(path)
     return written

@@ -165,10 +165,14 @@ def estimate_wvp(imap: IntensityMap) -> WvpCurve:
                     imap.analytic.window, "none")
 
 
-#: The sweep's round-off floor in units of eps * max |analytic|.  Where
-#: the estimator is exact (the identity channel) its errors are 1 - c
-#: times the round-off of J - T: up to 15 eps * max |analytic| at
-#: D/sigma = 0.3, sharp and smoothed slits on 2^10 to 2^16 points.
+#: The sweep's round-off floors in units of eps.  The estimator's error
+#: is (1 - c)(J - T)(2J - P) / (P * marginal), plus the rounding of the
+#: two quotients.  Where the estimator is exact (J = T: the identity
+#: channel, kicks on the momentum lattice) J - T is the FFTs' round-off,
+#: about eps * sqrt(max P) (sqrt P + sqrt T), and the errors stay below
+#: 0.08 of the floor (sharp and smoothed slits, 2^10 to 2^16 points,
+#: D/sigma 1e-5 to 1); the Scully marker's and two off-lattice kicks'
+#: are 950 times the floor or more.
 ROUNDOFF_EPS = 32
 
 
@@ -176,14 +180,14 @@ ROUNDOFF_EPS = 32
 class ConvergenceReport:
     """Max-abs estimator error against the analytic curve, per ratio.
 
-    An error at or below ``floor``, the round-off floor, counts as
-    exact: :attr:`monotone_decreasing` and :attr:`slope_smallest_pair`
-    read only the errors above it.
+    An error at or below its ratio's entry of ``floors``, the round-off
+    floors, counts as exact: :attr:`monotone_decreasing` and
+    :attr:`slope_smallest_pair` read only the errors above them.
     """
 
     ratios: tuple[float, ...]
     errors: tuple[float, ...]
-    floor: float
+    floors: tuple[float, ...]
 
     def slope(self, i: int = -2, j: int = -1) -> float:
         """log-log convergence order between two sweep entries."""
@@ -191,11 +195,12 @@ class ConvergenceReport:
                      / np.log(self.ratios[i] / self.ratios[j]))
 
     def _above_floor(self) -> list[int]:
-        return [k for k, e in enumerate(self.errors) if e > self.floor]
+        return [k for k, (e, f) in enumerate(zip(self.errors, self.floors))
+                if e > f]
 
     @property
     def under_floor(self) -> int:
-        """How many errors are at or below the floor."""
+        """How many errors are at or below their floor."""
         return len(self.errors) - len(self._above_floor())
 
     @property
@@ -212,26 +217,40 @@ class ConvergenceReport:
         return self.slope(*above[-2:]) if len(above) >= 2 else None
 
 
+def _roundoff_scales(curve: WvpCurve) -> tuple[float, float]:
+    """The floor's two scales over the defined samples: max |J/P|, and
+    the largest round-off of J - T over eps, sqrt(max P)(sqrt P + sqrt T),
+    times |2J - P| / P^2."""
+    ok = curve.defined
+    j, p, t = curve.joint[ok], curve.density[ok], curve.strong[ok]
+    noise = np.sqrt(curve.density.max()) * (np.sqrt(p) + np.sqrt(t))
+    return (float(np.max(np.abs(curve.values[ok]))),
+            float(np.max(noise * np.abs(2.0 * j - p) / (p * p))))
+
+
 def convergence_sweep(state: TransverseState, ch: MeasurementChannel,
                       pointer: PointerSpec, ratios) -> ConvergenceReport:
     """Estimator error for each weakness ratio, strongest first.
 
     Ratios are sorted descending; errors are max-abs deviations from
     the analytic conditional curve over samples where both are defined.
-    The floor is ``ROUNDOFF_EPS`` eps times the curve's largest
-    magnitude.  J, P and T do not depend on D, so the state is
+    The floor at a ratio is ``ROUNDOFF_EPS`` eps times the curve's
+    largest magnitude plus 1 - c times the round-off of J - T carried
+    into the estimate.  J, P and T do not depend on D, so the state is
     propagated once; each ratio costs only the O(N) estimate of
     :func:`estimate_wvp`.
     """
     ratios = tuple(sorted((float(r) for r in ratios), reverse=True))
     analytic = run_tagged(state, ch, pointer).analytic
-    floor = (ROUNDOFF_EPS * np.finfo(float).eps
-             * float(np.max(np.abs(analytic.values[analytic.defined]))))
-    errors = []
+    quotient, difference = _roundoff_scales(analytic)
+    errors, floors = [], []
     for ratio in ratios:
         d = pointer.at_ratio(ratio).displacement
-        values = _estimate(analytic, *_overlap(d, pointer.sigma))
+        overlap, gap = _overlap(d, pointer.sigma)
+        values = _estimate(analytic, overlap, gap)
         both = analytic.defined & np.isfinite(values)
         errors.append(float(np.max(np.abs(values[both]
                                           - analytic.values[both]))))
-    return ConvergenceReport(ratios, tuple(errors), floor)
+        floors.append(float(ROUNDOFF_EPS * np.finfo(float).eps
+                            * (quotient + gap * difference)))
+    return ConvergenceReport(ratios, tuple(errors), tuple(floors))

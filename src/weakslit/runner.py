@@ -15,12 +15,12 @@ from .errors import ConfigError
 from .moments import (apodization_sweep, sharp_cutoff_variance,
                       window_variance)
 from .pointer import convergence_sweep, estimate_wvp, run_tagged
-from .weak_values import (EPS_DEN_FRACTION, COVERAGE_MIN, conditional_wvp,
-                          eraser_curves, momentum_distribution,
-                          transfer_distribution, window_mask)
-# No command calls joint_wvp any more; perfbench/layers.py still wraps
-# the name here to trace it.
-from .weak_values import joint_wvp  # noqa: F401
+from .weak_values import (EPS_DEN_FRACTION, COVERAGE_MIN, eraser_curves,
+                          momentum_distribution, transfer_distribution,
+                          window_mask)
+# No command calls these here any more; perfbench/layers.py still wraps
+# the names in this module to trace them.
+from .weak_values import conditional_wvp, joint_wvp  # noqa: F401
 
 __all__ = ["Table", "Figure", "ResultBundle", "run", "COMMANDS"]
 
@@ -32,10 +32,14 @@ PLOT_RANGE = 4.0 * _TWO_PI
 
 @dataclass
 class Table:
-    """A data table with (column, unit) headers; the bundle's key names it."""
+    """A data table with (column, unit) headers; the bundle's key names it.
+
+    ``data`` holds one 1-D array per header, all of one length.  A bool
+    array (a ``defined`` mask) is written as 0/1.
+    """
 
     columns: tuple[tuple[str, str], ...]
-    data: np.ndarray
+    data: tuple[np.ndarray, ...]
 
 
 @dataclass
@@ -94,21 +98,25 @@ class _Scene:
 
 def _run_wvp(scene: _Scene) -> ResultBundle:
     window = scene.config.pointer.window()
-    curve = conditional_wvp(scene.state, scene.channel, window, scene.eraser)
+    # One set of full-state sector sums gives the curve and, through the
+    # un-erased density, the output distribution.
+    curves = eraser_curves(scene.state, scene.channel, window,
+                           dict.fromkeys(("none", scene.eraser)))
+    curve = curves[scene.eraser]
     dens_in = momentum_distribution(scene.state)
-    dens_out = momentum_distribution(scene.state, scene.channel)
+    dens_out = curves["none"].density
+    dens_out = dens_out / (np.sum(dens_out) * scene.grid.dp)
     p = scene.grid.p
 
     bundle = ResultBundle("wvp")
     bundle.tables["wvp"] = Table((
         ("p_f", "hbar/s"), ("p_f_lab", "mm"), ("conditional", "1"),
         ("joint", "s/hbar"), ("defined", "0/1"),
-    ), np.column_stack([p, scene.lab_mm(p), curve.values, curve.joint,
-                        curve.defined.astype(float)]))
+    ), (p, scene.lab_mm(p), curve.values, curve.joint, curve.defined))
     bundle.tables["intensity"] = Table((
         ("p_f", "hbar/s"), ("p_f_lab", "mm"),
         ("input_density", "s/hbar"), ("output_density", "s/hbar"),
-    ), np.column_stack([p, scene.lab_mm(p), dens_in, dens_out]))
+    ), (p, scene.lab_mm(p), dens_in, dens_out))
 
     in_window = window_mask(scene.grid, window) > 0.5
     ok = curve.defined
@@ -139,7 +147,7 @@ def _run_transfer(scene: _Scene) -> ResultBundle:
     bundle = ResultBundle("transfer")
     bundle.tables["transfer"] = Table((
         ("q", "hbar/s"), ("q_lab", "mm"), ("density", "s/hbar"),
-    ), np.column_stack([dist.q, scene.lab_mm(dist.q), dist.density]))
+    ), (dist.q, scene.lab_mm(dist.q), dist.density))
     bundle.summary = {
         "integral": dist.integral(),
         "coverage": dist.coverage,
@@ -175,10 +183,10 @@ def _run_variance(scene: _Scene) -> ResultBundle:
     bundle = ResultBundle("variance")
     bundle.tables["variance_sharp"] = Table((
         ("q_max", "hbar/s"), ("value", "(hbar/s)^2"),
-    ), np.column_stack([np.array(reg.q_max), sharp]))
+    ), (np.array(reg.q_max), sharp))
     bundle.tables["variance_apodized"] = Table((
         ("kappa", "hbar/s"), ("value", "(hbar/s)^2"),
-    ), np.column_stack([np.array(report.kappas), np.array(report.values)]))
+    ), (np.array(report.kappas), np.array(report.values)))
     bundle.summary = {
         "sign_changes": sign_changes,
         "largest_kappa": report.kappas[-1],
@@ -226,13 +234,12 @@ def _run_eraser(scene: _Scene) -> ResultBundle:
         ("p_f", "hbar/s"), ("p_f_lab", "mm"),
         ("plus45", "1"), ("plus45_defined", "0/1"),
         ("minus45", "1"), ("minus45_defined", "0/1"),
-    ), np.column_stack([p, scene.lab_mm(p), plus.values,
-                        plus.defined.astype(float), minus.values,
-                        minus.defined.astype(float)]))
+    ), (p, scene.lab_mm(p), plus.values, plus.defined, minus.values,
+        minus.defined))
     bundle.tables["eraser_joint"] = Table((
         ("p_f", "hbar/s"), ("joint_none", "s/hbar"),
         ("joint_plus45", "s/hbar"), ("joint_minus45", "s/hbar"),
-    ), np.column_stack([p, j_none, j_plus, j_minus]))
+    ), (p, j_none, j_plus, j_minus))
     bundle.summary = {
         "window_index": window.index,
         "partition_max_abs": float(np.max(np.abs(j_none - j_plus - j_minus))),
@@ -270,9 +277,8 @@ def _run_pointer(scene: _Scene) -> ResultBundle:
         ("p_f", "hbar/s"), ("p_f_lab", "mm"), ("estimate", "1"),
         ("estimate_defined", "0/1"), ("analytic", "1"),
         ("analytic_defined", "0/1"),
-    ), np.column_stack([p, scene.lab_mm(p), est.values,
-                        est.defined.astype(float), analytic.values,
-                        analytic.defined.astype(float)]))
+    ), (p, scene.lab_mm(p), est.values, est.defined, analytic.values,
+        analytic.defined))
     bundle.summary = {
         "ratio": spec.ratio,
         "window_index": spec.index,
@@ -302,13 +308,13 @@ def _run_sweep(scene: _Scene) -> ResultBundle:
     bundle = ResultBundle("sweep")
     bundle.tables["sweep"] = Table((
         ("ratio", "1"), ("max_abs_error", "1"),
-    ), np.column_stack([ratios, errors]))
+    ), (ratios, errors))
     bundle.summary = {
         "ratios": list(report.ratios),
         "errors": list(report.errors),
         "slope_smallest_pair": report.slope_smallest_pair,
         "monotone_decreasing": report.monotone_decreasing,
-        "roundoff_floor": {"error": report.floor,
+        "roundoff_floor": {"error": list(report.floors),
                            "ratios_under": report.under_floor},
     }
     bundle.figures.append(Figure(

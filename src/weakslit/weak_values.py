@@ -455,12 +455,16 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
     if samples.size:
         j_lo = int(samples.min())
         span = int(samples.max()) + 1 - j_lo
+        # The distinct offsets, ascending (np.unique would import all of
+        # numpy.ma to check for a mask).
+        d_lo = int(offsets.min())
+        distinct = np.flatnonzero(np.bincount(offsets - d_lo)) + d_lo
         # Offset d reads lag i - lag0 of its correlation at output row i,
         # for the rows [i_lo, i_hi) whose lag is inside the support
         # [1 - span, n - 1].  A circular correlation of length L is exact
         # at a lag t when t + L lies above the support and t - L below it.
         passes = []
-        for d in np.unique(offsets).tolist():
+        for d in distinct.tolist():
             lag0 = d + n // 2 - j_lo
             passes.append((d, lag0, max(0, lag0 + 1 - span),
                            min(n, lag0 + n)))

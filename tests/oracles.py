@@ -387,10 +387,11 @@ def loop_table_csv(table) -> str:
     """The per-value CSV writer: one formatting call per number.
 
     This was the package's ``outputs._table_csv`` before rows were
-    formatted in blocks; kept verbatim as the oracle for it.
+    formatted in blocks; kept verbatim as the oracle for it, except that
+    it stacks the table's columns into rows first.
     """
     header = ",".join(f"{name} [{unit}]" for name, unit in table.columns)
     lines = [header]
-    for row in table.data:
+    for row in np.column_stack(table.data):
         lines.append(",".join(_format_value(v) for v in row))
     return "\n".join(lines) + "\n"

@@ -1,5 +1,8 @@
-"""CSV emission: block formatting against the per-value writer, and
-byte-identical reruns of a whole output directory."""
+"""CSV emission: block formatting against the per-value writer, the
+memory one write takes, and byte-identical reruns of a whole output
+directory."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from weakslit import emit_outputs, from_dict, run
 from weakslit.outputs import _BLOCK_ROWS, _table_csv
-from weakslit.runner import Table
+from weakslit.runner import ResultBundle, Table
 
 from oracles import loop_table_csv
 
@@ -19,11 +22,9 @@ SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-310,
            1e300, -1.7976931348623157e308]
 
 
-def _table(data, units=None):
-    data = np.asarray(data, dtype=float)
-    cols = data.shape[1]
-    names = tuple((f"c{k}", units or "1") for k in range(cols))
-    return Table(names, data)
+def _table(columns, units=None):
+    names = tuple((f"c{k}", units or "1") for k in range(len(columns)))
+    return Table(names, tuple(columns))
 
 
 def assert_matches_oracle(table):
@@ -32,7 +33,7 @@ def assert_matches_oracle(table):
     Reports the first differing line rather than a diff of the whole
     text, which is slow to build for tables of thousands of rows.
     """
-    text, expected = _table_csv(table), loop_table_csv(table)
+    text, expected = "".join(_table_csv(table)), loop_table_csv(table)
     got, want = text.split("\n"), expected.split("\n")
     first = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b),
                  min(len(got), len(want)))
@@ -52,32 +53,32 @@ def _mixed(rows, seed=0):
     defined = rng.random(rows) > 0.2
     curve[~defined] = np.nan
     special = np.resize(np.array(SPECIAL), rows)
-    return np.column_stack([p, curve, defined.astype(float), special])
+    return [p, curve, defined.astype(float), special]
 
 
 @pytest.mark.parametrize("rows", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS,
                                   _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1])
 def test_block_boundaries_match_the_per_value_writer(rows):
-    text = assert_matches_oracle(_table(_mixed(rows).reshape(rows, 4)))
+    text = assert_matches_oracle(_table(_mixed(rows)))
     assert text.count("\n") == rows + 1
 
 
 def test_one_column_table():
-    assert_matches_oracle(_table(np.array(SPECIAL * 500)[:, np.newaxis]))
+    assert_matches_oracle(_table([np.array(SPECIAL * 500)]))
 
 
 def test_special_values_are_spelled_like_the_per_value_writer():
-    table = _table(np.array(SPECIAL)[np.newaxis, :])
+    table = _table([np.array([v]) for v in SPECIAL])
     line = assert_matches_oracle(table).splitlines()[1].split(",")
     assert line[:5] == ["nan", "inf", "-inf", "0", "-0"]
 
 
 def test_every_float_magnitude_round_trips_at_twelve_digits():
     values = 10.0 ** np.linspace(-20, 5, 2 * _BLOCK_ROWS + 3)
-    table = _table(np.column_stack([values, -values]))
-    text = assert_matches_oracle(table)
+    text = assert_matches_oracle(_table([values, -values]))
     body = np.loadtxt(text.splitlines()[1:], delimiter=",")
-    np.testing.assert_allclose(body, table.data, rtol=5e-12)
+    np.testing.assert_allclose(body, np.column_stack([values, -values]),
+                               rtol=5e-12)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -85,7 +86,38 @@ def test_every_float_magnitude_round_trips_at_twelve_digits():
                   st.tuples(st.integers(0, 40), st.integers(1, 6)),
                   elements=st.floats(allow_nan=True, allow_infinity=True)))
 def test_arbitrary_float_tables(data):
-    assert_matches_oracle(_table(data))
+    assert_matches_oracle(_table(list(data.T)))
+
+
+@pytest.mark.parametrize("rows", [1, _BLOCK_ROWS + 3])
+def test_bool_column_reads_like_its_float_flags(rows):
+    """A ``defined`` mask goes in as bool and prints as the float 0/1
+    column did, alone or beside float columns."""
+    p, curve, flags, _ = _mixed(rows)
+    mask = flags.astype(bool)
+    as_bool = "".join(_table_csv(_table([p, mask, curve])))
+    assert as_bool == assert_matches_oracle(_table([p, flags, curve]))
+    assert ("".join(_table_csv(_table([mask])))
+            == "".join(_table_csv(_table([flags]))))
+
+
+def test_writing_a_large_table_holds_one_block(tmp_path):
+    """emit_outputs streams a 2^16-row, 6-column table (about 3.5 MB of
+    text) to disk holding about one block of it: the peak of Python
+    allocations while writing stays under 2 MiB."""
+    rows = 1 << 16
+    columns = _mixed(rows, seed=3) + [np.linspace(0.0, 1.0, rows),
+                                      np.arange(rows) % 2 == 0]
+    bundle = ResultBundle("large", tables={"large": _table(columns)})
+    tracemalloc.start()
+    try:
+        emit_outputs(bundle, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "large.csv").stat().st_size
+    assert size > 3_000_000
+    assert peak < 2 * 2 ** 20, f"peak {peak} bytes for a {size}-byte file"
 
 
 def test_emit_outputs_reruns_are_byte_identical(tmp_path):

@@ -183,20 +183,30 @@ class TestEstimator:
                 state, ch, spec, ratios)
 
     def test_report_slope_between_any_entries(self):
-        report = ConvergenceReport((0.1, 0.01), (1e-2, 1e-4), 0.0)
+        report = ConvergenceReport((0.1, 0.01), (1e-2, 1e-4), (0.0, 0.0))
         assert report.slope(0, 1) == pytest.approx(2.0, rel=1e-12)
 
     def test_errors_at_or_below_the_floor_count_as_exact(self):
         ratios = (1.0, 0.3, 0.1, 0.01, 0.001)
         report = ConvergenceReport(ratios, (1e-2, 1e-3, 1e-4, 1e-15, 5e-16),
-                                   1e-15)
+                                   (1e-15,) * 5)
         assert report.under_floor == 2
         assert report.monotone_decreasing
         assert report.slope_smallest_pair == report.slope(1, 2)
         assert ConvergenceReport(ratios[:2], (1e-2, 1e-15),
-                                 1e-15).slope_smallest_pair is None
+                                 (1e-15,) * 2).slope_smallest_pair is None
         assert not ConvergenceReport(ratios[:2], (1e-2, 1e-1),
-                                     1e-15).monotone_decreasing
+                                     (1e-15,) * 2).monotone_decreasing
+
+    def test_each_ratio_has_its_own_floor(self):
+        """One error of 1e-13 is round-off under a floor of 1e-12 and an
+        error above a floor of 1e-15."""
+        report = ConvergenceReport((0.3, 0.1, 0.01), (1e-13, 1e-13, 1e-15),
+                                   (1e-12, 1e-15, 1e-15))
+        assert report.under_floor == 2
+        assert report.slope_smallest_pair is None
+        assert ConvergenceReport((0.3, 0.1, 0.01), (1e-13, 1e-13, 1e-15),
+                                 (1e-15,) * 3).under_floor == 1
 
     def test_identity_sweep_is_all_round_off(self, tmp_path):
         """The estimator is exact on the identity channel: no error is
@@ -206,14 +216,48 @@ class TestEstimator:
         assert summary["roundoff_floor"]["ratios_under"] == 5
         assert summary["slope_smallest_pair"] is None
         assert summary["monotone_decreasing"] is True
-        assert max(summary["errors"]) <= summary["roundoff_floor"]["error"]
+        floors = summary["roundoff_floor"]["error"]
+        assert len(floors) == 5
+        assert all(e <= f for e, f in zip(summary["errors"], floors))
+
+    @pytest.mark.parametrize("n_points", [1024, 16384])
+    def test_on_lattice_kick_sweep_is_all_round_off(self, n_points):
+        """Kicks of exactly one lattice period leave J = T, so the
+        estimator is exact; (1 - c) times the round-off of J - T reaches
+        35-104 eps x max |J/P| at D/sigma = 0.3, above a floor that
+        ignores it."""
+        kicks = [[6.283185307179586, 0.5], [-6.283185307179586, 0.5]]
+        config = from_dict({"channel": {"kind": "kick", "kicks": kicks},
+                            "grid": {"n_points": n_points}})
+        summary = run(config, "sweep").summary
+        assert summary["roundoff_floor"]["ratios_under"] == 5
+        assert summary["slope_smallest_pair"] is None
+        assert summary["monotone_decreasing"] is True
 
     def test_scully_sweep_is_above_the_floor(self, slit_state, wwm, spec):
         report = convergence_sweep(slit_state, wwm, spec,
                                    [0.3, 0.139, 0.05, 0.01, 0.001])
         assert report.under_floor == 0
         assert report.slope_smallest_pair == report.slope()
-        assert 0.0 < report.floor < 1e-13
+        assert 0.0 < report.floors[-1] < 1e-13
+        assert all(0.0 < f < 1e-8 * e
+                   for e, f in zip(report.errors, report.floors))
+
+    @pytest.mark.parametrize("channel", ["scully", "kick"])
+    def test_inexact_sweeps_stay_above_the_floor(self, slit_state,
+                                                 smooth_state, grid, spec,
+                                                 channel):
+        """Smoothed slits, and two kicks off the lattice at either edge
+        profile, keep every error above its floor."""
+        ch = (scully_wwm(grid) if channel == "scully"
+              else classical_kick([(0.7, 0.4), (-1.3, 0.6)], grid))
+        states = ([smooth_state] if channel == "scully"
+                  else [slit_state, smooth_state])
+        for state in states:
+            report = convergence_sweep(state, ch, spec,
+                                       [1.0, 0.3, 0.05, 0.001, 1e-5])
+            assert report.under_floor == 0
+            assert report.monotone_decreasing
 
 
 class TestAgainstAmplitudeStacks:
@@ -274,11 +318,11 @@ class TestAgainstAmplitudeStacks:
 
 
 @pytest.mark.parametrize("command, rows", [
-    ("wvp", 12), ("eraser", 8), ("pointer", 8), ("sweep", 8)])
+    ("wvp", 10), ("eraser", 8), ("pointer", 8), ("sweep", 8)])
 def test_one_projection_and_one_channel_pass(monkeypatch, command, rows):
-    """FFT rows per command at 1,024 points on the paper scenario: the
-    pointer and the sweep take one window projection and one channel
-    pass, as the eraser does."""
+    """FFT rows per command at 1,024 points on the paper scenario: every
+    command takes one window projection and one channel pass; wvp adds
+    the input state's two momentum rows."""
     config = from_dict({"channel": {"kind": "scully"},
                         "grid": {"n_points": 1024}})
     counted = []

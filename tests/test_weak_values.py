@@ -18,7 +18,7 @@ from weakslit import (ConfigError, CoverageWarning, GridMismatchError,
                       transfer_distribution, window_mask)
 from weakslit.weak_values import ERASERS, _tiling_weights, _window_project
 
-from conftest import WINDOW_WIDTH
+from conftest import WINDOW_WIDTH, run_python
 from oracles import (dense_conditional, dense_joint, dense_transfer,
                      kick_rect_density, loop_conditional_wvp, loop_transfer)
 
@@ -301,6 +301,18 @@ class TestTransferDistribution:
             expected = erfc(a / (sigma * np.sqrt(2.0)))
             assert dist.mass_outside(a) == pytest.approx(expected, rel=2e-2)
         assert dist.mass_outside(45.0) == 0.0
+
+    def test_transfer_command_leaves_numpy_ma_out(self, tmp_path):
+        """Finding the distinct window offsets imports no numpy.ma, which
+        np.unique loads to check for a mask."""
+        argv = ["transfer", "--out", str(tmp_path / "t"),
+                "--set", "grid.n_points=1024"]
+        code = ("import sys; from weakslit import cli; "
+                f"assert cli.main({argv!r}) == 0; "
+                "print('numpy.ma' in sys.modules)")
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
 
 _INDEX_SETS = {
