@@ -9,13 +9,13 @@ Exit codes: 0 success, 2 configuration errors, 3 numeric-domain errors,
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 from pathlib import Path
 from typing import NoReturn
 
-from .config import DEFAULTS, PRESETS, from_dict, merge, parse_override
+from .config import (DEFAULTS, PRESETS, from_dict, merge, parse_json_object,
+                     parse_override)
 from .errors import (ConfigError, GridMismatchError, MomentUndefinedError,
                      OutputError, ResolutionError, WindowRangeError)
 from .outputs import emit_outputs
@@ -58,16 +58,7 @@ def _load_raw_config(args) -> dict:
         raw = merge(raw, PRESETS[args.preset])
     if args.config:
         text = Path(args.config).read_text(encoding="utf-8")
-        if text.strip():
-            try:
-                payload = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(
-                    f"{args.config} is not valid JSON: {exc}") from None
-            if not isinstance(payload, dict):
-                raise ConfigError(f"{args.config}: config root must be a "
-                                  "JSON object")
-            raw = merge(raw, payload)
+        raw = merge(raw, parse_json_object(text, args.config))
     for assignment in args.overrides:
         raw = merge(raw, parse_override(assignment))
     if args.out:

@@ -27,7 +27,7 @@ from .states import SlitGeometry, TransverseState, build_double_slit
 from .weak_values import _check_eraser
 
 __all__ = ["ScenarioConfig", "parse_config", "from_dict", "PRESETS",
-           "merge", "parse_override", "DEFAULTS"]
+           "merge", "parse_json_object", "parse_override", "DEFAULTS"]
 
 _TWO_PI = 2.0 * math.pi
 
@@ -265,15 +265,23 @@ def from_dict(overrides: dict) -> ScenarioConfig:
     return ScenarioConfig(merge(DEFAULTS, overrides))
 
 
-def parse_config(text: str) -> ScenarioConfig:
-    """Parse a JSON config document (empty text allowed: all defaults)."""
+def parse_json_object(text: str, source: str) -> dict:
+    """The JSON object of a config document, {} for blank text; an error
+    names ``source``."""
     if not text.strip():
-        return from_dict({})
+        return {}
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
-    return from_dict(payload)
+        raise ConfigError(f"{source} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{source}: config root must be a JSON object")
+    return payload
+
+
+def parse_config(text: str) -> ScenarioConfig:
+    """Parse a JSON config document (empty text allowed: all defaults)."""
+    return from_dict(parse_json_object(text, "config"))
 
 
 def parse_override(assignment: str) -> dict:

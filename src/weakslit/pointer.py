@@ -9,13 +9,15 @@ U the joint intensity is, per coherent sector and polarisation,
 
 with G_a(y) = (2/(pi sigma^2))^(1/4) exp(-(y-a)^2/sigma^2), t = U chi
 and u = U psi - U chi.  Every y integral is analytic (no y grid exists
-anywhere) and, summed over the rows, needs only three D-independent
-curves of the window's conditional curve: J = Re sum <U chi, U psi>
-(``joint``), P = sum |U psi|^2 (``density``) and T = sum |U chi|^2
-(``strong``), since Re sum u conj(t) = J - T, sum |t|^2 = T and
-sum |u|^2 + |t|^2 = P - 2 (J - T).  With c = <G_0|G_D> = exp(-r^2/2)
-and r = D/sigma, the y marginal is P - 2 (1 - c)(J - T) and the
-conditional centroid divided by D is
+anywhere).  Summed over the rows, the integrals need only the window's
+conditional curve (:func:`run_tagged`) and the weakness r = D/sigma.
+The curve's J = Re sum <U chi, U psi> (``joint``), P = sum |U psi|^2
+(``density``) and T = sum |U chi|^2 (``strong``) do not depend on D,
+since Re sum u conj(t) = J - T, sum |t|^2 = T and
+sum |u|^2 + |t|^2 = P - 2 (J - T).  D and sigma enter only through
+c = <G_0|G_D> = exp(-r^2/2), so the pointer is a pair (curve, ratio):
+the y marginal, :func:`marginal`, is P - 2 (1 - c)(J - T), and the
+conditional centroid divided by D, :func:`estimate_wvp`, is
 
     (T + c (J - T)) / (P - 2 (1 - c)(J - T)).
 
@@ -25,7 +27,7 @@ fraction of a projective measurement of the window, as c -> 0.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,9 +40,9 @@ from .weak_values import (EPS_DEN_FRACTION, MomentumWindow, WvpCurve,
 
 __all__ = [
     "PointerSpec",
-    "IntensityMap",
     "run_tagged",
     "estimate_wvp",
+    "marginal",
     "convergence_sweep",
     "ConvergenceReport",
 ]
@@ -81,88 +83,48 @@ class PointerSpec:
         width = float(self.lab.momentum_from_position(self.sliver_width))
         return MomentumWindow(self.index, width)
 
-    def at_ratio(self, ratio: float) -> "PointerSpec":
-        """Same geometry with the displacement set to ratio * sigma."""
-        if ratio <= 0.0:
-            raise ConfigError(f"ratio must be positive, got {ratio}")
-        displacement = ratio * self.sigma
-        if displacement == 0.0:
-            raise ConfigError(
-                f"ratio {ratio} times sigma {self.sigma} underflows to a "
-                f"zero displacement")
-        return replace(self, displacement=displacement)
 
-
-def _overlap(displacement: float, sigma: float) -> tuple[float, float]:
+def _overlap(ratio: float) -> tuple[float, float]:
     """c = <G_0|G_D> = exp(-r^2 / 2) with r = D/sigma, and 1 - c.
 
     1 - c is ``-expm1(-r^2 / 2)``: ``1.0 - c`` would cancel to a relative
-    error of about eps / (r^2 / 2) at small r.  Squaring r rather than
-    sigma keeps a tiny sigma from underflowing to a zero denominator;
-    ``r * r`` gives inf where ``r ** 2`` would raise.
+    error of about eps / (r^2 / 2) at small r.  ``r * r`` gives inf where
+    ``r ** 2`` would raise.
     """
-    r = displacement / sigma
-    half = 0.5 * r * r
+    half = 0.5 * ratio * ratio
     return float(np.exp(-half)), float(-np.expm1(-half))
 
 
-def _marginal(curve: WvpCurve, overlap: float, gap: float) -> np.ndarray:
-    """y-integrated intensity per p_f sample, P - 2 (1 - c)(J - T), with
-    c = overlap and 1 - c = gap."""
-    return curve.density - 2.0 * gap * (curve.joint - curve.strong)
+def run_tagged(state: TransverseState, ch: MeasurementChannel,
+               pointer: PointerSpec) -> WvpCurve:
+    """The tagged window's conditional curve, whose ``joint``,
+    ``density`` and ``strong`` are the J, P and T of the module
+    docstring; the pointer's sigma and D do not enter it.
+    """
+    return conditional_wvp(state, ch, pointer.window())
 
 
-def _estimate(curve: WvpCurve, overlap: float, gap: float) -> np.ndarray:
-    """Centroid over D per p_f sample, (T + c (J - T)) / marginal; NaN
-    where the marginal is below the definedness threshold."""
-    num = curve.strong + overlap * (curve.joint - curve.strong)
-    den = _marginal(curve, overlap, gap)
+def marginal(curve: WvpCurve, ratio: float) -> np.ndarray:
+    """y-integrated intensity per p_f sample, P - 2 (1 - c)(J - T).
+
+    It is the channel density P where J = T, as for momentum-diagonal
+    channels; a which-way marker adds the tag's back-action, of order
+    (D/sigma)^2.
+    """
+    return curve.density - 2.0 * _overlap(ratio)[1] * (curve.joint
+                                                       - curve.strong)
+
+
+def estimate_wvp(curve: WvpCurve, ratio: float) -> np.ndarray:
+    """Centroid estimator d/D of the conditional weak-valued probability
+    per p_f sample, (T + c (J - T)) / marginal; NaN where the marginal is
+    below the definedness threshold."""
+    num = curve.strong + _overlap(ratio)[0] * (curve.joint - curve.strong)
+    den = marginal(curve, ratio)
     out = np.full(den.shape, np.nan)
     ok = den > EPS_DEN_FRACTION * den.max()
     out[ok] = num[ok] / den[ok]
     return out
-
-
-@dataclass
-class IntensityMap:
-    """The joint (p_f, y) intensity through its y integrals: ``analytic``
-    is the tagged window's conditional curve, whose ``joint``, ``density``
-    and ``strong`` are the J, P and T of the module docstring."""
-
-    analytic: WvpCurve
-    sigma: float
-    displacement: float
-    ratio: float
-
-    @property
-    def overlap(self) -> float:
-        """<G_0|G_D> = exp(-D^2 / (2 sigma^2))."""
-        return _overlap(self.displacement, self.sigma)[0]
-
-    def marginal(self) -> np.ndarray:
-        """y-integrated intensity per p_f sample."""
-        return _marginal(self.analytic,
-                         *_overlap(self.displacement, self.sigma))
-
-
-def run_tagged(state: TransverseState, ch: MeasurementChannel,
-               pointer: PointerSpec) -> IntensityMap:
-    """The window's conditional curve with the pointer's sigma and D.
-
-    The y marginal is the channel density P where J = T, as for
-    momentum-diagonal channels; a which-way marker adds the tag's
-    back-action -2 (1 - c)(J - T), of order (D/sigma)^2.
-    """
-    return IntensityMap(conditional_wvp(state, ch, pointer.window()),
-                        pointer.sigma, pointer.displacement, pointer.ratio)
-
-
-def estimate_wvp(imap: IntensityMap) -> WvpCurve:
-    """Centroid estimator d/D of the conditional weak-valued probability."""
-    values = _estimate(imap.analytic,
-                       *_overlap(imap.displacement, imap.sigma))
-    return WvpCurve(imap.analytic.p_f.copy(), values, np.isfinite(values),
-                    imap.analytic.window, "none")
 
 
 #: The sweep's round-off floors in units of eps.  The estimator's error
@@ -241,16 +203,16 @@ def convergence_sweep(state: TransverseState, ch: MeasurementChannel,
     :func:`estimate_wvp`.
     """
     ratios = tuple(sorted((float(r) for r in ratios), reverse=True))
-    analytic = run_tagged(state, ch, pointer).analytic
+    if any(r <= 0.0 for r in ratios):
+        raise ConfigError(f"ratios must be positive, got {ratios}")
+    analytic = run_tagged(state, ch, pointer)
     quotient, difference = _roundoff_scales(analytic)
     errors, floors = [], []
     for ratio in ratios:
-        d = pointer.at_ratio(ratio).displacement
-        overlap, gap = _overlap(d, pointer.sigma)
-        values = _estimate(analytic, overlap, gap)
+        values = estimate_wvp(analytic, ratio)
         both = analytic.defined & np.isfinite(values)
         errors.append(float(np.max(np.abs(values[both]
                                           - analytic.values[both]))))
         floors.append(float(ROUNDOFF_EPS * np.finfo(float).eps
-                            * (quotient + gap * difference)))
+                            * (quotient + _overlap(ratio)[1] * difference)))
     return ConvergenceReport(ratios, tuple(errors), tuple(floors))

@@ -14,7 +14,8 @@ from .config import ScenarioConfig
 from .errors import ConfigError
 from .moments import (apodization_sweep, sharp_cutoff_variance,
                       window_variance)
-from .pointer import convergence_sweep, estimate_wvp, run_tagged
+from .pointer import (convergence_sweep, estimate_wvp, marginal,
+                      run_tagged)
 from .weak_values import (EPS_DEN_FRACTION, COVERAGE_MIN, eraser_curves,
                           momentum_distribution, transfer_distribution,
                           window_mask)
@@ -118,16 +119,17 @@ def _run_wvp(scene: _Scene) -> ResultBundle:
         ("input_density", "s/hbar"), ("output_density", "s/hbar"),
     ), (p, scene.lab_mm(p), dens_in, dens_out))
 
-    in_window = window_mask(scene.grid, window) > 0.5
     ok = curve.defined
+    in_window = curve.values[ok & (window_mask(scene.grid, window) > 0.5)]
     bundle.summary = {
         "window_index": window.index,
         "window_width": window.width,
         "eraser": scene.eraser,
         "conditional_min": float(np.nanmin(curve.values[ok])),
         "conditional_max": float(np.nanmax(curve.values[ok])),
-        "in_window_min": float(np.nanmin(curve.values[ok & in_window])),
-        "in_window_max": float(np.nanmax(curve.values[ok & in_window])),
+        # null when no defined sample lies in the window
+        "in_window_min": float(in_window.min()) if in_window.size else None,
+        "in_window_max": float(in_window.max()) if in_window.size else None,
     }
     sel = scene.plot_sel(p)
     bundle.figures.append(Figure(
@@ -262,13 +264,13 @@ def _run_eraser(scene: _Scene) -> ResultBundle:
 
 def _run_pointer(scene: _Scene) -> ResultBundle:
     spec = scene.config.pointer
-    imap = run_tagged(scene.state, scene.channel, spec)
-    est = estimate_wvp(imap)
-    analytic = imap.analytic
-    both = est.defined & analytic.defined
-    dev = float(np.max(np.abs(est.values[both] - analytic.values[both])))
+    analytic = run_tagged(scene.state, scene.channel, spec)
+    est = estimate_wvp(analytic, spec.ratio)
+    est_defined = np.isfinite(est)
+    both = est_defined & analytic.defined
+    dev = float(np.max(np.abs(est[both] - analytic.values[both])))
     dens = analytic.density / (np.sum(analytic.density) * scene.grid.dp)
-    marg = imap.marginal()
+    marg = marginal(analytic, spec.ratio)
     marg = marg / (np.sum(marg) * scene.grid.dp)
     p = scene.grid.p
 
@@ -277,7 +279,7 @@ def _run_pointer(scene: _Scene) -> ResultBundle:
         ("p_f", "hbar/s"), ("p_f_lab", "mm"), ("estimate", "1"),
         ("estimate_defined", "0/1"), ("analytic", "1"),
         ("analytic_defined", "0/1"),
-    ), (p, scene.lab_mm(p), est.values, est.defined, analytic.values,
+    ), (p, scene.lab_mm(p), est, est_defined, analytic.values,
         analytic.defined))
     bundle.summary = {
         "ratio": spec.ratio,
@@ -289,7 +291,7 @@ def _run_pointer(scene: _Scene) -> ResultBundle:
     sel = scene.plot_sel(p)
     bundle.figures.append(Figure(
         "pointer",
-        [(p[sel], est.values[sel], f"pointer estimate (D/sigma={spec.ratio:g})"),
+        [(p[sel], est[sel], f"pointer estimate (D/sigma={spec.ratio:g})"),
          (p[sel], analytic.values[sel], "analytic")],
         "Pointer emulation vs analytic conditional WVP",
         "p_f [hbar/s x 2pi per fringe]", "value",

@@ -95,17 +95,15 @@ class WvpCurve:
     ``joint`` is the numerator J(p_f), defined everywhere, ``density``
     the denominator P(p_f) = sum |e(U psi)|^2 and ``strong``
     T(p_f) = sum |e(U chi)|^2, the joint probability a projective
-    measurement of the window gives.  Pointer estimates leave them None.
+    measurement of the window gives.  Every array is sampled on the
+    grid's ``p``.
     """
 
-    p_f: np.ndarray
     values: np.ndarray
     defined: np.ndarray
-    window: MomentumWindow
-    eraser: str
-    joint: np.ndarray | None = None
-    density: np.ndarray | None = None
-    strong: np.ndarray | None = None
+    joint: np.ndarray
+    density: np.ndarray
+    strong: np.ndarray
 
 
 @dataclass
@@ -299,8 +297,7 @@ def eraser_curves(state: TransverseState, ch: MeasurementChannel,
         defined = dens > EPS_DEN_FRACTION * dens.max()
         values = np.full(state.grid.n_points, np.nan)
         values[defined] = j[defined] / dens[defined]
-        curves[eraser] = WvpCurve(state.grid.p.copy(), values, defined,
-                                  window, eraser, j, dens,
+        curves[eraser] = WvpCurve(values, defined, j, dens,
                                   _density(chi_erased))
     return curves
 

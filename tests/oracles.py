@@ -9,7 +9,7 @@ paths under test, except the ``loop_*`` functions: the package's earlier
 one-thing-at-a-time implementations, kept as oracles for the faster
 paths that replaced them.  :func:`loop_transfer` is the per-window
 transfer loop, :func:`loop_conditional_wvp` one eraser setting per call,
-:func:`loop_convergence_sweep` one intensity map per ratio,
+:func:`loop_convergence_sweep` one tagged run per ratio,
 :func:`loop_table_csv` one formatting call per CSV value, and
 :func:`stack_run_tagged` and :func:`stack_convergence_sweep` the pointer
 built from complex amplitude stacks rather than from J, P and T.
@@ -17,13 +17,12 @@ built from complex amplitude stacks rather than from J, P and T.
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from weakslit import (MomentumWindow, TransferDistribution, TransverseState,
                       conditional_wvp, estimate_wvp, run_tagged)
-from weakslit.pointer import _overlap
 from weakslit.errors import CoverageWarning
 from weakslit.weak_values import (COVERAGE_MIN, EPS_DEN_FRACTION,
                                   _check_eraser, _check_width, _density,
@@ -200,21 +199,18 @@ def loop_conditional_wvp(state, ch, window, eraser="none"):
 
 
 def loop_convergence_sweep(state, ch, pointer, ratios):
-    """(ratios, errors) with one IntensityMap and one estimate per ratio.
+    """(ratios, errors) with one tagged run and one estimate per ratio.
 
-    This was the package's ``convergence_sweep`` before the row sums
-    were hoisted out of the ratio loop.
+    This was the package's ``convergence_sweep`` before the tagged run
+    was hoisted out of the ratio loop.
     """
     ratios = tuple(sorted((float(r) for r in ratios), reverse=True))
     analytic = conditional_wvp(state, ch, pointer.window())
-    imap = run_tagged(state, ch, pointer)
     errors = []
     for ratio in ratios:
-        spec = pointer.at_ratio(ratio)
-        est = estimate_wvp(replace(imap, displacement=spec.displacement,
-                                   ratio=spec.ratio))
-        both = analytic.defined & est.defined
-        errors.append(float(np.max(np.abs(est.values[both]
+        est = estimate_wvp(run_tagged(state, ch, pointer), ratio)
+        both = analytic.defined & np.isfinite(est)
+        errors.append(float(np.max(np.abs(est[both]
                                           - analytic.values[both]))))
     return ratios, tuple(errors)
 
@@ -244,11 +240,17 @@ def _row_sums(untagged: np.ndarray, tagged: np.ndarray) -> tuple:
     return cross, tagged_w, squares
 
 
-def pointer_centroid(imap) -> np.ndarray:
-    """Mean vertical displacement d(p_f) of an ``IntensityMap``: D times
-    the estimate; NaN where the intensity vanishes.  Only the tests read
-    it, so it lives here rather than on ``IntensityMap``."""
-    return imap.displacement * estimate_wvp(imap).values
+def pointer_centroid(curve, pointer) -> np.ndarray:
+    """Mean vertical displacement d(p_f) of the tagged window's
+    conditional curve under ``pointer``: D times the estimate; NaN where
+    the intensity vanishes.  Only the tests read it, so it lives here
+    rather than in the package."""
+    return pointer.displacement * estimate_wvp(curve, pointer.ratio)
+
+
+def _gaussian_overlap(displacement: float, sigma: float) -> float:
+    """<G_0|G_D> = exp(-D^2 / (2 sigma^2)), straight from D and sigma."""
+    return float(np.exp(-0.5 * (displacement / sigma) ** 2))
 
 
 def _centroid(sums: tuple, displacement: float, overlap: float) -> np.ndarray:
@@ -283,7 +285,7 @@ class StackMap:
     @property
     def overlap(self) -> float:
         """<G_0|G_D> = exp(-D^2 / (2 sigma^2))."""
-        return _overlap(self.displacement, self.sigma)[0]
+        return _gaussian_overlap(self.displacement, self.sigma)
 
     def marginal(self) -> np.ndarray:
         """y-integrated intensity per p_f sample."""
@@ -323,12 +325,12 @@ def stack_convergence_sweep(state, ch, pointer, ratios):
     """
     ratios = tuple(sorted((float(r) for r in ratios), reverse=True))
     analytic = conditional_wvp(state, ch, pointer.window())
-    imap = stack_run_tagged(state, ch, pointer)
-    sums = _row_sums(imap.untagged, imap.tagged)
+    stacks = stack_run_tagged(state, ch, pointer)
+    sums = _row_sums(stacks.untagged, stacks.tagged)
     errors = []
     for ratio in ratios:
-        d = pointer.at_ratio(ratio).displacement
-        values = _centroid(sums, d, _overlap(d, pointer.sigma)[0]) / d
+        d = ratio * pointer.sigma
+        values = _centroid(sums, d, _gaussian_overlap(d, pointer.sigma)) / d
         both = analytic.defined & np.isfinite(values)
         errors.append(float(np.max(np.abs(values[both]
                                           - analytic.values[both]))))

@@ -274,6 +274,14 @@ class TestCliExitCodes:
         assert main(["wvp", "--config", str(cfg),
                      "--out", str(tmp_path / "x")]) == 2
 
+    def test_config_file_root_must_be_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[1, 2]")
+        assert main(["wvp", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert (f"config error: {cfg}: config root must be a JSON object"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("argv", [
         ["transfer", "--set", "channel.kind=kick",
          "--set", 'channel.kicks=[["a",1]]'],
@@ -354,6 +362,18 @@ class TestCliExitCodes:
         assert rc == 3
         assert "outside the simulated momentum range" \
             in capsys.readouterr().err
+
+    def test_window_without_a_defined_sample(self, tmp_path):
+        """Smoothed slits leave the density below the definedness
+        threshold all over window 50, so its value range is null."""
+        out = tmp_path / "x"
+        assert main(["wvp", "--set", "grid.n_points=4096",
+                     "--set", "geometry.edge_profile=gaussian_smoothed",
+                     "--set", "windows.focus_index=50",
+                     "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())["summary"]
+        assert summary["in_window_min"] is None
+        assert summary["in_window_max"] is None
 
     def test_unresolvable_window_width(self, tmp_path, capsys):
         rc = main(["wvp", "--set", "windows.sliver_width=1e-9",

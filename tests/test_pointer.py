@@ -1,16 +1,18 @@
 """Pointer emulation: rank-2 intensity algebra and estimator convergence."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from weakslit import (ConfigError, ConvergenceReport, IntensityMap,
-                      PointerSpec, SlitGeometry, WindowRangeError, WvpCurve,
+from weakslit import (ConfigError, ConvergenceReport, PointerSpec,
+                      SlitGeometry, WindowRangeError, WvpCurve,
                       build_double_slit, classical_kick, conditional_wvp,
                       convergence_sweep, estimate_wvp, from_dict,
-                      identity_channel, make_grid, momentum_distribution, run,
-                      run_tagged, scully_wwm)
+                      identity_channel, make_grid, marginal,
+                      momentum_distribution, run, run_tagged, scully_wwm)
+from weakslit.pointer import _overlap
 
 from conftest import WINDOW_WIDTH
 from oracles import (_row_sums, dense_pointer_stacks, loop_convergence_sweep,
@@ -30,20 +32,6 @@ class TestPointerSpec:
         win = spec.window()
         assert win.index == -1
         assert win.width == pytest.approx(WINDOW_WIDTH, rel=1e-12)
-
-    def test_at_ratio_rescales_displacement(self, spec):
-        weak = spec.at_ratio(0.01)
-        assert weak.sigma == spec.sigma
-        assert weak.ratio == pytest.approx(0.01, rel=1e-12)
-        with pytest.raises(ConfigError):
-            spec.at_ratio(0.0)
-
-    def test_at_ratio_refuses_an_underflowing_displacement(self, lab):
-        tiny = PointerSpec(sigma=1e-320, displacement=1e-321,
-                           sliver_width=1e-3, index=0, lab=lab)
-        assert tiny.at_ratio(0.5).displacement > 0.0
-        with pytest.raises(ConfigError, match="underflows"):
-            tiny.at_ratio(1e-5)
 
     @pytest.mark.parametrize("sigma, displacement", [
         (1e-320, 1e-4), (5e-324, 1.0), (1e-300, 1e300)])
@@ -74,31 +62,31 @@ def test_window_outside_grid_range_is_rejected(geom, spec, lab):
 class TestMarginal:
     def test_identity_marginal_is_channel_density(self, slit_state, grid,
                                                   spec):
-        imap = run_tagged(slit_state, identity_channel(grid), spec)
+        curve = run_tagged(slit_state, identity_channel(grid), spec)
         h_t, v_t = slit_state.momentum_amplitudes()
         dens = np.abs(h_t) ** 2 + np.abs(v_t) ** 2
-        np.testing.assert_allclose(imap.marginal(), dens,
+        np.testing.assert_allclose(marginal(curve, spec.ratio), dens,
                                    atol=1e-13 * dens.max())
 
     def test_kick_marginal_is_channel_density(self, smooth_state, grid, spec):
         ch = classical_kick([(12.0 * grid.dp, 0.4), (-6.0 * grid.dp, 0.6)],
                             grid)
-        imap = run_tagged(smooth_state, ch, spec)
+        curve = run_tagged(smooth_state, ch, spec)
         stacks = stack_run_tagged(smooth_state, ch, spec)
         dens = np.zeros(grid.n_points)
         for amps in (np.abs(stacks.untagged) ** 2, np.abs(stacks.tagged) ** 2):
             dens += np.sum(amps, axis=0)
         # disjoint momentum supports within each sector: no cross term
-        np.testing.assert_allclose(imap.marginal(), dens,
+        np.testing.assert_allclose(marginal(curve, spec.ratio), dens,
                                    atol=1e-13 * dens.max())
 
     def test_marker_marginal_carries_back_action(self, slit_state, wwm, spec):
         """The tag physically disturbs a which-way-marked beam at O(ratio^2)."""
         dens = momentum_distribution(slit_state, wwm)
-        strong = run_tagged(slit_state, wwm, spec)
-        dev_strong = np.max(np.abs(strong.marginal() - dens)) / dens.max()
-        weak = run_tagged(slit_state, wwm, spec.at_ratio(1e-3))
-        dev_weak = np.max(np.abs(weak.marginal() - dens)) / dens.max()
+        curve = run_tagged(slit_state, wwm, spec)
+        strong = marginal(curve, spec.ratio)
+        dev_strong = np.max(np.abs(strong - dens)) / dens.max()
+        dev_weak = np.max(np.abs(marginal(curve, 1e-3) - dens)) / dens.max()
         assert dev_strong > 1e-4
         assert dev_weak < 3e-6
         assert dev_weak < dev_strong * (1e-3 / spec.ratio) ** 2 * 10.0
@@ -112,13 +100,13 @@ class TestAgainstYGridQuadrature:
         read, against stacks built with dense transform matrices."""
         state = build_double_slit(geom, dense_grid)
         ch = scully_wwm(dense_grid)
-        imap = run_tagged(state, ch, spec)
+        curve = run_tagged(state, ch, spec)
         untagged, tagged = dense_pointer_stacks(state, ch, spec.window())
         marg_o, cent_o = ygrid_pointer_stats(untagged, tagged, spec.sigma,
                                              spec.displacement)
-        np.testing.assert_allclose(imap.marginal(), marg_o,
+        np.testing.assert_allclose(marginal(curve, spec.ratio), marg_o,
                                    atol=1e-8 * marg_o.max())
-        cent = pointer_centroid(imap)
+        cent = pointer_centroid(curve, spec)
         both = np.isfinite(cent) & np.isfinite(cent_o)
         np.testing.assert_allclose(cent[both], cent_o[both],
                                    atol=1e-8 * spec.displacement)
@@ -133,11 +121,11 @@ class TestAgainstYGridQuadrature:
         (1e-310, 1e-310, np.exp(-0.5))])
     def test_overlap_of_extreme_scales(self, slit_state, wwm, spec, sigma,
                                        displacement, expected):
-        imap = run_tagged(slit_state, wwm, spec)
-        imap.sigma, imap.displacement = sigma, displacement
-        assert imap.overlap == expected
-        assert np.all(np.isfinite(imap.marginal()))
-
+        ratio = PointerSpec(sigma, displacement, spec.sliver_width,
+                            spec.index, spec.lab).ratio
+        assert _overlap(ratio)[0] == expected
+        curve = run_tagged(slit_state, wwm, spec)
+        assert np.all(np.isfinite(marginal(curve, ratio)))
 
     @pytest.mark.parametrize("ratio", [1e-3, 1e-5, 1e-8])
     def test_one_minus_overlap_is_exact_at_small_ratios(self, spec, ratio):
@@ -146,22 +134,19 @@ class TestAgainstYGridQuadrature:
         term is below 1e-20 relative here); ``1.0 - c`` is off by about
         eps / (r^2/2) relative: 1.2e-10 at r = 1e-3, 8.3e-8 at 1e-5."""
         zeros = np.zeros(3)
-        curve = WvpCurve(zeros, zeros, np.ones(3, bool), spec.window(),
-                         "none", joint=zeros, density=zeros,
-                         strong=np.full(3, 0.5))
-        imap = IntensityMap(curve, 1.0, ratio, ratio)
+        curve = WvpCurve(zeros, np.ones(3, bool), joint=zeros,
+                         density=zeros, strong=np.full(3, 0.5))
         series = ratio ** 2 / 2 - ratio ** 4 / 8 + ratio ** 6 / 48
-        np.testing.assert_allclose(imap.marginal(), series, rtol=1e-15,
-                                   atol=0.0)
+        np.testing.assert_allclose(marginal(curve, ratio), series,
+                                   rtol=1e-15, atol=0.0)
 
 
 class TestEstimator:
     def test_weak_limit_matches_analytic_curve(self, slit_state, wwm, spec):
-        weak = spec.at_ratio(1e-3)
-        est = estimate_wvp(run_tagged(slit_state, wwm, weak))
+        est = estimate_wvp(run_tagged(slit_state, wwm, spec), 1e-3)
         analytic = conditional_wvp(slit_state, wwm, spec.window())
-        both = est.defined & analytic.defined
-        assert np.max(np.abs(est.values[both] - analytic.values[both])) < 1e-4
+        both = np.isfinite(est) & analytic.defined
+        assert np.max(np.abs(est[both] - analytic.values[both])) < 1e-4
 
     def test_convergence_sweep(self, slit_state, wwm, spec):
         report = convergence_sweep(slit_state, wwm, spec,
@@ -181,6 +166,20 @@ class TestEstimator:
             report = convergence_sweep(state, ch, spec, ratios)
             assert (report.ratios, report.errors) == loop_convergence_sweep(
                 state, ch, spec, ratios)
+
+    def test_sweep_reads_only_the_ratios(self, slit_state, wwm, spec, lab):
+        """Neither sigma nor D enters the sweep: a pointer whose D = r
+        sigma would underflow to zero sweeps like the bench pointer."""
+        tiny = PointerSpec(sigma=1e-320, displacement=1e-321,
+                           sliver_width=spec.sliver_width, index=spec.index,
+                           lab=lab)
+        ratios = [0.5, 1e-5]
+        assert (convergence_sweep(slit_state, wwm, tiny, ratios)
+                == convergence_sweep(slit_state, wwm, spec, ratios))
+
+    def test_sweep_refuses_a_non_positive_ratio(self, slit_state, wwm, spec):
+        with pytest.raises(ConfigError, match="positive"):
+            convergence_sweep(slit_state, wwm, spec, [0.1, 0.0])
 
     def test_report_slope_between_any_entries(self):
         report = ConvergenceReport((0.1, 0.01), (1e-2, 1e-4), (0.0, 0.0))
@@ -278,13 +277,13 @@ class TestAgainstAmplitudeStacks:
         ch = {"identity": identity_channel, "scully": scully_wwm,
               "kick": lambda g: classical_kick([(0.7, 0.4), (-1.3, 0.6)],
                                                g)}[channel](grid)
+        curve = run_tagged(state, ch, spec)
         for ratio in (1.0, spec.ratio, 1e-3):
-            pointer = spec.at_ratio(ratio)
-            imap = run_tagged(state, ch, pointer)
+            pointer = replace(spec, displacement=ratio * spec.sigma)
             stacks = stack_run_tagged(state, ch, pointer)
-            marg, marg_o = imap.marginal(), stacks.marginal()
+            marg, marg_o = marginal(curve, pointer.ratio), stacks.marginal()
             assert np.max(np.abs(marg - marg_o)) <= 1e-14 * marg_o.max()
-            cent, cent_o = pointer_centroid(imap), stacks.centroid()
+            cent, cent_o = pointer_centroid(curve, pointer), stacks.centroid()
             ok = np.isfinite(cent_o)
             np.testing.assert_array_equal(np.isfinite(cent), ok)
             assert (np.max(np.abs(cent[ok] - cent_o[ok]))
@@ -304,15 +303,14 @@ class TestAgainstAmplitudeStacks:
         difference seen 2.1e-14)."""
         ch = (scully_wwm(grid) if channel == "scully"
               else classical_kick([(0.7, 0.4), (-1.3, 0.6)], grid))
-        strong = spec.at_ratio(100.0)
-        imap = run_tagged(slit_state, ch, strong)
-        assert imap.overlap == 0.0
-        est = estimate_wvp(imap)
+        strong = replace(spec, displacement=100.0 * spec.sigma)
+        assert _overlap(strong.ratio)[0] == 0.0
+        est = estimate_wvp(run_tagged(slit_state, ch, strong), strong.ratio)
         stacks = stack_run_tagged(slit_state, ch, strong)
         _, tagged_w, squares = _row_sums(stacks.untagged, stacks.tagged)
         ok = squares > 1e-6 * squares.max()
-        np.testing.assert_array_equal(est.defined, ok)
-        np.testing.assert_allclose(est.values[ok],
+        np.testing.assert_array_equal(np.isfinite(est), ok)
+        np.testing.assert_allclose(est[ok],
                                    tagged_w[ok] / squares[ok],
                                    rtol=0.0, atol=1e-12)
 

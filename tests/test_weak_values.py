@@ -159,8 +159,6 @@ class TestEraserCurves:
             for eraser, curve in curves.items():
                 values, defined, joint = loop_conditional_wvp(
                     state, ch, focus_window, eraser)
-                assert curve.eraser == eraser
-                assert curve.window == focus_window
                 np.testing.assert_array_equal(curve.values, values)
                 np.testing.assert_array_equal(curve.defined, defined)
                 np.testing.assert_array_equal(curve.joint, joint)
