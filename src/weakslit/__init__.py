@@ -25,8 +25,8 @@ from .moments import (ApodizationReport, RegularizationSpec,
                       apodization_sweep, apodized_variance, mean_transfer,
                       moment_change, sharp_cutoff_variance, transfer_variance,
                       window_variance)
-from .pointer import (ConvergenceReport, PointerSpec, convergence_sweep,
-                      estimate_wvp, marginal, run_tagged)
+from .pointer import (ConvergenceReport, convergence_sweep, estimate_wvp,
+                      marginal, run_tagged)
 from .config import PRESETS, ScenarioConfig, from_dict, parse_config
 from .runner import ResultBundle, run
 from .outputs import emit_outputs
@@ -55,8 +55,8 @@ __all__ = [
     "transfer_variance", "sharp_cutoff_variance", "apodized_variance",
     "apodization_sweep", "window_variance", "moment_change",
     # pointer emulation
-    "PointerSpec", "ConvergenceReport", "run_tagged", "estimate_wvp",
-    "marginal", "convergence_sweep",
+    "ConvergenceReport", "run_tagged", "estimate_wvp", "marginal",
+    "convergence_sweep",
     # scenarios
     "ScenarioConfig", "PRESETS", "parse_config", "from_dict",
     "ResultBundle", "run", "emit_outputs",

@@ -72,7 +72,7 @@ def main(argv=None) -> int:
         config = from_dict(_load_raw_config(args))
         bundle = run(config, args.command)
         # a closed stdout pipe raises here when stdout is unbuffered
-        for path in emit_outputs(bundle, config.output_dir()):
+        for path in emit_outputs(bundle, config.output_dir):
             print(path)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

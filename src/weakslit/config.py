@@ -22,9 +22,8 @@ from .channels import MeasurementChannel, classical_kick, identity_channel, scul
 from .errors import ConfigError
 from .grid import LabFrame, SimGrid, make_grid
 from .moments import RegularizationSpec
-from .pointer import PointerSpec
 from .states import SlitGeometry, TransverseState, build_double_slit
-from .weak_values import _check_eraser
+from .weak_values import MomentumWindow, _check_eraser
 
 __all__ = ["ScenarioConfig", "parse_config", "from_dict", "PRESETS",
            "merge", "parse_json_object", "parse_override", "DEFAULTS"]
@@ -138,6 +137,10 @@ class ScenarioConfig:
     names and sums; their errors come back prefixed with the config key.
     ``lab`` comes first because it refuses a non-positive
     ``geometry.separation``, which ``geometry`` divides by.
+
+    ``window`` is the focus window that every command reads and
+    ``indices`` the tiling's window numbers; the pointer contributes
+    only its weakness ``ratio`` = D/sigma and the sweep's ``ratios``.
     """
 
     def __init__(self, data: dict):
@@ -164,15 +167,28 @@ class ScenarioConfig:
             self.channel = self.build_channel(self.grid)
         with _key("eraser"):
             _check_eraser(data["eraser"])
+            self.eraser = data["eraser"]
+        with _key("windows"):
+            if win["sliver_width"] <= 0.0:
+                raise ConfigError("sliver_width must be positive")
+            self.window = MomentumWindow(win["focus_index"], float(
+                self.lab.momentum_from_position(win["sliver_width"])))
+            half = (win["count"] - 1) // 2
+            self.indices = range(-half, half + 1)
         with _key("pointer"):
-            self.pointer = PointerSpec(pt["sigma"], pt["displacement"],
-                                       win["sliver_width"], win["focus_index"],
-                                       self.lab)
+            if pt["sigma"] <= 0.0 or pt["displacement"] <= 0.0:
+                raise ConfigError("sigma and displacement must be positive")
+            self.ratio = pt["displacement"] / pt["sigma"]
+            if not math.isfinite(self.ratio):
+                raise ConfigError(f"displacement/sigma = {pt['displacement']}"
+                                  f"/{pt['sigma']} is not a finite number")
+            self.ratios = tuple(pt["ratios"])
         with _key("regularization"):
             reg = data["regularization"]
             self.regularization = RegularizationSpec(
                 tuple(reg["q_max"] or _DEFAULT_QMAX),
                 tuple(reg["kappa"] or _DEFAULT_KAPPA))
+        self.output_dir = data["output_dir"]
 
     def sim_grid(self) -> SimGrid:
         """The built grid, ``self.grid``."""
@@ -192,21 +208,8 @@ class ScenarioConfig:
         raise ConfigError(f"unknown channel kind {ch['kind']!r}")
 
     def window_width_internal(self) -> float:
-        return self.pointer.window().width
-
-    def window_indices(self) -> range:
-        count = self.data["windows"]["count"]
-        half = (count - 1) // 2
-        return range(-half, half + 1)
-
-    def eraser(self) -> str:
-        return self.data["eraser"]
-
-    def pointer_ratios(self) -> tuple[float, ...]:
-        return tuple(self.data["pointer"]["ratios"])
-
-    def output_dir(self) -> str:
-        return self.data["output_dir"]
+        """``window.width``; perfbench/layers.py reads it by this name."""
+        return self.window.width
 
     def config_hash(self) -> str:
         """Scenario fingerprint; excludes the output destination."""

@@ -114,10 +114,11 @@ class ApodizationReport:
         return self.values[-1]
 
     @property
-    def last_gap(self) -> float:
-        """|change over the final sweep step| -- a convergence estimate."""
+    def last_gap(self) -> float | None:
+        """|change over the final sweep step| -- a convergence estimate;
+        None for a one-point sweep."""
         if len(self.values) < 2:
-            return float("nan")
+            return None
         return abs(self.values[-1] - self.values[-2])
 
     @property

@@ -26,62 +26,23 @@ It tends to the conditional weak-valued probability J/P as r -> 0
 fraction of a projective measurement of the window, as c -> 0.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import MeasurementChannel
 from .errors import ConfigError
-from .grid import LabFrame
 from .states import TransverseState
 from .weak_values import (EPS_DEN_FRACTION, MomentumWindow, WvpCurve,
                           conditional_wvp)
 
 __all__ = [
-    "PointerSpec",
     "run_tagged",
     "estimate_wvp",
     "marginal",
     "convergence_sweep",
     "ConvergenceReport",
 ]
-
-
-@dataclass(frozen=True)
-class PointerSpec:
-    """Pointer geometry in laboratory metres plus the tagged window.
-
-    sigma is the 1/e^2 intensity half-width of the pointer profile,
-    displacement the tag shift D, sliver_width the focal-plane width
-    that sets the momentum window, and index the window number.
-    """
-
-    sigma: float
-    displacement: float
-    sliver_width: float
-    index: int
-    lab: LabFrame
-
-    def __post_init__(self):
-        if self.sigma <= 0.0 or self.displacement <= 0.0:
-            raise ConfigError("pointer sigma and displacement must be positive")
-        if self.sliver_width <= 0.0:
-            raise ConfigError("sliver_width must be positive")
-        if not math.isfinite(self.ratio):
-            raise ConfigError(
-                f"displacement/sigma = {self.displacement}/{self.sigma} "
-                f"is not a finite number")
-
-    @property
-    def ratio(self) -> float:
-        """Weakness ratio D/sigma."""
-        return self.displacement / self.sigma
-
-    def window(self) -> MomentumWindow:
-        """The tagged momentum window, in internal units."""
-        width = float(self.lab.momentum_from_position(self.sliver_width))
-        return MomentumWindow(self.index, width)
 
 
 def _overlap(ratio: float) -> tuple[float, float]:
@@ -96,12 +57,13 @@ def _overlap(ratio: float) -> tuple[float, float]:
 
 
 def run_tagged(state: TransverseState, ch: MeasurementChannel,
-               pointer: PointerSpec) -> WvpCurve:
+               window: MomentumWindow) -> WvpCurve:
     """The tagged window's conditional curve, whose ``joint``,
     ``density`` and ``strong`` are the J, P and T of the module
     docstring; the pointer's sigma and D do not enter it.
     """
-    return conditional_wvp(state, ch, pointer.window())
+    # Its own name only so that a profile can trace the pointer's curve.
+    return conditional_wvp(state, ch, window)
 
 
 def marginal(curve: WvpCurve, ratio: float) -> np.ndarray:
@@ -191,21 +153,22 @@ def _roundoff_scales(curve: WvpCurve) -> tuple[float, float]:
 
 
 def convergence_sweep(state: TransverseState, ch: MeasurementChannel,
-                      pointer: PointerSpec, ratios) -> ConvergenceReport:
-    """Estimator error for each weakness ratio, strongest first.
+                      window: MomentumWindow, ratios) -> ConvergenceReport:
+    """Estimator error for each distinct weakness ratio, strongest first.
 
-    Ratios are sorted descending; errors are max-abs deviations from
-    the analytic conditional curve over samples where both are defined.
+    A ratio given twice is swept once, and ratios are sorted descending;
+    errors are max-abs deviations from the analytic conditional curve
+    over samples where both are defined.
     The floor at a ratio is ``ROUNDOFF_EPS`` eps times the curve's
     largest magnitude plus 1 - c times the round-off of J - T carried
     into the estimate.  J, P and T do not depend on D, so the state is
     propagated once; each ratio costs only the O(N) estimate of
     :func:`estimate_wvp`.
     """
-    ratios = tuple(sorted((float(r) for r in ratios), reverse=True))
+    ratios = tuple(sorted({float(r) for r in ratios}, reverse=True))
     if any(r <= 0.0 for r in ratios):
         raise ConfigError(f"ratios must be positive, got {ratios}")
-    analytic = run_tagged(state, ch, pointer)
+    analytic = run_tagged(state, ch, window)
     quotient, difference = _roundoff_scales(analytic)
     errors, floors = [], []
     for ratio in ratios:

@@ -65,91 +65,83 @@ class ResultBundle:
     figures: list = field(default_factory=list)
 
 
-class _Scene:
-    """The config's built objects plus the per-run plot helpers."""
-
-    def __init__(self, config: ScenarioConfig):
-        self.config = config
-        self.grid = config.grid
-        self.state = config.state
-        self.channel = config.channel
-        self.width = config.window_width_internal()
-        self.indices = config.window_indices()
-        self.eraser = config.eraser()
-        # focal-plane millimetres per internal momentum unit
-        self.mm_per_unit = float(config.lab.focal_plane_position(1.0)) * 1e3
-
-    def lab_mm(self, p_internal: np.ndarray) -> np.ndarray:
-        return p_internal * self.mm_per_unit
-
-    def plot_sel(self, p: np.ndarray) -> np.ndarray:
-        return np.abs(p) <= PLOT_RANGE
-
-    def provenance(self) -> dict:
-        return {
-            "config_sha256": self.config.config_hash(),
-            "package_version": __version__,
-            "grid_n_points": self.grid.n_points,
-            "grid_x_extent": self.grid.x_extent,
-            "dp_internal": self.grid.dp,
-            "eps_den_fraction": EPS_DEN_FRACTION,
-            "coverage_min": COVERAGE_MIN,
-        }
+def _mm_per_unit(config: ScenarioConfig) -> float:
+    """Focal-plane millimetres per internal momentum unit."""
+    return float(config.lab.focal_plane_position(1.0)) * 1e3
 
 
-def _run_wvp(scene: _Scene) -> ResultBundle:
-    window = scene.config.pointer.window()
+def _plot_sel(p: np.ndarray) -> np.ndarray:
+    return np.abs(p) <= PLOT_RANGE
+
+
+def _provenance(config: ScenarioConfig) -> dict:
+    grid = config.grid
+    return {
+        "config_sha256": config.config_hash(),
+        "package_version": __version__,
+        "grid_n_points": grid.n_points,
+        "grid_x_extent": grid.x_extent,
+        "dp_internal": grid.dp,
+        "eps_den_fraction": EPS_DEN_FRACTION,
+        "coverage_min": COVERAGE_MIN,
+    }
+
+
+def _run_wvp(config: ScenarioConfig) -> ResultBundle:
+    window = config.window
     # One set of full-state sector sums gives the curve and, through the
     # un-erased density, the output distribution.
-    curves = eraser_curves(scene.state, scene.channel, window,
-                           dict.fromkeys(("none", scene.eraser)))
-    curve = curves[scene.eraser]
-    dens_in = momentum_distribution(scene.state)
+    curves = eraser_curves(config.state, config.channel, window,
+                           dict.fromkeys(("none", config.eraser)))
+    curve = curves[config.eraser]
+    dens_in = momentum_distribution(config.state)
     dens_out = curves["none"].density
-    dens_out = dens_out / (np.sum(dens_out) * scene.grid.dp)
-    p = scene.grid.p
+    dens_out = dens_out / (np.sum(dens_out) * config.grid.dp)
+    p, mm = config.grid.p, _mm_per_unit(config)
 
     bundle = ResultBundle("wvp")
     bundle.tables["wvp"] = Table((
         ("p_f", "hbar/s"), ("p_f_lab", "mm"), ("conditional", "1"),
         ("joint", "s/hbar"), ("defined", "0/1"),
-    ), (p, scene.lab_mm(p), curve.values, curve.joint, curve.defined))
+    ), (p, p * mm, curve.values, curve.joint, curve.defined))
     bundle.tables["intensity"] = Table((
         ("p_f", "hbar/s"), ("p_f_lab", "mm"),
         ("input_density", "s/hbar"), ("output_density", "s/hbar"),
-    ), (p, scene.lab_mm(p), dens_in, dens_out))
+    ), (p, p * mm, dens_in, dens_out))
 
     ok = curve.defined
-    in_window = curve.values[ok & (window_mask(scene.grid, window) > 0.5)]
+    in_window = curve.values[ok & (window_mask(config.grid, window) > 0.5)]
     bundle.summary = {
         "window_index": window.index,
         "window_width": window.width,
-        "eraser": scene.eraser,
+        "eraser": config.eraser,
         "conditional_min": float(np.nanmin(curve.values[ok])),
         "conditional_max": float(np.nanmax(curve.values[ok])),
         # null when no defined sample lies in the window
         "in_window_min": float(in_window.min()) if in_window.size else None,
         "in_window_max": float(in_window.max()) if in_window.size else None,
     }
-    sel = scene.plot_sel(p)
+    sel = _plot_sel(p)
     bundle.figures.append(Figure(
         "wvp",
         [(p[sel], curve.values[sel], "conditional WVP"),
          (p[sel], dens_out[sel] / dens_out.max(), "output density (scaled)")],
         "Conditional weak-valued probability",
         "p_f [hbar/s x 2pi per fringe]", "value",
-        "focal plane [mm]", scene.mm_per_unit,
+        "focal plane [mm]", mm,
     ))
     return bundle
 
 
-def _run_transfer(scene: _Scene) -> ResultBundle:
-    dist = transfer_distribution(scene.state, scene.channel, scene.width,
-                                 scene.indices, scene.eraser)
+def _run_transfer(config: ScenarioConfig) -> ResultBundle:
+    dist = transfer_distribution(config.state, config.channel,
+                                 config.window.width, config.indices,
+                                 config.eraser)
+    mm = _mm_per_unit(config)
     bundle = ResultBundle("transfer")
     bundle.tables["transfer"] = Table((
         ("q", "hbar/s"), ("q_lab", "mm"), ("density", "s/hbar"),
-    ), (dist.q, scene.lab_mm(dist.q), dist.density))
+    ), (dist.q, dist.q * mm, dist.density))
     bundle.summary = {
         "integral": dist.integral(),
         "coverage": dist.coverage,
@@ -160,21 +152,22 @@ def _run_transfer(scene: _Scene) -> ResultBundle:
         "density_min": float(dist.density.min()),
         "density_max": float(dist.density.max()),
     }
-    sel = scene.plot_sel(dist.q)
+    sel = _plot_sel(dist.q)
     bundle.figures.append(Figure(
         "transfer",
         [(dist.q[sel], dist.density[sel], "P_wv(q)")],
         "Weak-valued momentum-transfer distribution",
         "q [hbar/s x 2pi per fringe]", "density [s/hbar]",
-        "focal plane [mm]", scene.mm_per_unit,
+        "focal plane [mm]", mm,
     ))
     return bundle
 
 
-def _run_variance(scene: _Scene) -> ResultBundle:
-    dist = transfer_distribution(scene.state, scene.channel, scene.width,
-                                 scene.indices, scene.eraser)
-    reg = scene.config.regularization
+def _run_variance(config: ScenarioConfig) -> ResultBundle:
+    dist = transfer_distribution(config.state, config.channel,
+                                 config.window.width, config.indices,
+                                 config.eraser)
+    reg = config.regularization
     reg.validate_range(dist)
     sharp = np.array([sharp_cutoff_variance(dist, q) for q in reg.q_max])
     report = apodization_sweep(dist, reg.kappa)
@@ -196,7 +189,7 @@ def _run_variance(scene: _Scene) -> ResultBundle:
         "apodized_last_gap": report.last_gap,
         "apodized_trend": report.trend,
         "window_variance_lattice": window_variance(dist.window_width,
-                                                   scene.grid.dp),
+                                                   config.grid.dp),
         "window_variance_continuum": window_variance(dist.window_width),
         "coverage": dist.coverage,
     }
@@ -215,17 +208,17 @@ def _run_variance(scene: _Scene) -> ResultBundle:
     return bundle
 
 
-def _run_eraser(scene: _Scene) -> ResultBundle:
-    window = scene.config.pointer.window()
-    curves = eraser_curves(scene.state, scene.channel, window)
+def _run_eraser(config: ScenarioConfig) -> ResultBundle:
+    window = config.window
+    curves = eraser_curves(config.state, config.channel, window)
     plus, minus = curves["plus45"], curves["minus45"]
     j_none, j_plus, j_minus = curves["none"].joint, plus.joint, minus.joint
-    p = scene.grid.p
-    in_window = window_mask(scene.grid, window) > 0.5
+    p, mm = config.grid.p, _mm_per_unit(config)
+    in_window = window_mask(config.grid, window) > 0.5
     out = ~in_window
 
     def out_mass(j):
-        return float(np.sum(np.abs(j)[out]) * scene.grid.dp)
+        return float(np.sum(np.abs(j)[out]) * config.grid.dp)
 
     indicator = in_window.astype(float)
     plus_dev = float(np.nanmax(np.abs(plus.values[plus.defined]
@@ -236,7 +229,7 @@ def _run_eraser(scene: _Scene) -> ResultBundle:
         ("p_f", "hbar/s"), ("p_f_lab", "mm"),
         ("plus45", "1"), ("plus45_defined", "0/1"),
         ("minus45", "1"), ("minus45_defined", "0/1"),
-    ), (p, scene.lab_mm(p), plus.values, plus.defined, minus.values,
+    ), (p, p * mm, plus.values, plus.defined, minus.values,
         minus.defined))
     bundle.tables["eraser_joint"] = Table((
         ("p_f", "hbar/s"), ("joint_none", "s/hbar"),
@@ -250,60 +243,59 @@ def _run_eraser(scene: _Scene) -> ResultBundle:
         "out_of_window_mass_plus45": out_mass(j_plus),
         "out_of_window_mass_minus45": out_mass(j_minus),
     }
-    sel = scene.plot_sel(p)
+    sel = _plot_sel(p)
     bundle.figures.append(Figure(
         "eraser",
         [(p[sel], plus.values[sel], "+45 eraser"),
          (p[sel], minus.values[sel], "-45 eraser")],
         "Eraser-resolved conditional WVP",
         "p_f [hbar/s x 2pi per fringe]", "value",
-        "focal plane [mm]", scene.mm_per_unit,
+        "focal plane [mm]", mm,
     ))
     return bundle
 
 
-def _run_pointer(scene: _Scene) -> ResultBundle:
-    spec = scene.config.pointer
-    analytic = run_tagged(scene.state, scene.channel, spec)
-    est = estimate_wvp(analytic, spec.ratio)
+def _run_pointer(config: ScenarioConfig) -> ResultBundle:
+    window, ratio = config.window, config.ratio
+    analytic = run_tagged(config.state, config.channel, window)
+    est = estimate_wvp(analytic, ratio)
     est_defined = np.isfinite(est)
     both = est_defined & analytic.defined
     dev = float(np.max(np.abs(est[both] - analytic.values[both])))
-    dens = analytic.density / (np.sum(analytic.density) * scene.grid.dp)
-    marg = marginal(analytic, spec.ratio)
-    marg = marg / (np.sum(marg) * scene.grid.dp)
-    p = scene.grid.p
+    dens = analytic.density / (np.sum(analytic.density) * config.grid.dp)
+    marg = marginal(analytic, ratio)
+    marg = marg / (np.sum(marg) * config.grid.dp)
+    p, mm = config.grid.p, _mm_per_unit(config)
 
     bundle = ResultBundle("pointer")
     bundle.tables["pointer"] = Table((
         ("p_f", "hbar/s"), ("p_f_lab", "mm"), ("estimate", "1"),
         ("estimate_defined", "0/1"), ("analytic", "1"),
         ("analytic_defined", "0/1"),
-    ), (p, scene.lab_mm(p), est, est_defined, analytic.values,
+    ), (p, p * mm, est, est_defined, analytic.values,
         analytic.defined))
     bundle.summary = {
-        "ratio": spec.ratio,
-        "window_index": spec.index,
-        "window_width": spec.window().width,
+        "ratio": ratio,
+        "window_index": window.index,
+        "window_width": window.width,
         "max_abs_dev_vs_analytic": dev,
         "marginal_max_abs_dev": float(np.max(np.abs(marg - dens))),
     }
-    sel = scene.plot_sel(p)
+    sel = _plot_sel(p)
     bundle.figures.append(Figure(
         "pointer",
-        [(p[sel], est[sel], f"pointer estimate (D/sigma={spec.ratio:g})"),
+        [(p[sel], est[sel], f"pointer estimate (D/sigma={ratio:g})"),
          (p[sel], analytic.values[sel], "analytic")],
         "Pointer emulation vs analytic conditional WVP",
         "p_f [hbar/s x 2pi per fringe]", "value",
-        "focal plane [mm]", scene.mm_per_unit,
+        "focal plane [mm]", mm,
     ))
     return bundle
 
 
-def _run_sweep(scene: _Scene) -> ResultBundle:
-    spec = scene.config.pointer
-    report = convergence_sweep(scene.state, scene.channel, spec,
-                               scene.config.pointer_ratios())
+def _run_sweep(config: ScenarioConfig) -> ResultBundle:
+    report = convergence_sweep(config.state, config.channel, config.window,
+                               config.ratios)
     ratios = np.array(report.ratios)
     errors = np.array(report.errors)
 
@@ -343,7 +335,6 @@ def run(config: ScenarioConfig, command: str) -> ResultBundle:
     if command not in COMMANDS:
         raise ConfigError(
             f"unknown command {command!r}; expected one of {sorted(COMMANDS)}")
-    scene = _Scene(config)
-    bundle = COMMANDS[command](scene)
-    bundle.provenance = scene.provenance()
+    bundle = COMMANDS[command](config)
+    bundle.provenance = _provenance(config)
     return bundle

@@ -7,6 +7,7 @@ acceptance tests build their own grids at the sizes their runtimes are
 specified for.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -39,6 +40,16 @@ def run_python(*args, **kwargs) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=path),
                           **kwargs)
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text: str):
+    """``json.loads`` that refuses NaN and +-Infinity: Python writes them,
+    but they are not JSON and strict parsers reject them."""
+    return json.loads(text, parse_constant=_refuse_constant)
 
 
 @pytest.fixture(scope="session")

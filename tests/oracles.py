@@ -198,17 +198,17 @@ def loop_conditional_wvp(state, ch, window, eraser="none"):
     return values, defined, j
 
 
-def loop_convergence_sweep(state, ch, pointer, ratios):
+def loop_convergence_sweep(state, ch, window, ratios):
     """(ratios, errors) with one tagged run and one estimate per ratio.
 
     This was the package's ``convergence_sweep`` before the tagged run
     was hoisted out of the ratio loop.
     """
     ratios = tuple(sorted((float(r) for r in ratios), reverse=True))
-    analytic = conditional_wvp(state, ch, pointer.window())
+    analytic = conditional_wvp(state, ch, window)
     errors = []
     for ratio in ratios:
-        est = estimate_wvp(run_tagged(state, ch, pointer), ratio)
+        est = estimate_wvp(run_tagged(state, ch, window), ratio)
         both = analytic.defined & np.isfinite(est)
         errors.append(float(np.max(np.abs(est[both]
                                           - analytic.values[both]))))
@@ -240,12 +240,13 @@ def _row_sums(untagged: np.ndarray, tagged: np.ndarray) -> tuple:
     return cross, tagged_w, squares
 
 
-def pointer_centroid(curve, pointer) -> np.ndarray:
+def pointer_centroid(curve, sigma, displacement) -> np.ndarray:
     """Mean vertical displacement d(p_f) of the tagged window's
-    conditional curve under ``pointer``: D times the estimate; NaN where
-    the intensity vanishes.  Only the tests read it, so it lives here
-    rather than in the package."""
-    return pointer.displacement * estimate_wvp(curve, pointer.ratio)
+    conditional curve under a pointer of half-width ``sigma`` shifted by
+    ``displacement``: D times the estimate; NaN where the intensity
+    vanishes.  Only the tests read it, so it lives here rather than in
+    the package."""
+    return displacement * estimate_wvp(curve, displacement / sigma)
 
 
 def _gaussian_overlap(displacement: float, sigma: float) -> float:
@@ -298,8 +299,9 @@ class StackMap:
                          self.displacement, self.overlap)
 
 
-def stack_run_tagged(state, ch, pointer) -> StackMap:
-    """Propagate the tagged state through the channel.
+def stack_run_tagged(state, ch, window, sigma, displacement) -> StackMap:
+    """Propagate the state, ``window`` tagged by a pointer of half-width
+    ``sigma`` shifted by ``displacement``, through the channel.
 
     The window projection and its complement each pass through the
     channel, and their sector sums are kept as complex (rows, n)
@@ -307,30 +309,30 @@ def stack_run_tagged(state, ch, pointer) -> StackMap:
     was built from the conditional curve's J, P and T; the oracle for
     ``run_tagged``.
     """
-    window = pointer.window()
     grid = state.grid
     proj = _window_project(state, window)
     rest = TransverseState(grid, state.amps - proj.amps, state.sharp_edges)
     tagged = np.concatenate(_sector_momentum_sums(proj, ch), axis=0)
     untagged = np.concatenate(_sector_momentum_sums(rest, ch), axis=0)
-    return StackMap(grid.p.copy(), untagged, tagged, pointer.sigma,
-                    pointer.displacement, window, pointer.ratio)
+    return StackMap(grid.p.copy(), untagged, tagged, sigma, displacement,
+                    window, displacement / sigma)
 
 
-def stack_convergence_sweep(state, ch, pointer, ratios):
-    """(ratios, errors) from the row sums of :func:`stack_run_tagged`.
+def stack_convergence_sweep(state, ch, window, sigma, ratios):
+    """(ratios, errors) from the row sums of :func:`stack_run_tagged`,
+    with D = ratio * ``sigma`` at each ratio.
 
     This was the package's ``convergence_sweep`` before the pointer was
     built from J, P and T.
     """
     ratios = tuple(sorted((float(r) for r in ratios), reverse=True))
-    analytic = conditional_wvp(state, ch, pointer.window())
-    stacks = stack_run_tagged(state, ch, pointer)
+    analytic = conditional_wvp(state, ch, window)
+    stacks = stack_run_tagged(state, ch, window, sigma, sigma)
     sums = _row_sums(stacks.untagged, stacks.tagged)
     errors = []
     for ratio in ratios:
-        d = ratio * pointer.sigma
-        values = _centroid(sums, d, _gaussian_overlap(d, pointer.sigma)) / d
+        d = ratio * sigma
+        values = _centroid(sums, d, _gaussian_overlap(d, sigma)) / d
         both = analytic.defined & np.isfinite(values)
         errors.append(float(np.max(np.abs(values[both]
                                           - analytic.values[both]))))

@@ -44,8 +44,8 @@ def bench():
         cfg=cfg, grid=cfg.grid, lab=cfg.lab, state=cfg.state,
         marker=cfg.channel,
         width=cfg.window_width_internal(),
-        window=cfg.pointer.window(),
-        indices=cfg.window_indices(),
+        window=cfg.window,
+        indices=cfg.indices,
     )
     ns.mm_per_unit = ns.lab.focal_plane_position(1.0) * 1e3
     return ns
@@ -247,9 +247,8 @@ def test_criterion_08_classical_equivalence():
 
 def test_criterion_09_pointer_convergence(bench):
     t0 = time.perf_counter()
-    ratios = bench.cfg.pointer_ratios()
-    report = convergence_sweep(bench.state, bench.marker,
-                               bench.cfg.pointer, ratios)
+    report = convergence_sweep(bench.state, bench.marker, bench.window,
+                               bench.cfg.ratios)
     slope = report.slope()
     at_bench = report.errors[report.ratios.index(0.139)]
     elapsed = time.perf_counter() - t0

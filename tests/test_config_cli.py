@@ -14,7 +14,7 @@ from weakslit import ConfigError, PRESETS, from_dict, parse_config
 from weakslit.cli import console_entry, main
 from weakslit.config import DEFAULTS, merge, parse_override
 
-from conftest import run_python
+from conftest import run_python, strict_json
 
 TWO_PI = 2.0 * math.pi
 
@@ -23,11 +23,13 @@ class TestDefaultsAndPresets:
     def test_default_scenario(self):
         cfg = from_dict({})
         assert cfg.data["channel"]["kind"] == "identity"
-        assert cfg.eraser() == "none"
+        assert cfg.eraser == "none"
         grid = cfg.sim_grid()
         assert grid.n_points == 16384 and grid.x_extent == 64.0
-        assert cfg.window_indices() == range(-7, 8)
-        assert cfg.pointer.window().index == -1
+        assert cfg.indices == range(-7, 8)
+        assert cfg.window.index == -1
+        assert cfg.ratio == pytest.approx(0.14 / 1.01, rel=1e-12)
+        assert cfg.ratios == (0.3, 0.139, 0.05, 0.01, 0.001)
 
     def test_window_width_crosses_unit_systems(self):
         cfg = from_dict({})
@@ -122,6 +124,13 @@ class TestValidation:
         ({"channel": {"kind": "kick", "kicks": [[1.0, 0.5, 0.2]]}}, "channel"),
         ({"eraser": "maybe"}, "eraser"),
         ({"pointer": {"sigma": -1.0}}, "pointer"),
+        ({"pointer": {"sigma": 0.0}}, "pointer"),
+        ({"pointer": {"displacement": -1e-4}}, "pointer"),
+        # D/sigma is not a finite number
+        ({"pointer": {"sigma": 1e-320, "displacement": 1e-4}}, "pointer"),
+        ({"pointer": {"sigma": 5e-324, "displacement": 1.0}}, "pointer"),
+        ({"pointer": {"sigma": 1e-300, "displacement": 1e300}}, "pointer"),
+        ({"windows": {"sliver_width": 0.0}}, "windows"),
         ({"regularization": {"kappa": [-1.0]}}, "regularization"),
     ])
     def test_constructor_errors_carry_their_key(self, overrides, key):
@@ -133,7 +142,7 @@ class TestValidation:
         assert cfg.grid is cfg.sim_grid() and cfg.state.grid is cfg.grid
         assert cfg.channel.name == "scully_wwm" and cfg.channel.grid is cfg.grid
         assert cfg.lab.slit_separation == 80e-6
-        assert cfg.pointer.index == -1 and cfg.pointer.lab is cfg.lab
+        assert cfg.output_dir == DEFAULTS["output_dir"]
 
 
 class TestParsingAndOverrides:
@@ -354,6 +363,19 @@ class TestCliExitCodes:
         assert main(["variance", "--set", override, "--out", str(out)]) == 0
         for name in ("variance_sharp.svg", "variance_apodized.svg"):
             ET.fromstring((out / name).read_text())
+        # a one-point kappa sweep has no last gap: null, not NaN
+        strict_json((out / "summary.json").read_text())
+
+    def test_repeated_sweep_ratio_is_swept_once(self, tmp_path):
+        out = tmp_path / "x"
+        assert main(["sweep", "--preset", "paper",
+                     "--set", "pointer.ratios=[0.5,0.1,0.1]",
+                     "--out", str(out)] + FAST) == 0
+        summary = strict_json((out / "summary.json").read_text())["summary"]
+        assert summary["ratios"] == [0.5, 0.1]
+        assert summary["monotone_decreasing"] is True
+        assert summary["slope_smallest_pair"] > 0.0
+        assert len((out / "sweep.csv").read_text().splitlines()) == 3
 
     def test_window_outside_grid_range(self, tmp_path, capsys):
         rc = main(["wvp", "--preset", "paper",

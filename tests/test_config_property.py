@@ -7,8 +7,10 @@ one-element lists.  Whatever they hold, the one validation path either
 returns a built scenario or refuses it with a ``ConfigError``; nothing
 else may escape.  The same values, given as ``--set`` overrides to any
 command with and without ``--preset``, make the command line exit 0, 2,
-3 or 4, never 1.  ``grid.n_points`` is kept at most 2^12 when it is an
-integer, so that every accepted scenario builds quickly.
+3 or 4, never 1, and a run that exits 0 writes a ``summary.json``
+that a strict JSON parser reads.  ``grid.n_points`` is kept at most
+2^12 when it is an integer, so that every accepted scenario builds
+quickly.
 """
 
 import json
@@ -22,6 +24,8 @@ from weakslit import ConfigError, from_dict
 from weakslit.cli import main
 from weakslit.config import DEFAULTS
 from weakslit.runner import COMMANDS
+
+from conftest import strict_json
 
 MAX_TEST_POINTS = 2 ** 12
 
@@ -153,4 +157,7 @@ def test_cli_exits_with_a_documented_code(out_dir, command, preset,
         argv += ["--preset", "paper"]
     for assignment in assignments:
         argv += ["--set", assignment]
-    assert main(argv) in (0, 2, 3, 4)
+    code = main(argv)
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        strict_json((out_dir / "summary.json").read_text())

@@ -93,7 +93,7 @@ class TestApodizationSweep:
     def test_single_point_report(self):
         report = ApodizationReport((3.0,), (0.5,))
         assert report.trend == "single-point"
-        assert np.isnan(report.last_gap)
+        assert report.last_gap is None
 
 
 def test_window_variance_matches_discrete_uniform():
