@@ -10,11 +10,20 @@ factor between the two systems.
 """
 
 import copy
-import hashlib
 import json
 import math
 import sys
 from contextlib import contextmanager
+
+# CPython's built-in SHA-256 gives the digest hashlib does without
+# mapping OpenSSL (about 3.5 MiB) into every process.
+try:
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.11
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -215,7 +224,7 @@ class ScenarioConfig:
         """Scenario fingerprint; excludes the output destination."""
         payload = {k: v for k, v in self.data.items() if k != "output_dir"}
         canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()
+        return sha256(canon.encode()).hexdigest()
 
 
 def _leaf(data: dict, path: str):

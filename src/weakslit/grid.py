@@ -76,16 +76,41 @@ class SimGrid:
         to round-off.  Works on the last axis, so stacked states pass
         through in one call.
         """
-        values = self._check(values)
-        spec = np.fft.fft(np.fft.ifftshift(values, axes=-1), axis=-1)
-        return np.fft.fftshift(spec, axes=-1) * (self.dx / np.sqrt(2.0 * np.pi))
+        return self._transform(self._check(values))
 
     def from_momentum(self, values: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`to_momentum`."""
-        values = self._check(values)
-        spec = np.fft.ifft(np.fft.ifftshift(values, axes=-1), axis=-1)
-        scale = self.n_points * self.dp / np.sqrt(2.0 * np.pi)
-        return np.fft.fftshift(spec, axes=-1) * scale
+        return self._transform(self._check(values), inverse=True)
+
+    def _transform(self, values: np.ndarray, inverse: bool = False,
+                   out: np.ndarray | None = None) -> np.ndarray:
+        """:meth:`to_momentum` (or :meth:`from_momentum`) of ``values``
+        into ``out``: a new complex array, or one the caller owns, which
+        may be ``values`` itself.
+
+        Equals fftshift(fft(ifftshift(values))) * scale bit for bit, but
+        shifts, transforms and scales in ``out``; the only temporary is
+        half its size.  n is even, so either shift swaps the two halves.
+        """
+        if out is None:
+            out = np.empty(values.shape, dtype=complex)
+        half = self.n_points // 2
+        head = values[..., :half]
+        if out is values:
+            head = head.copy()
+        out[..., :half] = values[..., half:]
+        out[..., half:] = head
+        del head  # free a copy before the transform
+        if inverse:
+            np.fft.ifft(out, axis=-1, out=out)
+            scale = self.n_points * self.dp / np.sqrt(2.0 * np.pi)
+        else:
+            np.fft.fft(out, axis=-1, out=out)
+            scale = self.dx / np.sqrt(2.0 * np.pi)
+        head = out[..., :half] * scale
+        np.multiply(out[..., half:], scale, out=out[..., :half])
+        out[..., half:] = head
+        return out
 
 
 def make_grid(n_points: int, x_extent: float) -> SimGrid:

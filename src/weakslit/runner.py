@@ -92,22 +92,23 @@ def _run_wvp(config: ScenarioConfig) -> ResultBundle:
     # One set of full-state sector sums gives the curve and, through the
     # un-erased density, the output distribution.
     curves = eraser_curves(config.state, config.channel, window,
-                           dict.fromkeys(("none", config.eraser)))
+                           ("none", config.eraser))
     curve = curves[config.eraser]
     dens_in = momentum_distribution(config.state)
     dens_out = curves["none"].density
     dens_out = dens_out / (np.sum(dens_out) * config.grid.dp)
     p, mm = config.grid.p, _mm_per_unit(config)
+    p_lab = p * mm
 
     bundle = ResultBundle("wvp")
     bundle.tables["wvp"] = Table((
         ("p_f", "hbar/s"), ("p_f_lab", "mm"), ("conditional", "1"),
         ("joint", "s/hbar"), ("defined", "0/1"),
-    ), (p, p * mm, curve.values, curve.joint, curve.defined))
+    ), (p, p_lab, curve.values, curve.joint, curve.defined))
     bundle.tables["intensity"] = Table((
         ("p_f", "hbar/s"), ("p_f_lab", "mm"),
         ("input_density", "s/hbar"), ("output_density", "s/hbar"),
-    ), (p, p * mm, dens_in, dens_out))
+    ), (p, p_lab, dens_in, dens_out))
 
     ok = curve.defined
     in_window = curve.values[ok & (window_mask(config.grid, window) > 0.5)]

@@ -210,7 +210,7 @@ def _sector_sum(state: TransverseState, ch: MeasurementChannel, sector: int,
     for branch in ch.branches:
         if branch.sector == sector:
             acc += branch.apply(state).amps
-    return _eraser_project(state.grid.to_momentum(acc), eraser)
+    return _eraser_project(state.grid._transform(acc, out=acc), eraser)
 
 
 def _sector_momentum_sums(state: TransverseState, ch: MeasurementChannel,
@@ -281,9 +281,10 @@ def eraser_curves(state: TransverseState, ch: MeasurementChannel,
 
     The window projection and the un-erased (2, n) sector sums of both
     states do not depend on the eraser, so they are built once and only
-    the eraser projection is applied per setting.
+    the eraser projection is applied per setting.  A repeated setting is
+    built once.
     """
-    erasers = tuple(erasers)
+    erasers = tuple(dict.fromkeys(erasers))
     for eraser in erasers:
         _check_eraser(eraser)
     psi_sums = _sector_momentum_sums(state, ch)
@@ -292,6 +293,8 @@ def eraser_curves(state: TransverseState, ch: MeasurementChannel,
     for eraser in erasers:
         psi_erased = [_eraser_project(s, eraser) for s in psi_sums]
         chi_erased = [_eraser_project(s, eraser) for s in chi_sums]
+        if eraser == erasers[-1]:
+            del psi_sums, chi_sums  # unread from here on: lowers the peak
         j = _joint(chi_erased, psi_erased)
         dens = _density(psi_erased)
         defined = dens > EPS_DEN_FRACTION * dens.max()

@@ -13,6 +13,7 @@ import pytest
 from weakslit import ConfigError, PRESETS, from_dict, parse_config
 from weakslit.cli import console_entry, main
 from weakslit.config import DEFAULTS, merge, parse_override
+from weakslit.runner import COMMANDS
 
 from conftest import run_python, strict_json
 
@@ -177,7 +178,26 @@ class TestParsingAndOverrides:
             parse_override("no-equals-sign")
 
 
+#: ``from_dict({}).config_hash()``, as every earlier version wrote it.
+DEFAULT_DIGEST = \
+    "7d1e4e434168a60a75e4aa539eca6672e6cb3d4accc65295377b1a55bf6c2b28"
+
+
 class TestConfigHash:
+    def test_default_digest_is_pinned(self):
+        assert from_dict({}).config_hash() == DEFAULT_DIGEST
+
+    def test_hashlib_fallback_gives_the_same_digest(self):
+        """Without CPython's built-in SHA-256 module the digest comes
+        from hashlib, and is the same."""
+        code = ("import sys; "
+                "sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+                "from weakslit import from_dict; "
+                "print(from_dict({}).config_hash(), 'hashlib' in sys.modules)")
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [DEFAULT_DIGEST, "True"]
+
     def test_ignores_output_destination(self):
         assert from_dict({}).config_hash() \
             == from_dict({"output_dir": "elsewhere"}).config_hash()
@@ -196,6 +216,22 @@ FAST = ["--set", "grid.n_points=1024"]
 
 
 class TestCliRuns:
+    def test_commands_leave_heavy_modules_unloaded(self, tmp_path):
+        """No command maps OpenSSL (``_hashlib``, about 3.5 MiB), imports
+        ``numpy.ma`` or needs scipy, a test dependency only."""
+        code = ("import sys; from weakslit import cli\n"
+                f"for command in {sorted(COMMANDS)!r}:\n"
+                "    assert cli.main([command, '--preset', 'paper', '--set', "
+                f"'grid.n_points=4096', '--out', {str(tmp_path)!r}]) == 0\n"
+                "print(' '.join(sorted(sys.modules)))")
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        loaded = proc.stdout.splitlines()[-1].split()
+        assert "weakslit.runner" in loaded
+        assert [m for m in loaded if m == "_hashlib"
+                or m.split(".")[0] == "scipy"
+                or m == "numpy.ma" or m.startswith("numpy.ma.")] == []
+
     def test_wvp_end_to_end(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["wvp", "--out", str(out)] + FAST) == 0

@@ -6,8 +6,9 @@ Random leaves of ``DEFAULTS`` are replaced by wrong types, bools, NaN,
 one-element lists.  Whatever they hold, the one validation path either
 returns a built scenario or refuses it with a ``ConfigError``; nothing
 else may escape.  The same values, given as ``--set`` overrides to any
-command with and without ``--preset``, make the command line exit 0, 2,
-3 or 4, never 1, and a run that exits 0 writes a ``summary.json``
+command with and without ``--preset``, and sweeps of the defaults' own
+values that hold one point or repeat one, make the command line exit
+0, 2, 3 or 4, never 1, and a run that exits 0 writes a ``summary.json``
 that a strict JSON parser reads.  ``grid.n_points`` is kept at most
 2^12 when it is an integer, so that every accepted scenario builds
 quickly.
@@ -127,14 +128,41 @@ def _scaled(path: tuple, scale: float) -> str:
 SCALES = st.sampled_from([-1.0, 0.0, 1e-300, 1e-12, 1e-3, 0.5, 1.0, 2.0,
                           1e3, 1e12, 1e300])
 
+# Each sweep list: the command that reads it and the values its default
+# holds (the empty regularisation lists are filled with these).
+_REG = from_dict({"grid": {"n_points": 1024}}).regularization
+SWEEPS = {
+    ("pointer", "ratios"): ("sweep", DEFAULTS["pointer"]["ratios"]),
+    ("regularization", "q_max"): ("variance", list(_REG.q_max)),
+    ("regularization", "kappa"): ("variance", list(_REG.kappa)),
+}
+
+
+def _sweep_lists(path: tuple):
+    """A sweep of one point, or one that repeats a point, at *path*.
+
+    Every element is one of the default's own values, so only the
+    sweep's length and repeats are on trial.
+    """
+    values = st.sampled_from(SWEEPS[path][1])
+    return st.builds(_assignment, st.just(path), st.one_of(
+        values.map(lambda v: [v]),
+        st.lists(values, min_size=1, max_size=3).flatmap(
+            lambda xs: st.sampled_from(xs).map(lambda x: xs + [x]))))
+
+
+SWEEP_LISTS = st.sampled_from(sorted(SWEEPS)).flatmap(_sweep_lists)
+
 # --set values as JSON (NaN and +-Infinity included), as bare strings
-# that are not JSON, the defaults at extreme scales (twice: they get
-# past validation most often), and assignments with no known key or
-# no "=".
+# that are not JSON, the defaults at extreme scales and the sweep lists
+# above (each twice: they get past validation most often), and
+# assignments with no known key or no "=".
 ASSIGNMENTS = st.one_of(
     st.builds(_assignment, st.sampled_from(LEAVES), VALUES),
     st.builds(_scaled, st.sampled_from(LEAVES), SCALES),
     st.builds(_scaled, st.sampled_from(LEAVES), SCALES),
+    SWEEP_LISTS,
+    SWEEP_LISTS,
     st.builds(_bare, st.sampled_from(LEAVES), st.text(max_size=3)),
     st.sampled_from(["nope.key=1", "grid=3", "no-equals", "=1"]),
 )
@@ -151,6 +179,21 @@ def out_dir(tmp_path_factory):
        assignments=st.lists(ASSIGNMENTS, max_size=4))
 def test_cli_exits_with_a_documented_code(out_dir, command, preset,
                                           assignments):
+    _check_cli(out_dir, command, preset, assignments)
+
+
+@pytest.mark.filterwarnings("ignore::weakslit.errors.CoverageWarning")
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(path=st.sampled_from(sorted(SWEEPS)), preset=st.booleans(),
+       data=st.data())
+def test_sweep_lists_exit_with_a_documented_code(out_dir, path, preset, data):
+    """One sweep list, given to the command that reads it and to no
+    other override that could mask it."""
+    _check_cli(out_dir, SWEEPS[path][0], preset,
+               [data.draw(_sweep_lists(path))])
+
+
+def _check_cli(out_dir, command, preset, assignments):
     # the defaults' 2^14 grid would make every accepted example slow
     argv = [command, "--out", str(out_dir), "--set", "grid.n_points=1024"]
     if preset:

@@ -92,6 +92,60 @@ def test_transform_works_on_stacked_rows():
     np.testing.assert_allclose(out[1], grid.to_momentum(stack[1]), atol=1e-13)
 
 
+def shifted_fft(grid, values, inverse=False):
+    """fftshift(fft(ifftshift(v))) * scale, each step in a new array."""
+    if inverse:
+        spec = np.fft.ifft(np.fft.ifftshift(values, axes=-1), axis=-1)
+        scale = grid.n_points * grid.dp / np.sqrt(2.0 * np.pi)
+    else:
+        spec = np.fft.fft(np.fft.ifftshift(values, axes=-1), axis=-1)
+        scale = grid.dx / np.sqrt(2.0 * np.pi)
+    return np.fft.fftshift(spec, axes=-1) * scale
+
+
+def assert_same_bits(actual, expected):
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_transform_equals_the_shifted_fft_bit_for_bit(inverse):
+    """Shifting, transforming and scaling in one buffer changes no bit
+    of the result, on stacked rows, one row, strided and Fortran-ordered
+    input; the input is left as it was, unless it is the buffer."""
+    rng = np.random.default_rng(5)
+    for n in (2 ** k for k in range(3, 13)):
+        grid = make_grid(n, 16.0)
+        transform = grid.from_momentum if inverse else grid.to_momentum
+        stack = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+        for values in (stack, stack[1], stack[::-2], np.asfortranarray(stack)):
+            before = values.copy()
+            expected = shifted_fft(grid, values, inverse)
+            assert_same_bits(transform(values), expected)
+            assert_same_bits(values, before)
+            owned = values.copy()
+            assert grid._transform(owned, inverse, out=owned) is owned
+            assert_same_bits(owned, expected)
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_real_input_gives_a_new_complex_array(inverse):
+    """A float array (as the unit sample of the branch kernels) is never
+    the buffer of a complex transform."""
+    grid = make_grid(64, 8.0)
+    transform = grid.from_momentum if inverse else grid.to_momentum
+    unit = np.zeros(64)
+    unit[32] = 1.0
+    rows = np.random.default_rng(9).normal(size=(2, 64))
+    for values in (unit, rows):
+        before = values.copy()
+        out = transform(values)
+        assert out.dtype == complex
+        assert_same_bits(out, shifted_fft(grid, values, inverse))
+        assert_same_bits(values, before)
+
+
 def test_transform_rejects_wrong_length():
     grid = make_grid(64, 8.0)
     with pytest.raises(GridMismatchError):

@@ -170,6 +170,13 @@ class TestEraserCurves:
     def test_subset_and_validation(self, slit_state, wwm, focus_window):
         curves = eraser_curves(slit_state, wwm, focus_window, ["minus45"])
         assert list(curves) == ["minus45"]
+        # a repeated setting is built once, from sums still alive
+        curves = eraser_curves(slit_state, wwm, focus_window,
+                               ["plus45", "none", "plus45"])
+        assert list(curves) == ["plus45", "none"]
+        np.testing.assert_array_equal(
+            curves["plus45"].joint,
+            conditional_wvp(slit_state, wwm, focus_window, "plus45").joint)
         with pytest.raises(ConfigError):
             eraser_curves(slit_state, wwm, focus_window, ["none", "circular"])
 
