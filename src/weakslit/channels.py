@@ -55,10 +55,6 @@ class Branch:
     u: np.ndarray
     swap: bool = False
 
-    def coefficient_sq(self) -> np.ndarray:
-        """Diagonal of K^dagger K, which is |u|^2 (the swap is unitary)."""
-        return np.abs(self.u) ** 2
-
     def apply(self, state: TransverseState) -> TransverseState:
         amps = state.amps[::-1] if self.swap else state.amps
         return TransverseState(state.grid, amps * self.u, state.sharp_edges)
@@ -81,8 +77,8 @@ class MeasurementChannel:
         return tuple(seen)
 
     def completeness_defect(self) -> float:
-        """max |diag(sum_k K_k^dag K_k) - 1| over the position samples."""
-        total = sum(b.coefficient_sq() for b in self.branches)
+        """max |diag(sum_k K_k^dag K_k) - 1| = max |sum_k |u_k|^2 - 1|."""
+        total = sum(np.abs(b.u) ** 2 for b in self.branches)
         return float(np.max(np.abs(total - 1.0)))
 
 
@@ -97,8 +93,8 @@ def scully_wwm(grid: SimGrid) -> MeasurementChannel:
 
     Acting at the slit-image plane, the half-line split is equivalent
     to projecting onto the individual slit supports (the field between
-    the slits vanishes, since every :class:`SlitGeometry` has
-    separation > width) but is insensitive to how edge samples are
+    the slits vanishes, since every :class:`SlitGeometry` is narrower
+    than the separation) but is insensitive to how edge samples are
     assigned.  The summed spatial density is pointwise unchanged; only
     the polarisation record differs.  Both branches belong to one
     sector: together they form a single unitary.

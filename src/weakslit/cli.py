@@ -57,7 +57,10 @@ def _load_raw_config(args) -> dict:
     if args.preset:
         raw = merge(raw, PRESETS[args.preset])
     if args.config:
-        text = Path(args.config).read_text(encoding="utf-8")
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{args.config} is not UTF-8: {exc}") from None
         raw = merge(raw, parse_json_object(text, args.config))
     for assignment in args.overrides:
         raw = merge(raw, parse_override(assignment))

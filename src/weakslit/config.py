@@ -30,11 +30,10 @@ import numpy as np
 from .channels import MeasurementChannel, classical_kick, identity_channel, scully_wwm
 from .errors import ConfigError
 from .grid import LabFrame, SimGrid, make_grid
-from .moments import RegularizationSpec
 from .states import SlitGeometry, TransverseState, build_double_slit
 from .weak_values import MomentumWindow, _check_eraser
 
-__all__ = ["ScenarioConfig", "parse_config", "from_dict", "PRESETS",
+__all__ = ["ScenarioConfig", "from_dict", "PRESETS",
            "merge", "parse_json_object", "parse_override", "DEFAULTS"]
 
 _TWO_PI = 2.0 * math.pi
@@ -149,7 +148,8 @@ class ScenarioConfig:
 
     ``window`` is the focus window that every command reads and
     ``indices`` the tiling's window numbers; the pointer contributes
-    only its weakness ``ratio`` = D/sigma and the sweep's ``ratios``.
+    only its weakness ``ratio`` = D/sigma and the sweep's ``ratios``;
+    ``q_max`` and ``kappa`` are the filled-in regularisation sweeps.
     """
 
     def __init__(self, data: dict):
@@ -167,7 +167,6 @@ class ScenarioConfig:
             scale = geo["edge_scale"]
             self.geometry = SlitGeometry(
                 width=geo["width"] / sep,
-                separation=1.0,
                 edge_profile=geo["edge_profile"],
                 edge_scale=None if scale is None else scale / sep,
             )
@@ -194,9 +193,10 @@ class ScenarioConfig:
             self.ratios = tuple(pt["ratios"])
         with _key("regularization"):
             reg = data["regularization"]
-            self.regularization = RegularizationSpec(
-                tuple(reg["q_max"] or _DEFAULT_QMAX),
-                tuple(reg["kappa"] or _DEFAULT_KAPPA))
+            self.q_max = tuple(reg["q_max"] or _DEFAULT_QMAX)
+            self.kappa = tuple(reg["kappa"] or _DEFAULT_KAPPA)
+            if min(self.q_max + self.kappa) <= 0.0:
+                raise ConfigError("regularisation sweep values must be positive")
         self.output_dir = data["output_dir"]
 
     def sim_grid(self) -> SimGrid:
@@ -286,14 +286,11 @@ def parse_json_object(text: str, source: str) -> dict:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{source} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"{source} nests too deeply") from None
     if not isinstance(payload, dict):
         raise ConfigError(f"{source}: config root must be a JSON object")
     return payload
-
-
-def parse_config(text: str) -> ScenarioConfig:
-    """Parse a JSON config document (empty text allowed: all defaults)."""
-    return from_dict(parse_json_object(text, "config"))
 
 
 def parse_override(assignment: str) -> dict:
@@ -309,6 +306,8 @@ def parse_override(assignment: str) -> dict:
         value = json.loads(raw_value)
     except json.JSONDecodeError:
         value = raw_value
+    except RecursionError:
+        raise ConfigError(f"override {path!r} nests too deeply") from None
     for part in reversed(path.split(".")):
         value = {part: value}
     return value

@@ -69,14 +69,15 @@ class SimGrid:
             )
         return values
 
-    def to_momentum(self, values: np.ndarray) -> np.ndarray:
+    def to_momentum(self, values: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
         """Unitary transform of position samples to momentum samples.
 
         Norm is preserved: sum |out|^2 dp == sum |in|^2 dx exactly up
         to round-off.  Works on the last axis, so stacked states pass
-        through in one call.
+        through in one call.  ``out`` may take the result, even ``values``.
         """
-        return self._transform(self._check(values))
+        return self._transform(self._check(values), out=out)
 
     def from_momentum(self, values: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`to_momentum`."""

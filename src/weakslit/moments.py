@@ -27,7 +27,6 @@ from .states import TransverseState
 from .weak_values import TransferDistribution, momentum_distribution
 
 __all__ = [
-    "RegularizationSpec",
     "ApodizationReport",
     "sharp_cutoff_variance",
     "apodized_variance",
@@ -37,28 +36,6 @@ __all__ = [
     "window_variance",
     "moment_change",
 ]
-
-
-@dataclass(frozen=True)
-class RegularizationSpec:
-    """Sweep points for the two regularisation schemes."""
-
-    q_max: tuple[float, ...]
-    kappa: tuple[float, ...]
-
-    def __post_init__(self):
-        if any(v <= 0.0 for v in self.q_max) or any(v <= 0.0 for v in self.kappa):
-            raise ConfigError("regularisation sweep values must be positive")
-
-    def validate_range(self, dist: TransferDistribution):
-        """Check every sweep point lies within the simulated q range."""
-        q_lim = float(np.abs(dist.q).max())
-        for name, values in (("q_max", self.q_max), ("kappa", self.kappa)):
-            for v in values:
-                if v > q_lim:
-                    raise WindowRangeError(
-                        f"{name} value {v} beyond simulated |q| range {q_lim:.4g}"
-                    )
 
 
 def mean_transfer(dist: TransferDistribution) -> float:
@@ -135,8 +112,13 @@ class ApodizationReport:
 
 def apodization_sweep(dist: TransferDistribution,
                       kappas) -> ApodizationReport:
-    """Apodised variance at each kappa, in ascending kappa order."""
+    """Apodised variance at each kappa, in ascending kappa order; a kappa
+    beyond the simulated |q| range is refused, as such a q_max is."""
     kappas = tuple(sorted(float(k) for k in kappas))
+    q_lim = float(np.abs(dist.q).max())
+    if kappas and kappas[-1] > q_lim:
+        raise WindowRangeError(
+            f"kappa {kappas[-1]} beyond the simulated |q| range {q_lim:.4g}")
     values = tuple(apodized_variance(dist, k) for k in kappas)
     return ApodizationReport(kappas, values)
 

@@ -168,10 +168,8 @@ def _run_variance(config: ScenarioConfig) -> ResultBundle:
     dist = transfer_distribution(config.state, config.channel,
                                  config.window.width, config.indices,
                                  config.eraser)
-    reg = config.regularization
-    reg.validate_range(dist)
-    sharp = np.array([sharp_cutoff_variance(dist, q) for q in reg.q_max])
-    report = apodization_sweep(dist, reg.kappa)
+    sharp = np.array([sharp_cutoff_variance(dist, q) for q in config.q_max])
+    report = apodization_sweep(dist, config.kappa)
 
     signs = np.sign(sharp[np.abs(sharp) > 0.0])
     sign_changes = int(np.sum(signs[1:] * signs[:-1] < 0.0))
@@ -179,7 +177,7 @@ def _run_variance(config: ScenarioConfig) -> ResultBundle:
     bundle = ResultBundle("variance")
     bundle.tables["variance_sharp"] = Table((
         ("q_max", "hbar/s"), ("value", "(hbar/s)^2"),
-    ), (np.array(reg.q_max), sharp))
+    ), (np.array(config.q_max), sharp))
     bundle.tables["variance_apodized"] = Table((
         ("kappa", "hbar/s"), ("value", "(hbar/s)^2"),
     ), (np.array(report.kappas), np.array(report.values)))
@@ -196,7 +194,7 @@ def _run_variance(config: ScenarioConfig) -> ResultBundle:
     }
     bundle.figures.append(Figure(
         "variance_sharp",
-        [(np.array(reg.q_max), sharp, "sharp-cutoff variance")],
+        [(np.array(config.q_max), sharp, "sharp-cutoff variance")],
         "Variance integral vs sharp cutoff",
         "q_max [hbar/s]", "integral [(hbar/s)^2]",
     ))

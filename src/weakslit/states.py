@@ -33,22 +33,21 @@ EDGE_TAIL = 1e-12
 class SlitGeometry:
     """Double-slit aperture parameters in internal length units.
 
-    edge_profile is "sharp" for ideal top-hats or "gaussian_smoothed"
-    for error-function edges of scale ``edge_scale`` (default width/10).
-    Smoothed edges keep all momentum moments finite; sharp edges do not.
+    The slit separation is the length unit: the slits sit at -1/2 and
+    +1/2, and ``width`` lies in (0, 1).  edge_profile is "sharp" for
+    ideal top-hats or "gaussian_smoothed" for error-function edges of
+    scale ``edge_scale`` (default width/10).  Smoothed edges keep all
+    momentum moments finite; sharp edges do not.
     """
 
     width: float
-    separation: float
     edge_profile: str = "sharp"
     edge_scale: float | None = None
 
     def __post_init__(self):
-        if not (self.separation > self.width > 0.0):
+        if not 0.0 < self.width < 1.0:
             raise GeometryError(
-                f"need separation > width > 0, got separation={self.separation} "
-                f"width={self.width}"
-            )
+                f"need 0 < width < 1 slit separation, got width={self.width}")
         if self.edge_profile not in ("sharp", "gaussian_smoothed"):
             raise GeometryError(f"unknown edge_profile {self.edge_profile!r}")
         if self.edge_profile == "gaussian_smoothed" and self.edge_scale is None:
@@ -124,22 +123,13 @@ def _erf(z: np.ndarray) -> np.ndarray:
     return np.array([math.erf(v) for v in z.tolist()])
 
 
-def build_double_slit(geom: SlitGeometry, grid: SimGrid,
-                      weights: tuple[float, float] = (1.0, 1.0)) -> TransverseState:
-    """Normalised double-slit state, slits centred at -s/2 and +s/2.
+def build_double_slit(geom: SlitGeometry, grid: SimGrid) -> TransverseState:
+    """Normalised double-slit state, slits centred at -1/2 and +1/2.
 
-    Parameters
-    ----------
-    geom, grid :
-        Aperture description and sample grid.
-    weights :
-        Relative (real) illumination amplitudes of the left and right
-        slit.  The default models uniform plane-wave illumination at
-        normal incidence: equal amplitude, zero relative phase.
+    Uniform plane-wave illumination at normal incidence lights both
+    slits with equal amplitude and zero relative phase.
     """
-    half = geom.separation / 2.0
-    amp = (weights[0] * _slit_amplitude(geom, grid, -half)
-           + weights[1] * _slit_amplitude(geom, grid, +half))
+    amp = _slit_amplitude(geom, grid, -0.5) + _slit_amplitude(geom, grid, 0.5)
     if not amp.any():
         raise GeometryError(
             f"the slits transmit on no sample of a grid with dx = {grid.dx:.4g}")

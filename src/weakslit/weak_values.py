@@ -210,7 +210,7 @@ def _sector_sum(state: TransverseState, ch: MeasurementChannel, sector: int,
     for branch in ch.branches:
         if branch.sector == sector:
             acc += branch.apply(state).amps
-    return _eraser_project(state.grid._transform(acc, out=acc), eraser)
+    return _eraser_project(state.grid.to_momentum(acc, out=acc), eraser)
 
 
 def _sector_momentum_sums(state: TransverseState, ch: MeasurementChannel,
@@ -508,5 +508,5 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
             stacklevel=2,
         )
     density = acc / coverage
-    return TransferDistribution(grid.p.copy(), density, window_width,
+    return TransferDistribution(grid.p, density, window_width,
                                 indices, coverage, eraser)

@@ -65,13 +65,12 @@ def dense_grid():
 
 @pytest.fixture(scope="session")
 def geom():
-    return SlitGeometry(width=0.5, separation=1.0)
+    return SlitGeometry(width=0.5)
 
 
 @pytest.fixture(scope="session")
 def smooth_geom():
-    return SlitGeometry(width=0.5, separation=1.0,
-                        edge_profile="gaussian_smoothed")
+    return SlitGeometry(width=0.5, edge_profile="gaussian_smoothed")
 
 
 @pytest.fixture(scope="session")

@@ -141,13 +141,13 @@ def test_criterion_05_mass_beyond_one_unit(bench):
 def test_criterion_06_variance_regularization(bench):
     t0 = time.perf_counter()
     big = make_grid(2 ** 16, 64.0)
-    geom = SlitGeometry(width=0.5, separation=1.0)
+    geom = SlitGeometry(width=0.5)
     state = build_double_slit(geom, big)
     marker = scully_wwm(big)
     with pytest.warns(CoverageWarning):
         dist = transfer_distribution(state, marker, bench.width, range(-7, 8))
 
-    q_maxes = bench.cfg.regularization.q_max  # sweep of (0, 4 h/s]
+    q_maxes = bench.cfg.q_max  # sweep of (0, 4 h/s]
     sharp = np.array([sharp_cutoff_variance(dist, q) for q in q_maxes])
     signs = np.sign(sharp[np.abs(sharp) > 0.0])
     changes = int(np.sum(signs[1:] * signs[:-1] < 0.0))
@@ -167,8 +167,7 @@ def test_criterion_06_variance_regularization(bench):
 
 def test_criterion_07_moment_matching(bench):
     t0 = time.perf_counter()
-    smooth = SlitGeometry(width=0.5, separation=1.0,
-                          edge_profile="gaussian_smoothed")
+    smooth = SlitGeometry(width=0.5, edge_profile="gaussian_smoothed")
 
     # dense-matrix oracle first: same construction, no FFTs, N = 256
     dgrid = make_grid(256, 16.0)
@@ -217,7 +216,7 @@ def test_criterion_07_moment_matching(bench):
 def test_criterion_08_classical_equivalence():
     t0 = time.perf_counter()
     grid = make_grid(4096, 64.0)
-    slit = build_double_slit(SlitGeometry(width=0.5, separation=1.0), grid)
+    slit = build_double_slit(SlitGeometry(width=0.5), grid)
     gauss = build_momentum_peak(0.0, 2.0, grid)
     width = 15.0 * grid.dp
 

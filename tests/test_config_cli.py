@@ -10,9 +10,9 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from weakslit import ConfigError, PRESETS, from_dict, parse_config
+from weakslit import ConfigError, PRESETS, from_dict
 from weakslit.cli import console_entry, main
-from weakslit.config import DEFAULTS, merge, parse_override
+from weakslit.config import DEFAULTS, merge, parse_json_object, parse_override
 from weakslit.runner import COMMANDS
 
 from conftest import run_python, strict_json
@@ -50,19 +50,20 @@ class TestDefaultsAndPresets:
         assert cfg.data["channel"]["kind"] == "scully"
         geom = cfg.geometry
         assert geom.width == pytest.approx(0.5)
-        assert geom.separation == 1.0
+        # the separation, in metres, is the internal length unit
+        assert cfg.lab.slit_separation == cfg.data["geometry"]["separation"]
         base = {k: v for k, v in cfg.data.items() if k != "channel"}
         assert base == {k: v for k, v in from_dict({}).data.items()
                         if k != "channel"}
 
     def test_regularization_sweeps_fill_in(self):
-        reg = from_dict({}).regularization
-        assert len(reg.q_max) == 48
-        assert reg.q_max[0] == pytest.approx(0.5)
-        assert reg.q_max[-1] == pytest.approx(4.0 * TWO_PI)
-        assert reg.kappa == tuple(TWO_PI * k for k in (1.0, 2.0, 4.0, 8.0, 16.0))
+        cfg = from_dict({})
+        assert len(cfg.q_max) == 48
+        assert cfg.q_max[0] == pytest.approx(0.5)
+        assert cfg.q_max[-1] == pytest.approx(4.0 * TWO_PI)
+        assert cfg.kappa == tuple(TWO_PI * k for k in (1.0, 2.0, 4.0, 8.0, 16.0))
         explicit = from_dict({"regularization": {"q_max": [1.0, 2.0]}})
-        assert explicit.regularization.q_max == (1.0, 2.0)
+        assert explicit.q_max == (1.0, 2.0)
 
     def test_defaults_are_not_mutated_by_merging(self):
         before = json.dumps(DEFAULTS, sort_keys=True)
@@ -133,6 +134,10 @@ class TestValidation:
         ({"pointer": {"sigma": 1e-300, "displacement": 1e300}}, "pointer"),
         ({"windows": {"sliver_width": 0.0}}, "windows"),
         ({"regularization": {"kappa": [-1.0]}}, "regularization"),
+        ({"regularization": {"q_max": [1.0, -2.0]}}, "regularization"),
+        ({"regularization": {"kappa": [0.0]}}, "regularization"),
+        ({"geometry": {"width": 90e-6}}, "geometry"),
+        ({"geometry": {"width": 80e-6}}, "geometry"),
     ])
     def test_constructor_errors_carry_their_key(self, overrides, key):
         with pytest.raises(ConfigError, match=f"^'{key}': "):
@@ -144,6 +149,10 @@ class TestValidation:
         assert cfg.channel.name == "scully_wwm" and cfg.channel.grid is cfg.grid
         assert cfg.lab.slit_separation == 80e-6
         assert cfg.output_dir == DEFAULTS["output_dir"]
+
+
+def parse_config(text: str):
+    return from_dict(parse_json_object(text, "config"))
 
 
 class TestParsingAndOverrides:
@@ -319,6 +328,27 @@ class TestCliExitCodes:
         assert main(["wvp", "--config", str(cfg),
                      "--out", str(tmp_path / "x")]) == 2
 
+    def test_config_file_that_is_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(b"\xff\xfe{}")
+        assert main(["wvp", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert f"config error: {cfg} is not UTF-8" \
+            in capsys.readouterr().err
+
+    def test_config_nested_too_deeply(self, tmp_path, capsys):
+        deep = "[" * 100000
+        cfg = tmp_path / "deep.json"
+        cfg.write_text(deep)
+        assert main(["wvp", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert f"config error: {cfg} nests too deeply" \
+            in capsys.readouterr().err
+        assert main(["wvp", "--set", "grid=" + deep,
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "config error: override 'grid' nests too deeply" \
+            in capsys.readouterr().err
+
     def test_config_file_root_must_be_an_object(self, tmp_path, capsys):
         cfg = tmp_path / "list.json"
         cfg.write_text("[1, 2]")
@@ -339,6 +369,7 @@ class TestCliExitCodes:
         ["sweep", "--set", "pointer.ratios=[true,0.5]"],
         ["wvp", "--set", "geometry.separation=0"],
         ["wvp", "--set", "geometry.separation=-8e-5"],
+        ["wvp", "--preset", "paper", "--set", "geometry.width=90e-6"],
         ["wvp", "--set", "grid.x_extent=1.5"],
         # refused by validation; running it would cost memory in the count
         ["transfer", "--set", "grid.n_points=1024",
@@ -440,9 +471,12 @@ class TestCliExitCodes:
         assert "numeric error" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::weakslit.errors.CoverageWarning")
-    def test_cutoff_beyond_grid_range(self, tmp_path):
-        assert main(["variance", "--set", "regularization.q_max=[99999]",
+    @pytest.mark.parametrize("override", ["regularization.q_max=[99999]",
+                                          "regularization.kappa=[99999]"])
+    def test_cutoff_beyond_grid_range(self, tmp_path, capsys, override):
+        assert main(["variance", "--set", override,
                      "--out", str(tmp_path / "x")] + FAST) == 3
+        assert "numeric error" in capsys.readouterr().err
 
     def test_unwritable_output_directory(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

@@ -130,11 +130,11 @@ SCALES = st.sampled_from([-1.0, 0.0, 1e-300, 1e-12, 1e-3, 0.5, 1.0, 2.0,
 
 # Each sweep list: the command that reads it and the values its default
 # holds (the empty regularisation lists are filled with these).
-_REG = from_dict({"grid": {"n_points": 1024}}).regularization
+_SMALL = from_dict({"grid": {"n_points": 1024}})
 SWEEPS = {
     ("pointer", "ratios"): ("sweep", DEFAULTS["pointer"]["ratios"]),
-    ("regularization", "q_max"): ("variance", list(_REG.q_max)),
-    ("regularization", "kappa"): ("variance", list(_REG.kappa)),
+    ("regularization", "q_max"): ("variance", list(_SMALL.q_max)),
+    ("regularization", "kappa"): ("variance", list(_SMALL.kappa)),
 }
 
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from weakslit import (ApodizationReport, ConfigError, MomentUndefinedError,
-                      RegularizationSpec, TransferDistribution,
-                      WindowRangeError, apodization_sweep, apodized_variance,
-                      classical_kick, identity_channel, mean_transfer,
+                      TransferDistribution, WindowRangeError,
+                      apodization_sweep, apodized_variance, classical_kick,
+                      from_dict, identity_channel, mean_transfer,
                       moment_change, scully_wwm, sharp_cutoff_variance,
                       transfer_variance, window_variance)
 
@@ -18,20 +18,26 @@ def gaussian_dist(mu=0.0, sigma=1.5, q_lim=30.0, n=6001):
     return TransferDistribution(q, dens, 1.0, (0,), 1.0, "none")
 
 
-class TestRegularizationSpec:
-    def test_rejects_nonpositive_entries(self):
-        with pytest.raises(ConfigError):
-            RegularizationSpec((1.0, -2.0), (1.0,))
-        with pytest.raises(ConfigError):
-            RegularizationSpec((1.0,), (0.0,))
+class TestSweepPoints:
+    @pytest.mark.parametrize("reg", [
+        {"q_max": [1.0, -2.0], "kappa": [1.0]},
+        {"q_max": [1.0], "kappa": [0.0]},
+    ])
+    def test_config_rejects_nonpositive_entries(self, reg):
+        with pytest.raises(ConfigError, match="^'regularization': "):
+            from_dict({"grid": {"n_points": 1024}, "regularization": reg})
 
-    def test_range_validation(self):
+    def test_sweeps_stay_inside_the_q_range(self):
         dist = gaussian_dist(q_lim=10.0)
-        RegularizationSpec((9.0,), (5.0,)).validate_range(dist)
+        sharp_cutoff_variance(dist, 9.0)
+        apodization_sweep(dist, (5.0,))
         with pytest.raises(WindowRangeError):
-            RegularizationSpec((11.0,), (5.0,)).validate_range(dist)
+            sharp_cutoff_variance(dist, 11.0)
         with pytest.raises(WindowRangeError):
-            RegularizationSpec((9.0,), (10.5,)).validate_range(dist)
+            apodization_sweep(dist, (10.5,))
+        # the range check reads the largest kappa, whatever the order
+        with pytest.raises(WindowRangeError):
+            apodization_sweep(dist, (10.5, 5.0))
 
 
 class TestGaussianClosedForms:

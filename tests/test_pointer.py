@@ -266,7 +266,7 @@ class TestAgainstAmplitudeStacks:
     def test_marginal_centroid_and_sweep(self, focus_window, n_points, extent,
                                          edge, channel):
         grid = make_grid(n_points, extent)
-        state = build_double_slit(SlitGeometry(0.5, 1.0, edge), grid)
+        state = build_double_slit(SlitGeometry(0.5, edge), grid)
         ch = {"identity": identity_channel, "scully": scully_wwm,
               "kick": lambda g: classical_kick([(0.7, 0.4), (-1.3, 0.6)],
                                                g)}[channel](grid)

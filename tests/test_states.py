@@ -5,33 +5,32 @@ import pytest
 
 from weakslit import (GeometryError, ResolutionError, SlitGeometry,
                       build_double_slit, build_momentum_peak, make_grid)
-from weakslit.states import EDGE_MARGIN
+from weakslit.states import EDGE_MARGIN, _slit_amplitude
 
 from conftest import run_python
 from oracles import double_slit_momentum_amplitude
 
 
 class TestSlitGeometry:
-    def test_orders_width_and_separation(self):
+    @pytest.mark.parametrize("width", [2.0, 1.0, 0.0, -0.5, float("nan")])
+    def test_width_is_inside_the_separation(self, width):
+        """The separation is the length unit: a width must lie in (0, 1)."""
         with pytest.raises(GeometryError):
-            SlitGeometry(width=1.0, separation=0.5)
-        with pytest.raises(GeometryError):
-            SlitGeometry(width=0.0, separation=1.0)
+            SlitGeometry(width=width)
 
     def test_rejects_unknown_profile(self):
         with pytest.raises(GeometryError):
-            SlitGeometry(width=0.5, separation=1.0, edge_profile="cosine")
+            SlitGeometry(width=0.5, edge_profile="cosine")
 
     def test_default_edge_scale_is_tenth_of_width(self):
-        geom = SlitGeometry(width=0.5, separation=1.0,
-                            edge_profile="gaussian_smoothed")
+        geom = SlitGeometry(width=0.5, edge_profile="gaussian_smoothed")
         assert geom.edge_scale == pytest.approx(0.05)
         assert not geom.sharp
 
     def test_rejects_nonpositive_edge_scale(self):
         with pytest.raises(GeometryError):
-            SlitGeometry(width=0.5, separation=1.0,
-                         edge_profile="gaussian_smoothed", edge_scale=-0.1)
+            SlitGeometry(width=0.5, edge_profile="gaussian_smoothed",
+                         edge_scale=-0.1)
 
 
 def test_double_slit_is_normalised_h_polarised(slit_state):
@@ -71,8 +70,7 @@ def test_double_slit_fringe_zeros(slit_state, grid):
 
 def test_sharp_edges_take_midpoint_value(geom, grid):
     """Slit edges land on lattice sites here; the sample gets half height."""
-    state = build_double_slit(geom, grid, weights=(1.0, 0.0))
-    amp = state.amps[0].real
+    amp = _slit_amplitude(geom, grid, -0.5)
     interior = np.max(amp)
     for edge in (-0.75, -0.25):
         k = int(np.argmin(np.abs(grid.x - edge)))
@@ -81,23 +79,29 @@ def test_sharp_edges_take_midpoint_value(geom, grid):
 
 
 def test_single_slit_sides(geom, grid):
-    left = build_double_slit(geom, grid, weights=(1.0, 0.0))
-    right = build_double_slit(geom, grid, weights=(0.0, 1.0))
     x = grid.x
-    mean_left = float(np.sum(left.spatial_density() * x) * grid.dx)
-    mean_right = float(np.sum(right.spatial_density() * x) * grid.dx)
-    assert mean_left == pytest.approx(-0.5, abs=1e-9)
-    assert mean_right == pytest.approx(+0.5, abs=1e-9)
+    for center in (-0.5, 0.5):
+        dens = _slit_amplitude(geom, grid, center) ** 2
+        mean = float(np.sum(dens * x) / np.sum(dens))
+        assert mean == pytest.approx(center, abs=1e-9)
 
 
-def test_zero_weight_reduces_to_single_slit(geom, grid):
-    """One dark slit leaves a normalised top-hat over the other slit."""
-    pair = build_double_slit(geom, grid, weights=(1.0, 0.0))
+def test_one_slit_is_a_top_hat(geom, grid):
+    """One slit's amplitude is a flat top-hat over that slit alone."""
+    amp = _slit_amplitude(geom, grid, -0.5)
     inside = np.abs(grid.x + 0.5) < 0.25 - 1e-12
     outside = np.abs(grid.x + 0.5) > 0.25 + 1e-12
-    top = pair.amps[0][inside]
+    top = amp[inside]
     np.testing.assert_allclose(top, top[0], rtol=1e-12)
-    np.testing.assert_array_equal(pair.amps[0][outside], 0.0)
+    np.testing.assert_array_equal(amp[outside], 0.0)
+
+
+def test_double_slit_is_the_normalised_sum_of_its_slits(geom, grid):
+    pair = build_double_slit(geom, grid)
+    amp = (_slit_amplitude(geom, grid, -0.5)
+           + _slit_amplitude(geom, grid, 0.5))
+    amp /= np.sqrt(np.sum(amp ** 2) * grid.dx)
+    np.testing.assert_allclose(pair.amps[0].real, amp, rtol=0.0, atol=1e-15)
     assert pair.norm_sq() == pytest.approx(1.0, rel=1e-12)
 
 
@@ -119,12 +123,12 @@ def test_smoothed_tails_must_not_wrap_around_the_grid(grid):
     refused.  Edge scales up to width * 5 leave exact zeros there."""
     for scale in (5e-5, 0.05, 0.5, 2.5):
         state = build_double_slit(
-            SlitGeometry(0.5, 1.0, "gaussian_smoothed", scale), grid)
+            SlitGeometry(0.5, "gaussian_smoothed", scale), grid)
         amp = state.amps[0]
         assert not amp[:EDGE_MARGIN].any() and not amp[-EDGE_MARGIN:].any()
     with pytest.raises(GeometryError, match="wrap around"):
         build_double_slit(
-            SlitGeometry(0.5, 1.0, "gaussian_smoothed", 12.5), grid)
+            SlitGeometry(0.5, "gaussian_smoothed", 12.5), grid)
 
 
 def test_smoothed_slits_suppress_spectral_tails(slit_state, smooth_state, grid):
@@ -143,13 +147,12 @@ def test_smoothed_edges_match_scipy_erf(smooth_geom, grid):
     """The package's elementwise math.erf against scipy's, on one slit."""
     from scipy.special import erf
 
-    state = build_double_slit(smooth_geom, grid, weights=(0.0, 1.0))
     x = grid.x
     scale = smooth_geom.edge_scale * np.sqrt(2.0)
     lo, hi = 0.5 - smooth_geom.width / 2.0, 0.5 + smooth_geom.width / 2.0
     amp = 0.5 * (erf((x - lo) / scale) - erf((x - hi) / scale))
-    amp /= np.sqrt(np.sum(amp ** 2) * grid.dx)
-    np.testing.assert_allclose(state.amps[0].real, amp, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(_slit_amplitude(smooth_geom, grid, 0.5), amp,
+                               rtol=0.0, atol=1e-15)
 
 
 def test_import_leaves_scipy_out():

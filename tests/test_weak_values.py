@@ -354,7 +354,7 @@ class TestCorrelationForm:
     def test_matches_the_window_loop(self, n_points, edge, kind, eraser,
                                      index_set):
         grid = make_grid(n_points, 16.0 if n_points == 256 else 64.0)
-        geom = SlitGeometry(width=0.5, separation=1.0, edge_profile=edge)
+        geom = SlitGeometry(width=0.5, edge_profile=edge)
         state = build_double_slit(geom, grid)
         ch = _equivalence_channel(kind, grid)
         indices = _INDEX_SETS[index_set](grid)
