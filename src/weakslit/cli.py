@@ -3,8 +3,8 @@
 Config layering, lowest to highest precedence: built-in defaults,
 ``--preset``, ``--config`` file, repeated ``--set key=value`` overrides.
 
-Exit codes: 0 success, 2 configuration errors, 3 numeric-domain errors,
-4 I/O errors.
+Exit codes: 0 success, 2 configuration errors, 3 numeric-domain errors
+and running out of memory, 4 I/O errors.
 """
 
 import argparse
@@ -82,6 +82,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except _NUMERIC_ERRORS as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError:
+        print("numeric error: out of memory; lower grid.n_points",
+              file=sys.stderr)
         return EXIT_NUMERIC
     except (OutputError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -9,7 +9,6 @@ internal length unit, so geometry.separation doubles as the scale
 factor between the two systems.
 """
 
-import copy
 import json
 import math
 import sys
@@ -90,14 +89,16 @@ _DEFAULT_KAPPA = [_TWO_PI * k for k in (1.0, 2.0, 4.0, 8.0, 16.0)]
 
 
 def merge(base: dict, override: dict, path: str = "") -> dict:
-    """A copy of ``base`` with ``override`` merged in, key by key.
+    """``base`` with ``override`` merged in, key by key.
 
     Every key must already exist in ``base``; the error names its dotted
     path.  Objects merge recursively and may only meet objects: an
     override that descends into a scalar, or replaces an object with a
-    scalar, is an error too.
+    scalar, is an error too.  Each object the override reaches is a new
+    dict; every other value is shared, never copied or walked, however
+    deeply it nests, so treat the result as read-only.
     """
-    out = copy.deepcopy(base)
+    out = dict(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
         if key not in base:
@@ -105,26 +106,22 @@ def merge(base: dict, override: dict, path: str = "") -> dict:
         if isinstance(base[key], dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"{where!r} must be an object")
-            out[key] = merge(base[key], value, where)
+            value = merge(base[key], value, where)
         elif isinstance(value, dict):
             raise ConfigError(f"override path {where!r} crosses a scalar")
-        else:
-            out[key] = copy.deepcopy(value)
+        out[key] = value
     return out
 
 
-def _number(value, path: str, integer: bool = False):
-    """``value`` if it is a finite number (an int if ``integer``), never a bool.
+def _is_number(value, integer: bool = False) -> bool:
+    """Whether ``value`` is a finite number, an int if ``integer``; no bool.
 
     The bound keeps every accepted number convertible to a float: JSON
     allows integers of any size.
     """
     kind = int if integer else (int, float)
-    if isinstance(value, bool) or not isinstance(value, kind) \
-            or not abs(value) <= sys.float_info.max:
-        noun = "an integer" if integer else "a finite number"
-        raise ConfigError(f"{path!r} must be {noun}, got {value!r}")
-    return value
+    return not isinstance(value, bool) and isinstance(value, kind) \
+        and abs(value) <= sys.float_info.max
 
 
 @contextmanager
@@ -141,8 +138,9 @@ class ScenarioConfig:
 
     The constructor checks the JSON shape of the fully filled ``data``
     (:func:`_validate`), then builds every object once, in dependency
-    order.  Each object's constructor checks its own ranges, orderings,
-    names and sums; their errors come back prefixed with the config key.
+    order.  Each object's constructor, or the block that builds it,
+    checks its own ranges, orderings, names and sums; their errors come
+    back prefixed with the config key.
     ``lab`` comes first because it refuses a non-positive
     ``geometry.separation``, which ``geometry`` divides by.
 
@@ -181,7 +179,13 @@ class ScenarioConfig:
                 raise ConfigError("sliver_width must be positive")
             self.window = MomentumWindow(win["focus_index"], float(
                 self.lab.momentum_from_position(win["sliver_width"])))
-            half = (win["count"] - 1) // 2
+            # Windows narrower than 2 dp are refused, so at most n/2 + 2 can
+            # hold a sample; a larger count only costs time and memory.
+            count = win["count"]
+            if not 1 <= count <= self.grid.n_points or count % 2 == 0:
+                raise ConfigError(f"count must be an odd integer in "
+                                  f"[1, grid.n_points], got {count}")
+            half = (count - 1) // 2
             self.indices = range(-half, half + 1)
         with _key("pointer"):
             if pt["sigma"] <= 0.0 or pt["displacement"] <= 0.0:
@@ -191,12 +195,21 @@ class ScenarioConfig:
                 raise ConfigError(f"displacement/sigma = {pt['displacement']}"
                                   f"/{pt['sigma']} is not a finite number")
             self.ratios = tuple(pt["ratios"])
+            # The sweep reports a convergence slope, which needs two ratios.
+            if not all(_is_number(r) and 0.0 < r <= 1.0 for r in self.ratios) \
+                    or len(set(self.ratios)) < 2:
+                raise ConfigError("ratios must hold at least two distinct "
+                                  "numbers in (0, 1]")
         with _key("regularization"):
             reg = data["regularization"]
             self.q_max = tuple(reg["q_max"] or _DEFAULT_QMAX)
             self.kappa = tuple(reg["kappa"] or _DEFAULT_KAPPA)
-            if min(self.q_max + self.kappa) <= 0.0:
-                raise ConfigError("regularisation sweep values must be positive")
+            if not all(_is_number(v) and v > 0.0
+                       for v in self.q_max + self.kappa):
+                raise ConfigError("q_max and kappa must hold positive finite "
+                                  "numbers")
+        if not isinstance(data["output_dir"], str) or not data["output_dir"]:
+            raise ConfigError("'output_dir' must be a non-empty string")
         self.output_dir = data["output_dir"]
 
     def sim_grid(self) -> SimGrid:
@@ -227,47 +240,27 @@ class ScenarioConfig:
         return sha256(canon.encode()).hexdigest()
 
 
-def _leaf(data: dict, path: str):
-    for part in path.split("."):
-        data = data[part]
-    return data
+def _validate(data: dict, schema: dict = DEFAULTS, path: str = ""):
+    """Check that each leaf of ``data`` has the JSON type of its default.
 
-
-def _validate(data: dict):
-    """The JSON-shape rules, and the rules that no built object owns.
-
-    Ranges, orderings, names and sums are checked by the constructors
-    that :class:`ScenarioConfig` calls, not here.
+    A list default needs a list, an int default an integer, a float
+    default a finite number, and a ``None`` default (``edge_scale``)
+    ``None`` or a number.  Strings are left to the objects that read
+    them: ranges, orderings, names and sums are checked where
+    :class:`ScenarioConfig` builds the object they constrain.
     """
-    for path in ("geometry.width", "geometry.separation", "lab.wavelength",
-                 "lab.focal_length", "grid.x_extent", "windows.sliver_width",
-                 "pointer.sigma", "pointer.displacement"):
-        _number(_leaf(data, path), path)
-    if data["geometry"]["edge_scale"] is not None:
-        _number(data["geometry"]["edge_scale"], "geometry.edge_scale")
-    for path in ("grid.n_points", "windows.count", "windows.focus_index"):
-        _number(_leaf(data, path), path, integer=True)
-    for path in ("channel.kicks", "pointer.ratios", "regularization.q_max",
-                 "regularization.kappa"):
-        if not isinstance(_leaf(data, path), list):
-            raise ConfigError(f"{path!r} must be a list")
-    for path in ("pointer.ratios", "regularization.q_max",
-                 "regularization.kappa"):
-        for value in _leaf(data, path):
-            _number(value, path)
-    if not isinstance(data["output_dir"], str) or not data["output_dir"]:
-        raise ConfigError("'output_dir' must be a non-empty string")
-    # Windows narrower than 2 dp are refused, so at most n/2 + 2 of them
-    # can hold a sample; a larger count only costs time and memory.
-    count = data["windows"]["count"]
-    if not 1 <= count <= data["grid"]["n_points"] or count % 2 == 0:
-        raise ConfigError(f"'windows.count' must be an odd integer in "
-                          f"[1, grid.n_points], got {count}")
-    ratios = data["pointer"]["ratios"]
-    # The sweep reports a convergence slope, which needs two ratios.
-    if len(set(ratios)) < 2 or not all(0 < r <= 1 for r in ratios):
-        raise ConfigError("'pointer.ratios' must hold at least two distinct "
-                          "ratios in (0, 1]")
+    for key, default in schema.items():
+        where = f"{path}.{key}" if path else key
+        value, integer = data[key], type(default) is int
+        if isinstance(default, dict):
+            _validate(value, default, where)
+        elif isinstance(default, list):
+            if not isinstance(value, list):
+                raise ConfigError(f"{where!r} must be a list")
+        elif not (isinstance(default, str) or _is_number(value, integer)
+                  or (default is None and value is None)):
+            noun = "an integer" if integer else "a finite number"
+            raise ConfigError(f"{where!r} must be {noun}, got {value!r}")
 
 
 def from_dict(overrides: dict) -> ScenarioConfig:

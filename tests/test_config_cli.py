@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import resource
 import sys
 import xml.etree.ElementTree as ET
 
@@ -18,6 +19,11 @@ from weakslit.runner import COMMANDS
 from conftest import run_python, strict_json
 
 TWO_PI = 2.0 * math.pi
+
+FAST = ["--set", "grid.n_points=1024"]
+
+#: A list nested 600 deep, which ``json.loads`` still parses.
+DEEP = "[" * 600 + "]" * 600
 
 
 class TestDefaultsAndPresets:
@@ -65,9 +71,15 @@ class TestDefaultsAndPresets:
         explicit = from_dict({"regularization": {"q_max": [1.0, 2.0]}})
         assert explicit.q_max == (1.0, 2.0)
 
-    def test_defaults_are_not_mutated_by_merging(self):
+    @pytest.mark.filterwarnings("ignore::weakslit.errors.CoverageWarning")
+    def test_defaults_are_not_mutated_by_merging(self, tmp_path):
+        """A merged config shares its values with ``DEFAULTS``; no
+        command may change them."""
         before = json.dumps(DEFAULTS, sort_keys=True)
         from_dict({"grid": {"n_points": 1024}})
+        for command in sorted(COMMANDS):
+            assert main([command, "--out", str(tmp_path), "--set",
+                         "grid.x_extent=16"] + FAST) == 0
         assert json.dumps(DEFAULTS, sort_keys=True) == before
 
 
@@ -113,6 +125,7 @@ class TestValidation:
         {"grid": {"x_extent": 1.5}},             # slits reach the grid edge
         {"channel": {"kind": "kick", "kicks": "[[0.5, 1]]"}},
         {"windows": {"focus_index": 10 ** 400}},  # not representable as a float
+        {"output_dir": json.loads(DEEP)},
     ])
     def test_rejected(self, overrides):
         with pytest.raises(ConfigError):
@@ -138,6 +151,10 @@ class TestValidation:
         ({"regularization": {"kappa": [0.0]}}, "regularization"),
         ({"geometry": {"width": 90e-6}}, "geometry"),
         ({"geometry": {"width": 80e-6}}, "geometry"),
+        ({"windows": {"count": 4}}, "windows"),
+        ({"pointer": {"ratios": [0.1, 0.1]}}, "pointer"),
+        ({"pointer": {"ratios": [True, 0.5]}}, "pointer"),
+        ({"regularization": {"q_max": [math.nan]}}, "regularization"),
     ])
     def test_constructor_errors_carry_their_key(self, overrides, key):
         with pytest.raises(ConfigError, match=f"^'{key}': "):
@@ -219,9 +236,6 @@ class TestConfigHash:
         a = parse_config('{"grid": {"x_extent": 64.0, "n_points": 16384}}')
         b = parse_config('{"grid": {"n_points": 16384, "x_extent": 64.0}}')
         assert a.config_hash() == b.config_hash()
-
-
-FAST = ["--set", "grid.n_points=1024"]
 
 
 class TestCliRuns:
@@ -349,6 +363,15 @@ class TestCliExitCodes:
         assert "config error: override 'grid' nests too deeply" \
             in capsys.readouterr().err
 
+    def test_deeply_nested_value_in_a_config_file(self, tmp_path, capsys):
+        """A value nested deeply, but not too deeply to parse, is refused
+        at its key."""
+        cfg = tmp_path / "deep.json"
+        cfg.write_text('{"pointer": {"ratios": %s}}' % DEEP)
+        assert main(["sweep", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")] + FAST) == 2
+        assert "config error: 'pointer': " in capsys.readouterr().err
+
     def test_config_file_root_must_be_an_object(self, tmp_path, capsys):
         cfg = tmp_path / "list.json"
         cfg.write_text("[1, 2]")
@@ -374,6 +397,16 @@ class TestCliExitCodes:
         # refused by validation; running it would cost memory in the count
         ["transfer", "--set", "grid.n_points=1024",
          "--set", "windows.count=400001"],
+        # nested deeply, but not too deeply to parse
+        ["wvp", "--set", "grid.n_points=1024", "--set", "eraser=" + DEEP],
+        ["sweep", "--set", "grid.n_points=1024",
+         "--set", "pointer.ratios=" + DEEP],
+        ["transfer", "--set", "grid.n_points=1024",
+         "--set", "channel.kind=kick", "--set", "channel.kicks=" + DEEP],
+        ["wvp", "--set", "grid.n_points=1024",
+         "--set", "geometry.edge_profile=" + DEEP],
+        ["variance", "--set", "grid.n_points=1024",
+         "--set", "regularization.q_max=" + DEEP],
     ])
     def test_rejected_values(self, tmp_path, capsys, argv):
         assert main(argv + ["--out", str(tmp_path / "x")]) == 2
@@ -515,6 +548,29 @@ class TestConsoleEntry:
         assert proc.stdout == ""
         assert proc.stderr.startswith(message)
         assert "Traceback" not in proc.stderr
+
+    def test_out_of_memory_exits_3(self, tmp_path, monkeypatch):
+        """A command that needs more memory than the process may map
+        exits 3 with a message that names ``grid.n_points``.
+
+        The child's address space is capped at 512 MiB, well above the
+        interpreter, numpy and the package, and far below what ``eraser``
+        needs at 2^22 points.  One BLAS thread keeps the mapped floor the
+        same on any number of cores.
+        """
+        def cap_address_space():
+            limit = 512 * 2 ** 20
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        proc = run_python("-m", "weakslit", "eraser", "--preset", "paper",
+                          "--set", "grid.n_points=4194304",
+                          "--out", str(tmp_path / "x"),
+                          preexec_fn=cap_address_space)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == \
+            "numeric error: out of memory; lower grid.n_points\n"
 
     def test_module_skips_interpreter_finalization(self, tmp_path):
         """No atexit handler runs: the process ends in ``os._exit``."""

@@ -3,22 +3,23 @@ and ``cli.main`` returns one of the documented exit codes.
 
 Random leaves of ``DEFAULTS`` are replaced by wrong types, bools, NaN,
 +-inf, zero, negatives, tiny and huge finite numbers, and empty and
-one-element lists.  Whatever they hold, the one validation path either
-returns a built scenario or refuses it with a ``ConfigError``; nothing
-else may escape.  The same values, given as ``--set`` overrides to any
-command with and without ``--preset``, and sweeps of the defaults' own
-values that hold one point or repeat one, make the command line exit
-0, 2, 3 or 4, never 1, and a run that exits 0 writes a ``summary.json``
-that a strict JSON parser reads.  ``grid.n_points`` is kept at most
-2^12 when it is an integer, so that every accepted scenario builds
-quickly.
+one-element lists; explicit examples add a list nested 1,500 deep,
+which no random draw comes near.  Whatever they hold, the one validation
+path either returns a built scenario or refuses it with a
+``ConfigError``; nothing else may escape.  The same values, given as
+``--set`` overrides to any command with and without ``--preset``, and
+sweeps of the defaults' own values that hold one point or repeat one,
+make the command line exit 0, 2, 3 or 4, never 1, and a run that exits
+0 writes a ``summary.json`` that a strict JSON parser reads.
+``grid.n_points`` is kept at most 2^12 when it is an integer, so that
+every accepted scenario builds quickly.
 """
 
 import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weakslit import ConfigError, from_dict
@@ -29,6 +30,31 @@ from weakslit.runner import COMMANDS
 from conftest import strict_json
 
 MAX_TEST_POINTS = 2 ** 12
+
+#: How deep the explicit examples nest a list.  While Hypothesis runs a
+#: test it raises the recursion limit to about 2,000 frames above it, so
+#: only a value deeper than 1,000 levels shows a walk of two frames per
+#: level; ``json.loads`` still parses it there.
+DEPTH = 1500
+DEEP_TEXT = "[" * DEPTH + "]" * DEPTH
+
+
+class _Deep(list):
+    """A list with a short repr: Hypothesis prints each explicit example,
+    and its printer recurses several frames per level."""
+
+    def __repr__(self):
+        return f"<list nested {DEPTH} deep>"
+
+
+def _deep_list() -> _Deep:
+    value: list = []
+    for _ in range(DEPTH - 1):
+        value = [value]
+    return _Deep(value)
+
+
+DEEP = _deep_list()
 
 
 def _leaf_paths(tree: dict, prefix=()):
@@ -90,6 +116,11 @@ def _overrides(replacements: dict) -> dict:
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(st.dictionaries(st.sampled_from(LEAVES), VALUES, min_size=1,
                        max_size=4))
+@example({("eraser",): DEEP})
+@example({("pointer", "ratios"): DEEP})
+@example({("channel", "kind"): "kick", ("channel", "kicks"): DEEP})
+@example({("geometry", "edge_profile"): DEEP})
+@example({("output_dir",): DEEP})
 def test_from_dict_builds_or_raises_config_error(replacements):
     overrides = _overrides(replacements)
     # the defaults' 2^14 grid would make every accepted example slow
@@ -177,6 +208,11 @@ def out_dir(tmp_path_factory):
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(command=st.sampled_from(sorted(COMMANDS)), preset=st.booleans(),
        assignments=st.lists(ASSIGNMENTS, max_size=4))
+@example(command="wvp", preset=False, assignments=["eraser=" + DEEP_TEXT])
+@example(command="sweep", preset=True,
+         assignments=["pointer.ratios=" + DEEP_TEXT])
+@example(command="transfer", preset=False,
+         assignments=["channel.kind=kick", "channel.kicks=" + DEEP_TEXT])
 def test_cli_exits_with_a_documented_code(out_dir, command, preset,
                                           assignments):
     _check_cli(out_dir, command, preset, assignments)
