@@ -15,8 +15,8 @@ from .errors import (CoverageWarning, ConfigError, GeometryError,
 from .grid import LabFrame, SimGrid, make_grid
 from .states import (SlitGeometry, TransverseState, build_double_slit,
                      build_momentum_peak)
-from .channels import (Branch, MeasurementChannel, classical_kick,
-                       identity_channel, scully_wwm)
+from .channels import (MeasurementChannel, classical_kick, identity_channel,
+                       scully_wwm)
 from .weak_values import (MomentumWindow, TransferDistribution, WvpCurve,
                           conditional_wvp, eraser_curves, joint_wvp,
                           momentum_distribution, transfer_distribution,
@@ -42,8 +42,7 @@ __all__ = [
     "SlitGeometry", "TransverseState", "build_double_slit",
     "build_momentum_peak",
     # channels
-    "Branch", "MeasurementChannel", "identity_channel", "scully_wwm",
-    "classical_kick",
+    "MeasurementChannel", "identity_channel", "scully_wwm", "classical_kick",
     # weak values
     "MomentumWindow", "WvpCurve", "TransferDistribution", "joint_wvp",
     "conditional_wvp", "eraser_curves", "momentum_distribution",

@@ -1,25 +1,24 @@
-"""Measurement channels: labelled branch (Kraus) operators on pol (x) position.
+"""Measurement channels: one Kraus operator per sector on pol (x) position.
 
-Every branch has one form: optionally swap the H and V polarisations,
-then multiply both by a position function u(x) sampled on the channel's
-grid.  The three channel families differ only in their u:
+Every sector's operator has one form, K = u(x) + v(x) S, where S swaps
+the H and V polarisations and u and v are position functions sampled
+on the channel's grid (``v`` is None when the sector has no swap part).
+The three channel families differ only in their (u, v):
 
-* ``identity_channel(grid)`` - one branch with u = 1, no interaction
+* ``identity_channel(grid)`` - one sector with u = 1, no interaction
   at all;
-* ``scully_wwm(grid)`` - a which-way marker: u is the 0/1
-  indicator of the left half-line with the polarisation swapped, plus
-  the indicator of the right half-line without; the spatial density is
-  untouched;
+* ``scully_wwm(grid)`` - a which-way marker: one unitary sector with
+  u the 0/1 indicator of the right half-line and v that of the left
+  one, so the left slit's polarisation is swapped; the spatial density
+  is untouched;
 * ``classical_kick(kicks, grid)`` - random momentum kicks drawn from a
-  positive distribution, u_j = sqrt(prob_j) exp(i q_j x): the classical
-  baseline for momentum disturbance.
+  positive distribution, one sector per kick with
+  u_j = sqrt(prob_j) exp(i q_j x): the classical baseline for momentum
+  disturbance.
 
-Branches carry a ``sector`` label grouping the branches that originate
-from a single unitary interaction.  Amplitudes are summed coherently
-within a sector and incoherently across sectors.  The which-way marker
-is one unitary realised as two half-line branches (one sector); each
-classical kick is its own sector.  The distinction only matters once a
-polarisation eraser recombines amplitudes: branches of one unitary can
+Amplitudes are summed coherently within a sector and incoherently
+across sectors.  The distinction only matters once a polarisation
+eraser recombines amplitudes: the two halves of one unitary can
 interfere again, distinct classical outcomes cannot.
 """
 
@@ -31,10 +30,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import SimGrid
-from .states import TransverseState
 
 __all__ = [
-    "Branch",
     "MeasurementChannel",
     "identity_channel",
     "scully_wwm",
@@ -43,49 +40,30 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Branch:
-    """One labelled branch operator K = u(x) S.
+class MeasurementChannel:
+    """A Kraus set, one operator K = u + v S per sector, on ``grid``.
 
-    S swaps the two polarisations when ``swap`` is set and is the
-    identity otherwise; ``u`` holds u(x) on the channel's grid.
+    ``sectors`` holds one (u, v) pair per sector: ``u`` multiplies the
+    amplitudes as they are, ``v`` the polarisation-swapped ones, or is
+    None.  Each is a scalar or an array sampled on the grid's ``x``.
     """
 
-    label: str
-    sector: int
-    u: np.ndarray
-    swap: bool = False
-
-    def apply(self, state: TransverseState) -> TransverseState:
-        amps = state.amps[::-1] if self.swap else state.amps
-        return TransverseState(state.grid, amps * self.u, state.sharp_edges)
-
-
-@dataclass(frozen=True)
-class MeasurementChannel:
-    """A labelled Kraus set whose branch multipliers live on ``grid``."""
-
     name: str
-    branches: tuple[Branch, ...]
+    sectors: tuple[tuple[np.ndarray | float, np.ndarray | None], ...]
     grid: SimGrid
 
-    @property
-    def sectors(self) -> tuple[int, ...]:
-        seen: list[int] = []
-        for b in self.branches:
-            if b.sector not in seen:
-                seen.append(b.sector)
-        return tuple(seen)
-
     def completeness_defect(self) -> float:
-        """max |diag(sum_k K_k^dag K_k) - 1| = max |sum_k |u_k|^2 - 1|."""
-        total = sum(np.abs(b.u) ** 2 for b in self.branches)
+        """max |sum_k |u_k|^2 + |v_k|^2 - 1|: the largest deviation of
+        diag(sum_k K_k^dag K_k) from 1 when conj(u_k) v_k = 0 pointwise,
+        as it is for every constructor here."""
+        total = sum(np.abs(u) ** 2 + (0.0 if v is None else np.abs(v) ** 2)
+                    for u, v in self.sectors)
         return float(np.max(np.abs(total - 1.0)))
 
 
 def identity_channel(grid: SimGrid) -> MeasurementChannel:
-    """The do-nothing channel (single branch with u = 1)."""
-    return MeasurementChannel(
-        "identity", (Branch("id", 0, np.ones(grid.n_points)),), grid)
+    """The do-nothing channel: one sector with u = 1."""
+    return MeasurementChannel("identity", ((1.0, None),), grid)
 
 
 def scully_wwm(grid: SimGrid) -> MeasurementChannel:
@@ -96,21 +74,19 @@ def scully_wwm(grid: SimGrid) -> MeasurementChannel:
     the slits vanishes, since every :class:`SlitGeometry` is narrower
     than the separation) but is insensitive to how edge samples are
     assigned.  The summed spatial density is pointwise unchanged; only
-    the polarisation record differs.  Both branches belong to one
-    sector: together they form a single unitary.
+    the polarisation record differs.  Both halves form one unitary, so
+    they share one sector.
     """
     left = grid.x < 0.0
-    return MeasurementChannel("scully_wwm", (
-        Branch("left", 0, left.astype(float), swap=True),
-        Branch("right", 0, (~left).astype(float)),
-    ), grid)
+    return MeasurementChannel(
+        "scully_wwm", (((~left).astype(float), left.astype(float)),), grid)
 
 
 def classical_kick(kicks: list[tuple[float, float]],
                    grid: SimGrid) -> MeasurementChannel:
     """Random-momentum-kick channel from (q_j, prob_j) pairs.
 
-    Branch j has u = sqrt(prob_j) * exp(i q_j x): a momentum translation
+    Sector j has u = sqrt(prob_j) * exp(i q_j x): a momentum translation
     by q_j occurring with probability prob_j.  Both numbers must be
     finite; probabilities must be nonnegative and sum to one.  |q_j| may
     not exceed |p[0]|, the lattice's momentum range: on the grid,
@@ -135,9 +111,6 @@ def classical_kick(kicks: list[tuple[float, float]],
             f"kick |q| must not exceed the lattice momentum range {q_max:.6g}: "
             f"on the grid a larger kick is the same as a smaller one, "
             f"got {kicks}")
-    branches = tuple(
-        Branch(f"kick{j}", j,
-               float(np.sqrt(pr)) * np.exp(1j * float(q) * grid.x))
-        for j, (q, pr) in enumerate(kicks)
-    )
-    return MeasurementChannel("classical_kick", branches, grid)
+    return MeasurementChannel("classical_kick", tuple(
+        (float(np.sqrt(pr)) * np.exp(1j * float(q) * grid.x), None)
+        for q, pr in kicks), grid)

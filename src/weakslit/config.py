@@ -88,6 +88,13 @@ _DEFAULT_QMAX = [round(v, 10) for v in np.linspace(0.5, 4.0 * _TWO_PI, 48)]
 _DEFAULT_KAPPA = [_TWO_PI * k for k in (1.0, 2.0, 4.0, 8.0, 16.0)]
 
 
+def _within(sweep: list, limit: float) -> list:
+    """The default sweep's points up to ``limit``, the grid's |q| range,
+    so that a coarse grid runs a shorter sweep; the whole sweep when no
+    point fits, which the variance command then refuses."""
+    return [v for v in sweep if v <= limit] or sweep
+
+
 def merge(base: dict, override: dict, path: str = "") -> dict:
     """``base`` with ``override`` merged in, key by key.
 
@@ -202,8 +209,9 @@ class ScenarioConfig:
                                   "numbers in (0, 1]")
         with _key("regularization"):
             reg = data["regularization"]
-            self.q_max = tuple(reg["q_max"] or _DEFAULT_QMAX)
-            self.kappa = tuple(reg["kappa"] or _DEFAULT_KAPPA)
+            q_lim = abs(float(self.grid.p[0]))
+            self.q_max = tuple(reg["q_max"] or _within(_DEFAULT_QMAX, q_lim))
+            self.kappa = tuple(reg["kappa"] or _within(_DEFAULT_KAPPA, q_lim))
             if not all(_is_number(v) and v > 0.0
                        for v in self.q_max + self.kappa):
                 raise ConfigError("q_max and kappa must hold positive finite "

@@ -5,8 +5,8 @@ The central objects are built from the joint quantity
     J(p_f) = Re sum_sectors < e(U chi) , e(U psi) > (p_f),
 
 where chi is the momentum-window projection of the input state, U the
-measurement channel applied branch-by-branch (coherently within a
-sector), and e the optional polarisation-eraser projection.  J equals
+measurement channel applied one sector's operator u + v S at a time,
+and e the optional polarisation-eraser projection.  J equals
 the conditional weak-valued probability times the post-selection
 density, so it is finite everywhere -- including the fringe zeros where
 the conditional ratio is 0/0.  Division happens only at display time,
@@ -19,15 +19,15 @@ covered momentum mass, can be negative for nonclassical channels, and
 reduces to the kick distribution convolved with the window indicator
 for classical ones.
 
-P_wv(q) is not assembled window by window.  Every branch is diagonal in
-x, so in momentum space it is a circular convolution with a fixed
-kernel.  Grouping the input samples by their offset from their own
+P_wv(q) is not assembled window by window.  Every multiplier u or v is
+diagonal in x, so in momentum space it is a circular convolution with a
+fixed kernel.  Grouping the input samples by their offset from their own
 window's centre turns the W-window sum into about width/dp + 1
 zero-padded cross-correlations, one per offset, whose number does not
 depend on W: a full tiling costs O((width/dp) N log N) rather than
 O(W N log N).  See :func:`transfer_distribution` for the identity.
-The result equals the window-by-window sum up to summation order, a
-few ulps of the density maximum.
+The result equals the window-by-window sum up to round-off: a few ulps
+of the density maximum when the tiling holds most of the mass.
 """
 
 import warnings
@@ -202,14 +202,12 @@ def _check_grid(state: TransverseState, ch: MeasurementChannel):
         )
 
 
-def _sector_sum(state: TransverseState, ch: MeasurementChannel, sector: int,
-                eraser: str) -> np.ndarray:
-    """One sector's coherent branch sum, as eraser-projected momentum
+def _sector_sum(state: TransverseState, u, v, eraser: str) -> np.ndarray:
+    """One sector's output (u + v S) psi, as eraser-projected momentum
     amplitudes: (2, n) for "none", (1, n) otherwise."""
-    acc = np.zeros((2, state.grid.n_points), dtype=complex)
-    for branch in ch.branches:
-        if branch.sector == sector:
-            acc += branch.apply(state).amps
+    acc = state.amps * u
+    if v is not None:
+        acc += state.amps[::-1] * v
     return _eraser_project(state.grid.to_momentum(acc, out=acc), eraser)
 
 
@@ -217,7 +215,7 @@ def _sector_momentum_sums(state: TransverseState, ch: MeasurementChannel,
                           eraser: str = "none") -> list[np.ndarray]:
     """:func:`_sector_sum` of every sector, after the grid check."""
     _check_grid(state, ch)
-    return [_sector_sum(state, ch, sector, eraser) for sector in ch.sectors]
+    return [_sector_sum(state, u, v, eraser) for u, v in ch.sectors]
 
 
 def _eraser_project(amps: np.ndarray, eraser: str) -> np.ndarray:
@@ -362,25 +360,19 @@ def _tiling_weights(grid: SimGrid, width: float, indices: tuple[int, ...]
     return samples, windows[rows, samples], weights[rows, samples]
 
 
-def _branch_kernels(ch: MeasurementChannel,
-                    sector: int) -> list[tuple[bool, np.ndarray]]:
-    """(swap, K) for each group of the sector's branches sharing a swap.
+def _sector_kernels(grid: SimGrid, u, v) -> list[tuple[bool, np.ndarray]]:
+    """(swap, K) for the sector's swap part v, if any, then its part u.
 
-    A branch is diagonal in x, so in momentum space it is a circular
-    convolution: to_momentum(u * from_momentum(v))[i] =
-    sum_j K[(i - j + n/2) mod n] v[j], with K the branch's response to
-    a unit sample at p = 0.  Branches of one sector and one swap act
-    on the same rows, so their multipliers add before the transform.
+    A multiplier diagonal in x is, in momentum space, a circular
+    convolution: to_momentum(u * from_momentum(a))[i] =
+    sum_j K[(i - j + n/2) mod n] a[j], with K the multiplier's response
+    to a unit sample at p = 0.
     """
-    grid = ch.grid
     unit = np.zeros(grid.n_points)
     unit[grid.n_points // 2] = 1.0
     flat = grid.from_momentum(unit)
-    groups: dict[bool, np.ndarray] = {}
-    for b in ch.branches:
-        if b.sector == sector:
-            groups[b.swap] = groups.get(b.swap, 0.0) + b.u
-    return [(swap, grid.to_momentum(u * flat)) for swap, u in groups.items()]
+    return [(swap, grid.to_momentum(m * flat))
+            for swap, m in ((True, v), (False, u)) if m is not None]
 
 
 def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
@@ -412,27 +404,32 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
     its 1/p^2 tails, and the normalisation makes that explicit rather
     than silently rescaling.
 
-    The sum is not built window by window.  Each branch is diagonal in
-    x, hence a circular convolution with a kernel K_b in momentum
-    space (see :func:`_branch_kernels`).  Grouping every input sample j
-    by its offset d = j - s_w - n/2 from the centre of its window w,
+    The sum is not built window by window.  Each sector's multipliers
+    m = u, v are diagonal in x, hence circular convolutions with
+    kernels K_m in momentum space (see :func:`_sector_kernels`).
+    Grouping every input sample j by its offset d = j - s_w - n/2 from
+    the centre of its window w,
 
-        P(i) = Re sum_d sum_b K_b[(i - d) mod n] R_{d,b}(i - d - n/2),
-        R_{d,b}(t) = sum_j c_d(j) e(S_b psi)(j) . conj Phi_b(t + j),
+        P(i) = Re sum_d sum_m K_m[(i - d) mod n] R_{d,m}(i - d - n/2),
+        R_{d,m}(t) = sum_j c_d(j) e(S_m psi)(j) . conj Phi(t + j),
 
     where c_d(j) is the total weight of sample j in windows at offset d,
-    e(S_b psi) the swapped and erased input amplitudes, and Phi_b the
-    full state's erased sector sum, taken as zero off the grid (which
-    is the dropped part of each shifted J_w).  R_{d,b} is one
+    S_m the swap S for m = v and the identity for m = u, e(S_m psi) the
+    erased input amplitudes, and Phi the full state's erased sector
+    output, taken as zero off the grid (which is the dropped part of
+    each shifted J_w).  R_{d,m} is one
     zero-padded linear cross-correlation over the span of tiled
     samples, evaluated with circular FFTs just long enough that no lag
     read is aliased: about n + span/2 for a narrow tiling, 1.5 n for a
     full one.  There are about width/dp + 1 offsets whatever the window
     count W, so the cost is O((width/dp) N log N) instead of
     O(W N log N): far cheaper for tilings of narrow windows, dearer for
-    a few windows much wider than W samples.  The summation order
-    differs from a window-by-window sum, which moves the density by a
-    few ulps of its maximum.
+    a few windows much wider than W samples.  This sum and a
+    window-by-window one differ by FFT round-off, a few
+    eps * sqrt(c * max P) before the division by the covered mass c,
+    with P the input momentum density: a few ulps of the density
+    maximum when the tiling holds most of the mass, but all of the
+    density when it holds less than about eps^2 of it.
     """
     _check_eraser(eraser)
     grid = state.grid
@@ -472,10 +469,10 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
                              for _, lag0, i_lo, i_hi in passes))
         chunk = amps_t[:, j_lo:j_lo + span]
         # One sector at a time, so at most one (rows, L) spectrum exists.
-        for sector in ch.sectors:
-            kernels = _branch_kernels(ch, sector)
+        for u, v in ch.sectors:
+            kernels = _sector_kernels(grid, u, v)
             # conj(FFT(Phi)) / L turns each correlation into one forward FFT.
-            phi = np.fft.fft(_sector_sum(state, ch, sector, eraser), size)
+            phi = np.fft.fft(_sector_sum(state, u, v, eraser), size)
             np.conj(phi, out=phi)
             phi /= size
             buf = np.empty((2, size), dtype=complex)

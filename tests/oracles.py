@@ -1,9 +1,10 @@
 """Slow, obviously-correct reference implementations for the tests.
 
 Everything here is dense linear algebra on small grids: the centred
-Fourier transform is an explicit N x N matrix, window projectors are
-boolean selections in momentum space, and joint quantities are
-assembled branch by branch.  O(N^2) per curve is fine at N <= 256 and
+Fourier transform is an explicit N x N matrix, each sector's operator
+u + v S is written out row by row, window projectors are boolean
+selections in momentum space, and joint quantities are assembled
+sector by sector.  O(N^2) per curve is fine at N <= 256 and
 keeps every intermediate inspectable.  None of it touches the FFT code
 paths under test, except the ``loop_*`` functions: the package's earlier
 one-thing-at-a-time implementations, kept as oracles for the faster
@@ -43,22 +44,17 @@ def idft_matrix(grid) -> np.ndarray:
     return np.exp(1j * np.outer(grid.x, grid.p)) * (grid.dp / ROOT_2PI)
 
 
-def _apply_branch(branch, amps):
-    if branch.swap:
-        amps = amps[::-1]
-    return amps * branch.u
+def apply_sector(amps, u, v) -> np.ndarray:
+    """(2, n) output of the sector operator K = u + v S on (2, n)
+    amplitudes, written out row by row: H' = u H + v V, V' = u V + v H."""
+    h, vert = amps
+    v = 0.0 if v is None else v
+    return np.array([u * h + v * vert, u * vert + v * h])
 
 
 def _sector_amps(amps, ch, dft):
-    """Per sector: coherently summed branch outputs in momentum space."""
-    out = []
-    for sector in ch.sectors:
-        acc = np.zeros_like(amps, dtype=complex)
-        for branch in ch.branches:
-            if branch.sector == sector:
-                acc = acc + _apply_branch(branch, amps)
-        out.append(acc @ dft.T)
-    return out
+    """Per sector: its operator's output in momentum space."""
+    return [apply_sector(amps, u, v) @ dft.T for u, v in ch.sectors]
 
 
 def _erase(amps_t, eraser):

@@ -1,4 +1,4 @@
-"""Measurement channels: completeness, branch action, sector structure."""
+"""Measurement channels: completeness, sector action, sector structure."""
 
 import math
 
@@ -9,53 +9,47 @@ from weakslit import (ConfigError, GridMismatchError, build_momentum_peak,
                       classical_kick, identity_channel, make_grid,
                       momentum_distribution, scully_wwm)
 
+from oracles import apply_sector
 
-def branch_outputs(state, ch):
-    """label -> unnormalised branch output state."""
-    return {b.label: b.apply(state) for b in ch.branches}
+
+def sector_outputs(state, ch):
+    """The unnormalised (2, n) position-space output of each sector."""
+    return [apply_sector(state.amps, u, v) for u, v in ch.sectors]
 
 
 def test_identity_channel_passthrough(slit_state, grid):
     ch = identity_channel(grid)
     assert ch.completeness_defect() == 0.0
-    (label, out), = branch_outputs(slit_state, ch).items()
-    assert label == "id"
-    np.testing.assert_array_equal(out.amps, slit_state.amps)
+    (out,) = sector_outputs(slit_state, ch)
+    np.testing.assert_array_equal(out, slit_state.amps)
 
 
 class TestScullyWwm:
     def test_completeness(self, wwm):
         assert wwm.completeness_defect() == 0.0
 
-    def test_single_sector_two_branches(self, wwm):
-        assert wwm.sectors == (0,)
-        assert len(wwm.branches) == 2
+    def test_one_sector_with_a_swap_part(self, wwm):
+        ((_, v),) = wwm.sectors
+        assert v is not None
 
     def test_marks_left_slit_in_vertical(self, slit_state, wwm, grid):
-        outputs = branch_outputs(slit_state, wwm)
-        left, right = outputs["left"], outputs["right"]
         h_in = slit_state.amps[0]
-        # the left branch swaps H into V, restricted to x < 0
-        assert np.all(left.amps[0] == 0.0)
-        np.testing.assert_array_equal(
-            left.amps[1], np.where(grid.x < 0.0, h_in, 0.0))
-        assert np.all(right.amps[1] == 0.0)
-        np.testing.assert_array_equal(
-            right.amps[0], np.where(grid.x >= 0.0, h_in, 0.0))
+        assert np.all(slit_state.amps[1] == 0.0)
+        (out,) = sector_outputs(slit_state, wwm)
+        # H stays on x >= 0; the swap moves H into V on x < 0
+        np.testing.assert_array_equal(out[0], np.where(grid.x >= 0.0, h_in, 0.0))
+        np.testing.assert_array_equal(out[1], np.where(grid.x < 0.0, h_in, 0.0))
 
     def test_spatial_density_unchanged(self, slit_state, wwm):
         """Which-way marking must not disturb where the particle is."""
-        total = np.zeros(slit_state.grid.n_points)
-        for out in branch_outputs(slit_state, wwm).values():
-            total += out.spatial_density()
-        np.testing.assert_allclose(total, slit_state.spatial_density(),
-                                   atol=1e-14)
+        (out,) = sector_outputs(slit_state, wwm)
+        np.testing.assert_allclose(np.sum(np.abs(out) ** 2, axis=0),
+                                   slit_state.spatial_density(), atol=1e-14)
 
-    def test_branch_masses_split_evenly(self, slit_state, wwm):
-        masses = [out.norm_sq()
-                  for out in branch_outputs(slit_state, wwm).values()]
-        assert sum(masses) == pytest.approx(1.0, rel=1e-12)
-        assert masses[0] == pytest.approx(0.5, rel=1e-12)
+    def test_polarisation_masses_split_evenly(self, slit_state, wwm, grid):
+        (out,) = sector_outputs(slit_state, wwm)
+        masses = np.sum(np.abs(out) ** 2, axis=1) * grid.dx
+        np.testing.assert_allclose(masses, [0.5, 0.5], rtol=1e-12)
 
     def test_grid_mismatch_rejected(self, slit_state):
         other = scully_wwm(make_grid(1024, 32.0))
@@ -82,21 +76,21 @@ class TestClassicalKick:
 
     def test_sectors_and_completeness(self, grid):
         ch = classical_kick([(0.5, 0.25), (-0.5, 0.75)], grid)
-        assert ch.sectors == (0, 1)
+        assert len(ch.sectors) == 2
+        assert all(v is None for _, v in ch.sectors)
         assert ch.completeness_defect() < 1e-15
 
     def test_single_kick_translates_momentum_density(self, grid):
         """A lattice-aligned kick rolls the momentum density exactly."""
         m = 24
-        (branch,) = classical_kick([(m * grid.dp, 1.0)], grid).branches
+        ((u, _),) = classical_kick([(m * grid.dp, 1.0)], grid).sectors
         state = build_momentum_peak(-1.0, 1.0, grid)
-        out = branch.apply(state)
         dens_in = np.abs(state.momentum_amplitudes()[0]) ** 2
-        dens_out = np.abs(out.momentum_amplitudes()[0]) ** 2
+        dens_out = np.abs(grid.to_momentum(state.amps * u)[0]) ** 2
         np.testing.assert_allclose(dens_out, np.roll(dens_in, m), atol=1e-13)
 
-    def test_branch_weights_are_probabilities(self, slit_state, grid):
+    def test_sector_masses_are_probabilities(self, slit_state, grid):
         ch = classical_kick([(0.3, 0.1), (0.0, 0.6), (-0.9, 0.3)], grid)
-        masses = [out.norm_sq()
-                  for out in branch_outputs(slit_state, ch).values()]
+        masses = [np.sum(np.abs(out) ** 2) * grid.dx
+                  for out in sector_outputs(slit_state, ch)]
         np.testing.assert_allclose(masses, [0.1, 0.6, 0.3], rtol=1e-12)

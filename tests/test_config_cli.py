@@ -511,6 +511,21 @@ class TestCliExitCodes:
                      "--out", str(tmp_path / "x")] + FAST) == 3
         assert "numeric error" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::weakslit.errors.CoverageWarning")
+    @pytest.mark.parametrize("n_points", [128, 256, 512, 1024])
+    def test_default_sweeps_fit_small_grids(self, tmp_path, n_points):
+        """With no sweep set, the default sweeps keep only their points
+        within the grid's |q| range, so a coarse grid runs ``variance``."""
+        out = tmp_path / "x"
+        assert main(["variance", "--set", f"grid.n_points={n_points}",
+                     "--out", str(out)]) == 0
+        cfg = from_dict({"grid": {"n_points": n_points}})
+        assert max(cfg.q_max + cfg.kappa) <= abs(float(cfg.grid.p[0]))
+        summary = strict_json((out / "summary.json").read_text())["summary"]
+        assert summary["largest_kappa"] == cfg.kappa[-1]
+        if n_points == 1024:
+            assert cfg.kappa[-1] == 8.0 * TWO_PI
+
     def test_unwritable_output_directory(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("in the way")

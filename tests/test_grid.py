@@ -131,7 +131,7 @@ def test_transform_equals_the_shifted_fft_bit_for_bit(inverse):
 
 @pytest.mark.parametrize("inverse", [False, True])
 def test_real_input_gives_a_new_complex_array(inverse):
-    """A float array (as the unit sample of the branch kernels) is never
+    """A float array (as the unit sample of the sector kernels) is never
     the buffer of a complex transform."""
     grid = make_grid(64, 8.0)
     transform = grid.from_momentum if inverse else grid.to_momentum
