@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .errors import (CoverageWarning, ConfigError, GeometryError,
                      GridMismatchError, MomentUndefinedError, OutputError,
                      ResolutionError, WeakslitError, WindowRangeError)
-from .grid import LabFrame, SimGrid, make_grid
+from .grid import LabFrame, SimGrid
 from .states import (SlitGeometry, TransverseState, build_double_slit,
                      build_momentum_peak)
 from .channels import (MeasurementChannel, classical_kick, identity_channel,
@@ -37,7 +37,7 @@ __all__ = [
     "MomentUndefinedError", "OutputError", "ResolutionError",
     "WindowRangeError", "CoverageWarning",
     # grids and lab frame
-    "SimGrid", "LabFrame", "make_grid",
+    "SimGrid", "LabFrame",
     # states
     "SlitGeometry", "TransverseState", "build_double_slit",
     "build_momentum_peak",

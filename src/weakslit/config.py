@@ -28,7 +28,7 @@ import numpy as np
 
 from .channels import MeasurementChannel, classical_kick, identity_channel, scully_wwm
 from .errors import ConfigError
-from .grid import LabFrame, SimGrid, make_grid
+from .grid import LabFrame, SimGrid
 from .states import SlitGeometry, TransverseState, build_double_slit
 from .weak_values import MomentumWindow, _check_eraser
 
@@ -90,9 +90,9 @@ _DEFAULT_KAPPA = [_TWO_PI * k for k in (1.0, 2.0, 4.0, 8.0, 16.0)]
 
 def _within(sweep: list, limit: float) -> list:
     """The default sweep's points up to ``limit``, the grid's |q| range,
-    so that a coarse grid runs a shorter sweep; the whole sweep when no
-    point fits, which the variance command then refuses."""
-    return [v for v in sweep if v <= limit] or sweep
+    so that a coarse grid runs a shorter sweep; the one point ``limit``
+    when no default point fits."""
+    return [v for v in sweep if v <= limit] or [limit]
 
 
 def merge(base: dict, override: dict, path: str = "") -> dict:
@@ -166,8 +166,8 @@ class ScenarioConfig:
             self.lab = LabFrame(data["lab"]["wavelength"],
                                 data["lab"]["focal_length"], sep)
         with _key("grid"):
-            self.grid = make_grid(data["grid"]["n_points"],
-                                  data["grid"]["x_extent"])
+            self.grid = SimGrid(data["grid"]["n_points"],
+                                data["grid"]["x_extent"])
         with _key("geometry"):
             scale = geo["edge_scale"]
             self.geometry = SlitGeometry(

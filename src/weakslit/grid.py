@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, GridMismatchError
 
-__all__ = ["SimGrid", "LabFrame", "make_grid"]
+__all__ = ["SimGrid", "LabFrame"]
 
 #: Largest accepted grid.  A 2^22-point state is 128 MiB of (2, n)
 #: complex amplitudes, and every analysis holds several such arrays.
@@ -34,9 +34,13 @@ class SimGrid:
     Attributes
     ----------
     n_points : int
-        Number of samples; a power of two so FFTs stay fast.
+        Number of samples: a power of two, so FFTs stay fast, from 8 to
+        :data:`MAX_POINTS`.
     x_extent : float
-        Total simulated width in internal length units.
+        Total simulated width in internal length units, > 0; stored as
+        a float.
+
+    A lattice outside these ranges raises :class:`ConfigError`.
     """
 
     n_points: int
@@ -45,6 +49,14 @@ class SimGrid:
     dp: float = field(init=False)
 
     def __post_init__(self):
+        n = self.n_points
+        if isinstance(n, bool) or not isinstance(n, int) \
+                or not 8 <= n <= MAX_POINTS or n & (n - 1):
+            raise ConfigError(f"n_points must be a power of two in "
+                              f"[8, {MAX_POINTS}], got {n}")
+        if not self.x_extent > 0.0:
+            raise ConfigError(f"x_extent must be positive, got {self.x_extent}")
+        object.__setattr__(self, "x_extent", float(self.x_extent))
         object.__setattr__(self, "dx", self.x_extent / self.n_points)
         object.__setattr__(self, "dp", 2.0 * np.pi / self.x_extent)
 
@@ -114,22 +126,19 @@ class SimGrid:
         return out
 
 
-def make_grid(n_points: int, x_extent: float) -> SimGrid:
-    """Build a :class:`SimGrid`, validating the discretisation.
+def indicator(samples: np.ndarray, step: float, lo, hi) -> np.ndarray:
+    """1 on [lo, hi) at ``samples``, a lattice of spacing ``step``, and 0
+    elsewhere; a sample within 1e-12 step of either edge takes 1/2.
 
-    Parameters
-    ----------
-    n_points : int
-        Must be a power of two, at least 8 and at most :data:`MAX_POINTS`.
-    x_extent : float
-        Total width, > 0, in internal length units.
+    A sample on a discontinuity to round-off takes the midpoint value.
+    ``lo`` and ``hi`` are scalars or arrays broadcasting against
+    ``samples``.
     """
-    if not 8 <= n_points <= MAX_POINTS or (n_points & (n_points - 1)) != 0:
-        raise ConfigError(f"n_points must be a power of two in "
-                          f"[8, {MAX_POINTS}], got {n_points}")
-    if not x_extent > 0.0:
-        raise ConfigError(f"x_extent must be positive, got {x_extent}")
-    return SimGrid(int(n_points), float(x_extent))
+    mask = ((samples >= lo) & (samples < hi)).astype(float)
+    tol = 1e-12 * step
+    mask[np.abs(samples - lo) < tol] = 0.5
+    mask[np.abs(samples - hi) < tol] = 0.5
+    return mask
 
 
 @dataclass(frozen=True)

@@ -40,17 +40,6 @@ def _table_csv(table):
         yield row * len(block) % tuple(block.ravel().tolist())
 
 
-def _json_ready(obj):
-    """Recursively convert numpy scalars so json.dumps accepts the summary."""
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if hasattr(obj, "item"):
-        return obj.item()
-    return obj
-
-
 def _write(path: Path, chunks) -> None:
     """Write the strings of *chunks* to *path* one after another."""
     try:
@@ -76,11 +65,13 @@ def emit_outputs(bundle: ResultBundle, out_dir) -> list:
 
     summary_doc = {
         "command": bundle.command,
-        "summary": _json_ready(bundle.summary),
-        "provenance": _json_ready(bundle.provenance),
+        "summary": bundle.summary,
+        "provenance": bundle.provenance,
     }
     path = root / "summary.json"
-    _write(path, (json.dumps(summary_doc, sort_keys=True, indent=2), "\n"))
+    # A numpy int or bool is not JSON; a numpy float is a float already.
+    _write(path, (json.dumps(summary_doc, sort_keys=True, indent=2,
+                             default=lambda v: v.item()), "\n"))
     written.append(path)
 
     for fig in bundle.figures:

@@ -33,8 +33,7 @@ import numpy as np
 from .channels import MeasurementChannel
 from .errors import ConfigError
 from .states import TransverseState
-from .weak_values import (EPS_DEN_FRACTION, MomentumWindow, WvpCurve,
-                          conditional_wvp)
+from .weak_values import MomentumWindow, WvpCurve, conditional_wvp, quotient
 
 __all__ = [
     "run_tagged",
@@ -82,11 +81,7 @@ def estimate_wvp(curve: WvpCurve, ratio: float) -> np.ndarray:
     per p_f sample, (T + c (J - T)) / marginal; NaN where the marginal is
     below the definedness threshold."""
     num = curve.strong + _overlap(ratio)[0] * (curve.joint - curve.strong)
-    den = marginal(curve, ratio)
-    out = np.full(den.shape, np.nan)
-    ok = den > EPS_DEN_FRACTION * den.max()
-    out[ok] = num[ok] / den[ok]
-    return out
+    return quotient(num, marginal(curve, ratio))
 
 
 #: The sweep's round-off floors in units of eps.  The estimator's error
@@ -145,7 +140,7 @@ def _roundoff_scales(curve: WvpCurve) -> tuple[float, float]:
     """The floor's two scales over the defined samples: max |J/P|, and
     the largest round-off of J - T over eps, sqrt(max P)(sqrt P + sqrt T),
     times |2J - P| / P^2."""
-    ok = curve.defined
+    ok = np.isfinite(curve.values)
     j, p, t = curve.joint[ok], curve.density[ok], curve.strong[ok]
     noise = np.sqrt(curve.density.max()) * (np.sqrt(p) + np.sqrt(t))
     return (float(np.max(np.abs(curve.values[ok]))),
@@ -173,7 +168,7 @@ def convergence_sweep(state: TransverseState, ch: MeasurementChannel,
     errors, floors = [], []
     for ratio in ratios:
         values = estimate_wvp(analytic, ratio)
-        both = analytic.defined & np.isfinite(values)
+        both = np.isfinite(analytic.values) & np.isfinite(values)
         errors.append(float(np.max(np.abs(values[both]
                                           - analytic.values[both]))))
         floors.append(float(ROUNDOFF_EPS * np.finfo(float).eps

@@ -36,7 +36,8 @@ class Table:
     """A data table with (column, unit) headers; the bundle's key names it.
 
     ``data`` holds one 1-D array per header, all of one length.  A bool
-    array (a ``defined`` mask) is written as 0/1.
+    array (a ``defined`` mask, ``np.isfinite`` of a curve) is written
+    as 0/1.
     """
 
     columns: tuple[tuple[str, str], ...]
@@ -99,18 +100,18 @@ def _run_wvp(config: ScenarioConfig) -> ResultBundle:
     dens_out = dens_out / (np.sum(dens_out) * config.grid.dp)
     p, mm = config.grid.p, _mm_per_unit(config)
     p_lab = p * mm
+    ok = np.isfinite(curve.values)
 
     bundle = ResultBundle("wvp")
     bundle.tables["wvp"] = Table((
         ("p_f", "hbar/s"), ("p_f_lab", "mm"), ("conditional", "1"),
         ("joint", "s/hbar"), ("defined", "0/1"),
-    ), (p, p_lab, curve.values, curve.joint, curve.defined))
+    ), (p, p_lab, curve.values, curve.joint, ok))
     bundle.tables["intensity"] = Table((
         ("p_f", "hbar/s"), ("p_f_lab", "mm"),
         ("input_density", "s/hbar"), ("output_density", "s/hbar"),
     ), (p, p_lab, dens_in, dens_out))
 
-    ok = curve.defined
     in_window = curve.values[ok & (window_mask(config.grid, window) > 0.5)]
     bundle.summary = {
         "window_index": window.index,
@@ -220,16 +221,16 @@ def _run_eraser(config: ScenarioConfig) -> ResultBundle:
         return float(np.sum(np.abs(j)[out]) * config.grid.dp)
 
     indicator = in_window.astype(float)
-    plus_dev = float(np.nanmax(np.abs(plus.values[plus.defined]
-                                      - indicator[plus.defined])))
+    plus_ok, minus_ok = np.isfinite(plus.values), np.isfinite(minus.values)
+    plus_dev = float(np.nanmax(np.abs(plus.values[plus_ok]
+                                      - indicator[plus_ok])))
 
     bundle = ResultBundle("eraser")
     bundle.tables["eraser_curves"] = Table((
         ("p_f", "hbar/s"), ("p_f_lab", "mm"),
         ("plus45", "1"), ("plus45_defined", "0/1"),
         ("minus45", "1"), ("minus45_defined", "0/1"),
-    ), (p, p * mm, plus.values, plus.defined, minus.values,
-        minus.defined))
+    ), (p, p * mm, plus.values, plus_ok, minus.values, minus_ok))
     bundle.tables["eraser_joint"] = Table((
         ("p_f", "hbar/s"), ("joint_none", "s/hbar"),
         ("joint_plus45", "s/hbar"), ("joint_minus45", "s/hbar"),
@@ -259,7 +260,8 @@ def _run_pointer(config: ScenarioConfig) -> ResultBundle:
     analytic = run_tagged(config.state, config.channel, window)
     est = estimate_wvp(analytic, ratio)
     est_defined = np.isfinite(est)
-    both = est_defined & analytic.defined
+    analytic_defined = np.isfinite(analytic.values)
+    both = est_defined & analytic_defined
     dev = float(np.max(np.abs(est[both] - analytic.values[both])))
     dens = analytic.density / (np.sum(analytic.density) * config.grid.dp)
     marg = marginal(analytic, ratio)
@@ -271,8 +273,7 @@ def _run_pointer(config: ScenarioConfig) -> ResultBundle:
         ("p_f", "hbar/s"), ("p_f_lab", "mm"), ("estimate", "1"),
         ("estimate_defined", "0/1"), ("analytic", "1"),
         ("analytic_defined", "0/1"),
-    ), (p, p * mm, est, est_defined, analytic.values,
-        analytic.defined))
+    ), (p, p * mm, est, est_defined, analytic.values, analytic_defined))
     bundle.summary = {
         "ratio": ratio,
         "window_index": window.index,

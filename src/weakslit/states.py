@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError, ResolutionError
-from .grid import SimGrid
+from .grid import SimGrid, indicator
 
 __all__ = [
     "SlitGeometry",
@@ -74,20 +74,9 @@ class TransverseState:
     amps: np.ndarray
     sharp_edges: bool = False
 
-    def norm_sq(self) -> float:
-        """Total probability, integrating both polarisations over x."""
-        return float(np.sum(self.spatial_density()) * self.grid.dx)
-
-    def normalized(self) -> "TransverseState":
-        n = np.sqrt(self.norm_sq())
-        return TransverseState(self.grid, self.amps / n, self.sharp_edges)
-
     def momentum_amplitudes(self) -> np.ndarray:
         """(2, n) momentum-space amplitudes via the unitary transform."""
         return self.grid.to_momentum(self.amps)
-
-    def spatial_density(self) -> np.ndarray:
-        return np.sum(np.abs(self.amps) ** 2, axis=0)
 
 
 def _h_polarised(grid: SimGrid, field: np.ndarray,
@@ -95,7 +84,8 @@ def _h_polarised(grid: SimGrid, field: np.ndarray,
     """Normalised state carrying ``field`` in H and nothing in V."""
     amps = np.zeros((2, grid.n_points), dtype=complex)
     amps[0] = field
-    return TransverseState(grid, amps, sharp_edges).normalized()
+    amps[0] /= np.sqrt(np.sum(np.abs(amps[0]) ** 2) * grid.dx)
+    return TransverseState(grid, amps, sharp_edges)
 
 
 def _slit_amplitude(geom: SlitGeometry, grid: SimGrid, center: float) -> np.ndarray:
@@ -109,11 +99,7 @@ def _slit_amplitude(geom: SlitGeometry, grid: SimGrid, center: float) -> np.ndar
             f"the grid extent [{x[0]}, {x[-1]}]"
         )
     if geom.sharp:
-        amp = ((x > lo) & (x < hi)).astype(float)
-        # A field sample exactly on a discontinuity takes the midpoint value.
-        amp[np.isclose(x, lo, rtol=0.0, atol=1e-12 * grid.dx)] = 0.5
-        amp[np.isclose(x, hi, rtol=0.0, atol=1e-12 * grid.dx)] = 0.5
-        return amp
+        return indicator(x, grid.dx, lo, hi)
     scale = geom.edge_scale * np.sqrt(2.0)
     return 0.5 * (_erf((x - lo) / scale) - _erf((x - hi) / scale))
 

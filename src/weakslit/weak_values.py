@@ -39,7 +39,7 @@ import numpy as np
 from .channels import MeasurementChannel
 from .errors import (ConfigError, CoverageWarning, GridMismatchError,
                      ResolutionError, WindowRangeError)
-from .grid import SimGrid
+from .grid import SimGrid, indicator
 from .states import TransverseState
 
 __all__ = [
@@ -91,7 +91,7 @@ class WvpCurve:
     """Conditional weak-valued probability sampled over final momentum.
 
     ``values`` holds NaN where the post-selection density is below the
-    definedness threshold; ``defined`` is the corresponding mask.
+    definedness threshold (:func:`quotient`), and nowhere else.
     ``joint`` is the numerator J(p_f), defined everywhere, ``density``
     the denominator P(p_f) = sum |e(U psi)|^2 and ``strong``
     T(p_f) = sum |e(U chi)|^2, the joint probability a projective
@@ -100,7 +100,6 @@ class WvpCurve:
     """
 
     values: np.ndarray
-    defined: np.ndarray
     joint: np.ndarray
     density: np.ndarray
     strong: np.ndarray
@@ -151,17 +150,13 @@ def _check_width(grid: SimGrid, width: float):
         )
 
 
-def _indicator(grid: SimGrid, lo, hi) -> np.ndarray:
-    """[lo, hi) on the momentum samples, 1/2 on a boundary to round-off.
-
-    ``lo`` and ``hi`` are scalars or arrays broadcasting against p.
-    """
-    p = grid.p
-    mask = ((p >= lo) & (p < hi)).astype(float)
-    tol = 1e-12 * grid.dp
-    mask[np.abs(p - lo) < tol] = 0.5
-    mask[np.abs(p - hi) < tol] = 0.5
-    return mask
+def quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den, NaN wherever den is at most EPS_DEN_FRACTION times its
+    maximum: the definedness threshold of every conditional value."""
+    out = np.full(den.shape, np.nan)
+    ok = den > EPS_DEN_FRACTION * den.max()
+    out[ok] = num[ok] / den[ok]
+    return out
 
 
 def window_mask(grid: SimGrid, window: MomentumWindow) -> np.ndarray:
@@ -171,7 +166,7 @@ def window_mask(grid: SimGrid, window: MomentumWindow) -> np.ndarray:
     a sample landing on a boundary to round-off takes weight 1/2 (the
     midpoint convention used for discontinuous apertures).
     """
-    return _indicator(grid, *window.bounds)
+    return indicator(grid.p, grid.dp, *window.bounds)
 
 
 def _window_project(state: TransverseState, window: MomentumWindow) -> TransverseState:
@@ -264,8 +259,8 @@ def conditional_wvp(state: TransverseState, ch: MeasurementChannel,
                     window: MomentumWindow, eraser: str = "none") -> WvpCurve:
     """Conditional weak-valued probability J(p_f)/P(p_f).
 
-    Samples where P(p_f) < EPS_DEN_FRACTION * max(P) are flagged
-    undefined and set to NaN; everything else is an exact ratio.  With
+    Samples below the definedness threshold of :func:`quotient` are
+    NaN; everything else is an exact ratio.  With
     the identity channel (or the +45 eraser on the which-way marker)
     the defined part is the window indicator.
     """
@@ -295,10 +290,7 @@ def eraser_curves(state: TransverseState, ch: MeasurementChannel,
             del psi_sums, chi_sums  # unread from here on: lowers the peak
         j = _joint(chi_erased, psi_erased)
         dens = _density(psi_erased)
-        defined = dens > EPS_DEN_FRACTION * dens.max()
-        values = np.full(state.grid.n_points, np.nan)
-        values[defined] = j[defined] / dens[defined]
-        curves[eraser] = WvpCurve(values, defined, j, dens,
+        curves[eraser] = WvpCurve(quotient(j, dens), j, dens,
                                   _density(chi_erased))
     return curves
 
@@ -351,7 +343,7 @@ def _tiling_weights(grid: SimGrid, width: float, indices: tuple[int, ...]
                + np.array([[-1.0], [0.0], [1.0]])).astype(np.int64)
     center = windows * width
     half = width / 2.0
-    weights = _indicator(grid, center - half, center + half)
+    weights = indicator(grid.p, grid.dp, center - half, center + half)
     k_lo, k_hi = int(windows[0, 0]), int(windows[-1, -1])
     weights *= np.bincount(
         np.array([k - k_lo for k in indices if k_lo <= k <= k_hi],

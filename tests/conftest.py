@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weakslit import (LabFrame, MomentumWindow, SlitGeometry,
-                      build_double_slit, make_grid, scully_wwm)
+from weakslit import (LabFrame, MomentumWindow, SimGrid, SlitGeometry,
+                      build_double_slit, scully_wwm)
 
 #: Tagged-window width in internal units: the 1.77 mm focal-plane sliver
 #: mapped back through f = 1 m, lambda = 633 nm, s = 80 um.
@@ -54,13 +54,13 @@ def strict_json(text: str):
 
 @pytest.fixture(scope="session")
 def grid():
-    return make_grid(4096, 64.0)
+    return SimGrid(4096, 64.0)
 
 
 @pytest.fixture(scope="session")
 def dense_grid():
     """Small enough for O(N^2) dense-matrix oracles."""
-    return make_grid(256, 16.0)
+    return SimGrid(256, 16.0)
 
 
 @pytest.fixture(scope="session")

@@ -205,7 +205,7 @@ def loop_convergence_sweep(state, ch, window, ratios):
     errors = []
     for ratio in ratios:
         est = estimate_wvp(run_tagged(state, ch, window), ratio)
-        both = analytic.defined & np.isfinite(est)
+        both = np.isfinite(analytic.values) & np.isfinite(est)
         errors.append(float(np.max(np.abs(est[both]
                                           - analytic.values[both]))))
     return ratios, tuple(errors)
@@ -329,7 +329,7 @@ def stack_convergence_sweep(state, ch, window, sigma, ratios):
     for ratio in ratios:
         d = ratio * sigma
         values = _centroid(sums, d, _gaussian_overlap(d, sigma)) / d
-        both = analytic.defined & np.isfinite(values)
+        both = np.isfinite(analytic.values) & np.isfinite(values)
         errors.append(float(np.max(np.abs(values[both]
                                           - analytic.values[both]))))
     return ratios, tuple(errors)

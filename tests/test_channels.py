@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from weakslit import (ConfigError, GridMismatchError, build_momentum_peak,
-                      classical_kick, identity_channel, make_grid,
+from weakslit import (ConfigError, GridMismatchError, SimGrid,
+                      build_momentum_peak, classical_kick, identity_channel,
                       momentum_distribution, scully_wwm)
 
 from oracles import apply_sector
@@ -40,11 +40,12 @@ class TestScullyWwm:
         np.testing.assert_array_equal(out[0], np.where(grid.x >= 0.0, h_in, 0.0))
         np.testing.assert_array_equal(out[1], np.where(grid.x < 0.0, h_in, 0.0))
 
-    def test_spatial_density_unchanged(self, slit_state, wwm):
+    def test_position_density_unchanged(self, slit_state, wwm):
         """Which-way marking must not disturb where the particle is."""
         (out,) = sector_outputs(slit_state, wwm)
-        np.testing.assert_allclose(np.sum(np.abs(out) ** 2, axis=0),
-                                   slit_state.spatial_density(), atol=1e-14)
+        before = np.sum(np.abs(slit_state.amps) ** 2, axis=0)
+        np.testing.assert_allclose(np.sum(np.abs(out) ** 2, axis=0), before,
+                                   atol=1e-14)
 
     def test_polarisation_masses_split_evenly(self, slit_state, wwm, grid):
         (out,) = sector_outputs(slit_state, wwm)
@@ -52,7 +53,7 @@ class TestScullyWwm:
         np.testing.assert_allclose(masses, [0.5, 0.5], rtol=1e-12)
 
     def test_grid_mismatch_rejected(self, slit_state):
-        other = scully_wwm(make_grid(1024, 32.0))
+        other = scully_wwm(SimGrid(1024, 32.0))
         with pytest.raises(GridMismatchError):
             momentum_distribution(slit_state, other)
 

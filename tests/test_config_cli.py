@@ -512,19 +512,34 @@ class TestCliExitCodes:
         assert "numeric error" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::weakslit.errors.CoverageWarning")
-    @pytest.mark.parametrize("n_points", [128, 256, 512, 1024])
-    def test_default_sweeps_fit_small_grids(self, tmp_path, n_points):
+    @pytest.mark.parametrize("n_points, x_extent", [
+        (128, 64.0), (256, 64.0), (512, 64.0), (1024, 64.0), (128, 80.0)])
+    def test_default_sweeps_fit_small_grids(self, tmp_path, n_points,
+                                            x_extent):
         """With no sweep set, the default sweeps keep only their points
-        within the grid's |q| range, so a coarse grid runs ``variance``."""
+        within the grid's |q| range, so a coarse grid runs ``variance``;
+        below the smallest default kappa, 2 pi, the kappa sweep is the
+        one point at the range."""
         out = tmp_path / "x"
         assert main(["variance", "--set", f"grid.n_points={n_points}",
+                     "--set", f"grid.x_extent={x_extent}",
                      "--out", str(out)]) == 0
-        cfg = from_dict({"grid": {"n_points": n_points}})
-        assert max(cfg.q_max + cfg.kappa) <= abs(float(cfg.grid.p[0]))
+        cfg = from_dict({"grid": {"n_points": n_points,
+                                  "x_extent": x_extent}})
+        q_lim = abs(float(cfg.grid.p[0]))
+        assert max(cfg.q_max + cfg.kappa) <= q_lim
         summary = strict_json((out / "summary.json").read_text())["summary"]
         assert summary["largest_kappa"] == cfg.kappa[-1]
         if n_points == 1024:
             assert cfg.kappa[-1] == 8.0 * TWO_PI
+        if q_lim < TWO_PI:
+            assert cfg.kappa == (q_lim,)
+            assert summary["apodized_last_gap"] is None
+            # a kappa the user sets beyond the range is still refused
+            assert main(["variance", "--set", f"grid.n_points={n_points}",
+                         "--set", f"grid.x_extent={x_extent}",
+                         "--set", f"regularization.kappa=[{TWO_PI}]",
+                         "--out", str(out)]) == 3
 
     def test_unwritable_output_directory(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

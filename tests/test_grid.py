@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 import scipy.constants as const
 
-from weakslit import ConfigError, GridMismatchError, LabFrame, make_grid
+from weakslit import ConfigError, GridMismatchError, LabFrame, SimGrid
+from weakslit.grid import MAX_POINTS, indicator
 
 from oracles import dft_matrix, idft_matrix
 
 
-def test_make_grid_spacings():
-    grid = make_grid(1024, 64.0)
+def test_grid_spacings():
+    grid = SimGrid(1024, 64.0)
     assert grid.dx == 64.0 / 1024
     assert grid.dp == 2.0 * np.pi / 64.0
     # conjugacy: dx * dp * n == 2 pi, the unitarity condition
@@ -18,25 +19,54 @@ def test_make_grid_spacings():
                                                               rel=1e-15)
 
 
-def test_make_grid_centred_samples():
-    grid = make_grid(16, 4.0)
+def test_grid_centred_samples():
+    grid = SimGrid(16, 4.0)
     assert grid.x[grid.n_points // 2] == 0.0
     assert grid.p[grid.n_points // 2] == 0.0
     np.testing.assert_allclose(np.diff(grid.x), grid.dx)
     np.testing.assert_allclose(np.diff(grid.p), grid.dp)
 
 
-@pytest.mark.parametrize("n", [0, 7, 12, 1000, -16])
-def test_make_grid_rejects_bad_sizes(n):
-    with pytest.raises(ConfigError):
-        make_grid(n, 8.0)
+@pytest.mark.parametrize("n", [0, 4, 7, 12, 1000, -16, MAX_POINTS * 2,
+                               True, 16.0, "16", None])
+def test_grid_rejects_bad_sizes(n):
+    """The constructor refuses all but an int power of two in
+    [8, MAX_POINTS], a bool or a float of integral value too, rather
+    than fail later inside a transform."""
+    with pytest.raises(ConfigError, match=r"^n_points must be a power of "
+                       rf"two in \[8, {MAX_POINTS}\], got {n}$"):
+        SimGrid(n, 8.0)
 
 
-def test_make_grid_rejects_bad_extent():
-    with pytest.raises(ConfigError):
-        make_grid(64, 0.0)
-    with pytest.raises(ConfigError):
-        make_grid(64, -3.0)
+@pytest.mark.parametrize("extent", [0.0, -1.0, -3.0, float("nan")])
+def test_grid_rejects_bad_extent(extent):
+    """No division by zero, and no negative dx and dp."""
+    with pytest.raises(ConfigError,
+                       match=rf"^x_extent must be positive, got {extent}$"):
+        SimGrid(16, extent)
+
+
+def test_grid_stores_its_extent_as_a_float():
+    grid = SimGrid(8, 80)
+    assert type(grid.x_extent) is float and grid.x_extent == 80.0
+    assert grid == SimGrid(8, 80.0)
+    assert SimGrid(MAX_POINTS, 1.0).n_points == MAX_POINTS
+
+
+def test_indicator_is_half_open_with_half_weight_edges():
+    """1 on [lo, hi), and 1/2 on a sample within 1e-12 step of an edge;
+    the edges broadcast against the samples."""
+    samples = np.arange(-4, 4) * 0.5
+    edge = [0.0, 0.0, 0.5, 1.0, 1.0, 1.0, 0.5, 0.0]
+    np.testing.assert_array_equal(indicator(samples, 0.5, -1.0, 1.0), edge)
+    np.testing.assert_array_equal(
+        indicator(samples, 0.5, -1.0 + 1e-13, 1.0 - 1e-13), edge)
+    np.testing.assert_array_equal(indicator(samples, 0.5, -0.9, 0.9),
+                                  [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0])
+    rows = indicator(samples, 0.5, np.array([[-1.0], [-0.9]]),
+                     np.array([[1.0], [0.9]]))
+    np.testing.assert_array_equal(rows, [edge, indicator(samples, 0.5,
+                                                         -0.9, 0.9)])
 
 
 def norm_x(grid, values):
@@ -49,7 +79,7 @@ def norm_p(grid, values):
 
 
 def test_transform_is_unitary():
-    grid = make_grid(512, 32.0)
+    grid = SimGrid(512, 32.0)
     rng = np.random.default_rng(7)
     f = rng.normal(size=512) + 1j * rng.normal(size=512)
     g = grid.to_momentum(f)
@@ -58,7 +88,7 @@ def test_transform_is_unitary():
 
 
 def test_transform_matches_dense_matrix():
-    grid = make_grid(256, 16.0)
+    grid = SimGrid(256, 16.0)
     rng = np.random.default_rng(11)
     f = rng.normal(size=256) + 1j * rng.normal(size=256)
     np.testing.assert_allclose(grid.to_momentum(f), dft_matrix(grid) @ f,
@@ -68,14 +98,14 @@ def test_transform_matches_dense_matrix():
 
 
 def test_dense_matrices_are_mutually_inverse():
-    grid = make_grid(128, 8.0)
+    grid = SimGrid(128, 8.0)
     prod = idft_matrix(grid) @ dft_matrix(grid)
     np.testing.assert_allclose(prod, np.eye(128), atol=1e-12)
 
 
 def test_gaussian_transform_closed_form():
     """exp(-x^2/(2 a^2)) maps to a * exp(-p^2 a^2 / 2) under this convention."""
-    grid = make_grid(2048, 64.0)
+    grid = SimGrid(2048, 64.0)
     a = 1.3
     f = np.exp(-grid.x ** 2 / (2.0 * a ** 2)).astype(complex)
     expected = a * np.exp(-grid.p ** 2 * a ** 2 / 2.0)
@@ -84,7 +114,7 @@ def test_gaussian_transform_closed_form():
 
 
 def test_transform_works_on_stacked_rows():
-    grid = make_grid(256, 16.0)
+    grid = SimGrid(256, 16.0)
     rng = np.random.default_rng(3)
     stack = rng.normal(size=(2, 256)) + 1j * rng.normal(size=(2, 256))
     out = grid.to_momentum(stack)
@@ -116,7 +146,7 @@ def test_transform_equals_the_shifted_fft_bit_for_bit(inverse):
     input; the input is left as it was, unless it is the buffer."""
     rng = np.random.default_rng(5)
     for n in (2 ** k for k in range(3, 13)):
-        grid = make_grid(n, 16.0)
+        grid = SimGrid(n, 16.0)
         transform = grid.from_momentum if inverse else grid.to_momentum
         stack = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
         for values in (stack, stack[1], stack[::-2], np.asfortranarray(stack)):
@@ -133,7 +163,7 @@ def test_transform_equals_the_shifted_fft_bit_for_bit(inverse):
 def test_real_input_gives_a_new_complex_array(inverse):
     """A float array (as the unit sample of the sector kernels) is never
     the buffer of a complex transform."""
-    grid = make_grid(64, 8.0)
+    grid = SimGrid(64, 8.0)
     transform = grid.from_momentum if inverse else grid.to_momentum
     unit = np.zeros(64)
     unit[32] = 1.0
@@ -147,7 +177,7 @@ def test_real_input_gives_a_new_complex_array(inverse):
 
 
 def test_transform_rejects_wrong_length():
-    grid = make_grid(64, 8.0)
+    grid = SimGrid(64, 8.0)
     with pytest.raises(GridMismatchError):
         grid.to_momentum(np.zeros(65))
     with pytest.raises(GridMismatchError):

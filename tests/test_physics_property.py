@@ -10,6 +10,13 @@ random probabilities), the eraser and the window:
   is sum K^dag K = 1 because conj(u) v = 0 at every sample;
 * the +-45 degree erasers partition the joint quantity J exactly:
   J_none = J_plus45 + J_minus45;
+* the transform is unitary: Parseval holds and a round trip returns
+  the state, to a few eps;
+* over a full tiling of windows an odd number of samples wide, which
+  puts every sample inside exactly one window and none on an edge,
+  the windows' joint quantities J_w sum to the post-selection density
+  P at every sample, for every eraser, and their strong densities T_w
+  integrate to the tiling's coverage;
 * the correlation form of ``transfer_distribution`` equals the
   per-window loop it replaced, to 1e-13 of the density maximum plus
   the round-off both carry.
@@ -20,6 +27,15 @@ eps * sqrt(c * max P), with P the input momentum density.  After it,
 the error is a few eps * sqrt(max P / c), which exceeds 1e-13 of the
 density maximum once a tiling holds less than about 1e-7 of the mass
 (a single window far out in a smoothed slit's spectrum holds 1e-33).
+
+Two sums that look like identities are not tested, because on these
+grids they are not: the full tiling's P_wv(q) integrates to one only
+up to the mass each window's shift moves off the grid (up to 1% off),
+and with kicks on the momentum lattice P_wv(q) equals the kick
+distribution convolved with the window indicator only while the sum of
+the input density at one point per window is its integral, which
+fails as the window width nears the 2 pi fringe period (up to 96% off
+for windows 15 samples of 2 pi / 16 wide).
 """
 
 import warnings
@@ -29,11 +45,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weakslit import (MomentumWindow, SlitGeometry, build_double_slit,
-                      classical_kick, eraser_curves, identity_channel,
-                      make_grid, scully_wwm, transfer_distribution)
+from weakslit import (MomentumWindow, SimGrid, SlitGeometry,
+                      build_double_slit, classical_kick, eraser_curves,
+                      identity_channel, scully_wwm, transfer_distribution,
+                      window_mask)
 from weakslit.errors import CoverageWarning
-from weakslit.weak_values import ERASERS
+from weakslit.weak_values import ERASERS, _tiling_indices
 
 from oracles import loop_transfer
 
@@ -66,7 +83,7 @@ def kicks(draw, grid) -> list[tuple[float, float]]:
 
 @st.composite
 def scenarios(draw):
-    grid = make_grid(draw(st.sampled_from([128, 256, 512])), 16.0)
+    grid = SimGrid(draw(st.sampled_from([128, 256, 512])), 16.0)
     state = build_double_slit(draw(geometries()), grid)
     kind = draw(st.sampled_from(["identity", "scully", "kick"]))
     if kind == "identity":
@@ -118,3 +135,45 @@ def test_transfer_matches_the_window_loop(scenario, half):
     np.testing.assert_allclose(
         fast.density, slow.density, rtol=0.0,
         atol=1e-13 * np.max(np.abs(slow.density)) + roundoff)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(scenarios())
+def test_transform_is_unitary(scenario):
+    state = scenario[0]
+    grid = state.grid
+    amps_t = state.momentum_amplitudes()
+    norm_x = np.sum(np.abs(state.amps) ** 2) * grid.dx
+    norm_p = np.sum(np.abs(amps_t) ** 2) * grid.dp
+    assert abs(norm_p - norm_x) <= 8.0 * EPS
+    back = grid.from_momentum(amps_t)
+    assert np.max(np.abs(back - state.amps)) <= 8.0 * EPS * np.max(
+        np.abs(state.amps))
+
+
+def odd_tiling(grid, samples) -> list[MomentumWindow]:
+    """The windows of a full tiling that hold a sample, each ``samples``
+    (odd) samples wide, so every edge falls halfway between two."""
+    width = samples * grid.dp
+    windows = [MomentumWindow(k, width) for k in _tiling_indices(grid, width)]
+    return [w for w in windows if window_mask(grid, w).any()]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(scenarios(), st.integers(1, 7))
+def test_full_tiling_sums_to_the_post_selection_density(scenario, half):
+    state, ch, _, _ = scenario
+    grid = state.grid
+    tiling = odd_tiling(grid, 2 * half + 1)
+    np.testing.assert_array_equal(
+        sum(window_mask(grid, w) for w in tiling), 1.0)
+    curves = [eraser_curves(state, ch, w) for w in tiling]
+    for eraser in ERASERS:
+        density = curves[0][eraser].density
+        np.testing.assert_allclose(
+            sum(c[eraser].joint for c in curves), density, rtol=0.0,
+            atol=16.0 * EPS * density.max())
+    strong = sum(float(np.sum(c["none"].strong)) for c in curves) * grid.dp
+    coverage = transfer_distribution(state, ch, tiling[0].width,
+                                     [w.index for w in tiling]).coverage
+    assert strong == pytest.approx(coverage, rel=0.0, abs=16.0 * EPS)
