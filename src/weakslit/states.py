@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError, ResolutionError
+from .errors import GeometryError, ResolutionError, WindowRangeError
 from .grid import SimGrid, indicator
 
 __all__ = [
@@ -134,11 +134,18 @@ def build_momentum_peak(p0: float, width: float, grid: SimGrid) -> TransverseSta
 
     The amplitude is exp(-(p - p0)^2 / (2 width^2)), so the momentum
     *density* has standard deviation width/sqrt(2).  Widths below 4 grid
-    bins are refused as unresolvable.
+    bins are refused as unresolvable, and a peak so far outside the
+    simulated momentum range that it is zero on every sample is refused
+    as out of range (:class:`WindowRangeError`).
     """
     if width < 4.0 * grid.dp:
         raise ResolutionError(
             f"momentum width {width} below 4 grid bins ({4.0 * grid.dp:.4g})"
         )
     tilde = np.exp(-((grid.p - p0) ** 2) / (2.0 * width ** 2)).astype(complex)
+    if not tilde.any():
+        raise WindowRangeError(
+            f"momentum peak at {p0:.4g} of width {width:.4g} is zero on every "
+            f"sample of the simulated momentum range "
+            f"[{grid.p[0]:.4g}, {grid.p[-1]:.4g}]")
     return _h_polarised(grid, grid.from_momentum(tilde), False)

@@ -381,7 +381,8 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
         Window indices to include; None means a tiling of the whole
         simulated momentum range.  The flagship 15-window scenario
         passes range(-7, 8).  A repeated index counts once per
-        occurrence.
+        occurrence.  Indices whose windows hold no momentum sample at
+        all are refused (:class:`WindowRangeError`).
     eraser :
         Optional polarisation post-selection applied to every window.
 
@@ -434,6 +435,11 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
     amps_t = state.momentum_amplitudes()
 
     samples, windows, weights = _tiling_weights(grid, window_width, indices)
+    if not samples.size:
+        raise WindowRangeError(
+            f"none of the {len(indices)} windows of width {window_width:.4g} "
+            f"holds a sample of the simulated momentum range "
+            f"[{grid.p[0]:.4g}, {grid.p[-1]:.4g}]")
     input_dens = np.sum(np.abs(amps_t) ** 2, axis=0)
     coverage = float(np.dot(weights, input_dens[samples]) * grid.dp)
     offsets = (samples - n // 2
@@ -441,52 +447,51 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
     del input_dens, windows  # keep the peak memory of the passes low
 
     acc = np.zeros(n)
-    if samples.size:
-        j_lo = int(samples.min())
-        span = int(samples.max()) + 1 - j_lo
-        # The distinct offsets, ascending (np.unique would import all of
-        # numpy.ma to check for a mask).
-        d_lo = int(offsets.min())
-        distinct = np.flatnonzero(np.bincount(offsets - d_lo)) + d_lo
-        # Offset d reads lag i - lag0 of its correlation at output row i,
-        # for the rows [i_lo, i_hi) whose lag is inside the support
-        # [1 - span, n - 1].  A circular correlation of length L is exact
-        # at a lag t when t + L lies above the support and t - L below it.
-        passes = []
-        for d in distinct.tolist():
-            lag0 = d + n // 2 - j_lo
-            passes.append((d, lag0, max(0, lag0 + 1 - span),
-                           min(n, lag0 + n)))
-        size = _fast_len(max(max(n + lag0 - i_lo, i_hi - 1 - lag0 + span)
-                             for _, lag0, i_lo, i_hi in passes))
-        chunk = amps_t[:, j_lo:j_lo + span]
-        # One sector at a time, so at most one (rows, L) spectrum exists.
-        for u, v in ch.sectors:
-            kernels = _sector_kernels(grid, u, v)
-            # conj(FFT(Phi)) / L turns each correlation into one forward FFT.
-            phi = np.fft.fft(_sector_sum(state, u, v, eraser), size)
-            np.conj(phi, out=phi)
-            phi /= size
-            buf = np.empty((2, size), dtype=complex)
-            corr = np.empty(size, dtype=complex)
-            for d, lag0, i_lo, i_hi in passes:
-                sel = offsets == d
-                np.multiply(chunk, np.bincount(samples[sel] - j_lo,
-                                               weights[sel], span),
-                            out=buf[:, :span])
-                buf[:, span:] = 0.0
-                np.fft.fft(buf, out=buf)
-                for swap, kern in kernels:
-                    np.einsum("rl,rl->l", _eraser_project(
-                        buf[::-1] if swap else buf, eraser), phi, out=corr)
-                    np.fft.fft(corr, out=corr)
-                    part = kern.take(np.arange(i_lo - d, i_hi - d),
-                                     mode="wrap")
-                    part *= corr.take(np.arange(i_lo - lag0, i_hi - lag0),
-                                      mode="wrap")
-                    acc[i_lo:i_hi] += part.real
-            # Free this sector's buffers before the next sector's sums.
-            del phi, buf, corr, part
+    j_lo = int(samples.min())
+    span = int(samples.max()) + 1 - j_lo
+    # The distinct offsets, ascending (np.unique would import all of
+    # numpy.ma to check for a mask).
+    d_lo = int(offsets.min())
+    distinct = np.flatnonzero(np.bincount(offsets - d_lo)) + d_lo
+    # Offset d reads lag i - lag0 of its correlation at output row i,
+    # for the rows [i_lo, i_hi) whose lag is inside the support
+    # [1 - span, n - 1].  A circular correlation of length L is exact
+    # at a lag t when t + L lies above the support and t - L below it.
+    passes = []
+    for d in distinct.tolist():
+        lag0 = d + n // 2 - j_lo
+        passes.append((d, lag0, max(0, lag0 + 1 - span),
+                       min(n, lag0 + n)))
+    size = _fast_len(max(max(n + lag0 - i_lo, i_hi - 1 - lag0 + span)
+                         for _, lag0, i_lo, i_hi in passes))
+    chunk = amps_t[:, j_lo:j_lo + span]
+    # One sector at a time, so at most one (rows, L) spectrum exists.
+    for u, v in ch.sectors:
+        kernels = _sector_kernels(grid, u, v)
+        # conj(FFT(Phi)) / L turns each correlation into one forward FFT.
+        phi = np.fft.fft(_sector_sum(state, u, v, eraser), size)
+        np.conj(phi, out=phi)
+        phi /= size
+        buf = np.empty((2, size), dtype=complex)
+        corr = np.empty(size, dtype=complex)
+        for d, lag0, i_lo, i_hi in passes:
+            sel = offsets == d
+            np.multiply(chunk, np.bincount(samples[sel] - j_lo,
+                                           weights[sel], span),
+                        out=buf[:, :span])
+            buf[:, span:] = 0.0
+            np.fft.fft(buf, out=buf)
+            for swap, kern in kernels:
+                np.einsum("rl,rl->l", _eraser_project(
+                    buf[::-1] if swap else buf, eraser), phi, out=corr)
+                np.fft.fft(corr, out=corr)
+                part = kern.take(np.arange(i_lo - d, i_hi - d),
+                                 mode="wrap")
+                part *= corr.take(np.arange(i_lo - lag0, i_hi - lag0),
+                                  mode="wrap")
+                acc[i_lo:i_hi] += part.real
+        # Free this sector's buffers before the next sector's sums.
+        del phi, buf, corr, part
 
     if coverage < COVERAGE_MIN:
         warnings.warn(

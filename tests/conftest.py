@@ -28,18 +28,19 @@ WINDOW_WIDTH = float(BENCH_LAB.momentum_from_position(1.77e-3))
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_python(*args, **kwargs) -> subprocess.CompletedProcess:
+def run_python(*args, prefix=(), **kwargs) -> subprocess.CompletedProcess:
     """Run ``python *args`` in a child process that imports this checkout.
 
     ``src/`` goes first on the child's ``PYTHONPATH``, so the child finds
-    the package whether or not it is installed.  stdout and stderr are
+    the package whether or not it is installed.  A *prefix* command, such
+    as ``taskset -c 0``, runs the interpreter.  stdout and stderr are
     piped and returned as text.
     """
     path = os.pathsep.join(filter(None, [str(SRC),
                                          os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path),
-                          **kwargs)
+    return subprocess.run([*prefix, sys.executable, *args],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), **kwargs)
 
 
 def _refuse_constant(name: str):
@@ -50,6 +51,18 @@ def strict_json(text: str):
     """``json.loads`` that refuses NaN and +-Infinity: Python writes them,
     but they are not JSON and strict parsers reject them."""
     return json.loads(text, parse_constant=_refuse_constant)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_behind():
+    """Fail a test that leaves a child process behind, running or not
+    yet waited for: emit_outputs forks row writers and must reap them."""
+    yield
+    try:
+        found = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process was left behind (waitpid: {found})")
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from weakslit import (GeometryError, ResolutionError, SimGrid, SlitGeometry,
-                      build_double_slit, build_momentum_peak)
+                      WindowRangeError, build_double_slit,
+                      build_momentum_peak)
 from weakslit.states import EDGE_MARGIN, _slit_amplitude
 
 from conftest import run_python
@@ -181,3 +182,9 @@ class TestMomentumPeak:
     def test_rejects_unresolvable_width(self, grid):
         with pytest.raises(ResolutionError):
             build_momentum_peak(0.0, 3.9 * grid.dp, grid)
+
+    def test_rejects_a_peak_off_the_grid(self):
+        """|p| <= 50.3 on this grid: every sample of the Gaussian at
+        p0 = 1000 underflows to 0, which cannot be normalised."""
+        with pytest.raises(WindowRangeError, match="zero on every sample"):
+            build_momentum_peak(1e3, 2.0, SimGrid(256, 16.0))

@@ -12,7 +12,7 @@ import pytest
 from weakslit import (ConfigError, CoverageWarning, GridMismatchError,
                       MomentumWindow, ResolutionError, SimGrid, SlitGeometry,
                       TransferDistribution, TransverseState,
-                      build_double_slit, classical_kick, conditional_wvp,
+                      WindowRangeError, build_double_slit, classical_kick, conditional_wvp,
                       eraser_curves, identity_channel, joint_wvp,
                       momentum_distribution, scully_wwm,
                       transfer_distribution, window_mask)
@@ -295,6 +295,17 @@ class TestTransferDistribution:
     def test_rejects_unresolvable_width(self, slit_state, wwm, grid):
         with pytest.raises(ResolutionError):
             transfer_distribution(slit_state, wwm, 1.5 * grid.dp)
+
+    @pytest.mark.parametrize("indices", [[10 ** 6], []],
+                             ids=["off-grid", "empty"])
+    def test_rejects_a_tiling_that_holds_no_sample(self, indices):
+        """Windows that hold no momentum sample are refused, not summed
+        to a zero coverage and an all-NaN density."""
+        grid = SimGrid(1024, 64.0)
+        state = build_double_slit(SlitGeometry(width=0.5), grid)
+        with pytest.raises(WindowRangeError, match="holds a sample"):
+            transfer_distribution(state, scully_wwm(grid), WINDOW_WIDTH,
+                                  indices)
 
     def test_mass_outside_gaussian_closed_form(self):
         from scipy.special import erfc
