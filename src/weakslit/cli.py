@@ -100,12 +100,15 @@ def console_entry(argv=None) -> NoReturn:
     left is interpreter finalization, mostly tearing numpy down (about
     45 ms); ``os._exit`` skips it.  argparse's ``SystemExit`` and
     unexpected exceptions propagate and take the normal exit path.  A
-    flush that fails, e.g. on a closed stdout pipe, exits 4.
+    flush that fails, e.g. on a closed stdout pipe, exits 4.  A stream
+    closed before the process started is None and is skipped, so it
+    does not change the code.
     """
     code = main(argv)
     try:
-        sys.stdout.flush()
-        sys.stderr.flush()
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the fd was closed at start
+                stream.flush()
     except OSError as exc:
         code = EXIT_IO
         with contextlib.suppress(OSError):

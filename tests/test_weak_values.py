@@ -408,3 +408,31 @@ class TestCorrelationForm:
         assert abs(fast.coverage - slow.coverage) <= 1e-14
         scale = np.max(np.abs(slow.density))
         assert np.max(np.abs(fast.density - slow.density)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("n_points", [256, 4096])
+    @pytest.mark.parametrize("edge", ["sharp", "gaussian_smoothed"])
+    @pytest.mark.parametrize("kind", ["identity", "scully", "kick"])
+    @pytest.mark.parametrize("eraser", ERASERS)
+    @pytest.mark.parametrize("index_set", ["fifteen", "full"])
+    def test_one_row_path_matches_the_two_row_path(self, n_points, edge,
+                                                   kind, eraser, index_set):
+        """An H-polarised input takes the one-row path, its mirror in V
+        the two-row path, and both give the same bits.
+
+        Every channel's K = u + v S commutes with the swap S, and the
+        erasers only flip the sign of the projected output, so the
+        mirror's P_wv equals the original's.
+        """
+        grid = SimGrid(n_points, 16.0 if n_points == 256 else 64.0)
+        state = build_double_slit(SlitGeometry(0.5, edge_profile=edge), grid)
+        mirror = TransverseState(grid, state.amps[::-1].copy())
+        ch = _equivalence_channel(kind, grid)
+        indices = _INDEX_SETS[index_set](grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CoverageWarning)
+            one = transfer_distribution(state, ch, WINDOW_WIDTH, indices,
+                                        eraser)
+            two = transfer_distribution(mirror, ch, WINDOW_WIDTH, indices,
+                                        eraser)
+        assert one.coverage == two.coverage
+        assert np.array_equal(one.density, two.density)
