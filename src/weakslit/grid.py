@@ -91,9 +91,10 @@ class SimGrid:
         """
         return self._transform(self._check(values), out=out)
 
-    def from_momentum(self, values: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`to_momentum`."""
-        return self._transform(self._check(values), inverse=True)
+    def from_momentum(self, values: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
+        """Inverse of :meth:`to_momentum`, with the same ``out``."""
+        return self._transform(self._check(values), inverse=True, out=out)
 
     def _transform(self, values: np.ndarray, inverse: bool = False,
                    out: np.ndarray | None = None) -> np.ndarray:
@@ -103,27 +104,38 @@ class SimGrid:
 
         Equals fftshift(fft(ifftshift(values))) * scale bit for bit, but
         shifts, transforms and scales in ``out``; the only temporary is
-        half its size.  n is even, so either shift swaps the two halves.
+        half a row.  n is even, so either shift swaps the two halves.
+        Stacked rows are transformed one at a time: numpy's pocketfft
+        allocates scratch for a transform of several rows and none for
+        one row, and each row's bits are the same either way.
         """
         if out is None:
             out = np.empty(values.shape, dtype=complex)
+        aliased = out is values
+        for index in np.ndindex(values.shape[:-1]):
+            self._transform_row(values[index], out[index], inverse, aliased)
+        return out
+
+    def _transform_row(self, values: np.ndarray, out: np.ndarray,
+                       inverse: bool, aliased: bool):
+        """One row of :meth:`_transform`; ``aliased`` when ``out`` is
+        ``values``."""
         half = self.n_points // 2
-        head = values[..., :half]
-        if out is values:
+        head = values[:half]
+        if aliased:
             head = head.copy()
-        out[..., :half] = values[..., half:]
-        out[..., half:] = head
+        out[:half] = values[half:]
+        out[half:] = head
         del head  # free a copy before the transform
         if inverse:
-            np.fft.ifft(out, axis=-1, out=out)
+            np.fft.ifft(out, out=out)
             scale = self.n_points * self.dp / np.sqrt(2.0 * np.pi)
         else:
-            np.fft.fft(out, axis=-1, out=out)
+            np.fft.fft(out, out=out)
             scale = self.dx / np.sqrt(2.0 * np.pi)
-        head = out[..., :half] * scale
-        np.multiply(out[..., half:], scale, out=out[..., :half])
-        out[..., half:] = head
-        return out
+        head = out[:half] * scale
+        np.multiply(out[half:], scale, out=out[:half])
+        out[half:] = head
 
 
 def indicator(samples: np.ndarray, step: float, lo, hi) -> np.ndarray:

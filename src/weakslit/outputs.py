@@ -38,8 +38,11 @@ __all__ = ["emit_outputs"]
 
 #: Rows formatted by one ``%`` operation and written at once.  The bound
 #: keeps the argument tuple and the text in memory at one block, whatever
-#: the table's length.
-_BLOCK_ROWS = 4096
+#: the table's length.  The block is small because its Python floats and
+#: text are fresh pages in the caller and in each forked writer alike,
+#: and a writer's peak RSS already counts the caller's pages it shares;
+#: formatting is no slower in blocks of 1,024 rows than of 4,096.
+_BLOCK_ROWS = 1024
 
 
 def _csv_header(table) -> str:

@@ -153,6 +153,7 @@ def _run_transfer(config: ScenarioConfig) -> ResultBundle:
         "eraser": dist.eraser,
         "density_min": float(dist.density.min()),
         "density_max": float(dist.density.max()),
+        "roundoff_floor": dist.roundoff_floor,
     }
     sel = _plot_sel(dist.q)
     bundle.figures.append(Figure(
@@ -192,6 +193,7 @@ def _run_variance(config: ScenarioConfig) -> ResultBundle:
                                                    config.grid.dp),
         "window_variance_continuum": window_variance(dist.window_width),
         "coverage": dist.coverage,
+        "roundoff_floor": dist.roundoff_floor,
     }
     bundle.figures.append(Figure(
         "variance_sharp",
@@ -211,8 +213,12 @@ def _run_variance(config: ScenarioConfig) -> ResultBundle:
 def _run_eraser(config: ScenarioConfig) -> ResultBundle:
     window = config.window
     curves = eraser_curves(config.state, config.channel, window)
-    plus, minus = curves["plus45"], curves["minus45"]
-    j_none, j_plus, j_minus = curves["none"].joint, plus.joint, minus.joint
+    plus, minus = curves["plus45"].values, curves["minus45"].values
+    j_none, j_plus, j_minus = (curves["none"].joint, curves["plus45"].joint,
+                               curves["minus45"].joint)
+    # The densities and the un-erased values are not written: free them
+    # before the summary's temporaries.
+    del curves
     p, mm = config.grid.p, _mm_per_unit(config)
     in_window = window_mask(config.grid, window) > 0.5
     out = ~in_window
@@ -221,16 +227,15 @@ def _run_eraser(config: ScenarioConfig) -> ResultBundle:
         return float(np.sum(np.abs(j)[out]) * config.grid.dp)
 
     indicator = in_window.astype(float)
-    plus_ok, minus_ok = np.isfinite(plus.values), np.isfinite(minus.values)
-    plus_dev = float(np.nanmax(np.abs(plus.values[plus_ok]
-                                      - indicator[plus_ok])))
+    plus_ok, minus_ok = np.isfinite(plus), np.isfinite(minus)
+    plus_dev = float(np.nanmax(np.abs(plus[plus_ok] - indicator[plus_ok])))
 
     bundle = ResultBundle("eraser")
     bundle.tables["eraser_curves"] = Table((
         ("p_f", "hbar/s"), ("p_f_lab", "mm"),
         ("plus45", "1"), ("plus45_defined", "0/1"),
         ("minus45", "1"), ("minus45_defined", "0/1"),
-    ), (p, p * mm, plus.values, plus_ok, minus.values, minus_ok))
+    ), (p, p * mm, plus, plus_ok, minus, minus_ok))
     bundle.tables["eraser_joint"] = Table((
         ("p_f", "hbar/s"), ("joint_none", "s/hbar"),
         ("joint_plus45", "s/hbar"), ("joint_minus45", "s/hbar"),
@@ -246,8 +251,8 @@ def _run_eraser(config: ScenarioConfig) -> ResultBundle:
     sel = _plot_sel(p)
     bundle.figures.append(Figure(
         "eraser",
-        [(p[sel], plus.values[sel], "+45 eraser"),
-         (p[sel], minus.values[sel], "-45 eraser")],
+        [(p[sel], plus[sel], "+45 eraser"),
+         (p[sel], minus[sel], "-45 eraser")],
         "Eraser-resolved conditional WVP",
         "p_f [hbar/s x 2pi per fringe]", "value",
         "focal plane [mm]", mm,

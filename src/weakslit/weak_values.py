@@ -112,6 +112,12 @@ class TransferDistribution:
     ``density`` is normalised to the covered momentum mass, so it
     integrates to one whenever the window tiling is complete enough;
     ``coverage`` records the raw mass the tiling actually captured.
+    ``roundoff_floor`` bounds the FFT round-off the density carries,
+    16 eps sqrt(max P / coverage) with P the input momentum density
+    (see :func:`transfer_distribution`): a density value no larger is
+    indistinguishable from zero.  It is a few ulps of the density
+    maximum for a tiling that holds most of the mass and exceeds the
+    density itself for one that holds almost none.
     """
 
     q: np.ndarray
@@ -120,6 +126,7 @@ class TransferDistribution:
     windows: tuple[int, ...]
     coverage: float
     eraser: str
+    roundoff_floor: float
 
     def integral(self) -> float:
         return float(np.trapezoid(self.density, self.q))
@@ -153,10 +160,8 @@ def _check_width(grid: SimGrid, width: float):
 def quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """num / den, NaN wherever den is at most EPS_DEN_FRACTION times its
     maximum: the definedness threshold of every conditional value."""
-    out = np.full(den.shape, np.nan)
-    ok = den > EPS_DEN_FRACTION * den.max()
-    out[ok] = num[ok] / den[ok]
-    return out
+    return np.divide(num, den, out=np.full(den.shape, np.nan),
+                     where=den > EPS_DEN_FRACTION * den.max())
 
 
 def window_mask(grid: SimGrid, window: MomentumWindow) -> np.ndarray:
@@ -185,9 +190,10 @@ def _window_project(state: TransverseState, window: MomentumWindow) -> Transvers
             f"window [{lo:.4g}, {hi:.4g}] outside the simulated momentum "
             f"range [{grid.p[0]:.4g}, {grid.p[-1]:.4g}]"
         )
-    return TransverseState(
-        grid, grid.from_momentum(mask * state.momentum_amplitudes()),
-        state.sharp_edges)
+    amps = state.momentum_amplitudes()
+    amps *= mask
+    return TransverseState(grid, grid.from_momentum(amps, out=amps),
+                           state.sharp_edges)
 
 
 def _check_grid(state: TransverseState, ch: MeasurementChannel):
@@ -197,20 +203,32 @@ def _check_grid(state: TransverseState, ch: MeasurementChannel):
         )
 
 
-def _sector_sum(state: TransverseState, u, v, eraser: str) -> np.ndarray:
-    """One sector's output (u + v S) psi, as eraser-projected momentum
-    amplitudes: (2, n) for "none", (1, n) otherwise."""
-    acc = state.amps * u
+def _sector_sum(grid: SimGrid, amps: np.ndarray, u, v,
+                eraser: str) -> np.ndarray:
+    """One sector's output (u + v S) psi of position amplitudes ``amps``,
+    as eraser-projected momentum amplitudes: (2, n) for "none", (1, n)
+    otherwise.
+
+    Built in place in one (2, n) array with a one-row temporary.  With
+    no swap part and no eraser, ``amps`` may be the H row alone, (1, n):
+    the output is then the H row, bit for bit, since the transform works
+    row by row.
+    """
+    acc = amps * u
     if v is not None:
-        acc += state.amps[::-1] * v
-    return _eraser_project(state.grid.to_momentum(acc, out=acc), eraser)
+        swapped = np.empty(grid.n_points, dtype=complex)
+        for row, other in zip(acc, amps[::-1]):
+            row += np.multiply(other, v, out=swapped)
+        del swapped
+    return _eraser_project(grid.to_momentum(acc, out=acc), eraser)
 
 
 def _sector_momentum_sums(state: TransverseState, ch: MeasurementChannel,
                           eraser: str = "none") -> list[np.ndarray]:
     """:func:`_sector_sum` of every sector, after the grid check."""
     _check_grid(state, ch)
-    return [_sector_sum(state, u, v, eraser) for u, v in ch.sectors]
+    return [_sector_sum(state.grid, state.amps, u, v, eraser)
+            for u, v in ch.sectors]
 
 
 def _eraser_project(amps: np.ndarray, eraser: str) -> np.ndarray:
@@ -222,24 +240,49 @@ def _eraser_project(amps: np.ndarray, eraser: str) -> np.ndarray:
     if eraser == "none":
         return amps
     sign = 1.0 if eraser == "plus45" else -1.0
-    return ((amps[0] + sign * amps[1]) / np.sqrt(2.0))[np.newaxis, :]
+    erased = np.multiply(sign, amps[1])
+    np.add(amps[0], erased, out=erased)
+    erased /= np.sqrt(2.0)
+    return erased[np.newaxis, :]
 
 
 def _joint(chi_erased: list[np.ndarray],
            psi_erased: list[np.ndarray]) -> np.ndarray:
     """J(p_f) from the window-projected state's sector sums ``chi_erased``
-    and the full state's ``psi_erased``, both eraser-projected."""
-    j = np.zeros(psi_erased[0].shape[-1])
+    and the full state's ``psi_erased``, both eraser-projected.
+
+    Each sector adds Re sum_rows ce conj(pe), its rows summed in order,
+    through one complex row buffer and one real row.
+    """
+    n = psi_erased[0].shape[-1]
+    j = np.zeros(n)
+    product = np.empty(n, dtype=complex)
+    total = np.empty(n)
     for ce, pe in zip(chi_erased, psi_erased):
-        j += np.real(np.sum(ce * np.conj(pe), axis=0))
+        for r, (c, p) in enumerate(zip(ce, pe)):
+            np.multiply(c, np.conj(p, out=product), out=product)
+            if r:
+                total += product.real
+            else:
+                total[...] = product.real
+        j += total
     return j
 
 
 def _density(erased: list[np.ndarray]) -> np.ndarray:
-    """Unnormalised momentum density of eraser-projected amplitudes."""
-    dens = np.zeros(erased[0].shape[-1])
+    """Unnormalised momentum density of eraser-projected amplitudes:
+    each sector adds sum_rows |pe|^2, its rows summed in order, through
+    two real rows."""
+    n = erased[0].shape[-1]
+    dens = np.zeros(n)
+    total, square = np.empty((2, n))
     for pe in erased:
-        dens += np.sum(np.abs(pe) ** 2, axis=0)
+        for r, p in enumerate(pe):
+            row = square if r else total
+            np.square(np.abs(p, out=row), out=row)
+            if r:
+                total += square
+        dens += total
     return dens
 
 
@@ -270,29 +313,52 @@ def conditional_wvp(state: TransverseState, ch: MeasurementChannel,
 def eraser_curves(state: TransverseState, ch: MeasurementChannel,
                   window: MomentumWindow,
                   erasers: Iterable[str] = ERASERS) -> dict[str, WvpCurve]:
-    """:func:`conditional_wvp` for each eraser setting, keyed by setting.
+    """:func:`conditional_wvp` for each eraser setting, keyed by setting
+    in the order requested.  A repeated setting is built once.
 
     The window projection and the un-erased (2, n) sector sums of both
-    states do not depend on the eraser, so they are built once and only
-    the eraser projection is applied per setting.  A repeated setting is
-    built once.
+    states do not depend on the eraser, so they are built once, the full
+    state's first.  The order in which they are released sets the peak
+    memory (8.0 MiB of arrays for all three settings at 2^16 points;
+    keeping every sum until the last setting was built took 11.0 MiB):
+
+    1. ``none`` reads the sums as they are: its J, P and T are built
+       first.
+    2. Each sum is then projected to the remaining settings, (1, n)
+       each, and released before the next sum is projected.
+    3. Each remaining setting builds its J, P and T, and releases its
+       projected sums.
+    4. Only after every sum is gone are the ``values`` quotients taken.
     """
     erasers = tuple(dict.fromkeys(erasers))
     for eraser in erasers:
         _check_eraser(eraser)
     psi_sums = _sector_momentum_sums(state, ch)
     chi_sums = _sector_momentum_sums(_window_project(state, window), ch)
+    parts = {}
+    if "none" in erasers:
+        parts["none"] = _curve_parts(chi_sums, psi_sums)
+    projected = {e: ([], []) for e in erasers if e != "none"}
+    for side, sums in enumerate((chi_sums, psi_sums)):
+        while sums:
+            for eraser in projected:
+                projected[eraser][side].append(_eraser_project(sums[0],
+                                                               eraser))
+            del sums[0]
+    for eraser in list(projected):
+        parts[eraser] = _curve_parts(*projected.pop(eraser))
     curves = {}
     for eraser in erasers:
-        psi_erased = [_eraser_project(s, eraser) for s in psi_sums]
-        chi_erased = [_eraser_project(s, eraser) for s in chi_sums]
-        if eraser == erasers[-1]:
-            del psi_sums, chi_sums  # unread from here on: lowers the peak
-        j = _joint(chi_erased, psi_erased)
-        dens = _density(psi_erased)
-        curves[eraser] = WvpCurve(quotient(j, dens), j, dens,
-                                  _density(chi_erased))
+        j, dens, strong = parts.pop(eraser)
+        curves[eraser] = WvpCurve(quotient(j, dens), j, dens, strong)
     return curves
+
+
+def _curve_parts(chi_erased: list[np.ndarray], psi_erased: list[np.ndarray]
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(J, P, T) of one eraser setting from its projected sector sums."""
+    return (_joint(chi_erased, psi_erased), _density(psi_erased),
+            _density(chi_erased))
 
 
 def momentum_distribution(state: TransverseState,
@@ -442,17 +508,22 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
     eps * sqrt(c * max P) before the division by the covered mass c,
     with P the input momentum density: a few ulps of the density
     maximum when the tiling holds most of the mass, but all of the
-    density when it holds less than about eps^2 of it.
+    density when it holds less than about eps^2 of it.  The result's
+    ``roundoff_floor``, 16 eps sqrt(max P / c), bounds that difference
+    after the division.
 
     An input with no V amplitude, which is every state the package
     builds, takes a one-row path: only its H row is transformed and
     correlated, since S psi then lives in V alone and the eraser
     projection scales H by +-1/sqrt(2) (see :func:`_pass_factors`).
-    The result is bit-identical to the two-row form.  It saves more
-    than the second row's 16 L bytes per pass buffer: numpy's pocketfft
-    allocates scratch for a transform of several rows and none for one
-    row (peak RSS grew 0.95 MiB for one two-row transform of length
-    24,576, 0.45 MiB for the same rows one at a time).
+    A sector with no swap part then, with no eraser, builds and
+    transforms only the H row of its output spectrum, the one row the
+    passes read.  The result is bit-identical to the two-row form.  It
+    saves more than the second row's 16 L bytes per pass buffer:
+    numpy's pocketfft allocates scratch for a transform of several rows
+    and none for one row (peak RSS grew 0.95 MiB for one two-row
+    transform of length 24,576, 0.45 MiB for the same rows one at a
+    time).
     """
     _check_eraser(eraser)
     grid = state.grid
@@ -463,8 +534,8 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
     _check_grid(state, ch)
     n = grid.n_points
     # a V row that is zero in x is zero in p: drop it (the one-row path)
-    amps_t = grid.to_momentum(state.amps if state.amps[1].any()
-                              else state.amps[:1])
+    one_row = not state.amps[1].any()
+    amps_t = grid.to_momentum(state.amps[:1] if one_row else state.amps)
 
     samples, windows, weights = _tiling_weights(grid, window_width, indices)
     if not samples.size:
@@ -474,6 +545,8 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
             f"[{grid.p[0]:.4g}, {grid.p[-1]:.4g}]")
     input_dens = np.sum(np.abs(amps_t) ** 2, axis=0)
     coverage = float(np.dot(weights, input_dens[samples]) * grid.dp)
+    roundoff_floor = float(16.0 * np.finfo(float).eps
+                           * np.sqrt(input_dens.max() / coverage))
     offsets = (samples - n // 2
                - np.rint(windows * window_width / grid.dp).astype(np.int64))
     del input_dens, windows  # keep the peak memory of the passes low
@@ -501,7 +574,11 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
     for u, v in ch.sectors:
         kernels = _sector_kernels(grid, u, v)
         # conj(FFT(Phi)) / L turns each correlation into one forward FFT.
-        phi = np.fft.fft(_sector_sum(state, u, v, eraser), size)
+        # On the one-row path with no swap part and no eraser,
+        # _pass_factors reads the H row of phi alone.
+        rows = (state.amps[:1] if one_row and v is None and eraser == "none"
+                else state.amps)
+        phi = np.fft.fft(_sector_sum(grid, rows, u, v, eraser), size)
         np.conj(phi, out=phi)
         phi /= size
         buf = np.empty((len(chunk), size), dtype=complex)
@@ -535,4 +612,4 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
         )
     density = acc / coverage
     return TransferDistribution(grid.p, density, window_width,
-                                indices, coverage, eraser)
+                                indices, coverage, eraser, roundoff_floor)

@@ -13,7 +13,10 @@ transfer loop, :func:`loop_conditional_wvp` one eraser setting per call,
 :func:`loop_convergence_sweep` one tagged run per ratio,
 :func:`loop_table_csv` one formatting call per CSV value, and
 :func:`stack_run_tagged` and :func:`stack_convergence_sweep` the pointer
-built from complex amplitude stacks rather than from J, P and T.
+built from complex amplitude stacks rather than from J, P and T.  The
+``array_*`` functions are the package's earlier whole-array expressions
+for J, P and the eraser projection of sector sums, kept as oracles for
+the row-buffer forms that replaced them.
 """
 
 import math
@@ -62,6 +65,30 @@ def _erase(amps_t, eraser):
         return list(amps_t)
     sign = 1.0 if eraser == "plus45" else -1.0
     return [(amps_t[0] + sign * amps_t[1]) / np.sqrt(2.0)]
+
+
+def array_joint(chi_erased, psi_erased) -> np.ndarray:
+    """J(p_f): Re sum over rows of ce conj(pe), one stack per sector."""
+    j = np.zeros(psi_erased[0].shape[-1])
+    for ce, pe in zip(chi_erased, psi_erased):
+        j += np.real(np.sum(ce * np.conj(pe), axis=0))
+    return j
+
+
+def array_density(erased) -> np.ndarray:
+    """sum over rows of |pe|^2, one stack per sector."""
+    dens = np.zeros(erased[0].shape[-1])
+    for pe in erased:
+        dens += np.sum(np.abs(pe) ** 2, axis=0)
+    return dens
+
+
+def array_eraser_project(amps, eraser) -> np.ndarray:
+    """(2, n) amplitudes as they are for "none", else (1, n) (H +- V)/sqrt 2."""
+    if eraser == "none":
+        return amps
+    sign = 1.0 if eraser == "plus45" else -1.0
+    return ((amps[0] + sign * amps[1]) / np.sqrt(2.0))[np.newaxis, :]
 
 
 def dense_joint(state, ch, window, eraser="none"):
@@ -172,8 +199,9 @@ def loop_transfer(state, ch, window_width, indices=None, eraser="none"):
             stacklevel=2,
         )
     density = acc / coverage
+    floor = 16.0 * np.finfo(float).eps * np.sqrt(input_dens.max() / coverage)
     return TransferDistribution(grid.p.copy(), density, window_width,
-                                indices, coverage, eraser)
+                                indices, coverage, eraser, float(floor))
 
 
 def loop_conditional_wvp(state, ch, window, eraser="none"):

@@ -122,6 +122,19 @@ def test_transform_works_on_stacked_rows():
     np.testing.assert_allclose(out[1], grid.to_momentum(stack[1]), atol=1e-13)
 
 
+@pytest.mark.parametrize("inverse", [False, True])
+def test_stacked_rows_equal_rows_one_at_a_time_bit_for_bit(inverse):
+    grid = SimGrid(256, 16.0)
+    transform = grid.from_momentum if inverse else grid.to_momentum
+    rng = np.random.default_rng(3)
+    stack = rng.normal(size=(2, 256)) + 1j * rng.normal(size=(2, 256))
+    rows = np.stack([transform(row) for row in stack])
+    assert np.array_equal(transform(stack), rows)
+    owned = stack.copy()
+    assert transform(owned, out=owned) is owned
+    assert np.array_equal(owned, rows)
+
+
 def shifted_fft(grid, values, inverse=False):
     """fftshift(fft(ifftshift(v))) * scale, each step in a new array."""
     if inverse:

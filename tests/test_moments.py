@@ -15,7 +15,7 @@ def gaussian_dist(mu=0.0, sigma=1.5, q_lim=30.0, n=6001):
     q = np.linspace(-q_lim, q_lim, n)
     dens = np.exp(-(q - mu) ** 2 / (2.0 * sigma ** 2)) / (
         sigma * np.sqrt(2.0 * np.pi))
-    return TransferDistribution(q, dens, 1.0, (0,), 1.0, "none")
+    return TransferDistribution(q, dens, 1.0, (0,), 1.0, "none", 0.0)
 
 
 class TestSweepPoints:

@@ -19,7 +19,7 @@ random probabilities), the eraser and the window:
   integrate to the tiling's coverage;
 * the correlation form of ``transfer_distribution`` equals the
   per-window loop it replaced, to 1e-13 of the density maximum plus
-  the round-off both carry.
+  the round-off both carry, the result's ``roundoff_floor``.
 
 That round-off is normwise, as FFT round-off is: before the division
 by the covered mass c, each un-normalised sum is off by a few
@@ -130,11 +130,9 @@ def test_transfer_matches_the_window_loop(scenario, half):
         fast = transfer_distribution(state, ch, window.width, indices, eraser)
         slow = loop_transfer(state, ch, window.width, indices, eraser)
     assert fast.coverage == pytest.approx(slow.coverage, rel=1e-13)
-    peak = np.max(np.sum(np.abs(state.momentum_amplitudes()) ** 2, axis=0))
-    roundoff = 16.0 * EPS * np.sqrt(peak / slow.coverage)
     np.testing.assert_allclose(
         fast.density, slow.density, rtol=0.0,
-        atol=1e-13 * np.max(np.abs(slow.density)) + roundoff)
+        atol=1e-13 * np.max(np.abs(slow.density)) + fast.roundoff_floor)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)

@@ -4,6 +4,7 @@ nontrivial identity on a 256-point grid; the per-window loop oracle
 backs the correlation-form transfer assembly at 256 and 4096 points.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,10 +17,15 @@ from weakslit import (ConfigError, CoverageWarning, GridMismatchError,
                       eraser_curves, identity_channel, joint_wvp,
                       momentum_distribution, scully_wwm,
                       transfer_distribution, window_mask)
-from weakslit.weak_values import ERASERS, _tiling_weights, _window_project
+from weakslit.config import PRESETS, from_dict
+from weakslit.runner import run
+from weakslit.weak_values import (ERASERS, _density, _eraser_project, _joint,
+                                  _sector_momentum_sums, _tiling_weights,
+                                  _window_project)
 
 from conftest import WINDOW_WIDTH, run_python
-from oracles import (dense_conditional, dense_joint, dense_transfer,
+from oracles import (array_density, array_eraser_project, array_joint,
+                     dense_conditional, dense_joint, dense_transfer,
                      kick_rect_density, loop_conditional_wvp, loop_transfer)
 
 
@@ -184,6 +190,82 @@ class TestEraserCurves:
             eraser_curves(slit_state, wwm, focus_window, ["none", "circular"])
 
 
+class TestRowBuffers:
+    """J, P and the eraser projection, built through row buffers, equal
+    the whole-stack expressions they replaced bit for bit: (2, n) sums
+    for "none", (1, n) for the +-45 erasers, with one sector (identity,
+    marker) or two (two kicks)."""
+
+    @pytest.mark.parametrize("kind", ["identity", "scully", "kick"])
+    @pytest.mark.parametrize("eraser", ERASERS)
+    def test_channel_sums(self, smooth_state, grid, focus_window, kind,
+                          eraser):
+        ch = _equivalence_channel(kind, grid)
+        chi = _sector_momentum_sums(_window_project(smooth_state,
+                                                    focus_window), ch)
+        psi = _sector_momentum_sums(smooth_state, ch)
+        for total in chi + psi:
+            assert np.array_equal(_eraser_project(total, eraser),
+                                  array_eraser_project(total, eraser))
+        chi = [_eraser_project(total, eraser) for total in chi]
+        psi = [_eraser_project(total, eraser) for total in psi]
+        assert np.array_equal(_joint(chi, psi), array_joint(chi, psi))
+        assert np.array_equal(_density(psi), array_density(psi))
+        assert np.array_equal(_density(chi), array_density(chi))
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    @pytest.mark.parametrize("sectors", [1, 2])
+    def test_white_noise(self, rows, sectors):
+        rng = np.random.default_rng(11)
+
+        def stacks():
+            return [rng.normal(size=(rows, 512)) + 1j * rng.normal(
+                size=(rows, 512)) for _ in range(sectors)]
+
+        chi, psi = stacks(), stacks()
+        assert np.array_equal(_joint(chi, psi), array_joint(chi, psi))
+        assert np.array_equal(_density(psi), array_density(psi))
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes traced by tracemalloc over ``call()``, above what was
+    allocated before it; numpy reports each array's data to tracemalloc.
+    A first, untraced call fills any cache."""
+    call()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """Peak array memory of the single-window curves at 2^16 points,
+    where one complex row is 1 MiB.  The results themselves are four
+    float rows per setting.  Keeping every sector sum until the last
+    setting was built peaked at 11.0 MiB for all three settings and 8.1
+    MiB for one."""
+
+    @pytest.fixture(scope="class")
+    def large(self):
+        config = from_dict(dict(PRESETS["paper"], grid={"n_points": 2 ** 16}))
+        return config.state, config.channel, config.window
+
+    def test_eraser_curves(self, large):
+        peak = _traced_peak(lambda: eraser_curves(*large))
+        assert peak <= 8.5 * 2 ** 20
+
+    def test_conditional_wvp(self, large):
+        peak = _traced_peak(lambda: conditional_wvp(*large))
+        assert peak <= 7.5 * 2 ** 20
+
+
 @pytest.fixture(scope="module")
 def dense_state(geom, dense_grid):
     return build_double_slit(geom, dense_grid)
@@ -313,7 +395,7 @@ class TestTransferDistribution:
         sigma = 2.0
         dens = np.exp(-q ** 2 / (2.0 * sigma ** 2)) / (sigma
                                                        * np.sqrt(2.0 * np.pi))
-        dist = TransferDistribution(q, dens, 1.0, (0,), 1.0, "none")
+        dist = TransferDistribution(q, dens, 1.0, (0,), 1.0, "none", 0.0)
         # the statistic counts whole samples beyond the threshold, so it
         # undershoots the continuum tail by O(density(a) * dq)
         for a in (1.0, 3.0, 5.0):
@@ -332,6 +414,44 @@ class TestTransferDistribution:
         proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"
+
+
+class TestRoundoffFloor:
+    def test_bounds_the_paths_disagreement_at_near_zero_coverage(self):
+        """One 2-bin window at the far edge of a smoothed slit's spectrum
+        holds 4e-36 of the mass: the two paths' densities are
+        round-off, and the floor covers their disagreement."""
+        grid = SimGrid(512, 8.0)
+        state = build_double_slit(
+            SlitGeometry(0.5, "gaussian_smoothed", 0.08), grid)
+        ch = identity_channel(grid)
+        args = (state, ch, 2.0 * grid.dp, [-127], "plus45")
+        with pytest.warns(CoverageWarning):
+            fast = transfer_distribution(*args)
+        with pytest.warns(CoverageWarning):
+            slow = loop_transfer(*args)
+        peak = np.max(np.abs(state.momentum_amplitudes()[0]) ** 2)
+        assert fast.roundoff_floor == pytest.approx(
+            16.0 * np.finfo(float).eps * np.sqrt(peak / fast.coverage),
+            rel=1e-12)
+        assert np.max(np.abs(fast.density - slow.density)) \
+            <= fast.roundoff_floor
+
+    def test_is_ulps_of_a_tiling_that_holds_the_mass(self, smooth_state,
+                                                     wwm):
+        dist = transfer_distribution(smooth_state, wwm, WINDOW_WIDTH)
+        assert 0.0 < dist.roundoff_floor < 1e-13 * np.max(dist.density)
+
+    @pytest.mark.parametrize("command", ["transfer", "variance"])
+    def test_summaries_report_it(self, command):
+        config = from_dict(dict(PRESETS["paper"], grid={"n_points": 1024}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CoverageWarning)
+            summary = run(config, command).summary
+            dist = transfer_distribution(config.state, config.channel,
+                                         config.window.width, config.indices,
+                                         config.eraser)
+        assert summary["roundoff_floor"] == dist.roundoff_floor
 
 
 _INDEX_SETS = {
