@@ -63,14 +63,19 @@ class SimGrid:
     @property
     def x(self) -> np.ndarray:
         """Centred position samples, x[n//2] == 0."""
-        n = self.n_points
-        return (np.arange(n) - n // 2) * self.dx
+        return self._axis(self.dx)
 
     @property
     def p(self) -> np.ndarray:
         """Centred momentum samples, conjugate to :attr:`x`."""
-        n = self.n_points
-        return (np.arange(n) - n // 2) * self.dp
+        return self._axis(self.dp)
+
+    def _axis(self, step: float) -> np.ndarray:
+        """(k - n//2) * step for k < n, built as floats and scaled in
+        place: no integer temporaries, the same bits (n is even)."""
+        axis = np.arange(-self.n_points // 2, self.n_points // 2, dtype=float)
+        axis *= step
+        return axis
 
     def _check(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values)

@@ -41,8 +41,13 @@ __all__ = ["emit_outputs"]
 #: the table's length.  The block is small because its Python floats and
 #: text are fresh pages in the caller and in each forked writer alike,
 #: and a writer's peak RSS already counts the caller's pages it shares;
-#: formatting is no slower in blocks of 1,024 rows than of 4,096.
-_BLOCK_ROWS = 1024
+#: the 2^16-point ``eraser`` tables format as fast in blocks of 256 rows
+#: as of 1,024 or 4,096.
+_BLOCK_ROWS = 256
+
+#: The real ``os._exit``, bound at import: a forked writer leaves through
+#: it even when a caller has replaced ``os._exit``.
+_exit = os._exit
 
 
 def _csv_header(table) -> str:
@@ -104,7 +109,7 @@ def _fork_writer(tables, share, spills) -> int:
     """Fork a child that writes its *share* of the rows of each of
     *tables* into the matching one of *spills*; return the child's pid.
 
-    The child never returns from here: it leaves through ``os._exit``, 0
+    The child never returns from here: it leaves through ``_exit``, 0
     once every row is written and 1 on any exception, so it cannot print,
     render an SVG or unwind into the caller.  It calls no BLAS, and
     OpenBLAS stops its thread pool around ``fork``.  From Python 3.12
@@ -120,7 +125,7 @@ def _fork_writer(tables, share, spills) -> int:
             _write(spill.fileno(), _csv_rows(table, start, stop))
         code = 0
     finally:
-        os._exit(code)
+        _exit(code)
 
 
 @contextlib.contextmanager

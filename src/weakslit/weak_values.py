@@ -206,21 +206,29 @@ def _check_grid(state: TransverseState, ch: MeasurementChannel):
 def _sector_sum(grid: SimGrid, amps: np.ndarray, u, v,
                 eraser: str) -> np.ndarray:
     """One sector's output (u + v S) psi of position amplitudes ``amps``,
-    as eraser-projected momentum amplitudes: (2, n) for "none", (1, n)
-    otherwise.
+    as eraser-projected momentum rows, one row for a +-45 eraser.
 
-    Built in place in one (2, n) array with a one-row temporary.  With
-    no swap part and no eraser, ``amps`` may be the H row alone, (1, n):
-    the output is then the H row, bit for bit, since the transform works
-    row by row.
+    ``amps`` is (2, n), or (1, n): the H row alone of an input whose V
+    row is zero.  The output then holds u h for a sector with no swap
+    part, else u h and v h as two arrays, each released on its own: the
+    two-row output's rows (its H row without a swap part) bit for bit,
+    as the zero product the two-row form adds to each row is +0.0 for
+    every channel the package builds.
     """
-    acc = amps * u
-    if v is not None:
-        swapped = np.empty(grid.n_points, dtype=complex)
-        for row, other in zip(acc, amps[::-1]):
-            row += np.multiply(other, v, out=swapped)
-        del swapped
-    return _eraser_project(grid.to_momentum(acc, out=acc), eraser)
+    if len(amps) == 1 and v is not None:
+        acc = [amps[0] * u, amps[0] * v]
+        for row in acc:
+            row += 0.0
+    else:
+        acc = amps * u
+        if v is not None:
+            swapped = np.empty(grid.n_points, dtype=complex)
+            for row, other in zip(acc, amps[::-1]):
+                row += np.multiply(other, v, out=swapped)
+            del swapped
+    for row in acc:
+        grid.to_momentum(row, out=row)
+    return _eraser_project(acc, eraser)
 
 
 def _sector_momentum_sums(state: TransverseState, ch: MeasurementChannel,
@@ -231,17 +239,23 @@ def _sector_momentum_sums(state: TransverseState, ch: MeasurementChannel,
             for u, v in ch.sectors]
 
 
-def _eraser_project(amps: np.ndarray, eraser: str) -> np.ndarray:
-    """Collapse (2, n) polarisation amplitudes per the eraser setting.
+def _eraser_project(amps: np.ndarray, eraser: str,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Collapse polarisation amplitudes per the eraser setting.
 
-    Returns (2, n) untouched for "none", else the (1, n) +-45 degree
-    projection (H +- V)/sqrt(2).
+    Returns ``amps`` untouched for "none", else the (1, n) +-45 degree
+    projection (H +- V)/sqrt(2), built in ``out`` if given, which may be
+    the last row of ``amps``.  One row is the H row of an input with no
+    V amplitude (see :func:`_sector_sum`): (H + 0.0)/sqrt(2).
     """
     if eraser == "none":
         return amps
-    sign = 1.0 if eraser == "plus45" else -1.0
-    erased = np.multiply(sign, amps[1])
-    np.add(amps[0], erased, out=erased)
+    if len(amps) == 1:
+        erased = np.add(amps[0], 0.0, out=out)
+    else:
+        erased = np.multiply(1.0 if eraser == "plus45" else -1.0, amps[1],
+                             out=out)
+        np.add(amps[0], erased, out=erased)
     erased /= np.sqrt(2.0)
     return erased[np.newaxis, :]
 
@@ -252,38 +266,30 @@ def _joint(chi_erased: list[np.ndarray],
     and the full state's ``psi_erased``, both eraser-projected.
 
     Each sector adds Re sum_rows ce conj(pe), its rows summed in order,
-    through one complex row buffer and one real row.
+    to 0.0; the complex products are formed 4,096 samples at a time.
     """
-    n = psi_erased[0].shape[-1]
-    j = np.zeros(n)
-    product = np.empty(n, dtype=complex)
-    total = np.empty(n)
-    for ce, pe in zip(chi_erased, psi_erased):
-        for r, (c, p) in enumerate(zip(ce, pe)):
-            np.multiply(c, np.conj(p, out=product), out=product)
-            if r:
-                total += product.real
-            else:
-                total[...] = product.real
-        j += total
-    return j
+    def sector(ce, pe):
+        total = np.empty(pe[0].shape[-1])
+        for lo in range(0, len(total), 4096):
+            part = slice(lo, lo + 4096)
+            total[part] = (ce[0][part] * np.conj(pe[0][part])).real
+            for c, p in zip(ce[1:], pe[1:]):
+                total[part] += (c[part] * np.conj(p[part])).real
+        return total
+    return sum(map(sector, chi_erased, psi_erased), 0.0)
 
 
 def _density(erased: list[np.ndarray]) -> np.ndarray:
     """Unnormalised momentum density of eraser-projected amplitudes:
-    each sector adds sum_rows |pe|^2, its rows summed in order, through
-    two real rows."""
-    n = erased[0].shape[-1]
-    dens = np.zeros(n)
-    total, square = np.empty((2, n))
-    for pe in erased:
-        for r, p in enumerate(pe):
-            row = square if r else total
-            np.square(np.abs(p, out=row), out=row)
-            if r:
-                total += square
-        dens += total
-    return dens
+    each sector adds sum_rows |pe|^2, its rows summed in order, to 0.0."""
+    def sector(pe):
+        total = np.abs(pe[0])
+        np.square(total, out=total)
+        for p in pe[1:]:
+            square = np.abs(p)
+            total += np.square(square, out=square)
+        return total
+    return sum(map(sector, erased), 0.0)
 
 
 def joint_wvp(state: TransverseState, ch: MeasurementChannel,
@@ -316,37 +322,47 @@ def eraser_curves(state: TransverseState, ch: MeasurementChannel,
     """:func:`conditional_wvp` for each eraser setting, keyed by setting
     in the order requested.  A repeated setting is built once.
 
-    The window projection and the un-erased (2, n) sector sums of both
-    states do not depend on the eraser, so they are built once, the full
-    state's first.  The order in which they are released sets the peak
-    memory (8.0 MiB of arrays for all three settings at 2^16 points;
-    keeping every sum until the last setting was built took 11.0 MiB):
+    The window projection and the un-erased sector sums of both states
+    do not depend on the eraser, so they are built once.  An input with
+    no V amplitude, every state the package builds, is worked from its H
+    row alone (see :func:`_sector_sum`), with the same bits.  The order
+    in which rows are built and released sets the peak memory (6.5 MiB
+    of arrays for all three settings at 2^16 points, 5.5 MiB for one;
+    both rows, full state first, took 8.0 and 7.1 MiB):
 
-    1. ``none`` reads the sums as they are: its J, P and T are built
-       first.
-    2. Each sum is then projected to the remaining settings, (1, n)
-       each, and released before the next sum is projected.
-    3. Each remaining setting builds its J, P and T, and releases its
-       projected sums.
-    4. Only after every sum is gone are the ``values`` quotients taken.
+    1. The window-projected state's sums come first, and its H row is
+       released before the full state's are built: the last transform
+       and its FFT scratch run beside four rows.
+    2. ``none`` reads the sums as they are.  When it is the only
+       setting, P releases the full state's sums and T the other's.
+    3. Each sum is projected to the remaining settings, the last one in
+       the sum's own last row, and released before the next.
+    4. Each remaining setting builds its J, P and T, releasing its
+       projected sums as it reads them; the ``values`` come last.
     """
     erasers = tuple(dict.fromkeys(erasers))
     for eraser in erasers:
         _check_eraser(eraser)
-    psi_sums = _sector_momentum_sums(state, ch)
+    _check_grid(state, ch)
+    if not state.amps[1].any():  # V is zero in x and p: keep H alone
+        state = TransverseState(state.grid, state.amps[:1])
     chi_sums = _sector_momentum_sums(_window_project(state, window), ch)
+    psi_sums = _sector_momentum_sums(state, ch)
     parts = {}
-    if "none" in erasers:
+    if erasers == ("none",):
         parts["none"] = _curve_parts(chi_sums, psi_sums)
+    elif "none" in erasers:
+        parts["none"] = _curve_parts(list(chi_sums), list(psi_sums))
     projected = {e: ([], []) for e in erasers if e != "none"}
     for side, sums in enumerate((chi_sums, psi_sums)):
         while sums:
-            for eraser in projected:
-                projected[eraser][side].append(_eraser_project(sums[0],
-                                                               eraser))
-            del sums[0]
-    for eraser in list(projected):
-        parts[eraser] = _curve_parts(*projected.pop(eraser))
+            rows = sums.pop(0)
+            for eraser, erased in projected.items():
+                erased[side].append(_eraser_project(
+                    rows, eraser, rows[-1] if eraser == erasers[-1] else None))
+            del rows
+    for eraser, erased in projected.items():
+        parts[eraser] = _curve_parts(*erased)
     curves = {}
     for eraser in erasers:
         j, dens, strong = parts.pop(eraser)
@@ -356,9 +372,15 @@ def eraser_curves(state: TransverseState, ch: MeasurementChannel,
 
 def _curve_parts(chi_erased: list[np.ndarray], psi_erased: list[np.ndarray]
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(J, P, T) of one eraser setting from its projected sector sums."""
-    return (_joint(chi_erased, psi_erased), _density(psi_erased),
-            _density(chi_erased))
+    """(J, P, T) of one eraser setting from its projected sector sums,
+    emptying ``psi_erased`` once P is built and ``chi_erased`` once T
+    is."""
+    j = _joint(chi_erased, psi_erased)
+    dens = _density(psi_erased)
+    psi_erased.clear()
+    strong = _density(chi_erased)
+    chi_erased.clear()
+    return j, dens, strong
 
 
 def momentum_distribution(state: TransverseState,
@@ -367,11 +389,13 @@ def momentum_distribution(state: TransverseState,
     """Normalised momentum density before (ch=None) or after a channel."""
     _check_eraser(eraser)
     if ch is None:
-        erased = [_eraser_project(state.momentum_amplitudes(), eraser)]
+        amps = state.grid.to_momentum(
+            state.amps if state.amps[1].any() else state.amps[:1])
+        erased = [_eraser_project(amps, eraser)]
     else:
         erased = _sector_momentum_sums(state, ch, eraser)
     dens = _density(erased)
-    return dens / (np.sum(dens) * state.grid.dp)
+    return np.divide(dens, np.sum(dens) * state.grid.dp, out=dens)
 
 
 def _tiling_indices(grid: SimGrid, width: float) -> range:
@@ -403,19 +427,23 @@ def _tiling_weights(grid: SimGrid, width: float, indices: tuple[int, ...]
     a :func:`window_mask` call per window.  ``weights[m]`` equals
     ``window_mask(grid, MomentumWindow(windows[m], width))[samples[m]]``
     bit for bit, times the number of times ``windows[m]`` occurs in
-    ``indices``.
+    ``indices``.  The candidates are taken one at a time.
     """
-    windows = (np.rint(grid.p / width)
-               + np.array([[-1.0], [0.0], [1.0]])).astype(np.int64)
-    center = windows * width
-    half = width / 2.0
-    weights = indicator(grid.p, grid.dp, center - half, center + half)
-    k_lo, k_hi = int(windows[0, 0]), int(windows[-1, -1])
-    weights *= np.bincount(
+    k0 = np.rint(grid.p / width)
+    k_lo, k_hi = int(k0[0]) - 1, int(k0[-1]) + 1
+    counts = np.bincount(
         np.array([k - k_lo for k in indices if k_lo <= k <= k_hi],
-                 dtype=np.int64), minlength=k_hi - k_lo + 1)[windows - k_lo]
-    rows, samples = np.nonzero(weights)
-    return samples, windows[rows, samples], weights[rows, samples]
+                 dtype=np.int64), minlength=k_hi - k_lo + 1)
+    half = width / 2.0
+    found = []
+    for shift in (-1.0, 0.0, 1.0):
+        windows = (k0 + shift).astype(np.int64)
+        center = windows * width
+        weights = indicator(grid.p, grid.dp, center - half, center + half)
+        weights *= counts[windows - k_lo]
+        samples = np.flatnonzero(weights)
+        found.append((samples, windows[samples], weights[samples]))
+    return tuple(np.concatenate(parts) for parts in zip(*found))
 
 
 def _sector_kernels(grid: SimGrid, u, v) -> list[tuple[bool, np.ndarray]]:

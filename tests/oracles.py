@@ -16,7 +16,9 @@ transfer loop, :func:`loop_conditional_wvp` one eraser setting per call,
 built from complex amplitude stacks rather than from J, P and T.  The
 ``array_*`` functions are the package's earlier whole-array expressions
 for J, P and the eraser projection of sector sums, kept as oracles for
-the row-buffer forms that replaced them.
+the row-buffer forms that replaced them, and :func:`array_tiling_weights`
+the (3, n) form of the tiling weights, kept for the one-candidate-at-a-
+time form.
 """
 
 import math
@@ -28,6 +30,7 @@ import numpy as np
 from weakslit import (MomentumWindow, TransferDistribution, TransverseState,
                       conditional_wvp, estimate_wvp, run_tagged)
 from weakslit.errors import CoverageWarning
+from weakslit.grid import indicator
 from weakslit.weak_values import (COVERAGE_MIN, EPS_DEN_FRACTION,
                                   _check_eraser, _check_width, _density,
                                   _joint, _sector_momentum_sums,
@@ -89,6 +92,22 @@ def array_eraser_project(amps, eraser) -> np.ndarray:
         return amps
     sign = 1.0 if eraser == "plus45" else -1.0
     return ((amps[0] + sign * amps[1]) / np.sqrt(2.0))[np.newaxis, :]
+
+
+def array_tiling_weights(grid, width, indices):
+    """(samples, windows, weights) of ``weak_values._tiling_weights``,
+    built over all three candidate windows at once as (3, n) arrays."""
+    windows = (np.rint(grid.p / width)
+               + np.array([[-1.0], [0.0], [1.0]])).astype(np.int64)
+    center = windows * width
+    half = width / 2.0
+    weights = indicator(grid.p, grid.dp, center - half, center + half)
+    k_lo, k_hi = int(windows[0, 0]), int(windows[-1, -1])
+    weights *= np.bincount(
+        np.array([k - k_lo for k in indices if k_lo <= k <= k_hi],
+                 dtype=np.int64), minlength=k_hi - k_lo + 1)[windows - k_lo]
+    rows, samples = np.nonzero(weights)
+    return samples, windows[rows, samples], weights[rows, samples]
 
 
 def dense_joint(state, ch, window, eraser="none"):

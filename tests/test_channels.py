@@ -32,6 +32,24 @@ class TestScullyWwm:
         ((_, v),) = wwm.sectors
         assert v is not None
 
+    def test_bool_masks_multiply_like_float_masks(self, wwm, grid):
+        """u and v are bool masks.  numpy casts True/False to the same
+        complex factor as 1.0/0.0, so every product keeps its bytes,
+        signed zeros included, on both halves of the line."""
+        ((u, v),) = wwm.sectors
+        assert u.dtype == v.dtype == bool
+        rng = np.random.default_rng(3)
+        amps = rng.normal(size=grid.n_points) + 1j * rng.normal(
+            size=grid.n_points)
+        for k, (re, im) in enumerate([(0.0, -0.0), (-0.0, 0.0),
+                                      (-0.0, -0.0), (0.0, 0.0)]):
+            amps[k::6] = complex(re, im)
+        for mask in (u, v):
+            assert (amps * mask).tobytes() == \
+                (amps * mask.astype(float)).tobytes()
+            assert (mask * amps).tobytes() == \
+                (mask.astype(float) * amps).tobytes()
+
     def test_marks_left_slit_in_vertical(self, slit_state, wwm, grid):
         h_in = slit_state.amps[0]
         assert np.all(slit_state.amps[1] == 0.0)

@@ -27,6 +27,17 @@ def test_grid_centred_samples():
     np.testing.assert_allclose(np.diff(grid.p), grid.dp)
 
 
+@pytest.mark.parametrize("n_points", [8, 256, 4096, 2 ** 16])
+@pytest.mark.parametrize("x_extent", [64.0, 7.3, 1e-3])
+def test_axes_equal_the_integer_form_bit_for_bit(n_points, x_extent):
+    """Both axes are built as floats and scaled in place, with the bits
+    of integer offsets times the spacing."""
+    grid = SimGrid(n_points, x_extent)
+    offsets = np.arange(n_points) - n_points // 2
+    assert grid.x.tobytes() == (offsets * grid.dx).tobytes()
+    assert grid.p.tobytes() == (offsets * grid.dp).tobytes()
+
+
 @pytest.mark.parametrize("n", [0, 4, 7, 12, 1000, -16, MAX_POINTS * 2,
                                True, 16.0, "16", None])
 def test_grid_rejects_bad_sizes(n):
