@@ -22,8 +22,8 @@ from .errors import ConfigError, GridMismatchError
 
 __all__ = ["SimGrid", "LabFrame"]
 
-#: Largest accepted grid.  A 2^22-point state is 128 MiB of (2, n)
-#: complex amplitudes, and every analysis holds several such arrays.
+#: Largest accepted grid.  A 2^22-point state is a 64 MiB complex
+#: field, and every analysis holds several such arrays.
 MAX_POINTS = 2 ** 22
 
 

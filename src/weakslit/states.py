@@ -1,9 +1,8 @@
 """Initial transverse states: slit apertures and momentum-space Gaussians.
 
-Every constructor returns a normalised two-polarisation state.  The
-horizontal component (row 0) carries the optical field at the aperture;
-the vertical component (row 1) starts empty and is populated only by
-which-way tagging downstream.
+Every constructor returns a normalised, horizontally polarised state,
+so a state holds the H field alone.  Only a channel's polarisation
+swap, the which-way tag, puts amplitude into V downstream.
 """
 
 import math
@@ -62,30 +61,29 @@ class SlitGeometry:
 
 @dataclass
 class TransverseState:
-    """Two-polarisation complex field on a :class:`SimGrid`.
+    """Horizontally polarised complex field on a :class:`SimGrid`.
 
-    ``amps`` has shape (2, n): row 0 is the horizontal and row 1 the
-    vertical polarisation.  ``sharp_edges`` records whether the
-    construction used discontinuous apertures; moment computations
-    refuse such states because their momentum variance diverges.
+    ``field`` has shape (n,): the H amplitude, the V one being zero.
+    ``sharp_edges`` records whether the construction used discontinuous
+    apertures; moment computations refuse such states because their
+    momentum variance diverges.
     """
 
     grid: SimGrid
-    amps: np.ndarray
+    field: np.ndarray
     sharp_edges: bool = False
 
-    def momentum_amplitudes(self) -> np.ndarray:
-        """(2, n) momentum-space amplitudes via the unitary transform."""
-        return self.grid.to_momentum(self.amps)
+    def momentum_field(self) -> np.ndarray:
+        """(n,) momentum-space field via the unitary transform."""
+        return self.grid.to_momentum(self.field)
 
 
 def _h_polarised(grid: SimGrid, field: np.ndarray,
                  sharp_edges: bool) -> TransverseState:
-    """Normalised state carrying ``field`` in H and nothing in V."""
-    amps = np.zeros((2, grid.n_points), dtype=complex)
-    amps[0] = field
-    amps[0] /= np.sqrt(np.sum(np.abs(amps[0]) ** 2) * grid.dx)
-    return TransverseState(grid, amps, sharp_edges)
+    """Normalised state carrying ``field`` in H."""
+    field = field.astype(complex)
+    field /= np.sqrt(np.sum(np.abs(field) ** 2) * grid.dx)
+    return TransverseState(grid, field, sharp_edges)
 
 
 def _slit_amplitude(geom: SlitGeometry, grid: SimGrid, center: float) -> np.ndarray:

@@ -190,9 +190,9 @@ def _window_project(state: TransverseState, window: MomentumWindow) -> Transvers
             f"window [{lo:.4g}, {hi:.4g}] outside the simulated momentum "
             f"range [{grid.p[0]:.4g}, {grid.p[-1]:.4g}]"
         )
-    amps = state.momentum_amplitudes()
-    amps *= mask
-    return TransverseState(grid, grid.from_momentum(amps, out=amps),
+    field = state.momentum_field()
+    field *= mask
+    return TransverseState(grid, grid.from_momentum(field, out=field),
                            state.sharp_edges)
 
 
@@ -203,29 +203,15 @@ def _check_grid(state: TransverseState, ch: MeasurementChannel):
         )
 
 
-def _sector_sum(grid: SimGrid, amps: np.ndarray, u, v,
+def _sector_sum(grid: SimGrid, field: np.ndarray, u, v,
                 eraser: str) -> np.ndarray:
-    """One sector's output (u + v S) psi of position amplitudes ``amps``,
-    as eraser-projected momentum rows, one row for a +-45 eraser.
+    """One sector's output (u + v S) h of the H field ``field``, as
+    eraser-projected momentum rows, one row for a +-45 eraser.
 
-    ``amps`` is (2, n), or (1, n): the H row alone of an input whose V
-    row is zero.  The output then holds u h for a sector with no swap
-    part, else u h and v h as two arrays, each released on its own: the
-    two-row output's rows (its H row without a swap part) bit for bit,
-    as the zero product the two-row form adds to each row is +0.0 for
-    every channel the package builds.
+    The rows are u h, a (1, n) array, for a sector with no swap part,
+    else u h and v h as two arrays, each released on its own.
     """
-    if len(amps) == 1 and v is not None:
-        acc = [amps[0] * u, amps[0] * v]
-        for row in acc:
-            row += 0.0
-    else:
-        acc = amps * u
-        if v is not None:
-            swapped = np.empty(grid.n_points, dtype=complex)
-            for row, other in zip(acc, amps[::-1]):
-                row += np.multiply(other, v, out=swapped)
-            del swapped
+    acc = (field * u)[np.newaxis] if v is None else [field * u, field * v]
     for row in acc:
         grid.to_momentum(row, out=row)
     return _eraser_project(acc, eraser)
@@ -235,27 +221,27 @@ def _sector_momentum_sums(state: TransverseState, ch: MeasurementChannel,
                           eraser: str = "none") -> list[np.ndarray]:
     """:func:`_sector_sum` of every sector, after the grid check."""
     _check_grid(state, ch)
-    return [_sector_sum(state.grid, state.amps, u, v, eraser)
+    return [_sector_sum(state.grid, state.field, u, v, eraser)
             for u, v in ch.sectors]
 
 
-def _eraser_project(amps: np.ndarray, eraser: str,
+def _eraser_project(rows: np.ndarray, eraser: str,
                     out: np.ndarray | None = None) -> np.ndarray:
     """Collapse polarisation amplitudes per the eraser setting.
 
-    Returns ``amps`` untouched for "none", else the (1, n) +-45 degree
+    Returns ``rows`` untouched for "none", else the (1, n) +-45 degree
     projection (H +- V)/sqrt(2), built in ``out`` if given, which may be
-    the last row of ``amps``.  One row is the H row of an input with no
-    V amplitude (see :func:`_sector_sum`): (H + 0.0)/sqrt(2).
+    the last row of ``rows``.  One row is the output of a sector with no
+    swap part, whose V row is zero: (H + 0.0)/sqrt(2).
     """
     if eraser == "none":
-        return amps
-    if len(amps) == 1:
-        erased = np.add(amps[0], 0.0, out=out)
+        return rows
+    if len(rows) == 1:
+        erased = np.add(rows[0], 0.0, out=out)
     else:
-        erased = np.multiply(1.0 if eraser == "plus45" else -1.0, amps[1],
+        erased = np.multiply(1.0 if eraser == "plus45" else -1.0, rows[1],
                              out=out)
-        np.add(amps[0], erased, out=erased)
+        np.add(rows[0], erased, out=erased)
     erased /= np.sqrt(2.0)
     return erased[np.newaxis, :]
 
@@ -323,14 +309,11 @@ def eraser_curves(state: TransverseState, ch: MeasurementChannel,
     in the order requested.  A repeated setting is built once.
 
     The window projection and the un-erased sector sums of both states
-    do not depend on the eraser, so they are built once.  An input with
-    no V amplitude, every state the package builds, is worked from its H
-    row alone (see :func:`_sector_sum`), with the same bits.  The order
-    in which rows are built and released sets the peak memory (6.5 MiB
-    of arrays for all three settings at 2^16 points, 5.5 MiB for one;
-    both rows, full state first, took 8.0 and 7.1 MiB):
+    do not depend on the eraser, so they are built once.  The order in
+    which rows are built and released sets the peak memory (6.5 MiB of
+    arrays for all three settings at 2^16 points, 5.5 MiB for one):
 
-    1. The window-projected state's sums come first, and its H row is
+    1. The window-projected state's sums come first, and its field is
        released before the full state's are built: the last transform
        and its FFT scratch run beside four rows.
     2. ``none`` reads the sums as they are.  When it is the only
@@ -344,8 +327,6 @@ def eraser_curves(state: TransverseState, ch: MeasurementChannel,
     for eraser in erasers:
         _check_eraser(eraser)
     _check_grid(state, ch)
-    if not state.amps[1].any():  # V is zero in x and p: keep H alone
-        state = TransverseState(state.grid, state.amps[:1])
     chi_sums = _sector_momentum_sums(_window_project(state, window), ch)
     psi_sums = _sector_momentum_sums(state, ch)
     parts = {}
@@ -389,9 +370,7 @@ def momentum_distribution(state: TransverseState,
     """Normalised momentum density before (ch=None) or after a channel."""
     _check_eraser(eraser)
     if ch is None:
-        amps = state.grid.to_momentum(
-            state.amps if state.amps[1].any() else state.amps[:1])
-        erased = [_eraser_project(amps, eraser)]
+        erased = [_eraser_project(state.momentum_field()[np.newaxis], eraser)]
     else:
         erased = _sector_momentum_sums(state, ch, eraser)
     dens = _density(erased)
@@ -465,16 +444,12 @@ def _pass_factors(buf: np.ndarray, phi: np.ndarray, swap: bool,
                   eraser: str) -> tuple[np.ndarray, np.ndarray]:
     """The two (rows, L) factors whose product, summed over rows, is one
     kernel's spectrum in an offset pass: the erased, optionally swapped
-    input spectrum ``buf`` and the conjugated output spectrum ``phi``.
+    input spectrum, from the H spectrum ``buf``, and the conjugated
+    output spectrum ``phi``.
 
-    A one-row ``buf`` holds the H row of an input whose V row is zero,
-    so the swap and the eraser reduce to picking a row of ``phi`` or
-    scaling H by +-1/sqrt(2).  Both forms give the same bits under
-    ``einsum``, as the terms they drop are exact zeros; ``np.multiply``
-    rounds the complex product differently.
+    S h lives in V alone, so the swap and the eraser reduce to picking a
+    row of ``phi`` or scaling H by +-1/sqrt(2).
     """
-    if len(buf) == 2:
-        return _eraser_project(buf[::-1] if swap else buf, eraser), phi
     if eraser == "none":
         return buf, phi[1:] if swap else phi[:1]
     h = buf / np.sqrt(2.0)
@@ -540,18 +515,9 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
     ``roundoff_floor``, 16 eps sqrt(max P / c), bounds that difference
     after the division.
 
-    An input with no V amplitude, which is every state the package
-    builds, takes a one-row path: only its H row is transformed and
-    correlated, since S psi then lives in V alone and the eraser
-    projection scales H by +-1/sqrt(2) (see :func:`_pass_factors`).
-    A sector with no swap part then, with no eraser, builds and
-    transforms only the H row of its output spectrum, the one row the
-    passes read.  The result is bit-identical to the two-row form.  It
-    saves more than the second row's 16 L bytes per pass buffer:
-    numpy's pocketfft allocates scratch for a transform of several rows
-    and none for one row (peak RSS grew 0.95 MiB for one two-row
-    transform of length 24,576, 0.45 MiB for the same rows one at a
-    time).
+    Only the H field is transformed and correlated, since S psi lives in
+    V alone and the eraser projection scales H by +-1/sqrt(2) (see
+    :func:`_pass_factors`).
     """
     _check_eraser(eraser)
     grid = state.grid
@@ -561,9 +527,7 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
     indices = tuple(int(n) for n in indices)
     _check_grid(state, ch)
     n = grid.n_points
-    # a V row that is zero in x is zero in p: drop it (the one-row path)
-    one_row = not state.amps[1].any()
-    amps_t = grid.to_momentum(state.amps[:1] if one_row else state.amps)
+    field_t = state.momentum_field()
 
     samples, windows, weights = _tiling_weights(grid, window_width, indices)
     if not samples.size:
@@ -571,7 +535,7 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
             f"none of the {len(indices)} windows of width {window_width:.4g} "
             f"holds a sample of the simulated momentum range "
             f"[{grid.p[0]:.4g}, {grid.p[-1]:.4g}]")
-    input_dens = np.sum(np.abs(amps_t) ** 2, axis=0)
+    input_dens = np.abs(field_t) ** 2
     coverage = float(np.dot(weights, input_dens[samples]) * grid.dp)
     roundoff_floor = float(16.0 * np.finfo(float).eps
                            * np.sqrt(input_dens.max() / coverage))
@@ -597,19 +561,15 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
                        min(n, lag0 + n)))
     size = _fast_len(max(max(n + lag0 - i_lo, i_hi - 1 - lag0 + span)
                          for _, lag0, i_lo, i_hi in passes))
-    chunk = amps_t[:, j_lo:j_lo + span]
+    chunk = field_t[j_lo:j_lo + span]
     # One sector at a time, so at most one (rows, L) spectrum exists.
     for u, v in ch.sectors:
         kernels = _sector_kernels(grid, u, v)
         # conj(FFT(Phi)) / L turns each correlation into one forward FFT.
-        # On the one-row path with no swap part and no eraser,
-        # _pass_factors reads the H row of phi alone.
-        rows = (state.amps[:1] if one_row and v is None and eraser == "none"
-                else state.amps)
-        phi = np.fft.fft(_sector_sum(grid, rows, u, v, eraser), size)
+        phi = np.fft.fft(_sector_sum(grid, state.field, u, v, eraser), size)
         np.conj(phi, out=phi)
         phi /= size
-        buf = np.empty((len(chunk), size), dtype=complex)
+        buf = np.empty((1, size), dtype=complex)
         corr = np.empty(size, dtype=complex)
         for d, lag0, i_lo, i_hi in passes:
             sel = offsets == d

@@ -19,6 +19,11 @@ for J, P and the eraser projection of sector sums, kept as oracles for
 the row-buffer forms that replaced them, and :func:`array_tiling_weights`
 the (3, n) form of the tiling weights, kept for the one-candidate-at-a-
 time form.
+
+The oracles stay general in the polarisation: they act on (2, n)
+amplitudes, which :func:`two_rows` builds from a state's H field and a
+zero V row, and :func:`two_row_sums` is the package's two-row sector sum
+on them, through its own transform.
 """
 
 import math
@@ -27,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from weakslit import (MomentumWindow, TransferDistribution, TransverseState,
-                      conditional_wvp, estimate_wvp, run_tagged)
+from weakslit import (MomentumWindow, TransferDistribution, conditional_wvp,
+                      estimate_wvp, run_tagged)
 from weakslit.errors import CoverageWarning
 from weakslit.grid import indicator
 from weakslit.weak_values import (COVERAGE_MIN, EPS_DEN_FRACTION,
@@ -50,6 +55,12 @@ def idft_matrix(grid) -> np.ndarray:
     return np.exp(1j * np.outer(grid.x, grid.p)) * (grid.dp / ROOT_2PI)
 
 
+def two_rows(field) -> np.ndarray:
+    """(2, n) polarisation amplitudes of an H-polarised field: ``field``
+    in H and zeros in V."""
+    return np.array([field, np.zeros_like(field)])
+
+
 def apply_sector(amps, u, v) -> np.ndarray:
     """(2, n) output of the sector operator K = u + v S on (2, n)
     amplitudes, written out row by row: H' = u H + v V, V' = u V + v H."""
@@ -61,6 +72,19 @@ def apply_sector(amps, u, v) -> np.ndarray:
 def _sector_amps(amps, ch, dft):
     """Per sector: its operator's output in momentum space."""
     return [apply_sector(amps, u, v) @ dft.T for u, v in ch.sectors]
+
+
+def two_row_sums(grid, amps, ch, eraser="none"):
+    """Per sector: the eraser-projected momentum output of its operator
+    on (2, n) amplitudes, amps u + S(amps) v, through the package's
+    transform; the package's sector sums before states held H alone."""
+    sums = []
+    for u, v in ch.sectors:
+        out = amps * u
+        if v is not None:
+            out += amps[::-1] * v
+        sums.append(array_eraser_project(grid.to_momentum(out), eraser))
+    return sums
 
 
 def _erase(amps_t, eraser):
@@ -116,9 +140,10 @@ def dense_joint(state, ch, window, eraser="none"):
     dft, idft = dft_matrix(grid), idft_matrix(grid)
     lo, hi = window.bounds
     sel = ((grid.p >= lo) & (grid.p < hi)).astype(float)
-    chi = (sel * (state.amps @ dft.T)) @ idft.T
+    amps = two_rows(state.field)
+    chi = (sel * (amps @ dft.T)) @ idft.T
 
-    psi_amps = _sector_amps(state.amps, ch, dft)
+    psi_amps = _sector_amps(amps, ch, dft)
     chi_amps = _sector_amps(chi, ch, dft)
     j = np.zeros(grid.n_points)
     for psi_t, chi_t in zip(psi_amps, chi_amps):
@@ -133,7 +158,7 @@ def dense_conditional(state, ch, window, eraser="none"):
     dft = dft_matrix(grid)
     j = dense_joint(state, ch, window, eraser)
     dens = np.zeros(grid.n_points)
-    for psi_t in _sector_amps(state.amps, ch, dft):
+    for psi_t in _sector_amps(two_rows(state.field), ch, dft):
         for pe in _erase(psi_t, eraser):
             dens += np.abs(pe) ** 2
     defined = dens > 1e-6 * dens.max()
@@ -150,7 +175,7 @@ def dense_transfer(state, ch, width, indices, eraser="none"):
     """
     grid = state.grid
     dft = dft_matrix(grid)
-    dens = np.sum(np.abs(state.amps @ dft.T) ** 2, axis=0)
+    dens = np.sum(np.abs(two_rows(state.field) @ dft.T) ** 2, axis=0)
     acc = np.zeros(grid.n_points)
     coverage = 0.0
     for idx in indices:
@@ -174,7 +199,8 @@ def loop_transfer(state, ch, window_width, indices=None, eraser="none"):
     channel pass per window, each window's J shifted to its centre.
 
     O(W N log N).  This was the package's implementation before the
-    correlation form; kept verbatim as the oracle for it.
+    correlation form; kept as the oracle for it, with the two-row sector
+    sums of :func:`two_row_sums`.
     """
     _check_eraser(eraser)
     grid = state.grid
@@ -183,10 +209,11 @@ def loop_transfer(state, ch, window_width, indices=None, eraser="none"):
         indices = _tiling_indices(grid, window_width)
     indices = tuple(int(n) for n in indices)
 
-    amps_t = state.momentum_amplitudes()
+    amps = two_rows(state.field)
+    amps_t = grid.to_momentum(amps)
     input_dens = np.sum(np.abs(amps_t) ** 2, axis=0)
     # The full-state side of J does not depend on the window: hoist it.
-    psi_erased = _sector_momentum_sums(state, ch, eraser)
+    psi_erased = two_row_sums(grid, amps, ch, eraser)
 
     acc = np.zeros(grid.n_points)
     coverage = 0.0
@@ -198,9 +225,8 @@ def loop_transfer(state, ch, window_width, indices=None, eraser="none"):
         coverage += window_mass
         if window_mass == 0.0:
             continue
-        chi = TransverseState(grid, grid.from_momentum(mask * amps_t),
-                              state.sharp_edges)
-        j = _joint(_sector_momentum_sums(chi, ch, eraser), psi_erased)
+        chi = grid.from_momentum(mask * amps_t)
+        j = _joint(two_row_sums(grid, chi, ch, eraser), psi_erased)
         shift = int(round(window.center / grid.dp))
         if shift >= n or shift <= -n:
             continue
@@ -354,9 +380,9 @@ def stack_run_tagged(state, ch, window, sigma, displacement) -> StackMap:
     """
     grid = state.grid
     proj = _window_project(state, window)
-    rest = TransverseState(grid, state.amps - proj.amps, state.sharp_edges)
-    tagged = np.concatenate(_sector_momentum_sums(proj, ch), axis=0)
-    untagged = np.concatenate(_sector_momentum_sums(rest, ch), axis=0)
+    rest = two_rows(state.field - proj.field)
+    tagged = np.concatenate(two_row_sums(grid, two_rows(proj.field), ch))
+    untagged = np.concatenate(two_row_sums(grid, rest, ch))
     return StackMap(grid.p.copy(), untagged, tagged, sigma, displacement,
                     window, displacement / sigma)
 
@@ -390,9 +416,10 @@ def dense_pointer_stacks(state, ch, window):
     dft, idft = dft_matrix(grid), idft_matrix(grid)
     lo, hi = window.bounds
     sel = ((grid.p >= lo) & (grid.p < hi)).astype(float)
-    chi = (sel * (state.amps @ dft.T)) @ idft.T
+    amps = two_rows(state.field)
+    chi = (sel * (amps @ dft.T)) @ idft.T
     tagged = np.concatenate(_sector_amps(chi, ch, dft), axis=0)
-    untagged = np.concatenate(_sector_amps(state.amps - chi, ch, dft), axis=0)
+    untagged = np.concatenate(_sector_amps(amps - chi, ch, dft), axis=0)
     return untagged, tagged
 
 

@@ -9,19 +9,19 @@ from weakslit import (ConfigError, GridMismatchError, SimGrid,
                       build_momentum_peak, classical_kick, identity_channel,
                       momentum_distribution, scully_wwm)
 
-from oracles import apply_sector
+from oracles import apply_sector, two_rows
 
 
 def sector_outputs(state, ch):
     """The unnormalised (2, n) position-space output of each sector."""
-    return [apply_sector(state.amps, u, v) for u, v in ch.sectors]
+    return [apply_sector(two_rows(state.field), u, v) for u, v in ch.sectors]
 
 
 def test_identity_channel_passthrough(slit_state, grid):
     ch = identity_channel(grid)
     assert ch.completeness_defect() == 0.0
     (out,) = sector_outputs(slit_state, ch)
-    np.testing.assert_array_equal(out, slit_state.amps)
+    np.testing.assert_array_equal(out, two_rows(slit_state.field))
 
 
 class TestScullyWwm:
@@ -51,8 +51,7 @@ class TestScullyWwm:
                 (mask.astype(float) * amps).tobytes()
 
     def test_marks_left_slit_in_vertical(self, slit_state, wwm, grid):
-        h_in = slit_state.amps[0]
-        assert np.all(slit_state.amps[1] == 0.0)
+        h_in = slit_state.field
         (out,) = sector_outputs(slit_state, wwm)
         # H stays on x >= 0; the swap moves H into V on x < 0
         np.testing.assert_array_equal(out[0], np.where(grid.x >= 0.0, h_in, 0.0))
@@ -61,7 +60,7 @@ class TestScullyWwm:
     def test_position_density_unchanged(self, slit_state, wwm):
         """Which-way marking must not disturb where the particle is."""
         (out,) = sector_outputs(slit_state, wwm)
-        before = np.sum(np.abs(slit_state.amps) ** 2, axis=0)
+        before = np.abs(slit_state.field) ** 2
         np.testing.assert_allclose(np.sum(np.abs(out) ** 2, axis=0), before,
                                    atol=1e-14)
 
@@ -104,8 +103,8 @@ class TestClassicalKick:
         m = 24
         ((u, _),) = classical_kick([(m * grid.dp, 1.0)], grid).sectors
         state = build_momentum_peak(-1.0, 1.0, grid)
-        dens_in = np.abs(state.momentum_amplitudes()[0]) ** 2
-        dens_out = np.abs(grid.to_momentum(state.amps * u)[0]) ** 2
+        dens_in = np.abs(state.momentum_field()) ** 2
+        dens_out = np.abs(grid.to_momentum(state.field * u)) ** 2
         np.testing.assert_allclose(dens_out, np.roll(dens_in, m), atol=1e-13)
 
     def test_sector_masses_are_probabilities(self, slit_state, grid):

@@ -140,13 +140,13 @@ def test_transfer_matches_the_window_loop(scenario, half):
 def test_transform_is_unitary(scenario):
     state = scenario[0]
     grid = state.grid
-    amps_t = state.momentum_amplitudes()
-    norm_x = np.sum(np.abs(state.amps) ** 2) * grid.dx
-    norm_p = np.sum(np.abs(amps_t) ** 2) * grid.dp
+    field_t = state.momentum_field()
+    norm_x = np.sum(np.abs(state.field) ** 2) * grid.dx
+    norm_p = np.sum(np.abs(field_t) ** 2) * grid.dp
     assert abs(norm_p - norm_x) <= 8.0 * EPS
-    back = grid.from_momentum(amps_t)
-    assert np.max(np.abs(back - state.amps)) <= 8.0 * EPS * np.max(
-        np.abs(state.amps))
+    back = grid.from_momentum(field_t)
+    assert np.max(np.abs(back - state.field)) <= 8.0 * EPS * np.max(
+        np.abs(state.field))
 
 
 def odd_tiling(grid, samples) -> list[MomentumWindow]:

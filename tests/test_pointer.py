@@ -36,8 +36,7 @@ class TestMarginal:
     def test_identity_marginal_is_channel_density(self, slit_state, grid,
                                                   focus_window):
         curve = run_tagged(slit_state, identity_channel(grid), focus_window)
-        h_t, v_t = slit_state.momentum_amplitudes()
-        dens = np.abs(h_t) ** 2 + np.abs(v_t) ** 2
+        dens = np.abs(slit_state.momentum_field()) ** 2
         np.testing.assert_allclose(marginal(curve, RATIO), dens,
                                    atol=1e-13 * dens.max())
 

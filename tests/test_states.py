@@ -35,23 +35,23 @@ class TestSlitGeometry:
 
 
 def test_double_slit_is_normalised_h_polarised(slit_state):
-    norm_sq = np.sum(np.abs(slit_state.amps) ** 2) * slit_state.grid.dx
+    norm_sq = np.sum(np.abs(slit_state.field) ** 2) * slit_state.grid.dx
     assert norm_sq == pytest.approx(1.0, rel=1e-12)
-    assert slit_state.amps.shape == (2, slit_state.grid.n_points)
-    assert np.all(slit_state.amps[1] == 0.0)
+    assert slit_state.field.shape == (slit_state.grid.n_points,)
+    assert slit_state.field.dtype == complex
     assert slit_state.sharp_edges
 
 
 def test_double_slit_density_is_even(slit_state):
     # x[0] = -n/2*dx has no positive partner on a centred lattice; skip it
-    dens = np.sum(np.abs(slit_state.amps) ** 2, axis=0)
+    dens = np.abs(slit_state.field) ** 2
     np.testing.assert_allclose(dens[1:], dens[1:][::-1], atol=1e-14)
 
 
 def test_double_slit_momentum_matches_closed_form(geom, grid):
     """FFT spectrum vs the continuum transform of the two top-hats."""
     state = build_double_slit(geom, grid)
-    h_t, _ = state.momentum_amplitudes()
+    h_t = state.momentum_field()
     sel = np.abs(grid.p) < 6.0 * np.pi
     expected = double_slit_momentum_amplitude(grid.p[sel], geom.width)
     # both are real-positive-normalised up to a common factor
@@ -63,8 +63,7 @@ def test_double_slit_momentum_matches_closed_form(geom, grid):
 
 def test_double_slit_fringe_zeros(slit_state, grid):
     """Destructive interference at odd half-multiples of h/s."""
-    h_t, v_t = slit_state.momentum_amplitudes()
-    dens = np.abs(h_t) ** 2 + np.abs(v_t) ** 2
+    dens = np.abs(slit_state.momentum_field()) ** 2
     for p_zero in (-3.0 * np.pi, -np.pi, np.pi, 3.0 * np.pi):
         k = int(np.argmin(np.abs(grid.p - p_zero)))
         assert dens[k] < 1e-6 * dens.max()
@@ -103,8 +102,8 @@ def test_double_slit_is_the_normalised_sum_of_its_slits(geom, grid):
     amp = (_slit_amplitude(geom, grid, -0.5)
            + _slit_amplitude(geom, grid, 0.5))
     amp /= np.sqrt(np.sum(amp ** 2) * grid.dx)
-    np.testing.assert_allclose(pair.amps[0].real, amp, rtol=0.0, atol=1e-15)
-    assert np.sum(np.abs(pair.amps) ** 2) * grid.dx == pytest.approx(
+    np.testing.assert_allclose(pair.field.real, amp, rtol=0.0, atol=1e-15)
+    assert np.sum(np.abs(pair.field) ** 2) * grid.dx == pytest.approx(
         1.0, rel=1e-12)
 
 
@@ -127,7 +126,7 @@ def test_smoothed_tails_must_not_wrap_around_the_grid(grid):
     for scale in (5e-5, 0.05, 0.5, 2.5):
         state = build_double_slit(
             SlitGeometry(0.5, "gaussian_smoothed", scale), grid)
-        amp = state.amps[0]
+        amp = state.field
         assert not amp[:EDGE_MARGIN].any() and not amp[-EDGE_MARGIN:].any()
     with pytest.raises(GeometryError, match="wrap around"):
         build_double_slit(
@@ -138,8 +137,8 @@ def test_smoothed_slits_suppress_spectral_tails(slit_state, smooth_state, grid):
     """Sharp edges give 1/p^2 tails; erf edges kill them exponentially."""
     far = np.abs(grid.p) > 25.0 * 2.0 * np.pi
     assert np.count_nonzero(far) > 0
-    sharp_t, _ = slit_state.momentum_amplitudes()
-    smooth_t, _ = smooth_state.momentum_amplitudes()
+    sharp_t = slit_state.momentum_field()
+    smooth_t = smooth_state.momentum_field()
     sharp_tail = np.max(np.abs(sharp_t[far]) ** 2)
     smooth_tail = np.max(np.abs(smooth_t[far]) ** 2)
     assert smooth_state.sharp_edges is False
@@ -168,9 +167,9 @@ class TestMomentumPeak:
     def test_moments(self, grid):
         p0, width = 3.0, 0.8
         state = build_momentum_peak(p0, width, grid)
-        assert np.sum(np.abs(state.amps) ** 2) * grid.dx == pytest.approx(
+        assert np.sum(np.abs(state.field) ** 2) * grid.dx == pytest.approx(
             1.0, rel=1e-12)
-        h_t, _ = state.momentum_amplitudes()
+        h_t = state.momentum_field()
         dens = np.abs(h_t) ** 2
         dens /= np.sum(dens) * grid.dp
         mean = float(np.sum(dens * grid.p) * grid.dp)
