@@ -22,8 +22,9 @@ time form.
 
 The oracles stay general in the polarisation: they act on (2, n)
 amplitudes, which :func:`two_rows` builds from a state's H field and a
-zero V row, and :func:`two_row_sums` is the package's two-row sector sum
-on them, through its own transform.
+zero V row.  :func:`two_row_sums` is the package's two-row sector sum
+on them, through its own transform, and :func:`two_row_transfer` its
+two-row correlation-form transfer assembly.
 """
 
 import math
@@ -38,8 +39,9 @@ from weakslit.errors import CoverageWarning
 from weakslit.grid import indicator
 from weakslit.weak_values import (COVERAGE_MIN, EPS_DEN_FRACTION,
                                   _check_eraser, _check_width, _density,
-                                  _joint, _sector_momentum_sums,
-                                  _tiling_indices, _window_project,
+                                  _fast_len, _joint, _sector_kernels,
+                                  _sector_momentum_sums, _tiling_indices,
+                                  _tiling_weights, _window_project,
                                   window_mask)
 
 ROOT_2PI = np.sqrt(2.0 * np.pi)
@@ -247,6 +249,49 @@ def loop_transfer(state, ch, window_width, indices=None, eraser="none"):
     floor = 16.0 * np.finfo(float).eps * np.sqrt(input_dens.max() / coverage)
     return TransferDistribution(grid.p.copy(), density, window_width,
                                 indices, coverage, eraser, float(floor))
+
+
+def two_row_transfer(grid, amps, ch, window_width, indices, eraser="none"):
+    """(density, coverage) of the correlation-form transfer assembly on
+    (2, n) amplitudes ``amps``: the package's passes before states held
+    H alone, with both rows transformed and correlated, the swap and the
+    eraser applied to the rows themselves.  Refuses no input and warns
+    of no coverage."""
+    n = grid.n_points
+    amps_t = grid.to_momentum(amps)
+    samples, windows, weights = _tiling_weights(grid, window_width,
+                                                tuple(indices))
+    input_dens = np.sum(np.abs(amps_t) ** 2, axis=0)
+    coverage = float(np.dot(weights, input_dens[samples]) * grid.dp)
+    offsets = (samples - n // 2
+               - np.rint(windows * window_width / grid.dp).astype(np.int64))
+    j_lo = int(samples.min())
+    span = int(samples.max()) + 1 - j_lo
+    passes = []
+    for d in sorted(set(offsets.tolist())):
+        lag0 = d + n // 2 - j_lo
+        passes.append((d, lag0, max(0, lag0 + 1 - span), min(n, lag0 + n)))
+    size = _fast_len(max(max(n + lag0 - i_lo, i_hi - 1 - lag0 + span)
+                         for _, lag0, i_lo, i_hi in passes))
+    chunk = amps_t[:, j_lo:j_lo + span]
+    acc = np.zeros(n)
+    for (u, v), out in zip(ch.sectors, two_row_sums(grid, amps, ch, eraser)):
+        phi = np.conj(np.fft.fft(out, size)) / size
+        for d, lag0, i_lo, i_hi in passes:
+            sel = offsets == d
+            buf = np.zeros((2, size), dtype=complex)
+            buf[:, :span] = chunk * np.bincount(samples[sel] - j_lo,
+                                                weights[sel], span)
+            buf = np.fft.fft(buf)
+            for swap, kern in _sector_kernels(grid, u, v):
+                factor = array_eraser_project(buf[::-1] if swap else buf,
+                                              eraser)
+                corr = np.fft.fft(np.einsum("rl,rl->l", factor, phi))
+                part = (kern.take(np.arange(i_lo - d, i_hi - d), mode="wrap")
+                        * corr.take(np.arange(i_lo - lag0, i_hi - lag0),
+                                    mode="wrap"))
+                acc[i_lo:i_hi] += part.real
+    return acc / coverage, coverage
 
 
 def loop_conditional_wvp(state, ch, window, eraser="none"):

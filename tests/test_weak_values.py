@@ -27,7 +27,8 @@ from conftest import WINDOW_WIDTH, run_python
 from oracles import (array_density, array_eraser_project, array_joint,
                      array_tiling_weights, dense_conditional, dense_joint,
                      dense_transfer, kick_rect_density, loop_conditional_wvp,
-                     loop_transfer, two_row_sums, two_rows)
+                     loop_transfer, two_row_sums, two_row_transfer,
+                     two_rows)
 
 
 def full_tiling(grid, width):
@@ -269,12 +270,18 @@ class TestHRowPath:
         return quotient(j, dens), j, dens, array_density(ce)
 
     @pytest.mark.parametrize("n_points", [256, 4096])
-    @pytest.mark.parametrize("source", ["sharp", "gaussian_smoothed"])
+    @pytest.mark.parametrize("source", ["sharp", "gaussian_smoothed", "noise"])
     @pytest.mark.parametrize("kind", ["identity", "scully", "kick"])
     def test_curves_match_the_two_row_path(self, n_points, source, kind):
+        """Slits of either edge profile, and a white-noise field."""
         grid = SimGrid(n_points, 16.0 if n_points == 256 else 64.0)
-        state = build_double_slit(SlitGeometry(0.5, edge_profile=source),
-                                  grid)
+        if source == "noise":
+            rng = np.random.default_rng(5)
+            state = TransverseState(grid, rng.normal(size=n_points)
+                                    + 1j * rng.normal(size=n_points))
+        else:
+            state = build_double_slit(
+                SlitGeometry(0.5, edge_profile=source), grid)
         ch = _equivalence_channel(kind, grid)
         window = MomentumWindow(-1, WINDOW_WIDTH)
         chi = two_row_sums(grid, two_rows(
@@ -607,3 +614,32 @@ class TestCorrelationForm:
         assert abs(fast.coverage - slow.coverage) <= 1e-14
         scale = np.max(np.abs(slow.density))
         assert np.max(np.abs(fast.density - slow.density)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("n_points", [256, 4096])
+    @pytest.mark.parametrize("edge", ["sharp", "gaussian_smoothed"])
+    @pytest.mark.parametrize("kind", ["identity", "scully", "kick"])
+    @pytest.mark.parametrize("eraser", ERASERS)
+    @pytest.mark.parametrize("index_set", ["fifteen", "full"])
+    def test_one_row_path_matches_the_two_row_path(self, n_points, edge,
+                                                   kind, eraser, index_set):
+        """The package correlates the H field alone; the two-row form of
+        tests/oracles.py, run on the state's mirror in V, gives the same
+        bits.
+
+        Every channel's K = u + v S commutes with the swap S, and the
+        erasers only flip the sign of the projected output, so the
+        mirror's P_wv equals the original's.
+        """
+        grid = SimGrid(n_points, 16.0 if n_points == 256 else 64.0)
+        state = build_double_slit(SlitGeometry(0.5, edge_profile=edge), grid)
+        mirror = two_rows(state.field)[::-1].copy()
+        ch = _equivalence_channel(kind, grid)
+        indices = _INDEX_SETS[index_set](grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CoverageWarning)
+            one = transfer_distribution(state, ch, WINDOW_WIDTH, indices,
+                                        eraser)
+        density, coverage = two_row_transfer(grid, mirror, ch, WINDOW_WIDTH,
+                                             indices, eraser)
+        assert one.coverage == coverage
+        assert np.array_equal(one.density, density)
