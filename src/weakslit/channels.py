@@ -112,6 +112,10 @@ def classical_kick(kicks: list[tuple[float, float]],
             f"kick |q| must not exceed the lattice momentum range {q_max:.6g}: "
             f"on the grid a larger kick is the same as a smaller one, "
             f"got {kicks}")
-    return MeasurementChannel("classical_kick", tuple(
-        (float(np.sqrt(pr)) * np.exp(1j * float(q) * grid.x), None)
-        for q, pr in kicks), grid)
+    x, sectors = grid.x, []
+    for q, pr in kicks:
+        u = 1j * float(q) * x
+        np.exp(u, out=u)
+        u *= float(np.sqrt(pr))
+        sectors.append((u, None))
+    return MeasurementChannel("classical_kick", tuple(sectors), grid)

@@ -426,7 +426,8 @@ def _tiling_weights(grid: SimGrid, width: float, indices: tuple[int, ...]
 
 
 def _sector_kernels(grid: SimGrid, u, v) -> list[tuple[bool, np.ndarray]]:
-    """(swap, K) for the sector's swap part v, if any, then its part u.
+    """(swap, K) for the sector's swap part v, if any, then its part u,
+    each transformed in place in its row m * flat, with no second row.
 
     A multiplier diagonal in x is, in momentum space, a circular
     convolution: to_momentum(u * from_momentum(a))[i] =
@@ -436,7 +437,7 @@ def _sector_kernels(grid: SimGrid, u, v) -> list[tuple[bool, np.ndarray]]:
     unit = np.zeros(grid.n_points)
     unit[grid.n_points // 2] = 1.0
     flat = grid.from_momentum(unit)
-    return [(swap, grid.to_momentum(m * flat))
+    return [(swap, grid.to_momentum(row := m * flat, out=row))
             for swap, m in ((True, v), (False, u)) if m is not None]
 
 
@@ -517,7 +518,11 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
 
     Only the H field is transformed and correlated, since S psi lives in
     V alone and the eraser projection scales H by +-1/sqrt(2) (see
-    :func:`_pass_factors`).
+    :func:`_pass_factors`).  The build order sets the peak memory, not
+    the bits: the passes keep only the tiled span of the H spectrum,
+    each sector builds its kernels after its padded output spectrum, so
+    the sector sum, that spectrum and the kernels never coexist, and
+    each pass combines its output rows 4,096 at a time.
     """
     _check_eraser(eraser)
     grid = state.grid
@@ -541,11 +546,12 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
                            * np.sqrt(input_dens.max() / coverage))
     offsets = (samples - n // 2
                - np.rint(windows * window_width / grid.dp).astype(np.int64))
-    del input_dens, windows  # keep the peak memory of the passes low
-
-    acc = np.zeros(n)
     j_lo = int(samples.min())
     span = int(samples.max()) + 1 - j_lo
+    chunk = field_t[j_lo:j_lo + span].copy()
+    del field_t, input_dens, windows  # keep the peak memory of the passes low
+
+    acc = np.zeros(n)
     # The distinct offsets, ascending (np.unique would import all of
     # numpy.ma to check for a mask).
     d_lo = int(offsets.min())
@@ -561,14 +567,13 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
                        min(n, lag0 + n)))
     size = _fast_len(max(max(n + lag0 - i_lo, i_hi - 1 - lag0 + span)
                          for _, lag0, i_lo, i_hi in passes))
-    chunk = field_t[j_lo:j_lo + span]
     # One sector at a time, so at most one (rows, L) spectrum exists.
     for u, v in ch.sectors:
-        kernels = _sector_kernels(grid, u, v)
         # conj(FFT(Phi)) / L turns each correlation into one forward FFT.
         phi = np.fft.fft(_sector_sum(grid, state.field, u, v, eraser), size)
         np.conj(phi, out=phi)
         phi /= size
+        kernels = _sector_kernels(grid, u, v)
         buf = np.empty((1, size), dtype=complex)
         corr = np.empty(size, dtype=complex)
         for d, lag0, i_lo, i_hi in passes:
@@ -582,13 +587,14 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
                 np.einsum("rl,rl->l", *_pass_factors(buf, phi, swap, eraser),
                           out=corr)
                 np.fft.fft(corr, out=corr)
-                part = kern.take(np.arange(i_lo - d, i_hi - d),
-                                 mode="wrap")
-                part *= corr.take(np.arange(i_lo - lag0, i_hi - lag0),
-                                  mode="wrap")
-                acc[i_lo:i_hi] += part.real
+                for lo in range(i_lo, i_hi, 4096):
+                    hi = min(lo + 4096, i_hi)
+                    part = kern.take(np.arange(lo - d, hi - d), mode="wrap")
+                    part *= corr.take(np.arange(lo - lag0, hi - lag0),
+                                      mode="wrap")
+                    acc[lo:hi] += part.real
         # Free this sector's buffers before the next sector's sums.
-        del phi, buf, corr, part
+        del phi, kernels, buf, corr
 
     if coverage < COVERAGE_MIN:
         warnings.warn(

@@ -107,6 +107,23 @@ class TestClassicalKick:
         dens_out = np.abs(grid.to_momentum(state.field * u)) ** 2
         np.testing.assert_allclose(dens_out, np.roll(dens_in, m), atol=1e-13)
 
+    @pytest.mark.parametrize("kicks", [
+        [(0.0, 1.0)],
+        [(-0.37, 0.3), (0.61, 0.7)],
+        [(1.0, 0.3), (-1.0, 0.7)],
+    ])
+    def test_sectors_are_built_bit_for_bit(self, grid, kicks):
+        """Each sector's u, built in one row in place, has the bytes of
+        sqrt(p) * exp(i q x) built as three rows; q is given here as a
+        fraction of |p[0]|, the largest kick the lattice accepts."""
+        edge = abs(float(grid.p[0]))
+        kicks = [(frac * edge, prob) for frac, prob in kicks]
+        ch = classical_kick(kicks, grid)
+        for (q, p), (u, v) in zip(kicks, ch.sectors, strict=True):
+            assert v is None
+            assert u.tobytes() == (float(np.sqrt(p))
+                                   * np.exp(1j * float(q) * grid.x)).tobytes()
+
     def test_sector_masses_are_probabilities(self, slit_state, grid):
         ch = classical_kick([(0.3, 0.1), (0.0, 0.6), (-0.9, 0.3)], grid)
         masses = [np.sum(np.abs(out) ** 2) * grid.dx
