@@ -23,7 +23,6 @@ interfere again, distinct classical outcomes cannot.
 """
 
 import math
-from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
@@ -39,7 +38,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class MeasurementChannel:
     """A Kraus set, one operator K = u + v S per sector, on ``grid``.
 
@@ -50,9 +48,10 @@ class MeasurementChannel:
     bit for bit, at an eighth of their memory.
     """
 
-    name: str
-    sectors: tuple[tuple[np.ndarray | float, np.ndarray | None], ...]
-    grid: SimGrid
+    def __init__(self, name: str, sectors: tuple, grid: SimGrid):
+        self.name = name
+        self.sectors = sectors
+        self.grid = grid
 
     def completeness_defect(self) -> float:
         """max |sum_k |u_k|^2 + |v_k|^2 - 1|: the largest deviation of

@@ -186,6 +186,10 @@ class ScenarioConfig:
                 raise ConfigError("sliver_width must be positive")
             self.window = MomentumWindow(win["focus_index"], float(
                 self.lab.momentum_from_position(win["sliver_width"])))
+            if not math.isfinite(self.window.width):
+                raise ConfigError(f"sliver_width {win['sliver_width']} m is "
+                                  f"{self.window.width} hbar/s, not a finite "
+                                  f"window width")
             # Windows narrower than 2 dp are refused, so at most n/2 + 2 can
             # hold a sample; a larger count only costs time and memory.
             count = win["count"]

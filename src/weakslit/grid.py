@@ -14,8 +14,6 @@ dx * dp * n = 2*pi the discrete transform is exactly unitary, so
 Parseval holds to round-off and round trips are exact.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError
@@ -27,7 +25,6 @@ __all__ = ["SimGrid", "LabFrame"]
 MAX_POINTS = 2 ** 22
 
 
-@dataclass(frozen=True)
 class SimGrid:
     """Conjugate position/momentum sample grid.
 
@@ -40,25 +37,26 @@ class SimGrid:
         Total simulated width in internal length units, > 0; stored as
         a float.
 
-    A lattice outside these ranges raises :class:`ConfigError`.
+    A lattice outside these ranges raises :class:`ConfigError`.  Two
+    grids are equal when their ``n_points`` and ``x_extent`` are.
     """
 
-    n_points: int
-    x_extent: float
-    dx: float = field(init=False)
-    dp: float = field(init=False)
-
-    def __post_init__(self):
-        n = self.n_points
+    def __init__(self, n_points: int, x_extent: float):
+        n = n_points
         if isinstance(n, bool) or not isinstance(n, int) \
                 or not 8 <= n <= MAX_POINTS or n & (n - 1):
             raise ConfigError(f"n_points must be a power of two in "
                               f"[8, {MAX_POINTS}], got {n}")
-        if not self.x_extent > 0.0:
-            raise ConfigError(f"x_extent must be positive, got {self.x_extent}")
-        object.__setattr__(self, "x_extent", float(self.x_extent))
-        object.__setattr__(self, "dx", self.x_extent / self.n_points)
-        object.__setattr__(self, "dp", 2.0 * np.pi / self.x_extent)
+        if not x_extent > 0.0:
+            raise ConfigError(f"x_extent must be positive, got {x_extent}")
+        self.n_points = n_points
+        self.x_extent = float(x_extent)
+        self.dx = self.x_extent / n_points
+        self.dp = 2.0 * np.pi / self.x_extent
+
+    def __eq__(self, other):
+        return isinstance(other, SimGrid) and (self.n_points, self.x_extent) \
+            == (other.n_points, other.x_extent)
 
     @property
     def x(self) -> np.ndarray:
@@ -158,7 +156,6 @@ def indicator(samples: np.ndarray, step: float, lo, hi) -> np.ndarray:
     return mask
 
 
-@dataclass(frozen=True)
 class LabFrame:
     """Conversion between internal units and laboratory lengths.
 
@@ -171,14 +168,16 @@ class LabFrame:
     All lab lengths are in metres.
     """
 
-    wavelength: float
-    focal_length: float
-    slit_separation: float
-
-    def __post_init__(self):
+    def __init__(self, wavelength: float, focal_length: float,
+                 slit_separation: float):
+        self.wavelength = wavelength
+        self.focal_length = focal_length
+        self.slit_separation = slit_separation
         for name in ("wavelength", "focal_length", "slit_separation"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"LabFrame.{name} must be positive")
+        if not self.fringe_period > 0.0:
+            raise ConfigError("LabFrame.fringe_period underflows to 0")
 
     @property
     def fringe_period(self) -> float:

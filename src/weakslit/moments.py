@@ -17,8 +17,6 @@ the continuum Delta^2/12 as dp -> 0.  :func:`window_variance` returns
 the exact lattice value.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channels import MeasurementChannel
@@ -79,12 +77,12 @@ def apodized_variance(dist: TransferDistribution, kappa: float) -> float:
     return float(np.trapezoid(integrand, dist.q))
 
 
-@dataclass(frozen=True)
 class ApodizationReport:
     """A kappa sweep: values, the largest-kappa entry, and the trend label."""
 
-    kappas: tuple[float, ...]
-    values: tuple[float, ...]
+    def __init__(self, kappas: tuple[float, ...], values: tuple[float, ...]):
+        self.kappas = kappas
+        self.values = values
 
     @property
     def largest_kappa_value(self) -> float:

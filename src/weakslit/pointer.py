@@ -26,8 +26,6 @@ It tends to the conditional weak-valued probability J/P as r -> 0
 fraction of a projective measurement of the window, as c -> 0.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channels import MeasurementChannel
@@ -95,7 +93,6 @@ def estimate_wvp(curve: WvpCurve, ratio: float) -> np.ndarray:
 ROUNDOFF_EPS = 32
 
 
-@dataclass(frozen=True)
 class ConvergenceReport:
     """Max-abs estimator error against the analytic curve, per ratio.
 
@@ -104,9 +101,11 @@ class ConvergenceReport:
     :attr:`slope_smallest_pair` read only the errors above them.
     """
 
-    ratios: tuple[float, ...]
-    errors: tuple[float, ...]
-    floors: tuple[float, ...]
+    def __init__(self, ratios: tuple[float, ...], errors: tuple[float, ...],
+                 floors: tuple[float, ...]):
+        self.ratios = ratios
+        self.errors = errors
+        self.floors = floors
 
     def slope(self, i: int = -2, j: int = -1) -> float:
         """log-log convergence order between two sweep entries."""

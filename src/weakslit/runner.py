@@ -5,8 +5,6 @@ figure descriptions from a validated :class:`ScenarioConfig`.  File
 emission lives in :mod:`weakslit.outputs`.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import __version__
@@ -31,7 +29,6 @@ _TWO_PI = 2.0 * np.pi
 PLOT_RANGE = 4.0 * _TWO_PI
 
 
-@dataclass
 class Table:
     """A data table with (column, unit) headers; the bundle's key names it.
 
@@ -40,30 +37,35 @@ class Table:
     as 0/1.
     """
 
-    columns: tuple[tuple[str, str], ...]
-    data: tuple[np.ndarray, ...]
+    def __init__(self, columns: tuple[tuple[str, str], ...],
+                 data: tuple[np.ndarray, ...]):
+        self.columns = columns
+        self.data = data
 
 
-@dataclass
 class Figure:
     """Declarative line-plot description rendered by the SVG backend."""
 
-    name: str
-    series: list
-    title: str
-    xlabel: str
-    ylabel: str
-    x2label: str | None = None
-    x2scale: float | None = None
+    def __init__(self, name: str, series: list, title: str, xlabel: str,
+                 ylabel: str, x2label: str | None = None,
+                 x2scale: float | None = None):
+        self.name = name
+        self.series = series
+        self.title = title
+        self.xlabel = xlabel
+        self.ylabel = ylabel
+        self.x2label = x2label
+        self.x2scale = x2scale
 
 
-@dataclass
 class ResultBundle:
-    command: str
-    tables: dict = field(default_factory=dict)
-    summary: dict = field(default_factory=dict)
-    provenance: dict = field(default_factory=dict)
-    figures: list = field(default_factory=list)
+    def __init__(self, command: str, tables: dict | None = None,
+                 summary: dict | None = None):
+        self.command = command
+        self.tables = {} if tables is None else tables
+        self.summary = {} if summary is None else summary
+        self.provenance = {}
+        self.figures = []
 
 
 def _mm_per_unit(config: ScenarioConfig) -> float:

@@ -6,7 +6,6 @@ swap, the which-way tag, puts amplitude into V downstream.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +27,6 @@ EDGE_MARGIN = 4
 EDGE_TAIL = 1e-12
 
 
-@dataclass(frozen=True)
 class SlitGeometry:
     """Double-slit aperture parameters in internal length units.
 
@@ -39,27 +37,26 @@ class SlitGeometry:
     momentum moments finite; sharp edges do not.
     """
 
-    width: float
-    edge_profile: str = "sharp"
-    edge_scale: float | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.width < 1.0:
+    def __init__(self, width: float, edge_profile: str = "sharp",
+                 edge_scale: float | None = None):
+        if not 0.0 < width < 1.0:
             raise GeometryError(
-                f"need 0 < width < 1 slit separation, got width={self.width}")
-        if self.edge_profile not in ("sharp", "gaussian_smoothed"):
-            raise GeometryError(f"unknown edge_profile {self.edge_profile!r}")
-        if self.edge_profile == "gaussian_smoothed" and self.edge_scale is None:
-            object.__setattr__(self, "edge_scale", self.width / 10.0)
-        if self.edge_scale is not None and not self.edge_scale > 0.0:
+                f"need 0 < width < 1 slit separation, got width={width}")
+        if edge_profile not in ("sharp", "gaussian_smoothed"):
+            raise GeometryError(f"unknown edge_profile {edge_profile!r}")
+        if edge_profile == "gaussian_smoothed" and edge_scale is None:
+            edge_scale = width / 10.0
+        if edge_scale is not None and not edge_scale > 0.0:
             raise GeometryError("edge_scale must be positive")
+        self.width = width
+        self.edge_profile = edge_profile
+        self.edge_scale = edge_scale
 
     @property
     def sharp(self) -> bool:
         return self.edge_profile == "sharp"
 
 
-@dataclass
 class TransverseState:
     """Horizontally polarised complex field on a :class:`SimGrid`.
 
@@ -69,9 +66,11 @@ class TransverseState:
     momentum variance diverges.
     """
 
-    grid: SimGrid
-    field: np.ndarray
-    sharp_edges: bool = False
+    def __init__(self, grid: SimGrid, field: np.ndarray,
+                 sharp_edges: bool = False):
+        self.grid = grid
+        self.field = field
+        self.sharp_edges = sharp_edges
 
     def momentum_field(self) -> np.ndarray:
         """(n,) momentum-space field via the unitary transform."""

@@ -31,7 +31,6 @@ of the density maximum when the tiling holds most of the mass.
 """
 
 import warnings
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -64,7 +63,6 @@ EPS_DEN_FRACTION = 1e-6
 COVERAGE_MIN = 0.99
 
 
-@dataclass(frozen=True)
 class MomentumWindow:
     """Momentum bin number ``index`` of a tiling with bin width ``width``.
 
@@ -73,8 +71,9 @@ class MomentumWindow:
     tile momentum space without overlap.
     """
 
-    index: int
-    width: float
+    def __init__(self, index: int, width: float):
+        self.index = index
+        self.width = width
 
     @property
     def center(self) -> float:
@@ -86,7 +85,6 @@ class MomentumWindow:
         return (self.center - half, self.center + half)
 
 
-@dataclass
 class WvpCurve:
     """Conditional weak-valued probability sampled over final momentum.
 
@@ -99,13 +97,14 @@ class WvpCurve:
     grid's ``p``.
     """
 
-    values: np.ndarray
-    joint: np.ndarray
-    density: np.ndarray
-    strong: np.ndarray
+    def __init__(self, values: np.ndarray, joint: np.ndarray,
+                 density: np.ndarray, strong: np.ndarray):
+        self.values = values
+        self.joint = joint
+        self.density = density
+        self.strong = strong
 
 
-@dataclass
 class TransferDistribution:
     """Sampled momentum-transfer quasi-probability density P_wv(q).
 
@@ -120,13 +119,16 @@ class TransferDistribution:
     density itself for one that holds almost none.
     """
 
-    q: np.ndarray
-    density: np.ndarray
-    window_width: float
-    windows: tuple[int, ...]
-    coverage: float
-    eraser: str
-    roundoff_floor: float
+    def __init__(self, q: np.ndarray, density: np.ndarray,
+                 window_width: float, windows: tuple[int, ...],
+                 coverage: float, eraser: str, roundoff_floor: float):
+        self.q = q
+        self.density = density
+        self.window_width = window_width
+        self.windows = windows
+        self.coverage = coverage
+        self.eraser = eraser
+        self.roundoff_floor = roundoff_floor
 
     def integral(self) -> float:
         return float(np.trapezoid(self.density, self.q))
@@ -441,22 +443,6 @@ def _sector_kernels(grid: SimGrid, u, v) -> list[tuple[bool, np.ndarray]]:
             for swap, m in ((True, v), (False, u)) if m is not None]
 
 
-def _pass_factors(buf: np.ndarray, phi: np.ndarray, swap: bool,
-                  eraser: str) -> tuple[np.ndarray, np.ndarray]:
-    """The two (rows, L) factors whose product, summed over rows, is one
-    kernel's spectrum in an offset pass: the erased, optionally swapped
-    input spectrum, from the H spectrum ``buf``, and the conjugated
-    output spectrum ``phi``.
-
-    S h lives in V alone, so the swap and the eraser reduce to picking a
-    row of ``phi`` or scaling H by +-1/sqrt(2).
-    """
-    if eraser == "none":
-        return buf, phi[1:] if swap else phi[:1]
-    h = buf / np.sqrt(2.0)
-    return (-h if swap and eraser == "minus45" else h), phi
-
-
 def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
                           window_width: float,
                           indices: Iterable[int] | None = None,
@@ -517,12 +503,14 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
     after the division.
 
     Only the H field is transformed and correlated, since S psi lives in
-    V alone and the eraser projection scales H by +-1/sqrt(2) (see
-    :func:`_pass_factors`).  The build order sets the peak memory, not
-    the bits: the passes keep only the tiled span of the H spectrum,
-    each sector builds its kernels after its padded output spectrum, so
-    the sector sum, that spectrum and the kernels never coexist, and
-    each pass combines its output rows 4,096 at a time.
+    V alone: without an eraser the swap kernel reads the V row of the
+    output spectrum, and a +-45 eraser scales each pass's H spectrum by
+    1/sqrt(2) in place, the -45 swap kernel negating its correlation.
+    The build order sets the peak memory, not the bits: the passes keep
+    only the tiled span of the H spectrum, each sector builds its
+    kernels after its padded output spectrum, so the sector sum, that
+    spectrum and the kernels never coexist, and each pass combines its
+    output rows 4,096 at a time.
     """
     _check_eraser(eraser)
     grid = state.grid
@@ -583,9 +571,14 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
                         out=buf[:, :span])
             buf[:, span:] = 0.0
             np.fft.fft(buf, out=buf)
+            if eraser != "none":
+                buf /= np.sqrt(2.0)
             for swap, kern in kernels:
-                np.einsum("rl,rl->l", *_pass_factors(buf, phi, swap, eraser),
+                np.einsum("rl,rl->l", buf,
+                          phi[1:] if swap and eraser == "none" else phi[:1],
                           out=corr)
+                if swap and eraser == "minus45":
+                    np.negative(corr, out=corr)
                 np.fft.fft(corr, out=corr)
                 for lo in range(i_lo, i_hi, 4096):
                     hi = min(lo + 4096, i_hi)

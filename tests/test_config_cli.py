@@ -146,6 +146,9 @@ class TestValidation:
         ({"pointer": {"sigma": 5e-324, "displacement": 1.0}}, "pointer"),
         ({"pointer": {"sigma": 1e-300, "displacement": 1e300}}, "pointer"),
         ({"windows": {"sliver_width": 0.0}}, "windows"),
+        ({"windows": {"sliver_width": 1e308}}, "windows"),
+        ({"lab": {"wavelength": 1e-320}}, "windows"),
+        ({"lab": {"wavelength": 1e-300, "focal_length": 1e-300}}, "lab"),
         ({"regularization": {"kappa": [-1.0]}}, "regularization"),
         ({"regularization": {"q_max": [1.0, -2.0]}}, "regularization"),
         ({"regularization": {"kappa": [0.0]}}, "regularization"),
@@ -241,7 +244,9 @@ class TestConfigHash:
 class TestCliRuns:
     def test_commands_leave_heavy_modules_unloaded(self, tmp_path):
         """No command maps OpenSSL (``_hashlib``, about 3.5 MiB), imports
-        ``numpy.ma`` or needs scipy, a test dependency only."""
+        ``numpy.ma`` or needs scipy, a test dependency only.  The records
+        are plain classes, so no command loads ``dataclasses`` or
+        ``copy`` or pays for generating methods at start-up."""
         code = ("import sys; from weakslit import cli\n"
                 f"for command in {sorted(COMMANDS)!r}:\n"
                 "    assert cli.main([command, '--preset', 'paper', '--set', "
@@ -251,7 +256,7 @@ class TestCliRuns:
         assert proc.returncode == 0, proc.stderr
         loaded = proc.stdout.splitlines()[-1].split()
         assert "weakslit.runner" in loaded
-        assert [m for m in loaded if m == "_hashlib"
+        assert [m for m in loaded if m in ("_hashlib", "dataclasses", "copy")
                 or m.split(".")[0] == "scipy"
                 or m == "numpy.ma" or m.startswith("numpy.ma.")] == []
 
@@ -394,6 +399,13 @@ class TestCliExitCodes:
         ["wvp", "--set", "geometry.separation=-8e-5"],
         ["wvp", "--preset", "paper", "--set", "geometry.width=90e-6"],
         ["wvp", "--set", "grid.x_extent=1.5"],
+        # a focus window whose width in hbar/s is not a finite number
+        ["wvp", "--preset", "paper", "--set", "windows.sliver_width=1e308"],
+        ["wvp", "--preset", "paper", "--set", "lab.wavelength=1e-320"],
+        ["transfer", "--set", "windows.sliver_width=1e308"],
+        # a fringe period f * wavelength / s that underflows to 0
+        ["wvp", "--set", "lab.wavelength=1e-300",
+         "--set", "lab.focal_length=1e-300"],
         # refused by validation; running it would cost memory in the count
         ["transfer", "--set", "grid.n_points=1024",
          "--set", "windows.count=400001"],

@@ -163,8 +163,9 @@ class TestEstimator:
         report = convergence_sweep(slit_state, wwm, focus_window,
                                    [0.1, 0.5, 0.1])
         assert report.ratios == (0.5, 0.1)
-        assert report == convergence_sweep(slit_state, wwm, focus_window,
-                                           [0.1, 0.5])
+        once = convergence_sweep(slit_state, wwm, focus_window, [0.1, 0.5])
+        assert (report.ratios, report.errors, report.floors) \
+            == (once.ratios, once.errors, once.floors)
         assert report.slope_smallest_pair == report.slope()
 
     def test_sweep_refuses_a_non_positive_ratio(self, slit_state, wwm,
