@@ -16,7 +16,7 @@ from .pointer import (convergence_sweep, estimate_wvp, marginal,
                       run_tagged)
 from .weak_values import (EPS_DEN_FRACTION, COVERAGE_MIN, eraser_curves,
                           momentum_distribution, transfer_distribution,
-                          window_mask)
+                          window_mask, MomentumWindow)
 # No command calls these here any more; perfbench/layers.py still wraps
 # the names in this module to trace them.
 from .weak_values import conditional_wvp, joint_wvp  # noqa: F401
@@ -90,6 +90,16 @@ def _provenance(config: ScenarioConfig) -> dict:
     }
 
 
+def _window_range(p: np.ndarray, dp: float, window: MomentumWindow) -> slice:
+    """The samples where :func:`window_mask` is 1, contiguous on the
+    sorted ``p``: in [lo, hi), less one within 1e-12 dp of an edge."""
+    (lo, hi), tol = window.bounds, 1e-12 * dp
+    start, stop = np.searchsorted(p, (lo, hi)).tolist()
+    start += bool(start < len(p) and abs(p[start] - lo) < tol)
+    stop -= bool(stop and abs(p[stop - 1] - hi) < tol)
+    return slice(start, stop)
+
+
 def _run_wvp(config: ScenarioConfig) -> ResultBundle:
     window = config.window
     # One set of full-state sector sums gives the curve and, through the
@@ -114,7 +124,8 @@ def _run_wvp(config: ScenarioConfig) -> ResultBundle:
         ("input_density", "s/hbar"), ("output_density", "s/hbar"),
     ), (p, p_lab, dens_in, dens_out))
 
-    in_window = curve.values[ok & (window_mask(config.grid, window) > 0.5)]
+    in_window = curve.values[_window_range(p, config.grid.dp, window)]
+    in_window = in_window[np.isfinite(in_window)]
     bundle.summary = {
         "window_index": window.index,
         "window_width": window.width,
@@ -273,6 +284,7 @@ def _run_pointer(config: ScenarioConfig) -> ResultBundle:
     dens = analytic.density / (np.sum(analytic.density) * config.grid.dp)
     marg = marginal(analytic, ratio)
     marg = marg / (np.sum(marg) * config.grid.dp)
+    marg_dev = np.subtract(marg, dens, out=marg)
     p, mm = config.grid.p, _mm_per_unit(config)
 
     bundle = ResultBundle("pointer")
@@ -286,7 +298,7 @@ def _run_pointer(config: ScenarioConfig) -> ResultBundle:
         "window_index": window.index,
         "window_width": window.width,
         "max_abs_dev_vs_analytic": dev,
-        "marginal_max_abs_dev": float(np.max(np.abs(marg - dens))),
+        "marginal_max_abs_dev": float(np.max(np.abs(marg_dev, out=marg_dev))),
     }
     sel = _plot_sel(p)
     bundle.figures.append(Figure(

@@ -19,15 +19,9 @@ covered momentum mass, can be negative for nonclassical channels, and
 reduces to the kick distribution convolved with the window indicator
 for classical ones.
 
-P_wv(q) is not assembled window by window.  Every multiplier u or v is
-diagonal in x, so in momentum space it is a circular convolution with a
-fixed kernel.  Grouping the input samples by their offset from their own
-window's centre turns the W-window sum into about width/dp + 1
-zero-padded cross-correlations, one per offset, whose number does not
-depend on W: a full tiling costs O((width/dp) N log N) rather than
-O(W N log N).  See :func:`transfer_distribution` for the identity.
-The result equals the window-by-window sum up to round-off: a few ulps
-of the density maximum when the tiling holds most of the mass.
+P_wv(q) is not assembled window by window but as about width/dp + 1
+cross-correlations, one per offset of a sample from its window's centre,
+whatever the window count: see :func:`transfer_distribution`.
 """
 
 import warnings
@@ -35,7 +29,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .channels import MeasurementChannel
+from .channels import MeasurementChannel, identity_channel
 from .errors import (ConfigError, CoverageWarning, GridMismatchError,
                      ResolutionError, WindowRangeError)
 from .grid import SimGrid, indicator
@@ -93,12 +87,12 @@ class WvpCurve:
     ``joint`` is the numerator J(p_f), defined everywhere, ``density``
     the denominator P(p_f) = sum |e(U psi)|^2 and ``strong``
     T(p_f) = sum |e(U chi)|^2, the joint probability a projective
-    measurement of the window gives.  Every array is sampled on the
-    grid's ``p``.
+    measurement of the window gives, which only :func:`conditional_wvp`
+    builds (None otherwise).  Every array is sampled on the grid's ``p``.
     """
 
     def __init__(self, values: np.ndarray, joint: np.ndarray,
-                 density: np.ndarray, strong: np.ndarray):
+                 density: np.ndarray, strong: np.ndarray | None):
         self.values = values
         self.joint = joint
         self.density = density
@@ -111,12 +105,9 @@ class TransferDistribution:
     ``density`` is normalised to the covered momentum mass, so it
     integrates to one whenever the window tiling is complete enough;
     ``coverage`` records the raw mass the tiling actually captured.
-    ``roundoff_floor`` bounds the FFT round-off the density carries,
-    16 eps sqrt(max P / coverage) with P the input momentum density
+    ``roundoff_floor`` bounds the FFT round-off the density carries
     (see :func:`transfer_distribution`): a density value no larger is
-    indistinguishable from zero.  It is a few ulps of the density
-    maximum for a tiling that holds most of the mass and exceeds the
-    density itself for one that holds almost none.
+    indistinguishable from zero.
     """
 
     def __init__(self, q: np.ndarray, density: np.ndarray,
@@ -153,10 +144,9 @@ def _check_eraser(eraser: str):
 
 
 def _check_width(grid: SimGrid, width: float):
-    if width < 2.0 * grid.dp:
-        raise ResolutionError(
-            f"window width {width} narrower than 2 bins ({2.0 * grid.dp:.4g})"
-        )
+    if not 2.0 * grid.dp <= width < np.inf:
+        raise ResolutionError(f"window width {width} must be finite and at "
+                              f"least 2 bins ({2.0 * grid.dp:.4g})")
 
 
 def quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -190,8 +180,7 @@ def _window_project(state: TransverseState, window: MomentumWindow) -> Transvers
         lo, hi = window.bounds
         raise WindowRangeError(
             f"window [{lo:.4g}, {hi:.4g}] outside the simulated momentum "
-            f"range [{grid.p[0]:.4g}, {grid.p[-1]:.4g}]"
-        )
+            f"range [{grid.p[0]:.4g}, {grid.p[-1]:.4g}]")
     field = state.momentum_field()
     field *= mask
     return TransverseState(grid, grid.from_momentum(field, out=field),
@@ -216,7 +205,7 @@ def _sector_sum(grid: SimGrid, field: np.ndarray, u, v,
     acc = (field * u)[np.newaxis] if v is None else [field * u, field * v]
     for row in acc:
         grid.to_momentum(row, out=row)
-    return _eraser_project(acc, eraser)
+    return _eraser_project(acc, eraser, acc[-1])
 
 
 def _sector_momentum_sums(state: TransverseState, ch: MeasurementChannel,
@@ -289,7 +278,7 @@ def joint_wvp(state: TransverseState, ch: MeasurementChannel,
     window-projected state and that of the full state.  Finite
     everywhere, negative where the weak value leaves [0, 1].
     """
-    return conditional_wvp(state, ch, window, eraser).joint
+    return eraser_curves(state, ch, window, (eraser,))[eraser].joint
 
 
 def conditional_wvp(state: TransverseState, ch: MeasurementChannel,
@@ -301,28 +290,33 @@ def conditional_wvp(state: TransverseState, ch: MeasurementChannel,
     the identity channel (or the +45 eraser on the which-way marker)
     the defined part is the window indicator.
     """
-    return eraser_curves(state, ch, window, (eraser,))[eraser]
+    _check_eraser(eraser)
+    chi = _sector_momentum_sums(_window_project(state, window), ch, eraser)
+    j, dens, strong = _curve_parts(
+        chi, _sector_momentum_sums(state, ch, eraser), True)
+    return WvpCurve(quotient(j, dens), j, dens, strong)
 
 
 def eraser_curves(state: TransverseState, ch: MeasurementChannel,
                   window: MomentumWindow,
                   erasers: Iterable[str] = ERASERS) -> dict[str, WvpCurve]:
-    """:func:`conditional_wvp` for each eraser setting, keyed by setting
-    in the order requested.  A repeated setting is built once.
+    """:func:`conditional_wvp` for each eraser setting but without T,
+    keyed by setting in the order requested, each built once.
 
     The window projection and the un-erased sector sums of both states
     do not depend on the eraser, so they are built once.  The order in
-    which rows are built and released sets the peak memory (6.5 MiB of
-    arrays for all three settings at 2^16 points, 5.5 MiB for one):
+    which rows are built and released sets the peak memory (6.0 MiB of
+    arrays for all three settings at 2^16 points, 5.5 MiB for
+    :func:`conditional_wvp`'s one with T):
 
     1. The window-projected state's sums come first, and its field is
        released before the full state's are built: the last transform
        and its FFT scratch run beside four rows.
     2. ``none`` reads the sums as they are.  When it is the only
-       setting, P releases the full state's sums and T the other's.
+       setting, P releases the sums of both states.
     3. Each sum is projected to the remaining settings, the last one in
        the sum's own last row, and released before the next.
-    4. Each remaining setting builds its J, P and T, releasing its
+    4. Each remaining setting builds its J and P, releasing its
        projected sums as it reads them; the ``values`` come last.
     """
     erasers = tuple(dict.fromkeys(erasers))
@@ -353,17 +347,17 @@ def eraser_curves(state: TransverseState, ch: MeasurementChannel,
     return curves
 
 
-def _curve_parts(chi_erased: list[np.ndarray], psi_erased: list[np.ndarray]
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _curve_parts(chi_erased: list[np.ndarray], psi_erased: list[np.ndarray],
+                 strong: bool = False) -> tuple:
     """(J, P, T) of one eraser setting from its projected sector sums,
-    emptying ``psi_erased`` once P is built and ``chi_erased`` once T
-    is."""
+    T None unless ``strong``, emptying ``psi_erased`` once P is built
+    and ``chi_erased`` once T is."""
     j = _joint(chi_erased, psi_erased)
     dens = _density(psi_erased)
     psi_erased.clear()
-    strong = _density(chi_erased)
+    t = _density(chi_erased) if strong else None
     chi_erased.clear()
-    return j, dens, strong
+    return j, dens, t
 
 
 def momentum_distribution(state: TransverseState,
@@ -371,11 +365,8 @@ def momentum_distribution(state: TransverseState,
                           eraser: str = "none") -> np.ndarray:
     """Normalised momentum density before (ch=None) or after a channel."""
     _check_eraser(eraser)
-    if ch is None:
-        erased = [_eraser_project(state.momentum_field()[np.newaxis], eraser)]
-    else:
-        erased = _sector_momentum_sums(state, ch, eraser)
-    dens = _density(erased)
+    ch = identity_channel(state.grid) if ch is None else ch
+    dens = _density(_sector_momentum_sums(state, ch, eraser))
     return np.divide(dens, np.sum(dens) * state.grid.dp, out=dens)
 
 
@@ -590,13 +581,10 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
         del phi, kernels, buf, corr
 
     if coverage < COVERAGE_MIN:
-        warnings.warn(
-            CoverageWarning(
-                f"window tiling covers {coverage:.4f} of the momentum mass "
-                f"(< {COVERAGE_MIN}); density is normalised to the covered part"
-            ),
-            stacklevel=2,
-        )
+        warnings.warn(CoverageWarning(
+            f"window tiling covers {coverage:.4f} of the momentum mass "
+            f"(< {COVERAGE_MIN}); density is normalised to the covered part"),
+            stacklevel=2)
     density = acc / coverage
     return TransferDistribution(grid.p, density, window_width,
                                 indices, coverage, eraser, roundoff_floor)

@@ -16,7 +16,8 @@ random probabilities), the eraser and the window:
   puts every sample inside exactly one window and none on an edge,
   the windows' joint quantities J_w sum to the post-selection density
   P at every sample, for every eraser, and their strong densities T_w
-  integrate to the tiling's coverage;
+  (which only ``conditional_wvp`` builds) integrate to the tiling's
+  coverage;
 * the correlation form of ``transfer_distribution`` equals the
   per-window loop it replaced, to 1e-13 of the density maximum plus
   the round-off both carry, the result's ``roundoff_floor``.
@@ -46,9 +47,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakslit import (MomentumWindow, SimGrid, SlitGeometry,
-                      build_double_slit, classical_kick, eraser_curves,
-                      identity_channel, scully_wwm, transfer_distribution,
-                      window_mask)
+                      build_double_slit, classical_kick, conditional_wvp,
+                      eraser_curves, identity_channel, scully_wwm,
+                      transfer_distribution, window_mask)
 from weakslit.errors import CoverageWarning
 from weakslit.weak_values import ERASERS, _tiling_indices
 
@@ -171,7 +172,8 @@ def test_full_tiling_sums_to_the_post_selection_density(scenario, half):
         np.testing.assert_allclose(
             sum(c[eraser].joint for c in curves), density, rtol=0.0,
             atol=16.0 * EPS * density.max())
-    strong = sum(float(np.sum(c["none"].strong)) for c in curves) * grid.dp
+    strong = sum(float(np.sum(conditional_wvp(state, ch, w).strong))
+                 for w in tiling) * grid.dp
     coverage = transfer_distribution(state, ch, tiling[0].width,
                                      [w.index for w in tiling]).coverage
     assert strong == pytest.approx(coverage, rel=0.0, abs=16.0 * EPS)

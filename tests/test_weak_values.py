@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from weakslit import (ConfigError, CoverageWarning, GridMismatchError,
                       MomentumWindow, ResolutionError, SimGrid, SlitGeometry,
@@ -18,7 +20,7 @@ from weakslit import (ConfigError, CoverageWarning, GridMismatchError,
                       momentum_distribution, scully_wwm,
                       transfer_distribution, window_mask)
 from weakslit.config import PRESETS, from_dict
-from weakslit.runner import run
+from weakslit.runner import _window_range, run
 from weakslit.weak_values import (ERASERS, _density, _eraser_project, _joint,
                                   _sector_momentum_sums, _tiling_weights,
                                   _window_project, quotient)
@@ -34,6 +36,31 @@ from oracles import (array_density, array_eraser_project, array_joint,
 def full_tiling(grid, width):
     n_cov = int(np.ceil(grid.p[-1] / width)) + 1
     return range(-n_cov, n_cov + 1)
+
+
+@st.composite
+def grid_windows(draw):
+    """A grid of 8 to 1,024 points and a window on it of one of three
+    kinds: edges within a few 1e-12 dp of a sample ("edge"), any width
+    and position, reaching past either end of the grid or lying wholly
+    beyond it ("anywhere"), and narrower than one bin, so that it may
+    hold no sample ("narrow")."""
+    grid = SimGrid(draw(st.sampled_from([8, 16, 64, 256, 1024])),
+                   draw(st.floats(0.5, 200.0)))
+    half = grid.n_points // 2
+    kind = draw(st.sampled_from(["edge", "anywhere", "narrow"]))
+    if kind == "edge":
+        # An even bin count puts both edges of every window on samples;
+        # (index +- 1/2) * jitter moves them off by about 1e-12 dp.
+        bins = 2 * draw(st.integers(1, half))
+        index = draw(st.integers(-half // bins - 1, half // bins + 1))
+        jitter = draw(st.floats(-3e-12, 3e-12)) / (abs(index) + 0.5)
+        return grid, MomentumWindow(index, (bins + jitter) * grid.dp)
+    bins = draw(st.floats(2.0, 2.0 * half) if kind == "anywhere"
+                else st.floats(0.01, 0.99))
+    reach = int(half / bins) + 3
+    return grid, MomentumWindow(draw(st.integers(-reach, reach)),
+                                bins * grid.dp)
 
 
 class TestWindowAlgebra:
@@ -75,6 +102,41 @@ class TestWindowAlgebra:
     def test_project_rejects_unresolvable_window(self, slit_state, grid):
         with pytest.raises(ResolutionError):
             _window_project(slit_state, MomentumWindow(0, 1.9 * grid.dp))
+
+    @pytest.mark.parametrize("width", [float("nan"), float("inf"),
+                                       float("-inf")])
+    @pytest.mark.parametrize("call", ["transfer", "transfer_indices",
+                                      "conditional"])
+    def test_non_finite_width_is_unresolvable(self, slit_state, grid,
+                                              width, call):
+        """Refused before any arithmetic on the width: no numpy warning,
+        no bare ValueError, no WindowRangeError."""
+        ch = identity_channel(grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ResolutionError, match="must be finite"):
+                if call == "conditional":
+                    conditional_wvp(slit_state, ch, MomentumWindow(0, width))
+                else:
+                    transfer_distribution(
+                        slit_state, ch, width,
+                        range(-7, 8) if call == "transfer_indices" else None)
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=400)
+    @given(grid_windows())
+    @example((SimGrid(64, 8.0), MomentumWindow(0, 16.0 * 2.0 * np.pi / 8.0)))
+    @example((SimGrid(64, 8.0), MomentumWindow(10, 16.0 * 2.0 * np.pi / 8.0)))
+    @example((SimGrid(64, 8.0), MomentumWindow(-99, 4.0)))
+    @example((SimGrid(64, 8.0), MomentumWindow(3, 0.1)))
+    def test_wvp_summary_range_is_the_full_weight_mask(self, case):
+        """``wvp``'s in-window summary reads the samples of weight 1:
+        the slice found on the sorted axis selects exactly them."""
+        grid, window = case
+        got = np.arange(grid.n_points)[
+            _window_range(grid.p, grid.dp, window)]
+        np.testing.assert_array_equal(
+            got, np.flatnonzero(window_mask(grid, window) > 0.5))
 
     @pytest.mark.parametrize("bins", [None, 14.0])
     def test_tiling_weights_reproduce_window_mask(self, grid, bins):
@@ -260,7 +322,9 @@ class TestHRowPath:
     density equal, byte for byte, the ones built from the two-row sector
     sums of tests/oracles.py, with a zero V row, and that module's J, P
     and eraser projection.  Bytes, not np.array_equal, so that -0.0 and
-    +0.0, which %.12g prints apart, count as different."""
+    +0.0, which %.12g prints apart, count as different.  T is compared
+    on ``conditional_wvp``'s curve, the one that builds it; every curve
+    of ``eraser_curves`` has none."""
 
     @staticmethod
     def _two_row_curve(chi, psi, eraser):
@@ -290,13 +354,15 @@ class TestHRowPath:
         assert all(len(total) == 2 for total in chi + psi)
         curves = eraser_curves(state, ch, window)
         for eraser in ERASERS:
-            expected = self._two_row_curve(chi, psi, eraser)
-            for curve in (curves[eraser],
-                          conditional_wvp(state, ch, window, eraser)):
-                got = (curve.values, curve.joint, curve.density,
-                       curve.strong)
-                assert [a.tobytes() for a in got] == [
-                    a.tobytes() for a in expected]
+            expected = [a.tobytes()
+                        for a in self._two_row_curve(chi, psi, eraser)]
+            curve = curves[eraser]
+            assert curve.strong is None
+            got = (curve.values, curve.joint, curve.density)
+            assert [a.tobytes() for a in got] == expected[:3]
+            curve = conditional_wvp(state, ch, window, eraser)
+            got = (curve.values, curve.joint, curve.density, curve.strong)
+            assert [a.tobytes() for a in got] == expected
 
     @pytest.mark.parametrize("fixture", ["slit_state", "smooth_state"])
     @pytest.mark.parametrize("eraser", ERASERS)
@@ -335,7 +401,10 @@ class TestPeakMemory:
     float rows per setting.  Keeping every sector sum until the last
     setting was built peaked at 11.0 MiB for all three settings and 8.1
     MiB for one; building both polarisation rows and the full state's
-    sums first, 8.0 and 7.1 MiB.
+    sums first, 8.0 and 7.1 MiB.  The ``eraser_curves`` bound guards
+    that its curves carry no strong density T, which only the pointer
+    reads and only ``conditional_wvp`` builds: a T row per setting
+    peaked at 6.50 MiB.
 
     And of the paper preset's transfer assembly at 2^14 points, where
     one complex row is 256 KiB.  The 15-window bound guards the build
@@ -376,7 +445,7 @@ class TestPeakMemory:
 
     def test_eraser_curves(self, large):
         peak = _traced_peak(lambda: eraser_curves(*large))
-        assert peak <= 7.5 * 2 ** 20
+        assert peak <= 6.4 * 2 ** 20
 
     def test_conditional_wvp(self, large):
         peak = _traced_peak(lambda: conditional_wvp(*large))
