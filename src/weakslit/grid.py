@@ -34,8 +34,8 @@ class SimGrid:
         Number of samples: a power of two, so FFTs stay fast, from 8 to
         :data:`MAX_POINTS`.
     x_extent : float
-        Total simulated width in internal length units, > 0; stored as
-        a float.
+        Total simulated width in internal length units, finite and > 0
+        with a finite dp; stored as a float.
 
     A lattice outside these ranges raises :class:`ConfigError`.  Two
     grids are equal when their ``n_points`` and ``x_extent`` are.
@@ -47,8 +47,11 @@ class SimGrid:
                 or not 8 <= n <= MAX_POINTS or n & (n - 1):
             raise ConfigError(f"n_points must be a power of two in "
                               f"[8, {MAX_POINTS}], got {n}")
-        if not x_extent > 0.0:
-            raise ConfigError(f"x_extent must be positive, got {x_extent}")
+        # In order, so nothing divides by zero.  A finite dp also keeps
+        # dx = x_extent / n above 0 for every accepted n.
+        if not 0.0 < x_extent < np.inf or not 2.0 * np.pi / x_extent < np.inf:
+            raise ConfigError(f"x_extent must be positive and finite, with a "
+                              f"finite dp, got {x_extent}")
         self.n_points = n_points
         self.x_extent = float(x_extent)
         self.dx = self.x_extent / n_points
@@ -75,58 +78,41 @@ class SimGrid:
         axis *= step
         return axis
 
-    def _check(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values)
-        if values.shape[-1] != self.n_points:
-            raise GridMismatchError(
-                f"array of length {values.shape[-1]} on a grid of "
-                f"{self.n_points} points"
-            )
-        return values
-
     def to_momentum(self, values: np.ndarray,
                     out: np.ndarray | None = None) -> np.ndarray:
-        """Unitary transform of position samples to momentum samples.
+        """Unitary transform of one row of position samples, an (n,)
+        array, to momentum samples.
 
         Norm is preserved: sum |out|^2 dp == sum |in|^2 dx exactly up
-        to round-off.  Works on the last axis, so stacked states pass
-        through in one call.  ``out`` may take the result, even ``values``.
+        to round-off.  ``out`` may take the result, even ``values``.
         """
-        return self._transform(self._check(values), out=out)
+        return self._transform(values, out=out)
 
     def from_momentum(self, values: np.ndarray,
                       out: np.ndarray | None = None) -> np.ndarray:
-        """Inverse of :meth:`to_momentum`, with the same ``out``."""
-        return self._transform(self._check(values), inverse=True, out=out)
+        """Inverse of :meth:`to_momentum`, on one (n,) row of momentum
+        samples, with the same ``out``."""
+        return self._transform(values, inverse=True, out=out)
 
     def _transform(self, values: np.ndarray, inverse: bool = False,
                    out: np.ndarray | None = None) -> np.ndarray:
-        """:meth:`to_momentum` (or :meth:`from_momentum`) of ``values``
-        into ``out``: a new complex array, or one the caller owns, which
-        may be ``values`` itself.
+        """:meth:`to_momentum` (or :meth:`from_momentum`) of the row
+        ``values`` into ``out``: a new complex array, or one the caller
+        owns, which may be ``values`` itself.  Any shape but (n,) raises
+        :class:`GridMismatchError`.
 
         Equals fftshift(fft(ifftshift(values))) * scale bit for bit, but
         shifts, transforms and scales in ``out``; the only temporary is
         half a row.  n is even, so either shift swaps the two halves.
-        Stacked rows are transformed one at a time: numpy's pocketfft
-        allocates scratch for a transform of several rows and none for
-        one row, and each row's bits are the same either way.
         """
+        values = np.asarray(values)
+        if values.shape != (self.n_points,):
+            raise GridMismatchError(f"array of shape {values.shape} on a "
+                                    f"grid of {self.n_points} points")
         if out is None:
-            out = np.empty(values.shape, dtype=complex)
-        aliased = out is values
-        for index in np.ndindex(values.shape[:-1]):
-            self._transform_row(values[index], out[index], inverse, aliased)
-        return out
-
-    def _transform_row(self, values: np.ndarray, out: np.ndarray,
-                       inverse: bool, aliased: bool):
-        """One row of :meth:`_transform`; ``aliased`` when ``out`` is
-        ``values``."""
+            out = np.empty(self.n_points, dtype=complex)
         half = self.n_points // 2
-        head = values[:half]
-        if aliased:
-            head = head.copy()
+        head = values[:half].copy() if out is values else values[:half]
         out[:half] = values[half:]
         out[half:] = head
         del head  # free a copy before the transform
@@ -139,6 +125,7 @@ class SimGrid:
         head = out[:half] * scale
         np.multiply(out[half:], scale, out=out[:half])
         out[half:] = head
+        return out
 
 
 def indicator(samples: np.ndarray, step: float, lo, hi) -> np.ndarray:
@@ -176,8 +163,9 @@ class LabFrame:
         for name in ("wavelength", "focal_length", "slit_separation"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"LabFrame.{name} must be positive")
-        if not self.fringe_period > 0.0:
-            raise ConfigError("LabFrame.fringe_period underflows to 0")
+        if not 0.0 < self.fringe_period < np.inf:
+            raise ConfigError(f"LabFrame.fringe_period {self.fringe_period}"
+                              f" m is not a positive finite length")
 
     @property
     def fringe_period(self) -> float:

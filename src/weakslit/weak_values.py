@@ -195,14 +195,12 @@ def _check_grid(state: TransverseState, ch: MeasurementChannel):
 
 
 def _sector_sum(grid: SimGrid, field: np.ndarray, u, v,
-                eraser: str) -> np.ndarray:
-    """One sector's output (u + v S) h of the H field ``field``, as
-    eraser-projected momentum rows, one row for a +-45 eraser.
-
-    The rows are u h, a (1, n) array, for a sector with no swap part,
-    else u h and v h as two arrays, each released on its own.
+                eraser: str) -> list[np.ndarray]:
+    """One sector's output (u + v S) h of the H field ``field``, as a
+    list of eraser-projected (n,) momentum rows, one row for a +-45
+    eraser: [u h] for a sector with no swap part, else [u h, v h].
     """
-    acc = (field * u)[np.newaxis] if v is None else [field * u, field * v]
+    acc = [field * u] if v is None else [field * u, field * v]
     for row in acc:
         grid.to_momentum(row, out=row)
     return _eraser_project(acc, eraser, acc[-1])
@@ -216,15 +214,13 @@ def _sector_momentum_sums(state: TransverseState, ch: MeasurementChannel,
             for u, v in ch.sectors]
 
 
-def _eraser_project(rows: np.ndarray, eraser: str,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """Collapse polarisation amplitudes per the eraser setting.
-
-    Returns ``rows`` untouched for "none", else the (1, n) +-45 degree
-    projection (H +- V)/sqrt(2), built in ``out`` if given, which may be
-    the last row of ``rows``.  One row is the output of a sector with no
-    swap part, whose V row is zero: (H + 0.0)/sqrt(2).
-    """
+def _eraser_project(rows: list[np.ndarray], eraser: str,
+                    out: np.ndarray | None = None) -> list[np.ndarray]:
+    """Collapse a sector's (n,) polarisation rows per the eraser setting:
+    ``rows`` untouched for "none", else the one-row list of the +-45
+    degree projection (H +- V)/sqrt(2), built in ``out`` if given, which
+    may be the last of ``rows``.  A single row is the output of a sector
+    with no swap part, whose V row is zero: (H + 0.0)/sqrt(2)."""
     if eraser == "none":
         return rows
     if len(rows) == 1:
@@ -234,7 +230,7 @@ def _eraser_project(rows: np.ndarray, eraser: str,
                              out=out)
         np.add(rows[0], erased, out=erased)
     erased /= np.sqrt(2.0)
-    return erased[np.newaxis, :]
+    return [erased]
 
 
 def _joint(chi_erased: list[np.ndarray],
@@ -246,7 +242,7 @@ def _joint(chi_erased: list[np.ndarray],
     to 0.0; the complex products are formed 4,096 samples at a time.
     """
     def sector(ce, pe):
-        total = np.empty(pe[0].shape[-1])
+        total = np.empty(len(pe[0]))
         for lo in range(0, len(total), 4096):
             part = slice(lo, lo + 4096)
             total[part] = (ce[0][part] * np.conj(pe[0][part])).real
@@ -553,20 +549,21 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
         np.conj(phi, out=phi)
         phi /= size
         kernels = _sector_kernels(grid, u, v)
-        buf = np.empty((1, size), dtype=complex)
+        buf = np.empty(size, dtype=complex)
         corr = np.empty(size, dtype=complex)
         for d, lag0, i_lo, i_hi in passes:
             sel = offsets == d
             np.multiply(chunk, np.bincount(samples[sel] - j_lo,
                                            weights[sel], span),
-                        out=buf[:, :span])
-            buf[:, span:] = 0.0
+                        out=buf[:span])
+            buf[span:] = 0.0
             np.fft.fft(buf, out=buf)
             if eraser != "none":
                 buf /= np.sqrt(2.0)
             for swap, kern in kernels:
-                np.einsum("rl,rl->l", buf,
-                          phi[1:] if swap and eraser == "none" else phi[:1],
+                # einsum: np.multiply rounds some complex products differently.
+                np.einsum("l,l->l", buf,
+                          phi[1] if swap and eraser == "none" else phi[0],
                           out=corr)
                 if swap and eraser == "minus45":
                     np.negative(corr, out=corr)

@@ -22,9 +22,10 @@ time form.
 
 The oracles stay general in the polarisation: they act on (2, n)
 amplitudes, which :func:`two_rows` builds from a state's H field and a
-zero V row.  :func:`two_row_sums` is the package's two-row sector sum
-on them, through its own transform, and :func:`two_row_transfer` its
-two-row correlation-form transfer assembly.
+zero V row, and which :func:`transform_rows` transforms one row at a
+time through the package's one-row transform.  :func:`two_row_sums` is
+the package's two-row sector sum on them, and :func:`two_row_transfer`
+its two-row correlation-form transfer assembly.
 """
 
 import math
@@ -63,6 +64,13 @@ def two_rows(field) -> np.ndarray:
     return np.array([field, np.zeros_like(field)])
 
 
+def transform_rows(grid, amps, inverse=False) -> np.ndarray:
+    """(rows, n) stack of the package's transform of each row of
+    ``amps``, to momentum (or back, if ``inverse``)."""
+    transform = grid.from_momentum if inverse else grid.to_momentum
+    return np.array([transform(row) for row in amps])
+
+
 def apply_sector(amps, u, v) -> np.ndarray:
     """(2, n) output of the sector operator K = u + v S on (2, n)
     amplitudes, written out row by row: H' = u H + v V, V' = u V + v H."""
@@ -78,14 +86,15 @@ def _sector_amps(amps, ch, dft):
 
 def two_row_sums(grid, amps, ch, eraser="none"):
     """Per sector: the eraser-projected momentum output of its operator
-    on (2, n) amplitudes, amps u + S(amps) v, through the package's
-    transform; the package's sector sums before states held H alone."""
+    on (2, n) amplitudes, amps u + S(amps) v, through
+    :func:`transform_rows`; the package's sector sums before states held
+    H alone."""
     sums = []
     for u, v in ch.sectors:
         out = amps * u
         if v is not None:
             out += amps[::-1] * v
-        sums.append(array_eraser_project(grid.to_momentum(out), eraser))
+        sums.append(array_eraser_project(transform_rows(grid, out), eraser))
     return sums
 
 
@@ -212,7 +221,7 @@ def loop_transfer(state, ch, window_width, indices=None, eraser="none"):
     indices = tuple(int(n) for n in indices)
 
     amps = two_rows(state.field)
-    amps_t = grid.to_momentum(amps)
+    amps_t = transform_rows(grid, amps)
     input_dens = np.sum(np.abs(amps_t) ** 2, axis=0)
     # The full-state side of J does not depend on the window: hoist it.
     psi_erased = two_row_sums(grid, amps, ch, eraser)
@@ -227,7 +236,7 @@ def loop_transfer(state, ch, window_width, indices=None, eraser="none"):
         coverage += window_mass
         if window_mass == 0.0:
             continue
-        chi = grid.from_momentum(mask * amps_t)
+        chi = transform_rows(grid, mask * amps_t, inverse=True)
         j = _joint(two_row_sums(grid, chi, ch, eraser), psi_erased)
         shift = int(round(window.center / grid.dp))
         if shift >= n or shift <= -n:
@@ -258,7 +267,7 @@ def two_row_transfer(grid, amps, ch, window_width, indices, eraser="none"):
     eraser applied to the rows themselves.  Refuses no input and warns
     of no coverage."""
     n = grid.n_points
-    amps_t = grid.to_momentum(amps)
+    amps_t = transform_rows(grid, amps)
     samples, windows, weights = _tiling_weights(grid, window_width,
                                                 tuple(indices))
     input_dens = np.sum(np.abs(amps_t) ** 2, axis=0)

@@ -419,6 +419,9 @@ class TestCliExitCodes:
          "--set", "geometry.edge_profile=" + DEEP],
         ["variance", "--set", "grid.n_points=1024",
          "--set", "regularization.q_max=" + DEEP],
+        # a fringe period f * wavelength / s that overflows to inf
+        ["wvp", "--set", "lab.focal_length=1e308",
+         "--set", "lab.wavelength=1e-3", "--set", "grid.n_points=1024"],
     ])
     def test_rejected_values(self, tmp_path, capsys, argv):
         assert main(argv + ["--out", str(tmp_path / "x")]) == 2

@@ -29,8 +29,8 @@ from conftest import WINDOW_WIDTH, run_python
 from oracles import (array_density, array_eraser_project, array_joint,
                      array_tiling_weights, dense_conditional, dense_joint,
                      dense_transfer, kick_rect_density, loop_conditional_wvp,
-                     loop_transfer, two_row_sums, two_row_transfer,
-                     two_rows)
+                     loop_transfer, transform_rows, two_row_sums,
+                     two_row_transfer, two_rows)
 
 
 def full_tiling(grid, width):
@@ -370,7 +370,7 @@ class TestHRowPath:
                                                     eraser):
         state = request.getfixturevalue(fixture)
         erased = [array_eraser_project(
-            state.grid.to_momentum(two_rows(state.field)), eraser)]
+            transform_rows(state.grid, two_rows(state.field)), eraser)]
         dens = array_density(erased)
         dens = dens / (np.sum(dens) * state.grid.dp)
         assert momentum_distribution(state, eraser=eraser).tobytes() \
