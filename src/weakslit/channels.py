@@ -54,12 +54,17 @@ class MeasurementChannel:
         self.grid = grid
 
     def completeness_defect(self) -> float:
-        """max |sum_k |u_k|^2 + |v_k|^2 - 1|: the largest deviation of
-        diag(sum_k K_k^dag K_k) from 1 when conj(u_k) v_k = 0 pointwise,
-        as it is for every constructor here."""
-        total = sum(np.abs(u) ** 2 + (0.0 if v is None else np.abs(v) ** 2)
-                    for u, v in self.sectors)
-        return float(np.max(np.abs(total - 1.0)))
+        """max |a +- b - 1| over the samples: the largest deviation of
+        sum_k K_k^dag K_k = a + b S from the identity, with
+        a = sum_k |u_k|^2 + |v_k|^2 and b = 2 sum_k Re(conj(u_k) v_k),
+        since K^dag K = |u|^2 + |v|^2 + 2 Re(conj(u) v) S and the
+        eigenvalues of a + b S are a +- b."""
+        a = sum(np.abs(u) ** 2 + (0.0 if v is None else np.abs(v) ** 2)
+                for u, v in self.sectors)
+        b = sum(0.0 if v is None else 2.0 * (np.conj(u) * v).real
+                for u, v in self.sectors)
+        return float(np.max(np.maximum(np.abs(a + b - 1.0),
+                                       np.abs(a - b - 1.0))))
 
 
 def identity_channel(grid: SimGrid) -> MeasurementChannel:

@@ -6,7 +6,12 @@ The central objects are built from the joint quantity
 
 where chi is the momentum-window projection of the input state, U the
 measurement channel applied one sector's operator u + v S at a time,
-and e the optional polarisation-eraser projection.  J equals
+and e the optional polarisation-eraser projection.  Every state is H
+polarised, so a sector's output is one or two multiples of the H field
+h: u h in H and v h in V without an eraser, and
+e(K h) = ((u +- v)/sqrt(2)) h with a +-45 one (:func:`_output_rows`).
+J is a sum over those rows, one (chi row, psi row) pair at a time.
+J equals
 the conditional weak-valued probability times the post-selection
 density, so it is finite everywhere -- including the fringe zeros where
 the conditional ratio is 0/0.  Division happens only at display time,
@@ -194,103 +199,100 @@ def _check_grid(state: TransverseState, ch: MeasurementChannel):
         )
 
 
-def _sector_sum(grid: SimGrid, field: np.ndarray, u, v,
-                eraser: str) -> list[np.ndarray]:
-    """One sector's output (u + v S) h of the H field ``field``, as a
-    list of eraser-projected (n,) momentum rows, one row for a +-45
-    eraser: [u h] for a sector with no swap part, else [u h, v h].
+def _output_rows(ch: MeasurementChannel, eraser: str):
+    """Yield each sector's list of output-row multipliers under
+    ``eraser``, one sector at a time.
+
+    A sector K = u + v S sends the H field h to an H row u h and, unless
+    v is None, a V row v h: [u] or [u, v] with no eraser.  A +-45 eraser
+    keeps the projection (H +- V)/sqrt(2), e(K h) = ((u +- v)/sqrt(2)) h,
+    so its sector is the one row [(u +- v)/sqrt(2)], with v = 0 where
+    v is None.
     """
-    acc = [field * u] if v is None else [field * u, field * v]
-    for row in acc:
-        grid.to_momentum(row, out=row)
-    return _eraser_project(acc, eraser, acc[-1])
+    sign = 1.0 if eraser == "plus45" else -1.0
+    for u, v in ch.sectors:
+        if eraser == "none":
+            yield [u] if v is None else [u, v]
+        else:
+            yield [(u if v is None else u + sign * v) / np.sqrt(2.0)]
 
 
-def _sector_momentum_sums(state: TransverseState, ch: MeasurementChannel,
-                          eraser: str = "none") -> list[np.ndarray]:
-    """:func:`_sector_sum` of every sector, after the grid check."""
+def _curve_sums(grid: SimGrid, psi: np.ndarray, chi: np.ndarray | None,
+                ch: MeasurementChannel, eraser: str, strong: bool = False,
+                consume: bool = False) -> tuple:
+    """(J, P, T) of the full field ``psi`` and the window-projected
+    field ``chi`` through the output rows of :func:`_output_rows`; J is
+    None if ``chi`` is, T unless ``strong``.
+
+    Row m adds, one (chi row, psi row) pair at a time and 4,096 samples
+    at a time, Re ce conj(pe) to J, |pe|^2 to P and |ce|^2 to T, each
+    starting from 0.0, with ce and pe the momentum rows of m chi and
+    m psi.  A row's multiplier is released once both products are
+    built, and ``consume`` builds the last ce in chi's own buffer.
+    """
+    n = grid.n_points
+    j, dens, t = (np.zeros(n) if want else None
+                  for want in (chi is not None, True, strong))
+    for s, rows in enumerate(_output_rows(ch, eraser), 1):
+        while rows:
+            m = rows.pop(0)
+            if chi is not None:
+                last = consume and not rows and s == len(ch.sectors)
+                ce = np.multiply(chi, m, out=chi if last else None)
+                grid.to_momentum(ce, out=ce)
+            pe = psi * m
+            del m
+            grid.to_momentum(pe, out=pe)
+            for lo in range(0, n, 4096):
+                part = slice(lo, lo + 4096)
+                dens[part] += np.square(np.abs(pe[part]))
+                if chi is not None:
+                    j[part] += (ce[part] * np.conj(pe[part])).real
+                if strong:
+                    t[part] += np.square(np.abs(ce[part]))
+            pe = ce = None  # free this pair's rows before the next pair's
+    return j, dens, t
+
+
+def _curves(state: TransverseState, ch: MeasurementChannel,
+            window: MomentumWindow, erasers: Iterable[str],
+            strong: bool) -> dict[str, WvpCurve]:
+    """The curves of :func:`eraser_curves`, each with T if ``strong``."""
+    erasers = tuple(dict.fromkeys(erasers))
+    for eraser in erasers:
+        _check_eraser(eraser)
     _check_grid(state, ch)
-    return [_sector_sum(state.grid, state.field, u, v, eraser)
-            for u, v in ch.sectors]
-
-
-def _eraser_project(rows: list[np.ndarray], eraser: str,
-                    out: np.ndarray | None = None) -> list[np.ndarray]:
-    """Collapse a sector's (n,) polarisation rows per the eraser setting:
-    ``rows`` untouched for "none", else the one-row list of the +-45
-    degree projection (H +- V)/sqrt(2), built in ``out`` if given, which
-    may be the last of ``rows``.  A single row is the output of a sector
-    with no swap part, whose V row is zero: (H + 0.0)/sqrt(2)."""
-    if eraser == "none":
-        return rows
-    if len(rows) == 1:
-        erased = np.add(rows[0], 0.0, out=out)
-    else:
-        erased = np.multiply(1.0 if eraser == "plus45" else -1.0, rows[1],
-                             out=out)
-        np.add(rows[0], erased, out=erased)
-    erased /= np.sqrt(2.0)
-    return [erased]
-
-
-def _joint(chi_erased: list[np.ndarray],
-           psi_erased: list[np.ndarray]) -> np.ndarray:
-    """J(p_f) from the window-projected state's sector sums ``chi_erased``
-    and the full state's ``psi_erased``, both eraser-projected.
-
-    Each sector adds Re sum_rows ce conj(pe), its rows summed in order,
-    to 0.0; the complex products are formed 4,096 samples at a time.
-    """
-    def sector(ce, pe):
-        total = np.empty(len(pe[0]))
-        for lo in range(0, len(total), 4096):
-            part = slice(lo, lo + 4096)
-            total[part] = (ce[0][part] * np.conj(pe[0][part])).real
-            for c, p in zip(ce[1:], pe[1:]):
-                total[part] += (c[part] * np.conj(p[part])).real
-        return total
-    return sum(map(sector, chi_erased, psi_erased), 0.0)
-
-
-def _density(erased: list[np.ndarray]) -> np.ndarray:
-    """Unnormalised momentum density of eraser-projected amplitudes:
-    each sector adds sum_rows |pe|^2, its rows summed in order, to 0.0."""
-    def sector(pe):
-        total = np.abs(pe[0])
-        np.square(total, out=total)
-        for p in pe[1:]:
-            square = np.abs(p)
-            total += np.square(square, out=square)
-        return total
-    return sum(map(sector, erased), 0.0)
+    chi = _window_project(state, window).field
+    sums = {eraser: _curve_sums(state.grid, state.field, chi, ch, eraser,
+                                strong, k == len(erasers))
+            for k, eraser in enumerate(erasers, 1)}
+    del chi  # holds the last row: free it before the values rows
+    return {eraser: WvpCurve(quotient(j, dens), j, dens, t)
+            for eraser, (j, dens, t) in sums.items()}
 
 
 def joint_wvp(state: TransverseState, ch: MeasurementChannel,
               window: MomentumWindow, eraser: str = "none") -> np.ndarray:
     """J(p_f): conditional WVP times post-selection density, per sample.
 
-    Computed as Re sum over sectors of the (eraser-projected)
-    polarisation inner product between the channel output of the
-    window-projected state and that of the full state.  Finite
-    everywhere, negative where the weak value leaves [0, 1].
+    Computed as Re sum over the output rows of :func:`_output_rows` of
+    the product of the window-projected state's momentum row and the
+    conjugate of the full state's.  Finite everywhere, negative where
+    the weak value leaves [0, 1].
     """
     return eraser_curves(state, ch, window, (eraser,))[eraser].joint
 
 
 def conditional_wvp(state: TransverseState, ch: MeasurementChannel,
                     window: MomentumWindow, eraser: str = "none") -> WvpCurve:
-    """Conditional weak-valued probability J(p_f)/P(p_f).
+    """Conditional weak-valued probability J(p_f)/P(p_f), with T.
 
     Samples below the definedness threshold of :func:`quotient` are
     NaN; everything else is an exact ratio.  With
     the identity channel (or the +45 eraser on the which-way marker)
     the defined part is the window indicator.
     """
-    _check_eraser(eraser)
-    chi = _sector_momentum_sums(_window_project(state, window), ch, eraser)
-    j, dens, strong = _curve_parts(
-        chi, _sector_momentum_sums(state, ch, eraser), True)
-    return WvpCurve(quotient(j, dens), j, dens, strong)
+    return _curves(state, ch, window, (eraser,), True)[eraser]
 
 
 def eraser_curves(state: TransverseState, ch: MeasurementChannel,
@@ -299,61 +301,14 @@ def eraser_curves(state: TransverseState, ch: MeasurementChannel,
     """:func:`conditional_wvp` for each eraser setting but without T,
     keyed by setting in the order requested, each built once.
 
-    The window projection and the un-erased sector sums of both states
-    do not depend on the eraser, so they are built once.  The order in
-    which rows are built and released sets the peak memory (6.0 MiB of
-    arrays for all three settings at 2^16 points, 5.5 MiB for
-    :func:`conditional_wvp`'s one with T):
-
-    1. The window-projected state's sums come first, and its field is
-       released before the full state's are built: the last transform
-       and its FFT scratch run beside four rows.
-    2. ``none`` reads the sums as they are.  When it is the only
-       setting, P releases the sums of both states.
-    3. Each sum is projected to the remaining settings, the last one in
-       the sum's own last row, and released before the next.
-    4. Each remaining setting builds its J and P, releasing its
-       projected sums as it reads them; the ``values`` come last.
+    The window projection does not depend on the eraser, so it is built
+    once; each setting then sums its own output rows.  Every setting's J
+    and P come before any ``values`` row, and the last setting builds
+    its last window-side row in the projected field's buffer: 5.6 MiB of
+    arrays for all three settings at 2^16 points, 5.0 MiB for
+    :func:`conditional_wvp`'s one with T.
     """
-    erasers = tuple(dict.fromkeys(erasers))
-    for eraser in erasers:
-        _check_eraser(eraser)
-    _check_grid(state, ch)
-    chi_sums = _sector_momentum_sums(_window_project(state, window), ch)
-    psi_sums = _sector_momentum_sums(state, ch)
-    parts = {}
-    if erasers == ("none",):
-        parts["none"] = _curve_parts(chi_sums, psi_sums)
-    elif "none" in erasers:
-        parts["none"] = _curve_parts(list(chi_sums), list(psi_sums))
-    projected = {e: ([], []) for e in erasers if e != "none"}
-    for side, sums in enumerate((chi_sums, psi_sums)):
-        while sums:
-            rows = sums.pop(0)
-            for eraser, erased in projected.items():
-                erased[side].append(_eraser_project(
-                    rows, eraser, rows[-1] if eraser == erasers[-1] else None))
-            del rows
-    for eraser, erased in projected.items():
-        parts[eraser] = _curve_parts(*erased)
-    curves = {}
-    for eraser in erasers:
-        j, dens, strong = parts.pop(eraser)
-        curves[eraser] = WvpCurve(quotient(j, dens), j, dens, strong)
-    return curves
-
-
-def _curve_parts(chi_erased: list[np.ndarray], psi_erased: list[np.ndarray],
-                 strong: bool = False) -> tuple:
-    """(J, P, T) of one eraser setting from its projected sector sums,
-    T None unless ``strong``, emptying ``psi_erased`` once P is built
-    and ``chi_erased`` once T is."""
-    j = _joint(chi_erased, psi_erased)
-    dens = _density(psi_erased)
-    psi_erased.clear()
-    t = _density(chi_erased) if strong else None
-    chi_erased.clear()
-    return j, dens, t
+    return _curves(state, ch, window, erasers, False)
 
 
 def momentum_distribution(state: TransverseState,
@@ -362,7 +317,8 @@ def momentum_distribution(state: TransverseState,
     """Normalised momentum density before (ch=None) or after a channel."""
     _check_eraser(eraser)
     ch = identity_channel(state.grid) if ch is None else ch
-    dens = _density(_sector_momentum_sums(state, ch, eraser))
+    _check_grid(state, ch)
+    dens = _curve_sums(state.grid, state.field, None, ch, eraser)[1]
     return np.divide(dens, np.sum(dens) * state.grid.dp, out=dens)
 
 
@@ -414,20 +370,19 @@ def _tiling_weights(grid: SimGrid, width: float, indices: tuple[int, ...]
     return tuple(np.concatenate(parts) for parts in zip(*found))
 
 
-def _sector_kernels(grid: SimGrid, u, v) -> list[tuple[bool, np.ndarray]]:
-    """(swap, K) for the sector's swap part v, if any, then its part u,
-    each transformed in place in its row m * flat, with no second row.
+def _sector_kernels(grid: SimGrid, rows: list) -> list[np.ndarray]:
+    """The momentum kernel K of each multiplier m of ``rows``, each
+    transformed in place in its row m * flat, with no second row.
 
     A multiplier diagonal in x is, in momentum space, a circular
-    convolution: to_momentum(u * from_momentum(a))[i] =
+    convolution: to_momentum(m * from_momentum(a))[i] =
     sum_j K[(i - j + n/2) mod n] a[j], with K the multiplier's response
     to a unit sample at p = 0.
     """
     unit = np.zeros(grid.n_points)
     unit[grid.n_points // 2] = 1.0
     flat = grid.from_momentum(unit)
-    return [(swap, grid.to_momentum(row := m * flat, out=row))
-            for swap, m in ((True, v), (False, u)) if m is not None]
+    return [grid.to_momentum(row := m * flat, out=row) for m in rows]
 
 
 def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
@@ -460,20 +415,20 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
     its 1/p^2 tails, and the normalisation makes that explicit rather
     than silently rescaling.
 
-    The sum is not built window by window.  Each sector's multipliers
-    m = u, v are diagonal in x, hence circular convolutions with
-    kernels K_m in momentum space (see :func:`_sector_kernels`).
+    The sum is not built window by window.  Each output row of a
+    sector (:func:`_output_rows`) is a multiplier m of the H field,
+    diagonal in x, hence a circular convolution with a kernel K_m in
+    momentum space (see :func:`_sector_kernels`).
     Grouping every input sample j by its offset d = j - s_w - n/2 from
     the centre of its window w,
 
         P(i) = Re sum_d sum_m K_m[(i - d) mod n] R_{d,m}(i - d - n/2),
-        R_{d,m}(t) = sum_j c_d(j) e(S_m psi)(j) . conj Phi(t + j),
+        R_{d,m}(t) = sum_j c_d(j) psi(j) . conj Phi_m(t + j),
 
     where c_d(j) is the total weight of sample j in windows at offset d,
-    S_m the swap S for m = v and the identity for m = u, e(S_m psi) the
-    erased input amplitudes, and Phi the full state's erased sector
-    output, taken as zero off the grid (which is the dropped part of
-    each shifted J_w).  R_{d,m} is one
+    psi the input momentum amplitude and Phi_m the full state's output
+    row m in momentum space, taken as zero off the grid (which is the
+    dropped part of each shifted J_w).  R_{d,m} is one
     zero-padded linear cross-correlation over the span of tiled
     samples, evaluated with circular FFTs just long enough that no lag
     read is aliased: about n + span/2 for a narrow tiling, 1.5 n for a
@@ -489,14 +444,13 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
     ``roundoff_floor``, 16 eps sqrt(max P / c), bounds that difference
     after the division.
 
-    Only the H field is transformed and correlated, since S psi lives in
-    V alone: without an eraser the swap kernel reads the V row of the
-    output spectrum, and a +-45 eraser scales each pass's H spectrum by
-    1/sqrt(2) in place, the -45 swap kernel negating its correlation.
+    Only the H field is transformed and correlated: a +-45 eraser is
+    one row, hence one kernel per pass, like a sector whose v is None.
+    Within a pass a sector's V row adds its term before its H row.
     The build order sets the peak memory, not the bits: the passes keep
     only the tiled span of the H spectrum, each sector builds its
-    kernels after its padded output spectrum, so the sector sum, that
-    spectrum and the kernels never coexist, and each pass combines its
+    kernels after its padded output spectra, so its output rows, those
+    spectra and the kernels never coexist, and each pass combines its
     output rows 4,096 at a time.
     """
     _check_eraser(eraser)
@@ -542,13 +496,15 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
                        min(n, lag0 + n)))
     size = _fast_len(max(max(n + lag0 - i_lo, i_hi - 1 - lag0 + span)
                          for _, lag0, i_lo, i_hi in passes))
-    # One sector at a time, so at most one (rows, L) spectrum exists.
-    for u, v in ch.sectors:
+    # One sector at a time, so only one sector's spectra exist.
+    for rows in _output_rows(ch, eraser):
         # conj(FFT(Phi)) / L turns each correlation into one forward FFT.
-        phi = np.fft.fft(_sector_sum(grid, state.field, u, v, eraser), size)
-        np.conj(phi, out=phi)
-        phi /= size
-        kernels = _sector_kernels(grid, u, v)
+        spectra = np.fft.fft([grid.to_momentum(state.field * m)
+                              for m in rows], size)
+        np.conj(spectra, out=spectra)
+        spectra /= size
+        # The V row's term first, the order the pinned outputs sum in.
+        terms = list(zip(spectra, _sector_kernels(grid, rows)))[::-1]
         buf = np.empty(size, dtype=complex)
         corr = np.empty(size, dtype=complex)
         for d, lag0, i_lo, i_hi in passes:
@@ -558,15 +514,9 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
                         out=buf[:span])
             buf[span:] = 0.0
             np.fft.fft(buf, out=buf)
-            if eraser != "none":
-                buf /= np.sqrt(2.0)
-            for swap, kern in kernels:
+            for phi, kern in terms:
                 # einsum: np.multiply rounds some complex products differently.
-                np.einsum("l,l->l", buf,
-                          phi[1] if swap and eraser == "none" else phi[0],
-                          out=corr)
-                if swap and eraser == "minus45":
-                    np.negative(corr, out=corr)
+                np.einsum("l,l->l", buf, phi, out=corr)
                 np.fft.fft(corr, out=corr)
                 for lo in range(i_lo, i_hi, 4096):
                     hi = min(lo + 4096, i_hi)
@@ -574,8 +524,8 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
                     part *= corr.take(np.arange(lo - lag0, hi - lag0),
                                       mode="wrap")
                     acc[lo:hi] += part.real
-        # Free this sector's buffers before the next sector's sums.
-        del phi, kernels, buf, corr
+        # Free this sector's buffers before the next sector's rows.
+        del spectra, terms, phi, kern, buf, corr
 
     if coverage < COVERAGE_MIN:
         warnings.warn(CoverageWarning(

@@ -25,7 +25,11 @@ amplitudes, which :func:`two_rows` builds from a state's H field and a
 zero V row, and which :func:`transform_rows` transforms one row at a
 time through the package's one-row transform.  :func:`two_row_sums` is
 the package's two-row sector sum on them, and :func:`two_row_transfer`
-its two-row correlation-form transfer assembly.
+its two-row correlation-form transfer assembly.  They project a +-45
+eraser on each sector's momentum rows, (H +- V)/sqrt(2), as the package
+once did; the package applies it in x, as the one-row multiplier
+(u +- v)/sqrt(2) that :func:`erased_channel` builds, so the oracles
+check that identity from outside it.
 """
 
 import math
@@ -34,16 +38,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from weakslit import (MomentumWindow, TransferDistribution, conditional_wvp,
-                      estimate_wvp, run_tagged)
+from weakslit import (MeasurementChannel, MomentumWindow,
+                      TransferDistribution, conditional_wvp, estimate_wvp,
+                      run_tagged)
 from weakslit.errors import CoverageWarning
 from weakslit.grid import indicator
 from weakslit.weak_values import (COVERAGE_MIN, EPS_DEN_FRACTION,
-                                  _check_eraser, _check_width, _density,
-                                  _fast_len, _joint, _sector_kernels,
-                                  _sector_momentum_sums, _tiling_indices,
-                                  _tiling_weights, _window_project,
-                                  window_mask)
+                                  _check_eraser, _check_width, _fast_len,
+                                  _tiling_indices, _tiling_weights,
+                                  _window_project, window_mask)
 
 ROOT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -237,7 +240,7 @@ def loop_transfer(state, ch, window_width, indices=None, eraser="none"):
         if window_mass == 0.0:
             continue
         chi = transform_rows(grid, mask * amps_t, inverse=True)
-        j = _joint(two_row_sums(grid, chi, ch, eraser), psi_erased)
+        j = array_joint(two_row_sums(grid, chi, ch, eraser), psi_erased)
         shift = int(round(window.center / grid.dp))
         if shift >= n or shift <= -n:
             continue
@@ -258,6 +261,29 @@ def loop_transfer(state, ch, window_width, indices=None, eraser="none"):
     floor = 16.0 * np.finfo(float).eps * np.sqrt(input_dens.max() / coverage)
     return TransferDistribution(grid.p.copy(), density, window_width,
                                 indices, coverage, eraser, float(floor))
+
+
+def sector_kernels(grid, u, v):
+    """(swap, K) for the sector's swap part v, if any, then its part u:
+    each multiplier's momentum-space convolution kernel, its response
+    to a unit sample at p = 0."""
+    unit = np.zeros(grid.n_points)
+    unit[grid.n_points // 2] = 1.0
+    flat = grid.from_momentum(unit)
+    return [(swap, grid.to_momentum(m * flat))
+            for swap, m in ((True, v), (False, u)) if m is not None]
+
+
+def erased_channel(ch, eraser):
+    """The channel whose one sector row is, for each sector K = u + v S
+    of ``ch``, the multiplier (u +- v)/sqrt(2) of a +-45 eraser: the
+    x-space form of projecting the sector's output on (H +- V)/sqrt(2).
+    Run with no eraser, it is the one-row form of ``ch`` under
+    ``eraser``."""
+    sign = 1.0 if eraser == "plus45" else -1.0
+    return MeasurementChannel(f"{ch.name}_{eraser}", tuple(
+        ((u if v is None else u + sign * v) / np.sqrt(2.0), None)
+        for u, v in ch.sectors), ch.grid)
 
 
 def two_row_transfer(grid, amps, ch, window_width, indices, eraser="none"):
@@ -292,7 +318,7 @@ def two_row_transfer(grid, amps, ch, window_width, indices, eraser="none"):
             buf[:, :span] = chunk * np.bincount(samples[sel] - j_lo,
                                                 weights[sel], span)
             buf = np.fft.fft(buf)
-            for swap, kern in _sector_kernels(grid, u, v):
+            for swap, kern in sector_kernels(grid, u, v):
                 factor = array_eraser_project(buf[::-1] if swap else buf,
                                               eraser)
                 corr = np.fft.fft(np.einsum("rl,rl->l", factor, phi))
@@ -305,18 +331,21 @@ def two_row_transfer(grid, amps, ch, window_width, indices, eraser="none"):
 
 def loop_conditional_wvp(state, ch, window, eraser="none"):
     """(values, defined, joint) of one eraser setting, built from its own
-    window projection and its own eraser-projected sector sums.
+    window projection and its own eraser-projected two-row sector sums
+    (:func:`two_row_sums`), with J and P from :func:`array_joint` and
+    :func:`array_density`.
 
     This was the package's ``conditional_wvp`` before the eraser
     settings shared one projection; the oracle for ``eraser_curves``.
     """
     _check_eraser(eraser)
-    psi_erased = _sector_momentum_sums(state, ch, eraser)
-    chi = _window_project(state, window)
-    j = _joint(_sector_momentum_sums(chi, ch, eraser), psi_erased)
-    dens = _density(psi_erased)
+    grid = state.grid
+    psi_erased = two_row_sums(grid, two_rows(state.field), ch, eraser)
+    chi = two_rows(_window_project(state, window).field)
+    j = array_joint(two_row_sums(grid, chi, ch, eraser), psi_erased)
+    dens = array_density(psi_erased)
     defined = dens > EPS_DEN_FRACTION * dens.max()
-    values = np.full(state.grid.n_points, np.nan)
+    values = np.full(grid.n_points, np.nan)
     values[defined] = j[defined] / dens[defined]
     return values, defined, j
 

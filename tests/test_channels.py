@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from weakslit import (ConfigError, GridMismatchError, SimGrid,
-                      build_momentum_peak, classical_kick, identity_channel,
-                      momentum_distribution, scully_wwm)
+from weakslit import (ConfigError, GridMismatchError, MeasurementChannel,
+                      SimGrid, build_momentum_peak, classical_kick,
+                      identity_channel, momentum_distribution, scully_wwm)
 
 from oracles import apply_sector, two_rows
 
@@ -129,3 +129,40 @@ class TestClassicalKick:
         masses = [np.sum(np.abs(out) ** 2) * grid.dx
                   for out in sector_outputs(slit_state, ch)]
         np.testing.assert_allclose(masses, [0.1, 0.6, 0.3], rtol=1e-12)
+
+
+class TestCompletenessDefect:
+    """sum_k K_k^dag K_k = a + b S, with a = sum |u|^2 + |v|^2 and
+    b = 2 sum Re(conj(u) v): the defect is the eigenvalues' largest
+    distance from 1, max |a +- b - 1|, swap term included."""
+
+    def test_swap_term_counts(self, grid):
+        """K = (1 + S)/sqrt(2) has K^dag K = 1 + S, eigenvalues 2 and 0,
+        although |u|^2 + |v|^2 = 1."""
+        half = math.sqrt(0.5)
+        ch = MeasurementChannel("half_swap", ((half, half),), grid)
+        assert ch.completeness_defect() == pytest.approx(1.0, abs=1e-15)
+
+    def test_partial_marker_is_complete(self, grid):
+        """u = cos t, v = i sin t on x < 0: exp(i t S) is unitary."""
+        left = grid.x < 0.0
+        u = np.where(left, math.cos(0.9), 1.0)
+        v = np.where(left, 1j * math.sin(0.9), 0.0)
+        ch = MeasurementChannel("partial_marker", ((u, v),), grid)
+        assert ch.completeness_defect() <= 1e-15
+
+    def test_equals_the_dense_eigenvalues(self):
+        """Two random complex sectors on 16 samples against the
+        eigenvalues of sum K^dag K written out as 2 x 2 matrices."""
+        grid = SimGrid(16, 4.0)
+        rng = np.random.default_rng(3)
+        sectors = tuple(tuple(0.5 * (rng.normal(size=16)
+                                     + 1j * rng.normal(size=16))
+                              for _ in range(2)) for _ in range(2))
+        ch = MeasurementChannel("noise", sectors, grid)
+        worst = 0.0
+        for i in range(16):
+            total = sum(np.conj(k).T @ k for k in (
+                np.array([[u[i], v[i]], [v[i], u[i]]]) for u, v in sectors))
+            worst = max(worst, np.max(np.abs(np.linalg.eigvalsh(total) - 1.0)))
+        assert ch.completeness_defect() == pytest.approx(worst, rel=1e-12)

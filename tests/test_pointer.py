@@ -311,12 +311,13 @@ class TestAgainstAmplitudeStacks:
 
 
 @pytest.mark.parametrize("command, rows", [
-    ("wvp", 7), ("eraser", 6), ("pointer", 6), ("sweep", 6)])
+    ("wvp", 7), ("eraser", 10), ("pointer", 6), ("sweep", 6)])
 def test_one_projection_and_one_channel_pass(monkeypatch, command, rows):
     """FFT rows per command at 1,024 points on the paper scenario: every
     command takes one window projection of the H row (two rows) and one
     channel pass (two rows per state); wvp adds the input state's H row
-    in momentum."""
+    in momentum, and eraser a pass per +-45 setting (one row per
+    state)."""
     config = from_dict({"channel": {"kind": "scully"},
                         "grid": {"n_points": 1024}})
     counted = []

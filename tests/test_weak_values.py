@@ -13,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weakslit import (ConfigError, CoverageWarning, GridMismatchError,
-                      MomentumWindow, ResolutionError, SimGrid, SlitGeometry,
+                      MeasurementChannel, MomentumWindow, ResolutionError,
+                      SimGrid, SlitGeometry,
                       TransferDistribution, TransverseState,
                       WindowRangeError, build_double_slit, classical_kick, conditional_wvp,
                       eraser_curves, identity_channel, joint_wvp,
@@ -21,16 +22,14 @@ from weakslit import (ConfigError, CoverageWarning, GridMismatchError,
                       transfer_distribution, window_mask)
 from weakslit.config import PRESETS, from_dict
 from weakslit.runner import _window_range, run
-from weakslit.weak_values import (ERASERS, _density, _eraser_project, _joint,
-                                  _sector_momentum_sums, _tiling_weights,
-                                  _window_project, quotient)
+from weakslit.weak_values import (ERASERS, _curve_sums, _output_rows,
+                                  _tiling_weights, _window_project, quotient)
 
 from conftest import WINDOW_WIDTH, run_python
-from oracles import (array_density, array_eraser_project, array_joint,
-                     array_tiling_weights, dense_conditional, dense_joint,
-                     dense_transfer, kick_rect_density, loop_conditional_wvp,
-                     loop_transfer, transform_rows, two_row_sums,
-                     two_row_transfer, two_rows)
+from oracles import (array_density, array_joint, array_tiling_weights,
+                     dense_conditional, dense_joint, dense_transfer,
+                     erased_channel, kick_rect_density, loop_conditional_wvp,
+                     loop_transfer, two_row_sums, two_row_transfer, two_rows)
 
 
 def full_tiling(grid, width):
@@ -237,8 +236,11 @@ class TestJointAndConditional:
 
 
 class TestEraserCurves:
-    """One projection and one set of sector sums for every eraser
-    setting equals one call per setting, bit for bit."""
+    """One projection for every eraser setting equals one call per
+    setting, bit for bit.  Without an eraser the curves equal the two-row
+    oracle's bit for bit; with a +-45 one, they equal the oracle's on the
+    erased one-row channel bit for bit, and its projection of the
+    momentum rows to 1e-13 of max |J|."""
 
     @pytest.mark.parametrize("channel", ["scully", "kick", "identity"])
     def test_equals_one_call_per_setting(self, slit_state, smooth_state,
@@ -250,8 +252,17 @@ class TestEraserCurves:
             curves = eraser_curves(state, ch, focus_window)
             assert tuple(curves) == ERASERS
             for eraser, curve in curves.items():
+                if eraser == "none":
+                    one_row = ch
+                else:
+                    one_row = erased_channel(ch, eraser)
+                    projected = loop_conditional_wvp(
+                        state, ch, focus_window, eraser)[2]
+                    scale = np.max(np.abs(projected))
+                    assert np.max(np.abs(curve.joint - projected)) \
+                        <= 1e-13 * scale
                 values, defined, joint = loop_conditional_wvp(
-                    state, ch, focus_window, eraser)
+                    state, one_row, focus_window)
                 np.testing.assert_array_equal(curve.values, values)
                 np.testing.assert_array_equal(np.isfinite(curve.values),
                                               defined)
@@ -276,60 +287,67 @@ class TestEraserCurves:
 
 
 class TestRowBuffers:
-    """J, P and the eraser projection, built through row buffers, equal
-    the whole-stack expressions they replaced bit for bit: the package's
-    sector sums (u h, and v h for the marker's swap) for "none", (1, n)
-    for the +-45 erasers, with one sector (identity, marker) or two (two
-    kicks).  A one-row sum is projected by the oracle with a zero V
-    row."""
+    """J, P and T, added up one (chi row, psi row) pair at a time in
+    4,096-sample slices, equal the whole-stack expressions they replaced
+    bit for bit: :func:`array_joint` and :func:`array_density` of the
+    same momentum rows, each row its own (1, n) stack, in order.  One or
+    two rows per sector (identity, marker, each +-45 setting) and one
+    sector or two (two kicks).  The two-row curve tests of
+    :class:`TestHRowPath` check the (2, n) form of each sector."""
+
+    @staticmethod
+    def _check(grid, psi, chi, ch, eraser):
+        def stacks(field):
+            return [grid.to_momentum(field * m)[np.newaxis]
+                    for rows in _output_rows(ch, eraser) for m in rows]
+        ce, pe = stacks(chi), stacks(psi)
+        j, dens, strong = _curve_sums(grid, psi, chi.copy(), ch, eraser,
+                                      True, True)
+        assert np.array_equal(j, array_joint(ce, pe))
+        assert np.array_equal(dens, array_density(pe))
+        assert np.array_equal(strong, array_density(ce))
 
     @pytest.mark.parametrize("kind", ["identity", "scully", "kick"])
     @pytest.mark.parametrize("eraser", ERASERS)
     def test_channel_sums(self, smooth_state, grid, focus_window, kind,
                           eraser):
-        ch = _equivalence_channel(kind, grid)
-        chi = _sector_momentum_sums(_window_project(smooth_state,
-                                                    focus_window), ch)
-        psi = _sector_momentum_sums(smooth_state, ch)
-        for total in chi + psi:
-            rows = total if len(total) == 2 else two_rows(total[0])
-            # "none" keeps the rows as they are: a one-row sum holds no V
-            expected = array_eraser_project(rows, eraser)[:len(total)]
-            assert np.array_equal(_eraser_project(total, eraser), expected)
-        # as (rows, n) stacks: the marker's two rows are two arrays
-        chi = [np.array(_eraser_project(total, eraser)) for total in chi]
-        psi = [np.array(_eraser_project(total, eraser)) for total in psi]
-        assert np.array_equal(_joint(chi, psi), array_joint(chi, psi))
-        assert np.array_equal(_density(psi), array_density(psi))
-        assert np.array_equal(_density(chi), array_density(chi))
+        self._check(grid, smooth_state.field,
+                    _window_project(smooth_state, focus_window).field,
+                    _equivalence_channel(kind, grid), eraser)
 
     @pytest.mark.parametrize("rows", [1, 2])
     @pytest.mark.parametrize("sectors", [1, 2])
     def test_white_noise(self, rows, sectors):
+        """White-noise fields and multipliers, 8,192 samples: two slices."""
         rng = np.random.default_rng(11)
+        grid = SimGrid(8192, 64.0)
 
-        def stacks():
-            return [rng.normal(size=(rows, 512)) + 1j * rng.normal(
-                size=(rows, 512)) for _ in range(sectors)]
+        def noise():
+            return rng.normal(size=8192) + 1j * rng.normal(size=8192)
 
-        chi, psi = stacks(), stacks()
-        assert np.array_equal(_joint(chi, psi), array_joint(chi, psi))
-        assert np.array_equal(_density(psi), array_density(psi))
+        ch = MeasurementChannel("noise", tuple(
+            (noise(), noise() if rows == 2 else None)
+            for _ in range(sectors)), grid)
+        self._check(grid, noise(), noise(), ch, "none")
 
 
 class TestHRowPath:
     """A state is worked from its H field alone; its curves and input
     density equal, byte for byte, the ones built from the two-row sector
-    sums of tests/oracles.py, with a zero V row, and that module's J, P
-    and eraser projection.  Bytes, not np.array_equal, so that -0.0 and
-    +0.0, which %.12g prints apart, count as different.  T is compared
-    on ``conditional_wvp``'s curve, the one that builds it; every curve
-    of ``eraser_curves`` has none."""
+    sums of tests/oracles.py, with a zero V row, and that module's J and
+    P; a +-45 setting equals them on its erased one-row channel.  Bytes,
+    not np.array_equal, so that -0.0 and +0.0, which %.12g prints apart,
+    count as different.  T is compared on ``conditional_wvp``'s curve,
+    the one that builds it; every curve of ``eraser_curves`` has none."""
 
     @staticmethod
-    def _two_row_curve(chi, psi, eraser):
-        ce = [array_eraser_project(total, eraser) for total in chi]
-        pe = [array_eraser_project(total, eraser) for total in psi]
+    def _two_row_curve(grid, state, window, ch, eraser):
+        if eraser != "none":
+            ch = erased_channel(ch, eraser)
+        ce = two_row_sums(grid, two_rows(
+            _window_project(state, window).field), ch)
+        pe = two_row_sums(grid, two_rows(state.field), ch)
+        assert all(len(total) == 2 for total in ce + pe)
         j, dens = array_joint(ce, pe), array_density(pe)
         return quotient(j, dens), j, dens, array_density(ce)
 
@@ -348,14 +366,10 @@ class TestHRowPath:
                 SlitGeometry(0.5, edge_profile=source), grid)
         ch = _equivalence_channel(kind, grid)
         window = MomentumWindow(-1, WINDOW_WIDTH)
-        chi = two_row_sums(grid, two_rows(
-            _window_project(state, window).field), ch)
-        psi = two_row_sums(grid, two_rows(state.field), ch)
-        assert all(len(total) == 2 for total in chi + psi)
         curves = eraser_curves(state, ch, window)
         for eraser in ERASERS:
-            expected = [a.tobytes()
-                        for a in self._two_row_curve(chi, psi, eraser)]
+            expected = [a.tobytes() for a in self._two_row_curve(
+                grid, state, window, ch, eraser)]
             curve = curves[eraser]
             assert curve.strong is None
             got = (curve.values, curve.joint, curve.density)
@@ -369,9 +383,11 @@ class TestHRowPath:
     def test_input_density_matches_the_two_row_path(self, request, fixture,
                                                     eraser):
         state = request.getfixturevalue(fixture)
-        erased = [array_eraser_project(
-            transform_rows(state.grid, two_rows(state.field)), eraser)]
-        dens = array_density(erased)
+        ch = identity_channel(state.grid)
+        if eraser != "none":
+            ch = erased_channel(ch, eraser)
+        dens = array_density(two_row_sums(state.grid, two_rows(state.field),
+                                          ch))
         dens = dens / (np.sum(dens) * state.grid.dp)
         assert momentum_distribution(state, eraser=eraser).tobytes() \
             == dens.tobytes()
@@ -397,29 +413,37 @@ def _traced_peak(call) -> int:
 
 class TestPeakMemory:
     """Peak array memory of the single-window curves at 2^16 points,
-    where one complex row is 1 MiB.  The results themselves are four
-    float rows per setting.  Keeping every sector sum until the last
-    setting was built peaked at 11.0 MiB for all three settings and 8.1
-    MiB for one; building both polarisation rows and the full state's
-    sums first, 8.0 and 7.1 MiB.  The ``eraser_curves`` bound guards
-    that its curves carry no strong density T, which only the pointer
-    reads and only ``conditional_wvp`` builds: a T row per setting
-    peaked at 6.50 MiB.
+    where one complex row is 1 MiB.  The results themselves are three
+    float rows per setting (values, J and P), and T for
+    ``conditional_wvp``.  Each setting sums its own output rows one
+    (chi row, psi row) pair at a time, releases a +-45 multiplier once
+    both of its products are built, and builds every J and P before any
+    values row; the last setting builds its last window-side row in the
+    projected field's buffer.  The marker's three settings peak at 5.6
+    MiB, ``conditional_wvp`` at 5.0 MiB, and the two kicks' three
+    settings at 7.0 MiB (10.5 MiB when every sector's rows of both
+    states were kept, so the peak grew with the sector count); the
+    two-kick bound is that figure plus 0.5 MiB.  Keeping the previous
+    pair's rows while the next pair was built peaked at 6.0 MiB for
+    ``conditional_wvp``; keeping each +-45 multiplier through its rows'
+    transforms, at 6.0 MiB for the marker and 7.5 MiB for two kicks.
+    The ``eraser_curves`` bounds also guard that its curves carry no
+    strong density T, which only the pointer reads.
 
     And of the paper preset's transfer assembly at 2^14 points, where
     one complex row is 256 KiB.  The 15-window bound guards the build
-    order of each sector: its padded output spectrum first, then its
-    kernels, transformed in place, so that the sector sum, its spectrum
-    and the kernels never coexist; and the release of the full momentum
-    field once the tiled span is copied out.  The full-tiling bound
-    guards the combine of each pass in 4,096-row slices, with no
-    n-length index, gather or product row.  Kernels built beside the
-    spectrum, the field kept and n-length combines peaked at 2.54 MiB
-    for 15 windows and 3.46 MiB for the full tiling.  The -45 eraser's
-    full-tiling bound guards each pass's 1/sqrt(2) scaling of its H
-    spectrum in place and the swap kernel's sign flip on its
-    correlation: a scaled, and for the swap negated, copy of the
-    spectrum per kernel peaked at 3.27 MiB."""
+    order of each sector: each output row's padded spectrum first,
+    releasing the row, then its kernels, transformed in place; and the
+    release of the full momentum field once the tiled span is copied
+    out.  The full-tiling bound guards the combine of each pass in
+    4,096-row slices, with no n-length index, gather or product row.
+    Kernels built beside the spectrum, the field kept and n-length
+    combines peaked at 2.54 MiB for 15 windows and 3.46 MiB for the full
+    tiling; the bounded forms peak at 1.82 and 3.14 MiB.  The -45
+    eraser's full-tiling bound guards its one-row form, one spectrum and
+    one kernel per sector, which peaks at 2.64 MiB: projecting the
+    two-row spectrum in place peaked at 2.76 MiB, and a projected copy
+    of it per kernel at 3.27 MiB."""
 
     @pytest.fixture(scope="class")
     def large(self):
@@ -446,6 +470,12 @@ class TestPeakMemory:
     def test_eraser_curves(self, large):
         peak = _traced_peak(lambda: eraser_curves(*large))
         assert peak <= 6.4 * 2 ** 20
+
+    def test_eraser_curves_two_kicks(self, large):
+        state, _, window = large
+        ch = classical_kick([(0.7, 0.4), (-1.3, 0.6)], state.grid)
+        peak = _traced_peak(lambda: eraser_curves(state, ch, window))
+        assert peak <= 7.5 * 2 ** 20
 
     def test_conditional_wvp(self, large):
         peak = _traced_peak(lambda: conditional_wvp(*large))
@@ -493,6 +523,52 @@ class TestDenseOracle:
         dist = transfer_distribution(dense_state, ch, WINDOW_WIDTH, indices)
         _, slow, coverage = dense_transfer(dense_state, ch, WINDOW_WIDTH,
                                            indices)
+        assert dist.coverage == pytest.approx(coverage, rel=1e-12)
+        np.testing.assert_allclose(dist.density, slow,
+                                   atol=1e-10 * np.max(np.abs(slow)))
+
+
+def partial_marker(grid, theta):
+    """K = 1 on x >= 0 and exp(i theta S) = cos theta + i sin theta S on
+    x < 0, built straight from its (u, v); theta = pi/2 marks fully."""
+    left = grid.x < 0.0
+    return MeasurementChannel("partial_marker", (
+        (np.where(left, np.cos(theta), 1.0),
+         np.where(left, 1j * np.sin(theta), 0.0)),), grid)
+
+
+class TestPartialMarker:
+    """The x-space eraser e(K h) = ((u +- v)/sqrt(2)) h for a complex
+    (u, v), against the dense oracles, which project the momentum rows
+    (H +- V)/sqrt(2) instead; N = 256, the bounds of
+    :class:`TestDenseOracle`."""
+
+    @pytest.mark.parametrize("theta", [0.3, 0.9, np.pi / 2])
+    def test_eraser_curves(self, dense_state, dense_grid, theta):
+        ch = partial_marker(dense_grid, theta)
+        win = MomentumWindow(-1, WINDOW_WIDTH)
+        curves = eraser_curves(dense_state, ch, win)
+        for eraser, curve in curves.items():
+            np.testing.assert_allclose(
+                curve.joint, dense_joint(dense_state, ch, win, eraser),
+                atol=1e-12)
+            values, defined = dense_conditional(dense_state, ch, win, eraser)
+            np.testing.assert_array_equal(np.isfinite(curve.values), defined)
+            np.testing.assert_allclose(curve.values[defined],
+                                       values[defined], atol=1e-9)
+
+    @pytest.mark.parametrize("theta", [0.3, 0.9, np.pi / 2])
+    @pytest.mark.parametrize("eraser", ERASERS)
+    @pytest.mark.parametrize("tiling", ["fifteen", "full"])
+    def test_transfer(self, dense_state, dense_grid, theta, eraser, tiling):
+        ch = partial_marker(dense_grid, theta)
+        indices = _INDEX_SETS[tiling](dense_grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CoverageWarning)
+            dist = transfer_distribution(dense_state, ch, WINDOW_WIDTH,
+                                         indices, eraser)
+        _, slow, coverage = dense_transfer(dense_state, ch, WINDOW_WIDTH,
+                                           indices, eraser)
         assert dist.coverage == pytest.approx(coverage, rel=1e-12)
         np.testing.assert_allclose(dist.density, slow,
                                    atol=1e-10 * np.max(np.abs(slow)))
@@ -725,10 +801,9 @@ class TestCorrelationForm:
                                                    kind, eraser, index_set):
         """The package correlates the H field alone; the two-row form of
         tests/oracles.py, run on the state's mirror in V, gives the same
-        bits.
+        bits, a +-45 setting on its erased one-row channel.
 
-        Every channel's K = u + v S commutes with the swap S, and the
-        erasers only flip the sign of the projected output, so the
+        Every channel's K = u + v S commutes with the swap S, so the
         mirror's P_wv equals the original's.
         """
         grid = SimGrid(n_points, 16.0 if n_points == 256 else 64.0)
@@ -740,8 +815,10 @@ class TestCorrelationForm:
             warnings.simplefilter("ignore", CoverageWarning)
             one = transfer_distribution(state, ch, WINDOW_WIDTH, indices,
                                         eraser)
+        if eraser != "none":
+            ch = erased_channel(ch, eraser)
         density, coverage = two_row_transfer(grid, mirror, ch, WINDOW_WIDTH,
-                                             indices, eraser)
+                                             indices)
         assert one.coverage == coverage
         assert np.array_equal(one.density, density)
 
