@@ -22,13 +22,10 @@ eraser recombines amplitudes: the two halves of one unitary can
 interfere again, distinct classical outcomes cannot.
 """
 
-import math
-from numbers import Real
-
 import numpy as np
 
 from .errors import ConfigError
-from .grid import SimGrid
+from .grid import SimGrid, _is_number
 
 __all__ = [
     "MeasurementChannel",
@@ -102,8 +99,7 @@ def classical_kick(kicks: list[tuple[float, float]],
         raise ConfigError(
             f"classical_kick needs a non-empty list of (q, prob) pairs, "
             f"got {kicks!r}")
-    if any(isinstance(v, bool) or not isinstance(v, Real)
-           or not math.isfinite(v) for pair in kicks for v in pair):
+    if not all(_is_number(v) for pair in kicks for v in pair):
         raise ConfigError(f"kick q and prob must be finite numbers, got {kicks}")
     probs = np.array([pr for _, pr in kicks], dtype=float)
     if np.any(probs < 0.0):
@@ -117,7 +113,7 @@ def classical_kick(kicks: list[tuple[float, float]],
             f"on the grid a larger kick is the same as a smaller one, "
             f"got {kicks}")
     x, sectors = grid.x, []
-    for q, pr in kicks:
+    for (q, _), pr in zip(kicks, probs):
         u = 1j * float(q) * x
         np.exp(u, out=u)
         u *= float(np.sqrt(pr))

@@ -11,7 +11,6 @@ factor between the two systems.
 
 import json
 import math
-import sys
 from contextlib import contextmanager
 
 # CPython's built-in SHA-256 gives the digest hashlib does without
@@ -28,7 +27,7 @@ import numpy as np
 
 from .channels import MeasurementChannel, classical_kick, identity_channel, scully_wwm
 from .errors import ConfigError
-from .grid import LabFrame, SimGrid
+from .grid import LabFrame, SimGrid, _is_number
 from .states import SlitGeometry, TransverseState, build_double_slit
 from .weak_values import MomentumWindow, _check_eraser
 
@@ -118,17 +117,6 @@ def merge(base: dict, override: dict, path: str = "") -> dict:
             raise ConfigError(f"override path {where!r} crosses a scalar")
         out[key] = value
     return out
-
-
-def _is_number(value, integer: bool = False) -> bool:
-    """Whether ``value`` is a finite number, an int if ``integer``; no bool.
-
-    The bound keeps every accepted number convertible to a float: JSON
-    allows integers of any size.
-    """
-    kind = int if integer else (int, float)
-    return not isinstance(value, bool) and isinstance(value, kind) \
-        and abs(value) <= sys.float_info.max
 
 
 @contextmanager
@@ -248,7 +236,9 @@ class ScenarioConfig:
     def config_hash(self) -> str:
         """Scenario fingerprint; excludes the output destination."""
         payload = {k: v for k, v in self.data.items() if k != "output_dir"}
-        canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        # A numpy scalar passes the number test; it hashes as its value.
+        canon = json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                           default=lambda v: v.item())
         return sha256(canon.encode()).hexdigest()
 
 
@@ -291,6 +281,9 @@ def parse_json_object(text: str, source: str) -> dict:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{source} is not valid JSON: {exc}") from None
+    except ValueError:  # Python parses no integer of over 4,300 digits
+        raise ConfigError(f"{source} holds an integer too long to parse") \
+            from None
     except RecursionError:
         raise ConfigError(f"{source} nests too deeply") from None
     if not isinstance(payload, dict):
@@ -311,6 +304,9 @@ def parse_override(assignment: str) -> dict:
         value = json.loads(raw_value)
     except json.JSONDecodeError:
         value = raw_value
+    except ValueError:  # Python parses no integer of over 4,300 digits
+        raise ConfigError(f"override {path!r} holds an integer too long "
+                          f"to parse") from None
     except RecursionError:
         raise ConfigError(f"override {path!r} nests too deeply") from None
     for part in reversed(path.split(".")):

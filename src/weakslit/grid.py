@@ -14,6 +14,8 @@ dx * dp * n = 2*pi the discrete transform is exactly unitary, so
 Parseval holds to round-off and round trips are exact.
 """
 
+import sys
+
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError
@@ -43,8 +45,8 @@ class SimGrid:
 
     def __init__(self, n_points: int, x_extent: float):
         n = n_points
-        if isinstance(n, bool) or not isinstance(n, int) \
-                or not 8 <= n <= MAX_POINTS or n & (n - 1):
+        if not _is_number(n, integer=True) or not 8 <= n <= MAX_POINTS \
+                or n & (n - 1):
             raise ConfigError(f"n_points must be a power of two in "
                               f"[8, {MAX_POINTS}], got {n}")
         # In order, so nothing divides by zero.  A finite dp also keeps
@@ -52,7 +54,7 @@ class SimGrid:
         if not 0.0 < x_extent < np.inf or not 2.0 * np.pi / x_extent < np.inf:
             raise ConfigError(f"x_extent must be positive and finite, with a "
                               f"finite dp, got {x_extent}")
-        self.n_points = n_points
+        self.n_points = int(n_points)
         self.x_extent = float(x_extent)
         self.dx = self.x_extent / n_points
         self.dp = 2.0 * np.pi / self.x_extent
@@ -126,6 +128,21 @@ class SimGrid:
         np.multiply(out[half:], scale, out=out[:half])
         out[half:] = head
         return out
+
+
+def _is_number(value, integer: bool = False) -> bool:
+    """Whether ``value`` is a finite number, an int if ``integer``; no bool.
+
+    A numpy scalar counts as the Python number it holds, so a float32
+    infinity is refused without an overflow warning.  The bound keeps
+    every accepted number convertible to a float: JSON allows integers
+    of any size.
+    """
+    if isinstance(value, np.generic):
+        value = value.item()
+    kind = int if integer else (int, float)
+    return not isinstance(value, bool) and isinstance(value, kind) \
+        and abs(value) <= sys.float_info.max
 
 
 def indicator(samples: np.ndarray, step: float, lo, hi) -> np.ndarray:

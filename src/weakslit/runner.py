@@ -16,7 +16,7 @@ from .pointer import (convergence_sweep, estimate_wvp, marginal,
                       run_tagged)
 from .weak_values import (EPS_DEN_FRACTION, COVERAGE_MIN, eraser_curves,
                           momentum_distribution, transfer_distribution,
-                          window_mask, MomentumWindow)
+                          window_mask)
 # No command calls these here any more; perfbench/layers.py still wraps
 # the names in this module to trace them.
 from .weak_values import conditional_wvp, joint_wvp  # noqa: F401
@@ -90,16 +90,6 @@ def _provenance(config: ScenarioConfig) -> dict:
     }
 
 
-def _window_range(p: np.ndarray, dp: float, window: MomentumWindow) -> slice:
-    """The samples where :func:`window_mask` is 1, contiguous on the
-    sorted ``p``: in [lo, hi), less one within 1e-12 dp of an edge."""
-    (lo, hi), tol = window.bounds, 1e-12 * dp
-    start, stop = np.searchsorted(p, (lo, hi)).tolist()
-    start += bool(start < len(p) and abs(p[start] - lo) < tol)
-    stop -= bool(stop and abs(p[stop - 1] - hi) < tol)
-    return slice(start, stop)
-
-
 def _run_wvp(config: ScenarioConfig) -> ResultBundle:
     window = config.window
     # One set of full-state sector sums gives the curve and, through the
@@ -124,7 +114,7 @@ def _run_wvp(config: ScenarioConfig) -> ResultBundle:
         ("input_density", "s/hbar"), ("output_density", "s/hbar"),
     ), (p, p_lab, dens_in, dens_out))
 
-    in_window = curve.values[_window_range(p, config.grid.dp, window)]
+    in_window = curve.values[window_mask(config.grid, window) > 0.5]
     in_window = in_window[np.isfinite(in_window)]
     bundle.summary = {
         "window_index": window.index,

@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weakslit import (LabFrame, MomentumWindow, SimGrid, SlitGeometry,
-                      build_double_slit, scully_wwm)
+from weakslit import (LabFrame, MeasurementChannel, MomentumWindow,
+                      SimGrid, SlitGeometry, build_double_slit, scully_wwm)
 
 #: Tagged-window width in internal units: the 1.77 mm focal-plane sliver
 #: mapped back through f = 1 m, lambda = 633 nm, s = 80 um.
@@ -51,6 +51,16 @@ def strict_json(text: str):
     """``json.loads`` that refuses NaN and +-Infinity: Python writes them,
     but they are not JSON and strict parsers reject them."""
     return json.loads(text, parse_constant=_refuse_constant)
+
+
+def partial_marker(grid, theta) -> MeasurementChannel:
+    """K = 1 on x >= 0 and exp(i theta S) = cos theta + i sin theta S on
+    x < 0, built straight from its (u, v): which-way distinguishability
+    sin theta, fringe visibility cos theta; theta = pi/2 marks fully."""
+    left = grid.x < 0.0
+    return MeasurementChannel("partial_marker", (
+        (np.where(left, np.cos(theta), 1.0),
+         np.where(left, 1j * np.sin(theta), 0.0)),), grid)
 
 
 @pytest.fixture(autouse=True)

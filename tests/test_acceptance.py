@@ -22,6 +22,7 @@ from weakslit import (CoverageWarning, PRESETS, SimGrid, SlitGeometry,
                       momentum_distribution, scully_wwm, sharp_cutoff_variance,
                       transfer_distribution, transfer_variance, window_mask,
                       window_variance)
+from conftest import partial_marker
 from oracles import dense_transfer, kick_rect_density
 
 TWO_PI = 2.0 * math.pi
@@ -282,4 +283,70 @@ def test_criterion_10_eraser_partition(bench):
             f"+-45 joints sum to the traced joint (max dev {partition:.1e}); "
             f"out-of-window weight: -45 carries {out_minus:.4f}, +45 carries "
             f"{out_plus:.1e}",
+            elapsed, 10.0)
+
+
+def test_criterion_11_closed_form():
+    """The marker's narrow-window P_wv against its continuum closed form.
+
+    For sharp slits of width a centred at +-1/2 and the marker,
+    P_0(q) = delta(q)/2 + sin(q/2) sin(a q/2) / (pi a q^2).  Its
+    apodised variance is A(kappa) = (1/(pi a)) [eps/(eps^2 + l^2)
+    - eps/(eps^2 + r^2)], with eps = 1/kappa, l = (1 - a)/2 and
+    r = (1 + a)/2, and its sharp-cutoff integral is
+    S(Q) = (1/(pi a)) [sin(l Q)/l - sin(r Q)/r]; 2 int_1^inf |P_0| is
+    0.48006 up to |q| = 4,000, plus a tail of about 1e-4.
+
+    A 2-bin full tiling at 2^16 points approaches the narrow-window
+    limit.  At L = 256 the apodised variance, plus the lattice window
+    term, is at most 0.57% off (bound 1%), and the mass beyond hbar/s
+    is 0.0017 below 0.4801 (bound 0.004).  S(Q) is checked at L = 64, where it is at
+    most 0.0057 off (bound 0.01); at L = 256, Q = 10 reads 3.4% off.
+
+    Marker strength: the partial marker's mass beyond hbar/s is
+    (1 - cos theta) times the marker's at theta = pi/6, pi/4, pi/3,
+    linear in the lost visibility, to 2.2e-16 relative (bound 1e-12).
+    """
+    t0 = time.perf_counter()
+    a = 0.5
+    lo, hi = (1.0 - a) / 2.0, (1.0 + a) / 2.0
+
+    def closed_a(kappa):
+        eps = 1.0 / kappa
+        return (eps / (eps ** 2 + lo ** 2)
+                - eps / (eps ** 2 + hi ** 2)) / (math.pi * a)
+
+    def closed_s(q_max):
+        return (math.sin(lo * q_max) / lo
+                - math.sin(hi * q_max) / hi) / (math.pi * a)
+
+    def two_bin(ch):
+        """P_wv of ``ch`` on sharp slits, over a 2-bin full tiling."""
+        state = build_double_slit(SlitGeometry(width=a), ch.grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CoverageWarning)
+            return transfer_distribution(state, ch, 2.0 * ch.grid.dp)
+
+    wide = SimGrid(2 ** 16, 256.0)
+    marked = two_bin(scully_wwm(wide))
+    report = apodization_sweep(marked, [TWO_PI * k for k in (1, 4, 16, 64)])
+    term = window_variance(2.0 * wide.dp, wide.dp)
+    a_dev = max(abs(v / (closed_a(k) + term) - 1.0)
+                for k, v in zip(report.kappas, report.values))
+    mass = marked.mass_outside(1.0)
+    narrow = two_bin(scully_wwm(SimGrid(2 ** 16, 64.0)))
+    s_dev = max(abs(sharp_cutoff_variance(narrow, q) - closed_s(q))
+                for q in (2.0, 5.0, 10.0, 20.0))
+    strength_dev = max(
+        abs(two_bin(partial_marker(wide, theta)).mass_outside(1.0)
+            / ((1.0 - math.cos(theta)) * mass) - 1.0)
+        for theta in (math.pi / 6.0, math.pi / 4.0, math.pi / 3.0))
+    elapsed = time.perf_counter() - t0
+    _report(11, a_dev <= 0.01 and abs(mass - 0.4801) <= 0.004
+            and s_dev <= 0.01 and strength_dev <= 1e-12,
+            f"2-bin P_wv vs closed form: apodised variance within "
+            f"{a_dev:.2%} at kappa = 2pi x (1, 4, 16, 64), mass beyond "
+            f"hbar/s {mass:.4f} vs 0.4801, S(Q) within {s_dev:.4f} at "
+            f"Q = 2, 5, 10, 20; partial markers' mass / (1 - cos theta) "
+            f"within {strength_dev:.1e} of the marker's",
             elapsed, 10.0)

@@ -79,9 +79,21 @@ class TestClassicalKick:
     def test_validation(self, grid):
         for kicks in ([], [(1.0, -0.2), (2.0, 1.2)], [(1.0, 0.5), (2.0, 0.6)],
                       [("a", 1.0)], [(math.inf, 1.0)], [(0.0, math.nan)],
-                      [(True, 1.0)], [(1.0, 0.5, 0.2)], [1.0]):
+                      [(True, 1.0)], [(1.0, 0.5, 0.2)], [1.0],
+                      [(10 ** 400, 1.0)], [(0.0, 10 ** 400)],
+                      [(np.float32("inf"), 1.0)], [(0.0, np.float32("inf"))]):
             with pytest.raises(ConfigError):
                 classical_kick(kicks, grid)
+
+    def test_numpy_scalars_are_numbers(self, grid):
+        """numpy integer and floating scalars build the channel that the
+        Python numbers they hold build, bit for bit: a float32
+        probability's square root is taken in double precision."""
+        ch = classical_kick([(np.int64(1), np.float32(0.5)),
+                             (np.float32(-0.5), np.int64(0) + 0.5)], grid)
+        ref = classical_kick([(1, 0.5), (-0.5, 0.5)], grid)
+        for (u, _), (u_ref, _) in zip(ch.sectors, ref.sectors, strict=True):
+            assert u.tobytes() == u_ref.tobytes()
 
     def test_kicks_beyond_the_lattice_range_are_refused(self, grid):
         """exp(iqx) on the lattice cannot tell q from q - 2 p_max."""

@@ -235,6 +235,21 @@ class TestConfigHash:
         assert from_dict({}).config_hash() \
             != from_dict({"grid": {"n_points": 8192}}).config_hash()
 
+    def test_numpy_scalars_hash_as_their_values(self):
+        """from_dict takes numpy scalars where it takes numbers; they
+        hash as the Python numbers they hold."""
+        plain = {"grid": {"n_points": 1024}, "windows": {"count": 3},
+                 "geometry": {"width": 0.25 * 2 ** -12},
+                 "channel": {"kind": "kick", "kicks": [[1, 0.5], [-1, 0.5]]}}
+        scalars = {"grid": {"n_points": np.int64(1024)},
+                   "windows": {"count": np.int64(3)},
+                   "geometry": {"width": np.float32(0.25 * 2 ** -12)},
+                   "channel": {"kind": "kick", "kicks": [
+                       [np.int64(1), np.float32(0.5)],
+                       [np.int64(-1), np.float32(0.5)]]}}
+        assert from_dict(scalars).config_hash() \
+            == from_dict(plain).config_hash()
+
     def test_insensitive_to_key_order(self):
         a = parse_config('{"grid": {"x_extent": 64.0, "n_points": 16384}}')
         b = parse_config('{"grid": {"n_points": 16384, "x_extent": 64.0}}')
@@ -368,6 +383,22 @@ class TestCliExitCodes:
         assert "config error: override 'grid' nests too deeply" \
             in capsys.readouterr().err
 
+    def test_integer_too_long_to_parse(self, tmp_path, capsys):
+        """Python parses no integer literal of over 4,300 digits; one in
+        a config file or a --set value is a config error at its source."""
+        long = "1" + "0" * 5000
+        cfg = tmp_path / "long.json"
+        cfg.write_text('{"grid": {"n_points": %s}}' % long)
+        assert main(["wvp", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert f"config error: {cfg} holds an integer too long to parse" \
+            in capsys.readouterr().err
+        assert main(["transfer", "--set", "channel.kind=kick",
+                     "--set", "channel.kicks=[[%s,1]]" % long,
+                     "--out", str(tmp_path / "x")]) == 2
+        assert ("config error: override 'channel.kicks' holds an integer "
+                "too long to parse") in capsys.readouterr().err
+
     def test_deeply_nested_value_in_a_config_file(self, tmp_path, capsys):
         """A value nested deeply, but not too deeply to parse, is refused
         at its key."""
@@ -422,6 +453,11 @@ class TestCliExitCodes:
         # a fringe period f * wavelength / s that overflows to inf
         ["wvp", "--set", "lab.focal_length=1e308",
          "--set", "lab.wavelength=1e-3", "--set", "grid.n_points=1024"],
+        # a kick q, then a kick prob, that is an integer beyond float range
+        ["transfer", "--set", "channel.kind=kick",
+         "--set", "channel.kicks=[[1%s,1]]" % ("0" * 400)],
+        ["wvp", "--set", "channel.kind=kick",
+         "--set", "channel.kicks=[[0,1%s]]" % ("0" * 400)],
     ])
     def test_rejected_values(self, tmp_path, capsys, argv):
         assert main(argv + ["--out", str(tmp_path / "x")]) == 2

@@ -2,9 +2,11 @@
 and ``cli.main`` returns one of the documented exit codes.
 
 Random leaves of ``DEFAULTS`` are replaced by wrong types, bools, NaN,
-+-inf, zero, negatives, tiny and huge finite numbers, and empty and
-one-element lists; explicit examples add a list nested 1,500 deep,
-which no random draw comes near.  Whatever they hold, the one validation
++-inf, zero, negatives, tiny and huge finite numbers, integers up to
++-10**400, beyond float range, and empty and one-element lists;
+explicit examples add a list nested 1,500 deep, which no random draw
+comes near, and a kick q of 10**400, which needs two keys drawn
+together.  Whatever they hold, the one validation
 path either returns a built scenario or refuses it with a
 ``ConfigError``; nothing else may escape.  The same values, given as
 ``--set`` overrides to any command with and without ``--preset``, and
@@ -74,7 +76,7 @@ NUMBERS = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, 0, 0.0, -0.0, -1, -1.5,
                      5e-324, 1e-300, 1e-12, 1e-6, 0.5, 1, 3, 1e12, 1e300,
                      1.7976931348623157e308, 10 ** 400, -(10 ** 400)]),
-    st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+    st.integers(min_value=-10 ** 400, max_value=10 ** 400),
     st.floats(allow_nan=True, allow_infinity=True),
 )
 
@@ -121,6 +123,7 @@ def _overrides(replacements: dict) -> dict:
 @example({("channel", "kind"): "kick", ("channel", "kicks"): DEEP})
 @example({("geometry", "edge_profile"): DEEP})
 @example({("output_dir",): DEEP})
+@example({("channel", "kind"): "kick", ("channel", "kicks"): [[10 ** 400, 1]]})
 def test_from_dict_builds_or_raises_config_error(replacements):
     overrides = _overrides(replacements)
     # the defaults' 2^14 grid would make every accepted example slow
@@ -213,6 +216,9 @@ def out_dir(tmp_path_factory):
          assignments=["pointer.ratios=" + DEEP_TEXT])
 @example(command="transfer", preset=False,
          assignments=["channel.kind=kick", "channel.kicks=" + DEEP_TEXT])
+@example(command="transfer", preset=False,
+         assignments=["channel.kind=kick",
+                      "channel.kicks=" + json.dumps([[10 ** 400, 1]])])
 def test_cli_exits_with_a_documented_code(out_dir, command, preset,
                                           assignments):
     _check_cli(out_dir, command, preset, assignments)

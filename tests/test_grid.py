@@ -67,6 +67,13 @@ def test_grid_stores_its_extent_as_a_float():
     assert SimGrid(MAX_POINTS, 1.0).n_points == MAX_POINTS
 
 
+def test_grid_takes_a_numpy_integer_size_as_an_int():
+    """n_points passes the package's one number test, so a numpy
+    integer is a size; the grid stores it as a Python int."""
+    grid = SimGrid(np.int64(16), 8.0)
+    assert type(grid.n_points) is int and grid == SimGrid(16, 8.0)
+
+
 def test_indicator_is_half_open_with_half_weight_edges():
     """1 on [lo, hi), and 1/2 on a sample within 1e-12 step of an edge;
     the edges broadcast against the samples."""

@@ -20,7 +20,12 @@ random probabilities), the eraser and the window:
   coverage;
 * the correlation form of ``transfer_distribution`` equals the
   per-window loop it replaced, to 1e-13 of the density maximum plus
-  the round-off both carry, the result's ``roundoff_floor``.
+  the round-off both carry, the result's ``roundoff_floor``;
+* without an eraser, the partial marker K_theta (cos theta + i sin
+  theta S on x < 0, 1 elsewhere) gives the mixture
+  cos theta P_id + (1 - cos theta) P_marker, to 1e-13 of max |P|, for
+  every theta in (0, pi) and window set.  A +-45 eraser breaks it: at
+  the paper's 15 windows it is off by up to 0.69 of max |P|.
 
 That round-off is normwise, as FFT round-off is: before the division
 by the covered mass c, each un-normalised sum is off by a few
@@ -39,6 +44,7 @@ fails as the window width nears the 2 pi fringe period (up to 96% off
 for windows 15 samples of 2 pi / 16 wide).
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -53,6 +59,7 @@ from weakslit import (MomentumWindow, SimGrid, SlitGeometry,
 from weakslit.errors import CoverageWarning
 from weakslit.weak_values import ERASERS, _tiling_indices
 
+from conftest import partial_marker
 from oracles import loop_transfer
 
 EPS = np.finfo(float).eps
@@ -134,6 +141,29 @@ def test_transfer_matches_the_window_loop(scenario, half):
     np.testing.assert_allclose(
         fast.density, slow.density, rtol=0.0,
         atol=1e-13 * np.max(np.abs(slow.density)) + fast.roundoff_floor)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(scenarios(), st.floats(0.0, math.pi, exclude_min=True,
+                              exclude_max=True),
+       st.one_of(st.none(), st.integers(0, 3)))
+def test_partial_marker_is_a_mixture(scenario, theta, half):
+    """Without an eraser, P_wv of the partial marker is
+    cos theta P_id + (1 - cos theta) P_marker for any window set."""
+    state, _, window, _ = scenario
+    grid = state.grid
+    indices = None if half is None else range(window.index - half,
+                                              window.index + half + 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CoverageWarning)
+        got, plain, marked = (
+            transfer_distribution(state, ch, window.width, indices)
+            for ch in (partial_marker(grid, theta), identity_channel(grid),
+                       scully_wwm(grid)))
+    c = math.cos(theta)
+    want = c * plain.density + (1.0 - c) * marked.density
+    np.testing.assert_allclose(got.density, want, rtol=0.0,
+                               atol=1e-13 * np.max(np.abs(want)))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)

@@ -9,8 +9,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from weakslit import (ConfigError, CoverageWarning, GridMismatchError,
                       MeasurementChannel, MomentumWindow, ResolutionError,
@@ -21,11 +19,11 @@ from weakslit import (ConfigError, CoverageWarning, GridMismatchError,
                       momentum_distribution, scully_wwm,
                       transfer_distribution, window_mask)
 from weakslit.config import PRESETS, from_dict
-from weakslit.runner import _window_range, run
+from weakslit.runner import run
 from weakslit.weak_values import (ERASERS, _curve_sums, _output_rows,
                                   _tiling_weights, _window_project, quotient)
 
-from conftest import WINDOW_WIDTH, run_python
+from conftest import WINDOW_WIDTH, partial_marker, run_python
 from oracles import (array_density, array_joint, array_tiling_weights,
                      dense_conditional, dense_joint, dense_transfer,
                      erased_channel, kick_rect_density, loop_conditional_wvp,
@@ -35,31 +33,6 @@ from oracles import (array_density, array_joint, array_tiling_weights,
 def full_tiling(grid, width):
     n_cov = int(np.ceil(grid.p[-1] / width)) + 1
     return range(-n_cov, n_cov + 1)
-
-
-@st.composite
-def grid_windows(draw):
-    """A grid of 8 to 1,024 points and a window on it of one of three
-    kinds: edges within a few 1e-12 dp of a sample ("edge"), any width
-    and position, reaching past either end of the grid or lying wholly
-    beyond it ("anywhere"), and narrower than one bin, so that it may
-    hold no sample ("narrow")."""
-    grid = SimGrid(draw(st.sampled_from([8, 16, 64, 256, 1024])),
-                   draw(st.floats(0.5, 200.0)))
-    half = grid.n_points // 2
-    kind = draw(st.sampled_from(["edge", "anywhere", "narrow"]))
-    if kind == "edge":
-        # An even bin count puts both edges of every window on samples;
-        # (index +- 1/2) * jitter moves them off by about 1e-12 dp.
-        bins = 2 * draw(st.integers(1, half))
-        index = draw(st.integers(-half // bins - 1, half // bins + 1))
-        jitter = draw(st.floats(-3e-12, 3e-12)) / (abs(index) + 0.5)
-        return grid, MomentumWindow(index, (bins + jitter) * grid.dp)
-    bins = draw(st.floats(2.0, 2.0 * half) if kind == "anywhere"
-                else st.floats(0.01, 0.99))
-    reach = int(half / bins) + 3
-    return grid, MomentumWindow(draw(st.integers(-reach, reach)),
-                                bins * grid.dp)
 
 
 class TestWindowAlgebra:
@@ -120,22 +93,6 @@ class TestWindowAlgebra:
                     transfer_distribution(
                         slit_state, ch, width,
                         range(-7, 8) if call == "transfer_indices" else None)
-
-    @settings(derandomize=True, database=None, deadline=None,
-              max_examples=400)
-    @given(grid_windows())
-    @example((SimGrid(64, 8.0), MomentumWindow(0, 16.0 * 2.0 * np.pi / 8.0)))
-    @example((SimGrid(64, 8.0), MomentumWindow(10, 16.0 * 2.0 * np.pi / 8.0)))
-    @example((SimGrid(64, 8.0), MomentumWindow(-99, 4.0)))
-    @example((SimGrid(64, 8.0), MomentumWindow(3, 0.1)))
-    def test_wvp_summary_range_is_the_full_weight_mask(self, case):
-        """``wvp``'s in-window summary reads the samples of weight 1:
-        the slice found on the sorted axis selects exactly them."""
-        grid, window = case
-        got = np.arange(grid.n_points)[
-            _window_range(grid.p, grid.dp, window)]
-        np.testing.assert_array_equal(
-            got, np.flatnonzero(window_mask(grid, window) > 0.5))
 
     @pytest.mark.parametrize("bins", [None, 14.0])
     def test_tiling_weights_reproduce_window_mask(self, grid, bins):
@@ -526,15 +483,6 @@ class TestDenseOracle:
         assert dist.coverage == pytest.approx(coverage, rel=1e-12)
         np.testing.assert_allclose(dist.density, slow,
                                    atol=1e-10 * np.max(np.abs(slow)))
-
-
-def partial_marker(grid, theta):
-    """K = 1 on x >= 0 and exp(i theta S) = cos theta + i sin theta S on
-    x < 0, built straight from its (u, v); theta = pi/2 marks fully."""
-    left = grid.x < 0.0
-    return MeasurementChannel("partial_marker", (
-        (np.where(left, np.cos(theta), 1.0),
-         np.where(left, 1j * np.sin(theta), 0.0)),), grid)
 
 
 class TestPartialMarker:
