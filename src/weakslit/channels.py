@@ -25,7 +25,7 @@ interfere again, distinct classical outcomes cannot.
 import numpy as np
 
 from .errors import ConfigError
-from .grid import SimGrid, _is_number
+from .grid import SimGrid, _is_number, _show
 
 __all__ = [
     "MeasurementChannel",
@@ -98,9 +98,10 @@ def classical_kick(kicks: list[tuple[float, float]],
                         for pair in kicks):
         raise ConfigError(
             f"classical_kick needs a non-empty list of (q, prob) pairs, "
-            f"got {kicks!r}")
+            f"got {_show(kicks)}")
     if not all(_is_number(v) for pair in kicks for v in pair):
-        raise ConfigError(f"kick q and prob must be finite numbers, got {kicks}")
+        raise ConfigError(f"kick q and prob must be finite numbers, "
+                          f"got {_show(kicks)}")
     probs = np.array([pr for _, pr in kicks], dtype=float)
     if np.any(probs < 0.0):
         raise ConfigError(f"negative kick probability in {kicks}")

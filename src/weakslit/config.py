@@ -27,7 +27,7 @@ import numpy as np
 
 from .channels import MeasurementChannel, classical_kick, identity_channel, scully_wwm
 from .errors import ConfigError
-from .grid import LabFrame, SimGrid, _is_number
+from .grid import LabFrame, SimGrid, _is_number, _show
 from .states import SlitGeometry, TransverseState, build_double_slit
 from .weak_values import MomentumWindow, _check_eraser
 
@@ -227,7 +227,7 @@ class ScenarioConfig:
             return scully_wwm(grid)
         if ch["kind"] == "kick":
             return classical_kick(ch["kicks"], grid)
-        raise ConfigError(f"unknown channel kind {ch['kind']!r}")
+        raise ConfigError(f"unknown channel kind {_show(ch['kind'])}")
 
     def window_width_internal(self) -> float:
         """``window.width``; perfbench/layers.py reads it by this name."""
@@ -262,7 +262,7 @@ def _validate(data: dict, schema: dict = DEFAULTS, path: str = ""):
         elif not (isinstance(default, str) or _is_number(value, integer)
                   or (default is None and value is None)):
             noun = "an integer" if integer else "a finite number"
-            raise ConfigError(f"{where!r} must be {noun}, got {value!r}")
+            raise ConfigError(f"{where!r} must be {noun}, got {_show(value)}")
 
 
 def from_dict(overrides: dict) -> ScenarioConfig:

@@ -48,12 +48,13 @@ class SimGrid:
         if not _is_number(n, integer=True) or not 8 <= n <= MAX_POINTS \
                 or n & (n - 1):
             raise ConfigError(f"n_points must be a power of two in "
-                              f"[8, {MAX_POINTS}], got {n}")
+                              f"[8, {MAX_POINTS}], got {_show(n, str)}")
         # In order, so nothing divides by zero.  A finite dp also keeps
         # dx = x_extent / n above 0 for every accepted n.
-        if not 0.0 < x_extent < np.inf or not 2.0 * np.pi / x_extent < np.inf:
+        if not _is_number(x_extent) or not 0.0 < x_extent \
+                or not 2.0 * np.pi / x_extent < np.inf:
             raise ConfigError(f"x_extent must be positive and finite, with a "
-                              f"finite dp, got {x_extent}")
+                              f"finite dp, got {_show(x_extent, str)}")
         self.n_points = int(n_points)
         self.x_extent = float(x_extent)
         self.dx = self.x_extent / n_points
@@ -143,6 +144,19 @@ def _is_number(value, integer: bool = False) -> bool:
     kind = int if integer else (int, float)
     return not isinstance(value, bool) and isinstance(value, kind) \
         and abs(value) <= sys.float_info.max
+
+
+def _show(value, text=repr) -> str:
+    """``text(value)`` for an error message, or a stand-in when ``value``
+    is or holds an int too long for decimal text (Python refuses to
+    print one of over ``sys.get_int_max_str_digits()`` digits)."""
+    try:
+        return text(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"<an integer of {value.bit_length()} bits>"
+        return f"<a {type(value).__name__} holding an integer too long " \
+            f"to print>"
 
 
 def indicator(samples: np.ndarray, step: float, lo, hi) -> np.ndarray:

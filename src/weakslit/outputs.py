@@ -205,11 +205,8 @@ def emit_outputs(bundle: ResultBundle, out_dir) -> list:
                                  default=lambda v: v.item()), "\n"))
         written = [*paths, path]
 
-        for fig in bundle.figures:
-            path = root / f"{fig.name}.svg"
-            _write(path, (render_plot(
-                fig.series, title=fig.title, xlabel=fig.xlabel,
-                ylabel=fig.ylabel, x2label=fig.x2label,
-                x2scale=fig.x2scale),))
+        for name, kwargs in bundle.figures.items():
+            path = root / f"{name}.svg"
+            _write(path, (render_plot(**kwargs),))
             written.append(path)
     return written

@@ -1,7 +1,8 @@
 """Scenario execution: one entry point per figure-style analysis command.
 
 Each command assembles deterministic data tables, a scalar summary, and
-figure descriptions from a validated :class:`ScenarioConfig`.  File
+its figures, each the keyword arguments of :func:`weakslit.svg.render_plot`,
+from a validated :class:`ScenarioConfig`.  File
 emission lives in :mod:`weakslit.outputs`.
 """
 
@@ -10,6 +11,7 @@ import numpy as np
 from . import __version__
 from .config import ScenarioConfig
 from .errors import ConfigError
+from .grid import _show
 from .moments import (apodization_sweep, sharp_cutoff_variance,
                       window_variance)
 from .pointer import (convergence_sweep, estimate_wvp, marginal,
@@ -21,7 +23,7 @@ from .weak_values import (EPS_DEN_FRACTION, COVERAGE_MIN, eraser_curves,
 # the names in this module to trace them.
 from .weak_values import conditional_wvp, joint_wvp  # noqa: F401
 
-__all__ = ["Table", "Figure", "ResultBundle", "run", "COMMANDS"]
+__all__ = ["Table", "ResultBundle", "run", "COMMANDS"]
 
 _TWO_PI = 2.0 * np.pi
 
@@ -43,29 +45,17 @@ class Table:
         self.data = data
 
 
-class Figure:
-    """Declarative line-plot description rendered by the SVG backend."""
-
-    def __init__(self, name: str, series: list, title: str, xlabel: str,
-                 ylabel: str, x2label: str | None = None,
-                 x2scale: float | None = None):
-        self.name = name
-        self.series = series
-        self.title = title
-        self.xlabel = xlabel
-        self.ylabel = ylabel
-        self.x2label = x2label
-        self.x2scale = x2scale
-
-
 class ResultBundle:
+    """One command's results.  ``figures`` maps each SVG's name to the
+    keyword arguments of :func:`weakslit.svg.render_plot`."""
+
     def __init__(self, command: str, tables: dict | None = None,
                  summary: dict | None = None):
         self.command = command
         self.tables = {} if tables is None else tables
         self.summary = {} if summary is None else summary
         self.provenance = {}
-        self.figures = []
+        self.figures = {}
 
 
 def _mm_per_unit(config: ScenarioConfig) -> float:
@@ -73,8 +63,14 @@ def _mm_per_unit(config: ScenarioConfig) -> float:
     return float(config.lab.focal_plane_position(1.0)) * 1e3
 
 
-def _plot_sel(p: np.ndarray) -> np.ndarray:
-    return np.abs(p) <= PLOT_RANGE
+def _momentum_figure(p: np.ndarray, mm: float, curves, title: str,
+                     x: str = "p_f", ylabel: str = "value") -> dict:
+    """``render_plot`` arguments for (y, label) *curves* over momentum
+    *p*, cut to |p| <= PLOT_RANGE, with the focal-plane scale *mm* on top."""
+    sel = np.abs(p) <= PLOT_RANGE
+    return {"series": [(p[sel], y[sel], label) for y, label in curves],
+            "title": title, "xlabel": f"{x} [hbar/s x 2pi per fringe]",
+            "ylabel": ylabel, "x2label": "focal plane [mm]", "x2scale": mm}
 
 
 def _provenance(config: ScenarioConfig) -> dict:
@@ -126,15 +122,10 @@ def _run_wvp(config: ScenarioConfig) -> ResultBundle:
         "in_window_min": float(in_window.min()) if in_window.size else None,
         "in_window_max": float(in_window.max()) if in_window.size else None,
     }
-    sel = _plot_sel(p)
-    bundle.figures.append(Figure(
-        "wvp",
-        [(p[sel], curve.values[sel], "conditional WVP"),
-         (p[sel], dens_out[sel] / dens_out.max(), "output density (scaled)")],
-        "Conditional weak-valued probability",
-        "p_f [hbar/s x 2pi per fringe]", "value",
-        "focal plane [mm]", mm,
-    ))
+    bundle.figures["wvp"] = _momentum_figure(
+        p, mm, [(curve.values, "conditional WVP"),
+                (dens_out / dens_out.max(), "output density (scaled)")],
+        "Conditional weak-valued probability")
     return bundle
 
 
@@ -158,14 +149,9 @@ def _run_transfer(config: ScenarioConfig) -> ResultBundle:
         "density_max": float(dist.density.max()),
         "roundoff_floor": dist.roundoff_floor,
     }
-    sel = _plot_sel(dist.q)
-    bundle.figures.append(Figure(
-        "transfer",
-        [(dist.q[sel], dist.density[sel], "P_wv(q)")],
-        "Weak-valued momentum-transfer distribution",
-        "q [hbar/s x 2pi per fringe]", "density [s/hbar]",
-        "focal plane [mm]", mm,
-    ))
+    bundle.figures["transfer"] = _momentum_figure(
+        dist.q, mm, [(dist.density, "P_wv(q)")],
+        "Weak-valued momentum-transfer distribution", "q", "density [s/hbar]")
     return bundle
 
 
@@ -198,18 +184,15 @@ def _run_variance(config: ScenarioConfig) -> ResultBundle:
         "coverage": dist.coverage,
         "roundoff_floor": dist.roundoff_floor,
     }
-    bundle.figures.append(Figure(
-        "variance_sharp",
-        [(np.array(config.q_max), sharp, "sharp-cutoff variance")],
-        "Variance integral vs sharp cutoff",
-        "q_max [hbar/s]", "integral [(hbar/s)^2]",
-    ))
-    bundle.figures.append(Figure(
-        "variance_apodized",
-        [(np.array(report.kappas), np.array(report.values), "apodized variance")],
-        "Variance integral vs apodization scale",
-        "kappa [hbar/s]", "integral [(hbar/s)^2]",
-    ))
+    bundle.figures["variance_sharp"] = {
+        "series": [(np.array(config.q_max), sharp, "sharp-cutoff variance")],
+        "title": "Variance integral vs sharp cutoff",
+        "xlabel": "q_max [hbar/s]", "ylabel": "integral [(hbar/s)^2]"}
+    bundle.figures["variance_apodized"] = {
+        "series": [(np.array(report.kappas), np.array(report.values),
+                    "apodized variance")],
+        "title": "Variance integral vs apodization scale",
+        "xlabel": "kappa [hbar/s]", "ylabel": "integral [(hbar/s)^2]"}
     return bundle
 
 
@@ -251,15 +234,9 @@ def _run_eraser(config: ScenarioConfig) -> ResultBundle:
         "out_of_window_mass_plus45": out_mass(j_plus),
         "out_of_window_mass_minus45": out_mass(j_minus),
     }
-    sel = _plot_sel(p)
-    bundle.figures.append(Figure(
-        "eraser",
-        [(p[sel], plus[sel], "+45 eraser"),
-         (p[sel], minus[sel], "-45 eraser")],
-        "Eraser-resolved conditional WVP",
-        "p_f [hbar/s x 2pi per fringe]", "value",
-        "focal plane [mm]", mm,
-    ))
+    bundle.figures["eraser"] = _momentum_figure(
+        p, mm, [(plus, "+45 eraser"), (minus, "-45 eraser")],
+        "Eraser-resolved conditional WVP")
     return bundle
 
 
@@ -290,15 +267,10 @@ def _run_pointer(config: ScenarioConfig) -> ResultBundle:
         "max_abs_dev_vs_analytic": dev,
         "marginal_max_abs_dev": float(np.max(np.abs(marg_dev, out=marg_dev))),
     }
-    sel = _plot_sel(p)
-    bundle.figures.append(Figure(
-        "pointer",
-        [(p[sel], est[sel], f"pointer estimate (D/sigma={ratio:g})"),
-         (p[sel], analytic.values[sel], "analytic")],
-        "Pointer emulation vs analytic conditional WVP",
-        "p_f [hbar/s x 2pi per fringe]", "value",
-        "focal plane [mm]", mm,
-    ))
+    bundle.figures["pointer"] = _momentum_figure(
+        p, mm, [(est, f"pointer estimate (D/sigma={ratio:g})"),
+                (analytic.values, "analytic")],
+        "Pointer emulation vs analytic conditional WVP")
     return bundle
 
 
@@ -320,12 +292,10 @@ def _run_sweep(config: ScenarioConfig) -> ResultBundle:
         "roundoff_floor": {"error": list(report.floors),
                            "ratios_under": report.under_floor},
     }
-    bundle.figures.append(Figure(
-        "sweep",
-        [(np.log10(ratios), np.log10(errors), "max-abs error")],
-        "Pointer estimator convergence",
-        "log10 D/sigma", "log10 max-abs error",
-    ))
+    bundle.figures["sweep"] = {
+        "series": [(np.log10(ratios), np.log10(errors), "max-abs error")],
+        "title": "Pointer estimator convergence",
+        "xlabel": "log10 D/sigma", "ylabel": "log10 max-abs error"}
     return bundle
 
 
@@ -343,7 +313,8 @@ def run(config: ScenarioConfig, command: str) -> ResultBundle:
     """Execute one analysis command; see COMMANDS for the valid set."""
     if command not in COMMANDS:
         raise ConfigError(
-            f"unknown command {command!r}; expected one of {sorted(COMMANDS)}")
+            f"unknown command {_show(command)}; expected one of "
+            f"{sorted(COMMANDS)}")
     bundle = COMMANDS[command](config)
     bundle.provenance = _provenance(config)
     return bundle

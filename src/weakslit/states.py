@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from .errors import GeometryError, ResolutionError, WindowRangeError
-from .grid import SimGrid, indicator
+from .grid import SimGrid, _show, indicator
 
 __all__ = [
     "SlitGeometry",
@@ -43,7 +43,7 @@ class SlitGeometry:
             raise GeometryError(
                 f"need 0 < width < 1 slit separation, got width={width}")
         if edge_profile not in ("sharp", "gaussian_smoothed"):
-            raise GeometryError(f"unknown edge_profile {edge_profile!r}")
+            raise GeometryError(f"unknown edge_profile {_show(edge_profile)}")
         if edge_profile == "gaussian_smoothed" and edge_scale is None:
             edge_scale = width / 10.0
         if edge_scale is not None and not edge_scale > 0.0:

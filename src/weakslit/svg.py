@@ -10,8 +10,6 @@ PALETTE = ("#1f6fb2", "#c23b22", "#3a8f3a", "#7d4da0", "#b08900")
 
 
 def _nice_ticks(lo, hi, target=6):
-    if not np.isfinite(lo) or not np.isfinite(hi) or lo == hi:
-        lo, hi = lo - 0.5, hi + 0.5
     span = hi - lo
     raw = span / max(target - 1, 1)
     mag = 10.0 ** np.floor(np.log10(raw))
@@ -33,15 +31,17 @@ def render_plot(series, title, xlabel, ylabel,
     """Render labelled (x, y) series to an SVG document string.
 
     series: list of (x array, y array, label).  NaNs split a polyline;
-    a finite point with no finite neighbour is drawn as a dot.
+    a finite point with no finite neighbour is drawn as a dot.  With no
+    finite point at all, the axes frame the origin as for a constant.
     x2label/x2scale add a top axis with ticks at bottom-tick * x2scale.
     """
     margin_t = 56 if x2label else 34
     xs = np.concatenate([np.asarray(s[0], dtype=float) for s in series])
     ys = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
     finite = np.isfinite(ys) & np.isfinite(xs)
-    x_lo, x_hi = float(xs[finite].min()), float(xs[finite].max())
-    y_lo, y_hi = float(ys[finite].min()), float(ys[finite].max())
+    xs, ys = (xs[finite], ys[finite]) if finite.any() else (np.zeros(1),) * 2
+    x_lo, x_hi = float(xs.min()), float(xs.max())
+    y_lo, y_hi = float(ys.min()), float(ys.max())
     if x_lo == x_hi:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
     if y_lo == y_hi:

@@ -37,7 +37,7 @@ import numpy as np
 from .channels import MeasurementChannel, identity_channel
 from .errors import (ConfigError, CoverageWarning, GridMismatchError,
                      ResolutionError, WindowRangeError)
-from .grid import SimGrid, indicator
+from .grid import SimGrid, _show, indicator
 from .states import TransverseState
 
 __all__ = [
@@ -145,7 +145,8 @@ class TransferDistribution:
 
 def _check_eraser(eraser: str):
     if eraser not in ERASERS:
-        raise ConfigError(f"eraser must be one of {ERASERS}, got {eraser!r}")
+        raise ConfigError(f"eraser must be one of {ERASERS}, "
+                          f"got {_show(eraser)}")
 
 
 def _check_width(grid: SimGrid, width: float):

@@ -81,7 +81,9 @@ class TestClassicalKick:
                       [("a", 1.0)], [(math.inf, 1.0)], [(0.0, math.nan)],
                       [(True, 1.0)], [(1.0, 0.5, 0.2)], [1.0],
                       [(10 ** 400, 1.0)], [(0.0, 10 ** 400)],
-                      [(np.float32("inf"), 1.0)], [(0.0, np.float32("inf"))]):
+                      [(np.float32("inf"), 1.0)], [(0.0, np.float32("inf"))],
+                      [(10 ** 5000, 1.0)], [(0.0, 10 ** 5000)],
+                      [(10 ** 5000,)]):
             with pytest.raises(ConfigError):
                 classical_kick(kicks, grid)
 

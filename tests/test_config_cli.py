@@ -14,7 +14,7 @@ import pytest
 from weakslit import ConfigError, PRESETS, from_dict
 from weakslit.cli import console_entry, main
 from weakslit.config import DEFAULTS, merge, parse_json_object, parse_override
-from weakslit.runner import COMMANDS
+from weakslit.runner import COMMANDS, run
 
 from conftest import run_python, strict_json
 
@@ -126,6 +126,17 @@ class TestValidation:
         {"channel": {"kind": "kick", "kicks": "[[0.5, 1]]"}},
         {"windows": {"focus_index": 10 ** 400}},  # not representable as a float
         {"output_dir": json.loads(DEEP)},
+        # Python prints no int of over 4,300 digits, so a message that
+        # shows one raised ValueError.
+        {"grid": {"x_extent": 10 ** 5000}},
+        {"windows": {"count": 10 ** 5000}},
+        {"grid": {"x_extent": [10 ** 5000]}},
+        {"channel": {"kind": "kick", "kicks": [[10 ** 5000, 1]]}},
+        {"channel": {"kind": "kick", "kicks": [[1, 10 ** 5000]]}},
+        {"channel": {"kind": "kick", "kicks": [[10 ** 5000]]}},
+        {"channel": {"kind": 10 ** 5000}},
+        {"eraser": 10 ** 5000},
+        {"geometry": {"edge_profile": 10 ** 5000}},
     ])
     def test_rejected(self, overrides):
         with pytest.raises(ConfigError):
@@ -162,6 +173,14 @@ class TestValidation:
     def test_constructor_errors_carry_their_key(self, overrides, key):
         with pytest.raises(ConfigError, match=f"^'{key}': "):
             from_dict(overrides)
+
+    @pytest.mark.parametrize("command", [
+        "teleport", None, pytest.param(10 ** 5000, id="5001-digits")])
+    def test_unknown_command_is_a_config_error(self, command):
+        cfg = from_dict({"grid": {"n_points": 1024}})
+        with pytest.raises(ConfigError, match="^unknown command .*; "
+                           "expected one of"):
+            run(cfg, command)
 
     def test_scenario_objects_are_built_from_the_data(self):
         cfg = from_dict(PRESETS["paper"])
@@ -292,6 +311,30 @@ class TestCliRuns:
         assert summary["provenance"]["grid_n_points"] == 1024
 
         ET.fromstring((out / "wvp.svg").read_text())
+        printed = capsys.readouterr().out.splitlines()
+        assert sorted(printed) == sorted(str(out / n) for n in names)
+
+    @pytest.mark.parametrize("command, names", [
+        ("transfer", ["summary.json", "transfer.csv", "transfer.svg"]),
+        ("variance", ["summary.json", "variance_apodized.csv",
+                      "variance_apodized.svg", "variance_sharp.csv",
+                      "variance_sharp.svg"]),
+        ("eraser", ["eraser.svg", "eraser_curves.csv", "eraser_joint.csv",
+                    "summary.json"]),
+        ("pointer", ["pointer.csv", "pointer.svg", "summary.json"]),
+        ("sweep", ["summary.json", "sweep.csv", "sweep.svg"]),
+    ])
+    @pytest.mark.filterwarnings("ignore::weakslit.errors.CoverageWarning")
+    def test_each_command_writes_its_file_set(self, tmp_path, capsys,
+                                              command, names):
+        """Each command writes exactly its tables, its summary and one
+        well-formed SVG per figure, and prints every path it wrote."""
+        out = tmp_path / "run"
+        assert main([command, "--out", str(out)] + FAST) == 0
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            if name.endswith(".svg"):
+                ET.fromstring((out / name).read_text())
         printed = capsys.readouterr().out.splitlines()
         assert sorted(printed) == sorted(str(out / n) for n in names)
 

@@ -50,14 +50,29 @@ def test_grid_rejects_bad_sizes(n):
 
 
 @pytest.mark.parametrize("extent", [0.0, -1.0, -3.0, float("nan"),
-                                    float("inf"), 1e-320, 5e-324])
+                                    float("inf"), 1e-320, 5e-324,
+                                    pytest.param(10 ** 400, id="10**400"),
+                                    True, "64", None, np.float32("inf")])
 def test_grid_rejects_bad_extent(extent):
     """No division by zero, no negative dx and dp, and no lattice whose
     dx or dp is 0 or infinite: inf gives dx = inf and dp = 0.0, 1e-320
-    dp = inf, and 5e-324 dx = 0.0 as well."""
+    dp = inf, and 5e-324 dx = 0.0 as well.  The extent passes the
+    package's number test, as n_points does: an int beyond float range,
+    a bool or a string is refused, not converted."""
     with pytest.raises(ConfigError, match=rf"^x_extent must be positive and "
                        rf"finite, with a finite dp, got {extent}$"):
         SimGrid(16, extent)
+
+
+def test_grid_values_too_long_to_print_are_refused():
+    """Python prints no int of over 4,300 digits; the message gives its
+    bit length instead."""
+    with pytest.raises(ConfigError, match=r"^n_points must be a power of "
+                       r"two .*, got <an integer of 16610 bits>$"):
+        SimGrid(10 ** 5000, 1.0)
+    with pytest.raises(ConfigError, match=r"^x_extent must be positive and "
+                       r"finite, .*, got <an integer of 16610 bits>$"):
+        SimGrid(16, 10 ** 5000)
 
 
 def test_grid_stores_its_extent_as_a_float():

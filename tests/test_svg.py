@@ -77,6 +77,21 @@ def test_single_point_still_renders():
     assert not _elements(doc, "polyline")
 
 
+def test_series_without_a_finite_point_frames_the_origin():
+    """Like a constant series: a frame, ticks on both axes, the labels
+    and the legend, with no polyline and no dot."""
+    x = np.linspace(0.0, 1.0, 5)
+    doc = _render([(x, np.full(5, np.nan), "undefined")],
+                  x2label="x [scaled]", x2scale=2.0)
+    assert "nan" not in doc and "inf" not in doc
+    texts = [el.text for el in _elements(doc, "text")]
+    for wanted in ("demo plot", "x [thing]", "y [other]", "x [scaled]",
+                   "undefined", "0"):
+        assert wanted in texts
+    assert len(_elements(doc, "rect")) == 2 and _elements(doc, "line")
+    assert not _elements(doc, "polyline") and not _elements(doc, "circle")
+
+
 def test_empty_series_beside_a_full_one():
     x = np.linspace(0.0, 1.0, 5)
     doc = _render([(x, x, "full"), (np.array([]), np.array([]), "empty")])
