@@ -51,7 +51,11 @@ _exit = os._exit
 
 
 def _csv_header(table) -> str:
-    return ",".join(f"{name} [{unit}]" for name, unit in table.columns) + "\n"
+    return ",".join(table) + "\n"
+
+
+def _rows(table) -> int:
+    return len(next(iter(table.values())))
 
 
 def _csv_rows(table, start: int, stop: int):
@@ -64,15 +68,15 @@ def _csv_rows(table, start: int, stop: int):
     operation on a repeated row template, so formatting costs no Python
     call per value.
     """
-    row = ",".join(["%.12g"] * len(table.data)) + "\n"
+    row = ",".join(["%.12g"] * len(table)) + "\n"
     for lo in range(start, stop, _BLOCK_ROWS):
         block = np.column_stack([c[lo:min(lo + _BLOCK_ROWS, stop)]
-                                 for c in table.data])
+                                 for c in table.values()])
         yield row * len(block) % tuple(block.ravel().tolist())
 
 
 def _blocks(table) -> int:
-    return -(-len(table.data[0]) // _BLOCK_ROWS)
+    return -(-_rows(table) // _BLOCK_ROWS)
 
 
 def _shares(tables) -> list:
@@ -88,8 +92,7 @@ def _shares(tables) -> list:
 
     def start(table, j):
         """Process j starts at block ceil(B j / k) of a table of B blocks."""
-        return min(len(table.data[0]),
-                   -(-_blocks(table) * j // k) * _BLOCK_ROWS)
+        return min(_rows(table), -(-_blocks(table) * j // k) * _BLOCK_ROWS)
 
     return [[(start(t, j), start(t, j + 1)) for t in tables]
             for j in range(k)]

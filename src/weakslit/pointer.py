@@ -19,7 +19,7 @@ c = <G_0|G_D> = exp(-r^2/2), so the pointer is a pair (curve, ratio):
 the y marginal, :func:`marginal`, is P - 2 (1 - c)(J - T), and the
 conditional centroid divided by D, :func:`estimate_wvp`, is
 
-    (T + c (J - T)) / (P - 2 (1 - c)(J - T)).
+    (J - (1 - c)(J - T)) / (P - 2 (1 - c)(J - T)).
 
 It tends to the conditional weak-valued probability J/P as r -> 0
 (c -> 1), quadratically in r, and to T / (P - 2 (J - T)), the tagged
@@ -76,9 +76,15 @@ def marginal(curve: WvpCurve, ratio: float) -> np.ndarray:
 
 def estimate_wvp(curve: WvpCurve, ratio: float) -> np.ndarray:
     """Centroid estimator d/D of the conditional weak-valued probability
-    per p_f sample, (T + c (J - T)) / marginal; NaN where the marginal is
-    below the definedness threshold."""
-    num = curve.strong + _overlap(ratio)[0] * (curve.joint - curve.strong)
+    per p_f sample, (J - (1 - c)(J - T)) / marginal; NaN where the
+    marginal is below the definedness threshold.
+
+    The numerator T + c (J - T) is written about J, with a correction
+    that vanishes with 1 - c.  Summed as T + c (J - T), its terms can be
+    many times P (82 P for the paper preset at 2^10 points), and their
+    rounding exceeds the sweep's round-off floor where c rounds to 1.
+    """
+    num = curve.joint - _overlap(ratio)[1] * (curve.joint - curve.strong)
     return quotient(num, marginal(curve, ratio))
 
 

@@ -1,9 +1,9 @@
 """Scenario execution: one entry point per figure-style analysis command.
 
-Each command assembles deterministic data tables, a scalar summary, and
-its figures, each the keyword arguments of :func:`weakslit.svg.render_plot`,
-from a validated :class:`ScenarioConfig`.  File
-emission lives in :mod:`weakslit.outputs`.
+Each command returns its deterministic data tables, a scalar summary and
+its figures, built from a validated :class:`ScenarioConfig`; :func:`run`
+wraps them in a :class:`ResultBundle`.  File emission lives in
+:mod:`weakslit.outputs`.
 """
 
 import numpy as np
@@ -23,7 +23,7 @@ from .weak_values import (EPS_DEN_FRACTION, COVERAGE_MIN, eraser_curves,
 # the names in this module to trace them.
 from .weak_values import conditional_wvp, joint_wvp  # noqa: F401
 
-__all__ = ["Table", "ResultBundle", "run", "COMMANDS"]
+__all__ = ["ResultBundle", "run", "COMMANDS"]
 
 _TWO_PI = 2.0 * np.pi
 
@@ -31,36 +31,29 @@ _TWO_PI = 2.0 * np.pi
 PLOT_RANGE = 4.0 * _TWO_PI
 
 
-class Table:
-    """A data table with (column, unit) headers; the bundle's key names it.
-
-    ``data`` holds one 1-D array per header, all of one length.  A bool
-    array (a ``defined`` mask, ``np.isfinite`` of a curve) is written
-    as 0/1.
-    """
-
-    def __init__(self, columns: tuple[tuple[str, str], ...],
-                 data: tuple[np.ndarray, ...]):
-        self.columns = columns
-        self.data = data
-
-
 class ResultBundle:
-    """One command's results.  ``figures`` maps each SVG's name to the
+    """One command's results.  ``tables`` maps each CSV's name to a dict
+    from header text ``"name [unit]"`` to 1-D column, all of one length (a
+    bool column is written 0/1); ``figures`` maps each SVG's name to the
     keyword arguments of :func:`weakslit.svg.render_plot`."""
 
-    def __init__(self, command: str, tables: dict | None = None,
-                 summary: dict | None = None):
+    def __init__(self, command: str, tables: dict, summary: dict,
+                 figures: dict, provenance: dict):
         self.command = command
-        self.tables = {} if tables is None else tables
-        self.summary = {} if summary is None else summary
-        self.provenance = {}
-        self.figures = {}
+        self.tables = tables
+        self.summary = summary
+        self.figures = figures
+        self.provenance = provenance
 
 
 def _mm_per_unit(config: ScenarioConfig) -> float:
     """Focal-plane millimetres per internal momentum unit."""
     return float(config.lab.focal_plane_position(1.0)) * 1e3
+
+
+def _momentum_axis(p: np.ndarray, mm: float, x: str = "p_f") -> dict:
+    """Columns *x*, momentum *p*, and *x*_lab, its focal-plane mm."""
+    return {f"{x} [hbar/s]": p, f"{x}_lab [mm]": p * mm}
 
 
 def _momentum_figure(p: np.ndarray, mm: float, curves, title: str,
@@ -86,7 +79,7 @@ def _provenance(config: ScenarioConfig) -> dict:
     }
 
 
-def _run_wvp(config: ScenarioConfig) -> ResultBundle:
+def _run_wvp(config: ScenarioConfig) -> tuple[dict, dict, dict]:
     window = config.window
     # One set of full-state sector sums gives the curve and, through the
     # un-erased density, the output distribution.
@@ -97,22 +90,16 @@ def _run_wvp(config: ScenarioConfig) -> ResultBundle:
     dens_out = curves["none"].density
     dens_out = dens_out / (np.sum(dens_out) * config.grid.dp)
     p, mm = config.grid.p, _mm_per_unit(config)
-    p_lab = p * mm
+    axis = _momentum_axis(p, mm)
     ok = np.isfinite(curve.values)
-
-    bundle = ResultBundle("wvp")
-    bundle.tables["wvp"] = Table((
-        ("p_f", "hbar/s"), ("p_f_lab", "mm"), ("conditional", "1"),
-        ("joint", "s/hbar"), ("defined", "0/1"),
-    ), (p, p_lab, curve.values, curve.joint, ok))
-    bundle.tables["intensity"] = Table((
-        ("p_f", "hbar/s"), ("p_f_lab", "mm"),
-        ("input_density", "s/hbar"), ("output_density", "s/hbar"),
-    ), (p, p_lab, dens_in, dens_out))
+    tables = {"wvp": {**axis, "conditional [1]": curve.values,
+                      "joint [s/hbar]": curve.joint, "defined [0/1]": ok},
+              "intensity": {**axis, "input_density [s/hbar]": dens_in,
+                            "output_density [s/hbar]": dens_out}}
 
     in_window = curve.values[window_mask(config.grid, window) > 0.5]
     in_window = in_window[np.isfinite(in_window)]
-    bundle.summary = {
+    summary = {
         "window_index": window.index,
         "window_width": window.width,
         "eraser": config.eraser,
@@ -122,23 +109,21 @@ def _run_wvp(config: ScenarioConfig) -> ResultBundle:
         "in_window_min": float(in_window.min()) if in_window.size else None,
         "in_window_max": float(in_window.max()) if in_window.size else None,
     }
-    bundle.figures["wvp"] = _momentum_figure(
+    figures = {"wvp": _momentum_figure(
         p, mm, [(curve.values, "conditional WVP"),
                 (dens_out / dens_out.max(), "output density (scaled)")],
-        "Conditional weak-valued probability")
-    return bundle
+        "Conditional weak-valued probability")}
+    return tables, summary, figures
 
 
-def _run_transfer(config: ScenarioConfig) -> ResultBundle:
+def _run_transfer(config: ScenarioConfig) -> tuple[dict, dict, dict]:
     dist = transfer_distribution(config.state, config.channel,
                                  config.window.width, config.indices,
                                  config.eraser)
     mm = _mm_per_unit(config)
-    bundle = ResultBundle("transfer")
-    bundle.tables["transfer"] = Table((
-        ("q", "hbar/s"), ("q_lab", "mm"), ("density", "s/hbar"),
-    ), (dist.q, dist.q * mm, dist.density))
-    bundle.summary = {
+    tables = {"transfer": {**_momentum_axis(dist.q, mm, "q"),
+                           "density [s/hbar]": dist.density}}
+    summary = {
         "integral": dist.integral(),
         "coverage": dist.coverage,
         "mass_outside_hbar_over_s": dist.mass_outside(1.0),
@@ -149,30 +134,29 @@ def _run_transfer(config: ScenarioConfig) -> ResultBundle:
         "density_max": float(dist.density.max()),
         "roundoff_floor": dist.roundoff_floor,
     }
-    bundle.figures["transfer"] = _momentum_figure(
+    figures = {"transfer": _momentum_figure(
         dist.q, mm, [(dist.density, "P_wv(q)")],
-        "Weak-valued momentum-transfer distribution", "q", "density [s/hbar]")
-    return bundle
+        "Weak-valued momentum-transfer distribution", "q", "density [s/hbar]")}
+    return tables, summary, figures
 
 
-def _run_variance(config: ScenarioConfig) -> ResultBundle:
+def _run_variance(config: ScenarioConfig) -> tuple[dict, dict, dict]:
     dist = transfer_distribution(config.state, config.channel,
                                  config.window.width, config.indices,
                                  config.eraser)
+    q_max = np.array(config.q_max)
     sharp = np.array([sharp_cutoff_variance(dist, q) for q in config.q_max])
     report = apodization_sweep(dist, config.kappa)
+    kappas, values = np.array(report.kappas), np.array(report.values)
 
     signs = np.sign(sharp[np.abs(sharp) > 0.0])
     sign_changes = int(np.sum(signs[1:] * signs[:-1] < 0.0))
 
-    bundle = ResultBundle("variance")
-    bundle.tables["variance_sharp"] = Table((
-        ("q_max", "hbar/s"), ("value", "(hbar/s)^2"),
-    ), (np.array(config.q_max), sharp))
-    bundle.tables["variance_apodized"] = Table((
-        ("kappa", "hbar/s"), ("value", "(hbar/s)^2"),
-    ), (np.array(report.kappas), np.array(report.values)))
-    bundle.summary = {
+    tables = {"variance_sharp": {"q_max [hbar/s]": q_max,
+                                 "value [(hbar/s)^2]": sharp},
+              "variance_apodized": {"kappa [hbar/s]": kappas,
+                                    "value [(hbar/s)^2]": values}}
+    summary = {
         "sign_changes": sign_changes,
         "largest_kappa": report.kappas[-1],
         "largest_kappa_value": report.largest_kappa_value,
@@ -184,19 +168,20 @@ def _run_variance(config: ScenarioConfig) -> ResultBundle:
         "coverage": dist.coverage,
         "roundoff_floor": dist.roundoff_floor,
     }
-    bundle.figures["variance_sharp"] = {
-        "series": [(np.array(config.q_max), sharp, "sharp-cutoff variance")],
-        "title": "Variance integral vs sharp cutoff",
-        "xlabel": "q_max [hbar/s]", "ylabel": "integral [(hbar/s)^2]"}
-    bundle.figures["variance_apodized"] = {
-        "series": [(np.array(report.kappas), np.array(report.values),
-                    "apodized variance")],
-        "title": "Variance integral vs apodization scale",
-        "xlabel": "kappa [hbar/s]", "ylabel": "integral [(hbar/s)^2]"}
-    return bundle
+    figures = {
+        "variance_sharp": {
+            "series": [(q_max, sharp, "sharp-cutoff variance")],
+            "title": "Variance integral vs sharp cutoff",
+            "xlabel": "q_max [hbar/s]", "ylabel": "integral [(hbar/s)^2]"},
+        "variance_apodized": {
+            "series": [(kappas, values, "apodized variance")],
+            "title": "Variance integral vs apodization scale",
+            "xlabel": "kappa [hbar/s]", "ylabel": "integral [(hbar/s)^2]"},
+    }
+    return tables, summary, figures
 
 
-def _run_eraser(config: ScenarioConfig) -> ResultBundle:
+def _run_eraser(config: ScenarioConfig) -> tuple[dict, dict, dict]:
     window = config.window
     curves = eraser_curves(config.state, config.channel, window)
     plus, minus = curves["plus45"].values, curves["minus45"].values
@@ -216,17 +201,15 @@ def _run_eraser(config: ScenarioConfig) -> ResultBundle:
     plus_ok, minus_ok = np.isfinite(plus), np.isfinite(minus)
     plus_dev = float(np.nanmax(np.abs(plus[plus_ok] - indicator[plus_ok])))
 
-    bundle = ResultBundle("eraser")
-    bundle.tables["eraser_curves"] = Table((
-        ("p_f", "hbar/s"), ("p_f_lab", "mm"),
-        ("plus45", "1"), ("plus45_defined", "0/1"),
-        ("minus45", "1"), ("minus45_defined", "0/1"),
-    ), (p, p * mm, plus, plus_ok, minus, minus_ok))
-    bundle.tables["eraser_joint"] = Table((
-        ("p_f", "hbar/s"), ("joint_none", "s/hbar"),
-        ("joint_plus45", "s/hbar"), ("joint_minus45", "s/hbar"),
-    ), (p, j_none, j_plus, j_minus))
-    bundle.summary = {
+    tables = {"eraser_curves": {**_momentum_axis(p, mm), "plus45 [1]": plus,
+                                "plus45_defined [0/1]": plus_ok,
+                                "minus45 [1]": minus,
+                                "minus45_defined [0/1]": minus_ok},
+              "eraser_joint": {"p_f [hbar/s]": p,
+                               "joint_none [s/hbar]": j_none,
+                               "joint_plus45 [s/hbar]": j_plus,
+                               "joint_minus45 [s/hbar]": j_minus}}
+    summary = {
         "window_index": window.index,
         "partition_max_abs": float(np.max(np.abs(j_none - j_plus - j_minus))),
         "plus45_indicator_max_dev": plus_dev,
@@ -234,13 +217,13 @@ def _run_eraser(config: ScenarioConfig) -> ResultBundle:
         "out_of_window_mass_plus45": out_mass(j_plus),
         "out_of_window_mass_minus45": out_mass(j_minus),
     }
-    bundle.figures["eraser"] = _momentum_figure(
+    figures = {"eraser": _momentum_figure(
         p, mm, [(plus, "+45 eraser"), (minus, "-45 eraser")],
-        "Eraser-resolved conditional WVP")
-    return bundle
+        "Eraser-resolved conditional WVP")}
+    return tables, summary, figures
 
 
-def _run_pointer(config: ScenarioConfig) -> ResultBundle:
+def _run_pointer(config: ScenarioConfig) -> tuple[dict, dict, dict]:
     window, ratio = config.window, config.ratio
     analytic = run_tagged(config.state, config.channel, window)
     est = estimate_wvp(analytic, ratio)
@@ -254,37 +237,32 @@ def _run_pointer(config: ScenarioConfig) -> ResultBundle:
     marg_dev = np.subtract(marg, dens, out=marg)
     p, mm = config.grid.p, _mm_per_unit(config)
 
-    bundle = ResultBundle("pointer")
-    bundle.tables["pointer"] = Table((
-        ("p_f", "hbar/s"), ("p_f_lab", "mm"), ("estimate", "1"),
-        ("estimate_defined", "0/1"), ("analytic", "1"),
-        ("analytic_defined", "0/1"),
-    ), (p, p * mm, est, est_defined, analytic.values, analytic_defined))
-    bundle.summary = {
+    tables = {"pointer": {**_momentum_axis(p, mm), "estimate [1]": est,
+                          "estimate_defined [0/1]": est_defined,
+                          "analytic [1]": analytic.values,
+                          "analytic_defined [0/1]": analytic_defined}}
+    summary = {
         "ratio": ratio,
         "window_index": window.index,
         "window_width": window.width,
         "max_abs_dev_vs_analytic": dev,
         "marginal_max_abs_dev": float(np.max(np.abs(marg_dev, out=marg_dev))),
     }
-    bundle.figures["pointer"] = _momentum_figure(
+    figures = {"pointer": _momentum_figure(
         p, mm, [(est, f"pointer estimate (D/sigma={ratio:g})"),
                 (analytic.values, "analytic")],
-        "Pointer emulation vs analytic conditional WVP")
-    return bundle
+        "Pointer emulation vs analytic conditional WVP")}
+    return tables, summary, figures
 
 
-def _run_sweep(config: ScenarioConfig) -> ResultBundle:
+def _run_sweep(config: ScenarioConfig) -> tuple[dict, dict, dict]:
     report = convergence_sweep(config.state, config.channel, config.window,
                                config.ratios)
     ratios = np.array(report.ratios)
     errors = np.array(report.errors)
 
-    bundle = ResultBundle("sweep")
-    bundle.tables["sweep"] = Table((
-        ("ratio", "1"), ("max_abs_error", "1"),
-    ), (ratios, errors))
-    bundle.summary = {
+    tables = {"sweep": {"ratio [1]": ratios, "max_abs_error [1]": errors}}
+    summary = {
         "ratios": list(report.ratios),
         "errors": list(report.errors),
         "slope_smallest_pair": report.slope_smallest_pair,
@@ -292,11 +270,11 @@ def _run_sweep(config: ScenarioConfig) -> ResultBundle:
         "roundoff_floor": {"error": list(report.floors),
                            "ratios_under": report.under_floor},
     }
-    bundle.figures["sweep"] = {
+    figures = {"sweep": {
         "series": [(np.log10(ratios), np.log10(errors), "max-abs error")],
         "title": "Pointer estimator convergence",
-        "xlabel": "log10 D/sigma", "ylabel": "log10 max-abs error"}
-    return bundle
+        "xlabel": "log10 D/sigma", "ylabel": "log10 max-abs error"}}
+    return tables, summary, figures
 
 
 COMMANDS = {
@@ -315,6 +293,5 @@ def run(config: ScenarioConfig, command: str) -> ResultBundle:
         raise ConfigError(
             f"unknown command {_show(command)}; expected one of "
             f"{sorted(COMMANDS)}")
-    bundle = COMMANDS[command](config)
-    bundle.provenance = _provenance(config)
-    return bundle
+    return ResultBundle(command, *COMMANDS[command](config),
+                        _provenance(config))

@@ -26,6 +26,21 @@ def _fmt(v):
     return f"{v:.6g}"
 
 
+def _frame(values) -> tuple[float, float, float]:
+    """(scale, lo, hi): the power of two, 1 unless *values* exceed
+    2^1020, that keeps padded spans and ticks finite (exact in binary),
+    and the range of the scaled values, widened about a constant by 0.5,
+    or by 2^-20 of it where 0.5 is lost to rounding."""
+    scale = 1.0
+    while float(np.max(np.abs(values))) * scale > 2.0 ** 1020:
+        scale /= 2.0
+    lo, hi = float(values.min()) * scale, float(values.max()) * scale
+    if lo == hi:
+        half = 0.5 if lo - 0.5 != lo + 0.5 else abs(lo) * 2.0 ** -20
+        lo, hi = lo - half, hi + half
+    return scale, lo, hi
+
+
 def render_plot(series, title, xlabel, ylabel,
                 x2label=None, x2scale=None) -> str:
     """Render labelled (x, y) series to an SVG document string.
@@ -34,18 +49,15 @@ def render_plot(series, title, xlabel, ylabel,
     a finite point with no finite neighbour is drawn as a dot.  With no
     finite point at all, the axes frame the origin as for a constant.
     x2label/x2scale add a top axis with ticks at bottom-tick * x2scale.
+    Data near the float range are laid out scaled by a power of two.
     """
     margin_t = 56 if x2label else 34
     xs = np.concatenate([np.asarray(s[0], dtype=float) for s in series])
     ys = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
     finite = np.isfinite(ys) & np.isfinite(xs)
     xs, ys = (xs[finite], ys[finite]) if finite.any() else (np.zeros(1),) * 2
-    x_lo, x_hi = float(xs.min()), float(xs.max())
-    y_lo, y_hi = float(ys.min()), float(ys.max())
-    if x_lo == x_hi:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_lo == y_hi:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    sx, x_lo, x_hi = _frame(xs)
+    sy, y_lo, y_hi = _frame(ys)
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
@@ -76,13 +88,13 @@ def render_plot(series, title, xlabel, ylabel,
                    f'x2="{_fmt(xpix)}" y2="{margin_t + ph + 5}" stroke="#444"/>')
         out.append(f'<text x="{_fmt(xpix)}" y="{margin_t + ph + 18}" '
                    f'text-anchor="middle" font-size="11" '
-                   f'font-family="sans-serif">{_fmt(t)}</text>')
+                   f'font-family="sans-serif">{_fmt(t / sx)}</text>')
         if x2label:
             out.append(f'<line x1="{_fmt(xpix)}" y1="{margin_t}" '
                        f'x2="{_fmt(xpix)}" y2="{margin_t - 5}" stroke="#444"/>')
             out.append(f'<text x="{_fmt(xpix)}" y="{margin_t - 9}" '
                        f'text-anchor="middle" font-size="11" '
-                       f'font-family="sans-serif">{_fmt(t * x2scale)}</text>')
+                       f'font-family="sans-serif">{_fmt(t / sx * x2scale)}</text>')
     for t in _nice_ticks(y_lo, y_hi):
         if not y_lo <= t <= y_hi:
             continue
@@ -91,7 +103,7 @@ def render_plot(series, title, xlabel, ylabel,
                    f'x2="{MARGIN_L}" y2="{_fmt(ypix)}" stroke="#444"/>')
         out.append(f'<text x="{MARGIN_L - 8}" y="{_fmt(ypix + 4)}" '
                    f'text-anchor="end" font-size="11" '
-                   f'font-family="sans-serif">{_fmt(t)}</text>')
+                   f'font-family="sans-serif">{_fmt(t / sy)}</text>')
 
     out.append(f'<text x="{MARGIN_L + pw / 2}" y="{HEIGHT - 10}" '
                f'text-anchor="middle" font-size="12" '
@@ -106,8 +118,8 @@ def render_plot(series, title, xlabel, ylabel,
 
     for i, (x, y, label) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        x = np.asarray(x, dtype=float) * sx
+        y = np.asarray(y, dtype=float) * sy
         ok = np.isfinite(x) & np.isfinite(y)
         # split into contiguous finite runs so gaps stay gaps
         runs = np.split(np.arange(len(y)), np.nonzero(np.diff(ok.astype(int)))[0] + 1)

@@ -400,8 +400,9 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
         Window indices to include; None means a tiling of the whole
         simulated momentum range.  The flagship 15-window scenario
         passes range(-7, 8).  A repeated index counts once per
-        occurrence.  Indices whose windows hold no momentum sample at
-        all are refused (:class:`WindowRangeError`).
+        occurrence.  An index whose window holds no momentum sample adds
+        nothing but stays in ``windows``; only a tiling none of whose
+        windows holds a sample is refused (:class:`WindowRangeError`).
     eraser :
         Optional polarisation post-selection applied to every window.
 

@@ -545,10 +545,10 @@ def loop_table_csv(table) -> str:
 
     This was the package's ``outputs._table_csv`` before rows were
     formatted in blocks; kept verbatim as the oracle for it, except that
-    it stacks the table's columns into rows first.
+    it reads a dict from header text to column and stacks the columns
+    into rows first.
     """
-    header = ",".join(f"{name} [{unit}]" for name, unit in table.columns)
-    lines = [header]
-    for row in np.column_stack(table.data):
+    lines = [",".join(table)]
+    for row in np.column_stack(list(table.values())):
         lines.append(",".join(_format_value(v) for v in row))
     return "\n".join(lines) + "\n"

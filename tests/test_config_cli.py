@@ -22,6 +22,26 @@ TWO_PI = 2.0 * math.pi
 
 FAST = ["--set", "grid.n_points=1024"]
 
+#: The first line of each command's CSV tables.
+CSV_HEADERS = {
+    "wvp.csv": "p_f [hbar/s],p_f_lab [mm],conditional [1],joint [s/hbar],"
+               "defined [0/1]",
+    "intensity.csv": "p_f [hbar/s],p_f_lab [mm],input_density [s/hbar],"
+                     "output_density [s/hbar]",
+    "transfer.csv": "q [hbar/s],q_lab [mm],density [s/hbar]",
+    "variance_sharp.csv": "q_max [hbar/s],value [(hbar/s)^2]",
+    "variance_apodized.csv": "kappa [hbar/s],value [(hbar/s)^2]",
+    "eraser_curves.csv": "p_f [hbar/s],p_f_lab [mm],plus45 [1],"
+                         "plus45_defined [0/1],minus45 [1],"
+                         "minus45_defined [0/1]",
+    "eraser_joint.csv": "p_f [hbar/s],joint_none [s/hbar],"
+                        "joint_plus45 [s/hbar],joint_minus45 [s/hbar]",
+    "pointer.csv": "p_f [hbar/s],p_f_lab [mm],estimate [1],"
+                   "estimate_defined [0/1],analytic [1],"
+                   "analytic_defined [0/1]",
+    "sweep.csv": "ratio [1],max_abs_error [1]",
+}
+
 #: A list nested 600 deep, which ``json.loads`` still parses.
 DEEP = "[" * 600 + "]" * 600
 
@@ -300,10 +320,6 @@ class TestCliRuns:
         names = sorted(p.name for p in out.iterdir())
         assert names == ["intensity.csv", "summary.json", "wvp.csv", "wvp.svg"]
 
-        header = (out / "wvp.csv").read_text().splitlines()[0]
-        assert header == ("p_f [hbar/s],p_f_lab [mm],conditional [1],"
-                          "joint [s/hbar],defined [0/1]")
-
         summary = json.loads((out / "summary.json").read_text())
         assert summary["command"] == "wvp"
         sha = summary["provenance"]["config_sha256"]
@@ -323,18 +339,23 @@ class TestCliRuns:
                     "summary.json"]),
         ("pointer", ["pointer.csv", "pointer.svg", "summary.json"]),
         ("sweep", ["summary.json", "sweep.csv", "sweep.svg"]),
+        ("wvp", ["intensity.csv", "summary.json", "wvp.csv", "wvp.svg"]),
     ])
     @pytest.mark.filterwarnings("ignore::weakslit.errors.CoverageWarning")
     def test_each_command_writes_its_file_set(self, tmp_path, capsys,
                                               command, names):
-        """Each command writes exactly its tables, its summary and one
-        well-formed SVG per figure, and prints every path it wrote."""
+        """Each command writes exactly its tables, each under its own
+        header, its summary and one well-formed SVG per figure, and
+        prints every path it wrote."""
         out = tmp_path / "run"
         assert main([command, "--out", str(out)] + FAST) == 0
         assert sorted(p.name for p in out.iterdir()) == names
         for name in names:
             if name.endswith(".svg"):
                 ET.fromstring((out / name).read_text())
+            if name.endswith(".csv"):
+                with open(out / name, encoding="utf-8") as table:
+                    assert table.readline() == CSV_HEADERS[name] + "\n"
         printed = capsys.readouterr().out.splitlines()
         assert sorted(printed) == sorted(str(out / n) for n in names)
 
@@ -570,6 +591,21 @@ class TestCliExitCodes:
         assert summary["monotone_decreasing"] is True
         assert summary["slope_smallest_pair"] > 0.0
         assert len((out / "sweep.csv").read_text().splitlines()) == 3
+
+    def test_sweep_where_c_rounds_to_one_is_exact(self, tmp_path):
+        """At D/sigma 1e-9 and 1e-12, c = exp(-r^2/2) is 1.0 and the
+        estimate is J/P: both errors are under their floors, and the two
+        larger ratios still converge quadratically."""
+        out = tmp_path / "x"
+        assert main(["sweep", "--preset", "paper", "--set",
+                     "pointer.ratios=[1e-4,1e-6,1e-9,1e-12]",
+                     "--out", str(out)] + FAST) == 0
+        summary = strict_json((out / "summary.json").read_text())["summary"]
+        floors = summary["roundoff_floor"]["error"]
+        assert all(e <= f for e, f in zip(summary["errors"][2:], floors[2:]))
+        assert summary["roundoff_floor"]["ratios_under"] == 2
+        assert summary["monotone_decreasing"] is True
+        assert summary["slope_smallest_pair"] == pytest.approx(2.0, abs=1e-3)
 
     def test_window_outside_grid_range(self, tmp_path, capsys):
         rc = main(["wvp", "--preset", "paper",

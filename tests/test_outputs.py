@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from weakslit import OutputError, emit_outputs, from_dict, outputs, run
-from weakslit.outputs import _BLOCK_ROWS, _csv_header, _csv_rows
-from weakslit.runner import ResultBundle, Table
+from weakslit.outputs import _BLOCK_ROWS, _csv_header, _csv_rows, _rows
+from weakslit.runner import ResultBundle
 
 from conftest import run_python
 from oracles import loop_table_csv
@@ -25,15 +25,13 @@ SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-310,
            1e300, -1.7976931348623157e308]
 
 
-def _table(columns, units=None):
-    names = tuple((f"c{k}", units or "1") for k in range(len(columns)))
-    return Table(names, tuple(columns))
+def _table(columns):
+    return {f"c{k} [1]": column for k, column in enumerate(columns)}
 
 
 def table_csv(table) -> str:
     """The whole table as CSV text, formatted in this process."""
-    return _csv_header(table) + "".join(
-        _csv_rows(table, 0, len(table.data[0])))
+    return _csv_header(table) + "".join(_csv_rows(table, 0, _rows(table)))
 
 
 def assert_same_text(text, expected):
@@ -103,7 +101,7 @@ def test_block_boundaries_match_the_per_value_writer(rows, tmp_path,
     table = _table(_mixed(rows))
     text = assert_matches_oracle(table)
     assert text.count("\n") == rows + 1
-    bundle = ResultBundle("t", tables={"t": table})
+    bundle = ResultBundle("t", {"t": table}, {}, {}, {})
     for cores in (1, 2, 3):
         forks.clear()
         files = emit_on(cores, monkeypatch, bundle, tmp_path / str(cores))
@@ -126,7 +124,7 @@ def test_a_bundle_splits_into_the_same_files_on_any_cpu_count(
         "block": _table([np.arange(_BLOCK_ROWS) % 3 == 0,
                          np.full(_BLOCK_ROWS, np.nan)]),
     }
-    bundle = ResultBundle("bundle", tables=tables)
+    bundle = ResultBundle("bundle", tables, {}, {}, {})
     one = emit_on(1, monkeypatch, bundle, tmp_path / "1")
     assert sorted(one) == sorted([f"{name}.csv" for name in tables]
                                  + ["summary.json"])
@@ -150,8 +148,8 @@ def test_a_failed_row_writer_raises_and_is_reaped(tmp_path, monkeypatch):
 
     monkeypatch.setattr(outputs, "_csv_rows", failing)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    bundle = ResultBundle(
-        "t", tables={"t": _table(_mixed(2 * _BLOCK_ROWS + 1))})
+    bundle = ResultBundle("t", {"t": _table(_mixed(2 * _BLOCK_ROWS + 1))},
+                          {}, {}, {})
     with pytest.raises(OutputError, match=r"t\.csv.* exited with status 1"):
         emit_outputs(bundle, tmp_path)
     with pytest.raises(ChildProcessError):
@@ -163,8 +161,8 @@ def test_row_writers_are_reaped_when_the_caller_fails(tmp_path, monkeypatch,
     """A summary that is not JSON fails in the caller after the fork: the
     error propagates once the child has been waited for."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    bundle = ResultBundle("t", tables={"t": _table(_mixed(_BLOCK_ROWS + 1))},
-                          summary={"bad": object()})
+    bundle = ResultBundle("t", {"t": _table(_mixed(_BLOCK_ROWS + 1))},
+                          {"bad": object()}, {}, {})
     with pytest.raises(AttributeError):
         emit_outputs(bundle, tmp_path)
     assert len(forks) == 1
@@ -241,7 +239,7 @@ def test_writing_a_large_table_holds_one_block(tmp_path):
     rows = 1 << 16
     columns = _mixed(rows, seed=3) + [np.linspace(0.0, 1.0, rows),
                                       np.arange(rows) % 2 == 0]
-    bundle = ResultBundle("large", tables={"large": _table(columns)})
+    bundle = ResultBundle("large", {"large": _table(columns)}, {}, {}, {})
     tracemalloc.start()
     try:
         emit_outputs(bundle, tmp_path)

@@ -1,8 +1,10 @@
 """The SVG writer: well-formed XML, one polyline per finite run, labels."""
 
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
+import pytest
 
 from weakslit.svg import PALETTE, render_plot
 
@@ -110,3 +112,28 @@ def test_rendering_is_deterministic():
     x = np.linspace(-3.0, 3.0, 200)
     series = [(x, np.exp(-x ** 2), "bump")]
     assert _render(series) == _render(series)
+
+
+@pytest.mark.parametrize("x, y", [
+    ([0.0, 1.0], [-1.7e308, 1.7e308]),
+    ([0.0, 1.0], [0.0, 1.7e308]),
+    ([-1.7e308, 1.7e308], [0.0, 1.0]),
+    ([0.0, 1.0], [1e20, 1e20]),
+], ids=["y-both-signs", "y-one-sign", "x-both-signs", "large-constant"])
+def test_ranges_near_the_float_limit_are_laid_out(x, y):
+    """Finite data whose span or padding would overflow, or a constant
+    that +-0.5 does not move: no error, no warning, one polyline with
+    finite coordinates and the data's own values on the tick labels."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        doc = _render([(np.array(x), np.array(y), "wide")],
+                      x2label="x [scaled]", x2scale=0.5)
+    assert "nan" not in doc and "inf" not in doc
+    (poly,) = _elements(doc, "polyline")
+    coords = [float(v) for pt in poly.get("points").split()
+              for v in pt.split(",")]
+    assert all(0.0 <= v <= 640.0 for v in coords)
+    labels = [float(el.text) for el in _elements(doc, "text")
+              if el.text.lstrip("-")[:1].isdigit()]
+    wide = max(np.abs(x).max(), np.abs(y).max())
+    assert max(np.abs(labels)) > 0.5 * wide

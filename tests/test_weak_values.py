@@ -599,6 +599,21 @@ class TestTransferDistribution:
             transfer_distribution(state, scully_wwm(grid), WINDOW_WIDTH,
                                   indices)
 
+    def test_a_window_off_the_grid_adds_nothing(self):
+        """A tiling that also names a window holding no sample is kept:
+        the index stays in ``windows`` and the density and coverage are
+        those of the other windows alone."""
+        grid = SimGrid(1024, 64.0)
+        state = build_double_slit(SlitGeometry(width=0.5), grid)
+        ch = scully_wwm(grid)
+        with pytest.warns(CoverageWarning):
+            both = transfer_distribution(state, ch, WINDOW_WIDTH, [0, 10 ** 6])
+        with pytest.warns(CoverageWarning):
+            alone = transfer_distribution(state, ch, WINDOW_WIDTH, [0])
+        assert both.windows == (0, 10 ** 6)
+        assert both.coverage == alone.coverage
+        np.testing.assert_array_equal(both.density, alone.density)
+
     def test_mass_outside_gaussian_closed_form(self):
         from scipy.special import erfc
         q = np.linspace(-40.0, 40.0, 8001)
