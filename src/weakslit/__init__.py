@@ -21,11 +21,10 @@ from .weak_values import (MomentumWindow, TransferDistribution, WvpCurve,
                           conditional_wvp, eraser_curves, joint_wvp,
                           momentum_distribution, transfer_distribution,
                           window_mask)
-from .moments import (ApodizationReport, apodization_sweep, apodized_variance,
-                      mean_transfer, moment_change, sharp_cutoff_variance,
-                      transfer_variance, window_variance)
-from .pointer import (ConvergenceReport, convergence_sweep, estimate_wvp,
-                      marginal, run_tagged)
+from .moments import (apodization_sweep, apodized_variance, mean_transfer,
+                      moment_change, sharp_cutoff_variance, transfer_variance,
+                      window_variance)
+from .pointer import convergence_sweep, estimate_wvp, marginal, run_tagged
 from .config import PRESETS, ScenarioConfig, from_dict
 from .runner import ResultBundle, run
 from .outputs import emit_outputs
@@ -49,12 +48,11 @@ __all__ = [
     "transfer_distribution",
     "window_mask",
     # moments and regularization
-    "ApodizationReport", "mean_transfer",
-    "transfer_variance", "sharp_cutoff_variance", "apodized_variance",
-    "apodization_sweep", "window_variance", "moment_change",
+    "mean_transfer", "transfer_variance", "sharp_cutoff_variance",
+    "apodized_variance", "apodization_sweep", "window_variance",
+    "moment_change",
     # pointer emulation
-    "ConvergenceReport", "run_tagged", "estimate_wvp", "marginal",
-    "convergence_sweep",
+    "run_tagged", "estimate_wvp", "marginal", "convergence_sweep",
     # scenarios
     "ScenarioConfig", "PRESETS", "from_dict",
     "ResultBundle", "run", "emit_outputs",

@@ -5,8 +5,8 @@ its variance integral needs regularisation: either a sharp cutoff at
 +-q_max (which oscillates in sign as q_max grows and never settles) or
 an apodising factor exp(-|q|/kappa) whose large-kappa trend reveals the
 underlying value.  Neither limit is extrapolated to a single number
-here; sweeps report values and trends and leave interpretation to the
-caller.
+here; sweeps return values and leave their trend and interpretation to
+the caller.
 
 For comparisons against channel moment changes, remember the window
 broadening: tagging momentum in bins of width Delta adds the second
@@ -25,7 +25,6 @@ from .states import TransverseState
 from .weak_values import TransferDistribution, momentum_distribution
 
 __all__ = [
-    "ApodizationReport",
     "sharp_cutoff_variance",
     "apodized_variance",
     "apodization_sweep",
@@ -77,48 +76,17 @@ def apodized_variance(dist: TransferDistribution, kappa: float) -> float:
     return float(np.trapezoid(integrand, dist.q))
 
 
-class ApodizationReport:
-    """A kappa sweep: values, the largest-kappa entry, and the trend label."""
-
-    def __init__(self, kappas: tuple[float, ...], values: tuple[float, ...]):
-        self.kappas = kappas
-        self.values = values
-
-    @property
-    def largest_kappa_value(self) -> float:
-        return self.values[-1]
-
-    @property
-    def last_gap(self) -> float | None:
-        """|change over the final sweep step| -- a convergence estimate;
-        None for a one-point sweep."""
-        if len(self.values) < 2:
-            return None
-        return abs(self.values[-1] - self.values[-2])
-
-    @property
-    def trend(self) -> str:
-        diffs = np.diff(self.values)
-        if len(diffs) == 0:
-            return "single-point"
-        if np.all(diffs < 0.0):
-            return "decreasing"
-        if np.all(diffs > 0.0):
-            return "increasing"
-        return "oscillating"
-
-
-def apodization_sweep(dist: TransferDistribution,
-                      kappas) -> ApodizationReport:
-    """Apodised variance at each kappa, in ascending kappa order; a kappa
-    beyond the simulated |q| range is refused, as such a q_max is."""
-    kappas = tuple(sorted(float(k) for k in kappas))
+def apodization_sweep(dist: TransferDistribution, kappas
+                      ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(kappas, values): the apodised variance at each distinct kappa, in
+    ascending kappa order; a kappa beyond the simulated |q| range is
+    refused, as such a q_max is."""
+    kappas = tuple(sorted({float(k) for k in kappas}))
     q_lim = float(np.abs(dist.q).max())
     if kappas and kappas[-1] > q_lim:
         raise WindowRangeError(
             f"kappa {kappas[-1]} beyond the simulated |q| range {q_lim:.4g}")
-    values = tuple(apodized_variance(dist, k) for k in kappas)
-    return ApodizationReport(kappas, values)
+    return kappas, tuple(apodized_variance(dist, k) for k in kappas)
 
 
 def window_variance(width: float, dp: float = 0.0) -> float:

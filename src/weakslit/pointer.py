@@ -38,7 +38,6 @@ __all__ = [
     "estimate_wvp",
     "marginal",
     "convergence_sweep",
-    "ConvergenceReport",
 ]
 
 
@@ -99,46 +98,21 @@ def estimate_wvp(curve: WvpCurve, ratio: float) -> np.ndarray:
 ROUNDOFF_EPS = 32
 
 
-class ConvergenceReport:
-    """Max-abs estimator error against the analytic curve, per ratio.
+def _floor_trend(ratios, errors, floors) -> tuple[int, bool, float | None]:
+    """(under_floor, monotone_decreasing, slope_smallest_pair) of a sweep.
 
-    An error at or below its ratio's entry of ``floors``, the round-off
-    floors, counts as exact: :attr:`monotone_decreasing` and
-    :attr:`slope_smallest_pair` read only the errors above them.
+    An error at or below its ratio's floor counts as exact: the first
+    entry counts those, and the other two read only the errors above
+    their floors.  The slope is the log-log convergence order between
+    the two smallest such ratios; None when fewer than two are.
     """
-
-    def __init__(self, ratios: tuple[float, ...], errors: tuple[float, ...],
-                 floors: tuple[float, ...]):
-        self.ratios = ratios
-        self.errors = errors
-        self.floors = floors
-
-    def slope(self, i: int = -2, j: int = -1) -> float:
-        """log-log convergence order between two sweep entries."""
-        return float(np.log(self.errors[i] / self.errors[j])
-                     / np.log(self.ratios[i] / self.ratios[j]))
-
-    def _above_floor(self) -> list[int]:
-        return [k for k, (e, f) in enumerate(zip(self.errors, self.floors))
-                if e > f]
-
-    @property
-    def under_floor(self) -> int:
-        """How many errors are at or below their floor."""
-        return len(self.errors) - len(self._above_floor())
-
-    @property
-    def monotone_decreasing(self) -> bool:
-        """Whether the errors above the floor fall as the ratio does."""
-        errors = [self.errors[k] for k in self._above_floor()]
-        return all(a > b for a, b in zip(errors, errors[1:]))
-
-    @property
-    def slope_smallest_pair(self) -> float | None:
-        """:meth:`slope` between the two smallest ratios whose errors are
-        above the floor; None when fewer than two are."""
-        above = self._above_floor()
-        return self.slope(*above[-2:]) if len(above) >= 2 else None
+    above = [(r, e) for r, e, f in zip(ratios, errors, floors) if e > f]
+    monotone = all(a[1] > b[1] for a, b in zip(above, above[1:]))
+    slope = None
+    if len(above) >= 2:
+        (r0, e0), (r1, e1) = above[-2:]
+        slope = float(np.log(e0 / e1) / np.log(r0 / r1))
+    return len(errors) - len(above), monotone, slope
 
 
 def _roundoff_scales(curve: WvpCurve) -> tuple[float, float]:
@@ -153,8 +127,10 @@ def _roundoff_scales(curve: WvpCurve) -> tuple[float, float]:
 
 
 def convergence_sweep(state: TransverseState, ch: MeasurementChannel,
-                      window: MomentumWindow, ratios) -> ConvergenceReport:
-    """Estimator error for each distinct weakness ratio, strongest first.
+                      window: MomentumWindow, ratios
+                      ) -> tuple[tuple[float, ...], ...]:
+    """(ratios, errors, floors): the estimator error and its round-off
+    floor for each distinct weakness ratio, strongest first.
 
     A ratio given twice is swept once, and ratios are sorted descending;
     errors are max-abs deviations from the analytic conditional curve
@@ -178,4 +154,4 @@ def convergence_sweep(state: TransverseState, ch: MeasurementChannel,
                                           - analytic.values[both]))))
         floors.append(float(ROUNDOFF_EPS * np.finfo(float).eps
                             * (quotient + _overlap(ratio)[1] * difference)))
-    return ConvergenceReport(ratios, tuple(errors), tuple(floors))
+    return ratios, tuple(errors), tuple(floors)

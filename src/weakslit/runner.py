@@ -14,7 +14,7 @@ from .errors import ConfigError
 from .grid import _show
 from .moments import (apodization_sweep, sharp_cutoff_variance,
                       window_variance)
-from .pointer import (convergence_sweep, estimate_wvp, marginal,
+from .pointer import (_floor_trend, convergence_sweep, estimate_wvp, marginal,
                       run_tagged)
 from .weak_values import (EPS_DEN_FRACTION, COVERAGE_MIN, eraser_curves,
                           momentum_distribution, transfer_distribution,
@@ -144,24 +144,30 @@ def _run_variance(config: ScenarioConfig) -> tuple[dict, dict, dict]:
     dist = transfer_distribution(config.state, config.channel,
                                  config.window.width, config.indices,
                                  config.eraser)
-    q_max = np.array(config.q_max)
-    sharp = np.array([sharp_cutoff_variance(dist, q) for q in config.q_max])
-    report = apodization_sweep(dist, config.kappa)
-    kappas, values = np.array(report.kappas), np.array(report.values)
+    # Each distinct point once, ascending, as the sign count reads them.
+    q_max = np.array(sorted(set(config.q_max)))
+    sharp = np.array([sharp_cutoff_variance(dist, q) for q in q_max])
+    kappas, values = apodization_sweep(dist, config.kappa)
 
     signs = np.sign(sharp[np.abs(sharp) > 0.0])
     sign_changes = int(np.sum(signs[1:] * signs[:-1] < 0.0))
+    steps = np.diff(values)
+    trend = ("single-point" if steps.size == 0 else
+             "decreasing" if np.all(steps < 0.0) else
+             "increasing" if np.all(steps > 0.0) else "oscillating")
 
     tables = {"variance_sharp": {"q_max [hbar/s]": q_max,
                                  "value [(hbar/s)^2]": sharp},
-              "variance_apodized": {"kappa [hbar/s]": kappas,
-                                    "value [(hbar/s)^2]": values}}
+              "variance_apodized": {"kappa [hbar/s]": np.array(kappas),
+                                    "value [(hbar/s)^2]": np.array(values)}}
     summary = {
         "sign_changes": sign_changes,
-        "largest_kappa": report.kappas[-1],
-        "largest_kappa_value": report.largest_kappa_value,
-        "apodized_last_gap": report.last_gap,
-        "apodized_trend": report.trend,
+        "largest_kappa": kappas[-1],
+        "largest_kappa_value": values[-1],
+        # |change over the final sweep step|, a convergence estimate
+        "apodized_last_gap": (abs(values[-1] - values[-2])
+                              if len(values) > 1 else None),
+        "apodized_trend": trend,
         "window_variance_lattice": window_variance(dist.window_width,
                                                    config.grid.dp),
         "window_variance_continuum": window_variance(dist.window_width),
@@ -256,22 +262,27 @@ def _run_pointer(config: ScenarioConfig) -> tuple[dict, dict, dict]:
 
 
 def _run_sweep(config: ScenarioConfig) -> tuple[dict, dict, dict]:
-    report = convergence_sweep(config.state, config.channel, config.window,
-                               config.ratios)
-    ratios = np.array(report.ratios)
-    errors = np.array(report.errors)
+    ratios, errors, floors = convergence_sweep(
+        config.state, config.channel, config.window, config.ratios)
+    under_floor, monotone, slope = _floor_trend(ratios, errors, floors)
+    ratio_col, error_col = np.array(ratios), np.array(errors)
+    # An exact estimate's error is 0.0, which has no logarithm: the
+    # figure leaves it out, and the table and summary keep it.
+    shown = error_col > 0.0
 
-    tables = {"sweep": {"ratio [1]": ratios, "max_abs_error [1]": errors}}
+    tables = {"sweep": {"ratio [1]": ratio_col,
+                        "max_abs_error [1]": error_col}}
     summary = {
-        "ratios": list(report.ratios),
-        "errors": list(report.errors),
-        "slope_smallest_pair": report.slope_smallest_pair,
-        "monotone_decreasing": report.monotone_decreasing,
-        "roundoff_floor": {"error": list(report.floors),
-                           "ratios_under": report.under_floor},
+        "ratios": list(ratios),
+        "errors": list(errors),
+        "slope_smallest_pair": slope,
+        "monotone_decreasing": monotone,
+        "roundoff_floor": {"error": list(floors),
+                           "ratios_under": under_floor},
     }
     figures = {"sweep": {
-        "series": [(np.log10(ratios), np.log10(errors), "max-abs error")],
+        "series": [(np.log10(ratio_col[shown]), np.log10(error_col[shown]),
+                    "max-abs error")],
         "title": "Pointer estimator convergence",
         "xlabel": "log10 D/sigma", "ylabel": "log10 max-abs error"}}
     return tables, summary, figures

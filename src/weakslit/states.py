@@ -33,8 +33,8 @@ class SlitGeometry:
     The slit separation is the length unit: the slits sit at -1/2 and
     +1/2, and ``width`` lies in (0, 1).  edge_profile is "sharp" for
     ideal top-hats or "gaussian_smoothed" for error-function edges of
-    scale ``edge_scale`` (default width/10).  Smoothed edges keep all
-    momentum moments finite; sharp edges do not.
+    scale ``edge_scale`` (default width/10), which sharp edges refuse.
+    Smoothed edges keep all momentum moments finite; sharp edges do not.
     """
 
     def __init__(self, width: float, edge_profile: str = "sharp",
@@ -44,6 +44,9 @@ class SlitGeometry:
                 f"need 0 < width < 1 slit separation, got width={width}")
         if edge_profile not in ("sharp", "gaussian_smoothed"):
             raise GeometryError(f"unknown edge_profile {_show(edge_profile)}")
+        if edge_profile == "sharp" and edge_scale is not None:
+            raise GeometryError(
+                "edge_scale applies to gaussian_smoothed edges only")
         if edge_profile == "gaussian_smoothed" and edge_scale is None:
             edge_scale = width / 10.0
         if edge_scale is not None and not edge_scale > 0.0:

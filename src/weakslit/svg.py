@@ -17,7 +17,9 @@ def _nice_ticks(lo, hi, target=6):
         step = mult * mag
         if span / step <= target:
             break
-    first = np.ceil(lo / step) * step
+    # + 0.0 turns the -0.0 that ceil gives just below zero into 0.0,
+    # which prints as 0, not -0.
+    first = np.ceil(lo / step) * step + 0.0
     ticks = np.arange(first, hi + step * 1e-9, step)
     return [float(t) for t in ticks]
 

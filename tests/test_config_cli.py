@@ -42,6 +42,26 @@ CSV_HEADERS = {
     "sweep.csv": "ratio [1],max_abs_error [1]",
 }
 
+#: The sorted keys of each command's ``summary`` in summary.json.
+SUMMARY_KEYS = {
+    "wvp": ["conditional_max", "conditional_min", "eraser", "in_window_max",
+            "in_window_min", "window_index", "window_width"],
+    "transfer": ["coverage", "density_max", "density_min", "eraser",
+                 "integral", "mass_outside_hbar_over_s", "n_windows",
+                 "roundoff_floor", "window_width"],
+    "variance": ["apodized_last_gap", "apodized_trend", "coverage",
+                 "largest_kappa", "largest_kappa_value", "roundoff_floor",
+                 "sign_changes", "window_variance_continuum",
+                 "window_variance_lattice"],
+    "eraser": ["out_of_window_mass_minus45", "out_of_window_mass_none",
+               "out_of_window_mass_plus45", "partition_max_abs",
+               "plus45_indicator_max_dev", "window_index"],
+    "pointer": ["marginal_max_abs_dev", "max_abs_dev_vs_analytic", "ratio",
+                "window_index", "window_width"],
+    "sweep": ["errors", "monotone_decreasing", "ratios", "roundoff_floor",
+              "slope_smallest_pair"],
+}
+
 #: A list nested 600 deep, which ``json.loads`` still parses.
 DEEP = "[" * 600 + "]" * 600
 
@@ -185,6 +205,8 @@ class TestValidation:
         ({"regularization": {"kappa": [0.0]}}, "regularization"),
         ({"geometry": {"width": 90e-6}}, "geometry"),
         ({"geometry": {"width": 80e-6}}, "geometry"),
+        # sharp edges have no edge scale to set
+        ({"geometry": {"edge_scale": 5e-6}}, "geometry"),
         ({"windows": {"count": 4}}, "windows"),
         ({"pointer": {"ratios": [0.1, 0.1]}}, "pointer"),
         ({"pointer": {"ratios": [True, 0.5]}}, "pointer"),
@@ -345,11 +367,14 @@ class TestCliRuns:
     def test_each_command_writes_its_file_set(self, tmp_path, capsys,
                                               command, names):
         """Each command writes exactly its tables, each under its own
-        header, its summary and one well-formed SVG per figure, and
-        prints every path it wrote."""
+        header, its summary with exactly its keys and one well-formed SVG
+        per figure, and prints every path it wrote."""
         out = tmp_path / "run"
         assert main([command, "--out", str(out)] + FAST) == 0
         assert sorted(p.name for p in out.iterdir()) == names
+        document = strict_json((out / "summary.json").read_text())
+        assert sorted(document) == ["command", "provenance", "summary"]
+        assert sorted(document["summary"]) == SUMMARY_KEYS[command]
         for name in names:
             if name.endswith(".svg"):
                 ET.fromstring((out / name).read_text())
@@ -493,6 +518,7 @@ class TestCliExitCodes:
         ["wvp", "--set", "geometry.separation=0"],
         ["wvp", "--set", "geometry.separation=-8e-5"],
         ["wvp", "--preset", "paper", "--set", "geometry.width=90e-6"],
+        ["wvp", "--preset", "paper", "--set", "geometry.edge_scale=5e-6"],
         ["wvp", "--set", "grid.x_extent=1.5"],
         # a focus window whose width in hbar/s is not a finite number
         ["wvp", "--preset", "paper", "--set", "windows.sliver_width=1e308"],
@@ -581,6 +607,43 @@ class TestCliExitCodes:
         # a one-point kappa sweep has no last gap: null, not NaN
         strict_json((out / "summary.json").read_text())
 
+    def _variance(self, tmp_path, name, override):
+        out = tmp_path / name
+        assert main(["variance", "--preset", "paper", "--set", override,
+                     "--out", str(out)] + FAST) == 0
+        return out, strict_json((out / "summary.json").read_text())["summary"]
+
+    @pytest.mark.filterwarnings("ignore::weakslit.errors.CoverageWarning")
+    def test_sharp_cutoffs_are_swept_in_ascending_order(self, tmp_path):
+        """The sign count reads the sweep in ascending q_max: given out
+        of order, the points were counted as 4 sign changes, not 1."""
+        given, summary = self._variance(
+            tmp_path, "given", "regularization.q_max=[2,12,4,13,6,8]")
+        ordered, ref = self._variance(
+            tmp_path, "ordered", "regularization.q_max=[2,4,6,8,12,13]")
+        assert summary["sign_changes"] == ref["sign_changes"] == 1
+        assert summary == ref
+        for name in ("variance_sharp.csv", "variance_sharp.svg"):
+            assert (given / name).read_bytes() == (ordered / name).read_bytes()
+
+    @pytest.mark.filterwarnings("ignore::weakslit.errors.CoverageWarning")
+    def test_repeated_kappa_is_swept_once(self, tmp_path):
+        """A kappa given twice is one sweep entry: a zero step would
+        turn the trend from decreasing into oscillating."""
+        twice, summary = self._variance(
+            tmp_path, "twice", "regularization.kappa=[6.283185307179586,"
+            "6.283185307179586,12.566370614359172,25.132741228718345]")
+        once, ref = self._variance(
+            tmp_path, "once", "regularization.kappa=[6.283185307179586,"
+            "12.566370614359172,25.132741228718345]")
+        assert summary["apodized_trend"] == ref["apodized_trend"] \
+            == "decreasing"
+        assert summary == ref
+        assert len((twice / "variance_apodized.csv").read_text()
+                   .splitlines()) == 4
+        for name in ("variance_apodized.csv", "variance_apodized.svg"):
+            assert (twice / name).read_bytes() == (once / name).read_bytes()
+
     def test_repeated_sweep_ratio_is_swept_once(self, tmp_path):
         out = tmp_path / "x"
         assert main(["sweep", "--preset", "paper",
@@ -606,6 +669,23 @@ class TestCliExitCodes:
         assert summary["roundoff_floor"]["ratios_under"] == 2
         assert summary["monotone_decreasing"] is True
         assert summary["slope_smallest_pair"] == pytest.approx(2.0, abs=1e-3)
+
+    def test_zero_error_is_left_out_of_the_figure(self, tmp_path):
+        """At D/sigma = 1e-200, 1 - c underflows to 0 and the estimate is
+        J/P exactly: the table and summary keep its error 0.0, and the
+        log-log figure, which has no place for it, draws the other
+        point alone."""
+        out = tmp_path / "x"
+        assert main(["sweep", "--preset", "paper",
+                     "--set", "pointer.ratios=[1e-200,1]",
+                     "--out", str(out)] + FAST) == 0
+        summary = strict_json((out / "summary.json").read_text())["summary"]
+        assert summary["ratios"] == [1.0, 1e-200]
+        assert summary["errors"][0] > 0.0 and summary["errors"][1] == 0.0
+        assert (out / "sweep.csv").read_text().splitlines()[-1] == "1e-200,0"
+        root = ET.fromstring((out / "sweep.svg").read_text())
+        assert len(list(root.iter("{http://www.w3.org/2000/svg}circle"))) == 1
+        assert "inf" not in (out / "sweep.svg").read_text()
 
     def test_window_outside_grid_range(self, tmp_path, capsys):
         rc = main(["wvp", "--preset", "paper",

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from weakslit import (ApodizationReport, ConfigError, MomentUndefinedError,
-                      TransferDistribution, WindowRangeError,
-                      apodization_sweep, apodized_variance, classical_kick,
-                      from_dict, identity_channel, mean_transfer,
-                      moment_change, scully_wwm, sharp_cutoff_variance,
-                      transfer_variance, window_variance)
+from weakslit import (ConfigError, MomentUndefinedError, TransferDistribution,
+                      WindowRangeError, apodization_sweep, apodized_variance,
+                      classical_kick, from_dict, identity_channel,
+                      mean_transfer, moment_change, run, scully_wwm,
+                      sharp_cutoff_variance, transfer_variance,
+                      window_variance)
 
 
 def gaussian_dist(mu=0.0, sigma=1.5, q_lim=30.0, n=6001):
@@ -88,18 +88,33 @@ class TestGaussianClosedForms:
 class TestApodizationSweep:
     def test_sorts_and_labels_increasing(self):
         dist = gaussian_dist()
-        report = apodization_sweep(dist, [8.0, 2.0, 4.0])
-        assert report.kappas == (2.0, 4.0, 8.0)
+        kappas, values = apodization_sweep(dist, [8.0, 2.0, 4.0])
+        assert kappas == (2.0, 4.0, 8.0)
         # e^{-|q|/kappa} relaxes toward 1, so the damped integral grows
-        assert report.trend == "increasing"
-        assert report.largest_kappa_value == report.values[-1]
-        assert report.last_gap == pytest.approx(
-            report.values[-1] - report.values[-2])
+        assert values == tuple(apodized_variance(dist, k) for k in kappas)
+        assert values[0] < values[1] < values[2]
 
-    def test_single_point_report(self):
-        report = ApodizationReport((3.0,), (0.5,))
-        assert report.trend == "single-point"
-        assert report.last_gap is None
+    @pytest.mark.filterwarnings("ignore::weakslit.errors.CoverageWarning")
+    def test_variance_summary_labels_the_sweep(self):
+        """The identity channel's P_wv is a narrow window shape whose
+        damped integral grows with kappa; the summary reads the sweep's
+        last entries."""
+        bundle = run(from_dict({"grid": {"n_points": 1024}}), "variance")
+        summary, table = bundle.summary, bundle.tables["variance_apodized"]
+        values = table["value [(hbar/s)^2]"]
+        assert summary["apodized_trend"] == "increasing"
+        assert summary["largest_kappa"] == table["kappa [hbar/s]"][-1]
+        assert summary["largest_kappa_value"] == values[-1]
+        assert summary["apodized_last_gap"] == pytest.approx(
+            values[-1] - values[-2])
+
+    @pytest.mark.filterwarnings("ignore::weakslit.errors.CoverageWarning")
+    def test_one_kappa_is_a_single_point(self):
+        config = from_dict({"grid": {"n_points": 1024},
+                            "regularization": {"kappa": [6.283185307179586]}})
+        summary = run(config, "variance").summary
+        assert summary["apodized_trend"] == "single-point"
+        assert summary["apodized_last_gap"] is None
 
 
 def test_window_variance_matches_discrete_uniform():

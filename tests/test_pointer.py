@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from weakslit import (ConfigError, ConvergenceReport, MomentumWindow,
-                      SimGrid, SlitGeometry, WindowRangeError, WvpCurve,
-                      build_double_slit, classical_kick, conditional_wvp,
-                      convergence_sweep, estimate_wvp, from_dict,
-                      identity_channel, marginal,
+from weakslit import (ConfigError, MomentumWindow, SimGrid, SlitGeometry,
+                      WindowRangeError, WvpCurve, build_double_slit,
+                      classical_kick, conditional_wvp, convergence_sweep,
+                      estimate_wvp, from_dict, identity_channel, marginal,
                       momentum_distribution, run, run_tagged, scully_wwm)
-from weakslit.pointer import _overlap
+from weakslit.pointer import _floor_trend, _overlap
 
 from conftest import WINDOW_WIDTH
 from oracles import (_row_sums, dense_pointer_stacks, loop_convergence_sweep,
@@ -22,6 +21,12 @@ from oracles import (_row_sums, dense_pointer_stacks, loop_convergence_sweep,
 #: The bench pointer's 1/e^2 half-width and tag shift D, in metres.
 SIGMA, SHIFT = 1.01e-3, 0.14e-3
 RATIO = SHIFT / SIGMA
+
+
+def _last_slope(ratios, errors):
+    """log-log convergence order between a sweep's last two entries."""
+    return float(np.log(errors[-2] / errors[-1])
+                 / np.log(ratios[-2] / ratios[-1]))
 
 
 def test_window_outside_grid_range_is_rejected(geom):
@@ -128,11 +133,11 @@ class TestEstimator:
         assert np.max(np.abs(est[both] - analytic.values[both])) < 1e-4
 
     def test_convergence_sweep(self, slit_state, wwm, focus_window):
-        report = convergence_sweep(slit_state, wwm, focus_window,
-                                   [0.05, 0.3, 0.001, 0.01])
-        assert report.ratios == (0.3, 0.05, 0.01, 0.001)
-        assert report.monotone_decreasing
-        assert report.slope() == pytest.approx(2.0, abs=0.4)
+        ratios, errors, floors = convergence_sweep(
+            slit_state, wwm, focus_window, [0.05, 0.3, 0.001, 0.01])
+        assert ratios == (0.3, 0.05, 0.01, 0.001)
+        assert _floor_trend(ratios, errors, floors)[1]
+        assert _last_slope(ratios, errors) == pytest.approx(2.0, abs=0.4)
 
     @pytest.mark.parametrize("channel", ["scully", "kick"])
     def test_sweep_equals_one_map_per_ratio(self, slit_state, smooth_state,
@@ -142,9 +147,9 @@ class TestEstimator:
               else classical_kick([(0.7, 0.4), (-1.3, 0.6)], grid))
         ratios = [0.3, 0.139, 0.05, 0.01, 0.001, 0.2, 1.0, 1e-6]
         for state in (slit_state, smooth_state):
-            report = convergence_sweep(state, ch, focus_window, ratios)
-            assert (report.ratios, report.errors) == loop_convergence_sweep(
-                state, ch, focus_window, ratios)
+            sweep = convergence_sweep(state, ch, focus_window, ratios)
+            assert sweep[:2] == loop_convergence_sweep(state, ch,
+                                                       focus_window, ratios)
 
     def test_sweep_reads_only_the_ratios(self):
         """Neither sigma nor D enters the sweep: a pointer whose D = r
@@ -160,44 +165,38 @@ class TestEstimator:
                                             focus_window):
         """A ratio given twice is one sweep entry: two equal errors
         would put 0/0 into the slope."""
-        report = convergence_sweep(slit_state, wwm, focus_window,
-                                   [0.1, 0.5, 0.1])
-        assert report.ratios == (0.5, 0.1)
+        ratios, errors, floors = convergence_sweep(
+            slit_state, wwm, focus_window, [0.1, 0.5, 0.1])
+        assert ratios == (0.5, 0.1)
         once = convergence_sweep(slit_state, wwm, focus_window, [0.1, 0.5])
-        assert (report.ratios, report.errors, report.floors) \
-            == (once.ratios, once.errors, once.floors)
-        assert report.slope_smallest_pair == report.slope()
+        assert (ratios, errors, floors) == once
+        assert (_floor_trend(ratios, errors, floors)[2]
+                == _last_slope(ratios, errors))
 
     def test_sweep_refuses_a_non_positive_ratio(self, slit_state, wwm,
                                                 focus_window):
         with pytest.raises(ConfigError, match="positive"):
             convergence_sweep(slit_state, wwm, focus_window, [0.1, 0.0])
 
-    def test_report_slope_between_any_entries(self):
-        report = ConvergenceReport((0.1, 0.01), (1e-2, 1e-4), (0.0, 0.0))
-        assert report.slope(0, 1) == pytest.approx(2.0, rel=1e-12)
-
     def test_errors_at_or_below_the_floor_count_as_exact(self):
         ratios = (1.0, 0.3, 0.1, 0.01, 0.001)
-        report = ConvergenceReport(ratios, (1e-2, 1e-3, 1e-4, 1e-15, 5e-16),
-                                   (1e-15,) * 5)
-        assert report.under_floor == 2
-        assert report.monotone_decreasing
-        assert report.slope_smallest_pair == report.slope(1, 2)
-        assert ConvergenceReport(ratios[:2], (1e-2, 1e-15),
-                                 (1e-15,) * 2).slope_smallest_pair is None
-        assert not ConvergenceReport(ratios[:2], (1e-2, 1e-1),
-                                     (1e-15,) * 2).monotone_decreasing
+        errors = (1e-2, 1e-3, 1e-4, 1e-15, 5e-16)
+        under, monotone, slope = _floor_trend(ratios, errors, (1e-15,) * 5)
+        assert under == 2
+        assert monotone
+        assert slope == _last_slope(ratios[:3], errors[:3])
+        assert _floor_trend(ratios[:2], (1e-2, 1e-15),
+                            (1e-15,) * 2)[2] is None
+        assert not _floor_trend(ratios[:2], (1e-2, 1e-1), (1e-15,) * 2)[1]
 
     def test_each_ratio_has_its_own_floor(self):
         """One error of 1e-13 is round-off under a floor of 1e-12 and an
         error above a floor of 1e-15."""
-        report = ConvergenceReport((0.3, 0.1, 0.01), (1e-13, 1e-13, 1e-15),
-                                   (1e-12, 1e-15, 1e-15))
-        assert report.under_floor == 2
-        assert report.slope_smallest_pair is None
-        assert ConvergenceReport((0.3, 0.1, 0.01), (1e-13, 1e-13, 1e-15),
-                                 (1e-15,) * 3).under_floor == 1
+        ratios, errors = (0.3, 0.1, 0.01), (1e-13, 1e-13, 1e-15)
+        under, _, slope = _floor_trend(ratios, errors, (1e-12, 1e-15, 1e-15))
+        assert under == 2
+        assert slope is None
+        assert _floor_trend(ratios, errors, (1e-15,) * 3)[0] == 1
 
     def test_identity_sweep_is_all_round_off(self, tmp_path):
         """The estimator is exact on the identity channel: no error is
@@ -227,13 +226,13 @@ class TestEstimator:
 
     def test_scully_sweep_is_above_the_floor(self, slit_state, wwm,
                                              focus_window):
-        report = convergence_sweep(slit_state, wwm, focus_window,
-                                   [0.3, 0.139, 0.05, 0.01, 0.001])
-        assert report.under_floor == 0
-        assert report.slope_smallest_pair == report.slope()
-        assert 0.0 < report.floors[-1] < 1e-13
-        assert all(0.0 < f < 1e-8 * e
-                   for e, f in zip(report.errors, report.floors))
+        ratios, errors, floors = convergence_sweep(
+            slit_state, wwm, focus_window, [0.3, 0.139, 0.05, 0.01, 0.001])
+        under, _, slope = _floor_trend(ratios, errors, floors)
+        assert under == 0
+        assert slope == _last_slope(ratios, errors)
+        assert 0.0 < floors[-1] < 1e-13
+        assert all(0.0 < f < 1e-8 * e for e, f in zip(errors, floors))
 
     @pytest.mark.parametrize("channel", ["scully", "kick"])
     def test_inexact_sweeps_stay_above_the_floor(self, slit_state,
@@ -246,10 +245,10 @@ class TestEstimator:
         states = ([smooth_state] if channel == "scully"
                   else [slit_state, smooth_state])
         for state in states:
-            report = convergence_sweep(state, ch, focus_window,
-                                       [1.0, 0.3, 0.05, 0.001, 1e-5])
-            assert report.under_floor == 0
-            assert report.monotone_decreasing
+            under, monotone, _ = _floor_trend(*convergence_sweep(
+                state, ch, focus_window, [1.0, 0.3, 0.05, 0.001, 1e-5]))
+            assert under == 0
+            assert monotone
 
 
 class TestAgainstAmplitudeStacks:
@@ -282,12 +281,11 @@ class TestAgainstAmplitudeStacks:
             np.testing.assert_array_equal(np.isfinite(cent), ok)
             assert np.max(np.abs(cent[ok] - cent_o[ok])) <= 5e-12 * shift
         ratios = [1.0, 0.3, 0.139, 0.05, 0.01, 0.001, 1e-6]
-        report = convergence_sweep(state, ch, focus_window, ratios)
+        swept, errors, _ = convergence_sweep(state, ch, focus_window, ratios)
         ratios_o, errors_o = stack_convergence_sweep(state, ch, focus_window,
                                                      SIGMA, ratios)
-        assert report.ratios == ratios_o
-        np.testing.assert_allclose(report.errors, errors_o, rtol=0.0,
-                                   atol=1e-12)
+        assert swept == ratios_o
+        np.testing.assert_allclose(errors, errors_o, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("channel", ["scully", "kick"])
     def test_strong_limit_is_the_tagged_fraction(self, slit_state, grid,

@@ -64,6 +64,15 @@ def test_secondary_axis_doubles_tick_labels():
     assert len(_elements(twin, "text")) > len(_elements(plain, "text"))
 
 
+def test_tick_at_zero_prints_without_a_sign():
+    """An axis that starts just below zero rounds its first tick up to
+    -0.0; it is labelled 0."""
+    x = np.linspace(-0.2, 4.0, 50)
+    labels = [el.text for el in _elements(_render([(x, x, "r")]), "text")]
+    assert "0" in labels
+    assert "-0" not in labels
+
+
 def test_constant_series_still_renders():
     x = np.linspace(0.0, 1.0, 10)
     doc = _render([(x, np.full(10, 2.5), "flat")])
