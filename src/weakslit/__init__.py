@@ -5,55 +5,27 @@ polarization which-way marker, computes weak-valued probabilities and
 the windowed momentum-transfer distribution they induce, regularizes
 the distribution's moments, and emulates the whole protocol with a
 finite-strength displaced-beam pointer.
+
+Each module's ``__all__`` is the one list of its public names; the
+package exports those of the modules below and nothing else.
 """
 
 __version__ = "0.1.0"
 
-from .errors import (CoverageWarning, ConfigError, GeometryError,
-                     GridMismatchError, MomentUndefinedError, OutputError,
-                     ResolutionError, WeakslitError, WindowRangeError)
-from .grid import LabFrame, SimGrid
-from .states import (SlitGeometry, TransverseState, build_double_slit,
-                     build_momentum_peak)
-from .channels import (MeasurementChannel, classical_kick, identity_channel,
-                       scully_wwm)
-from .weak_values import (MomentumWindow, TransferDistribution, WvpCurve,
-                          conditional_wvp, eraser_curves, joint_wvp,
-                          momentum_distribution, transfer_distribution,
-                          window_mask)
-from .moments import (apodization_sweep, apodized_variance, mean_transfer,
-                      moment_change, sharp_cutoff_variance, transfer_variance,
-                      window_variance)
-from .pointer import convergence_sweep, estimate_wvp, marginal, run_tagged
-from .config import PRESETS, ScenarioConfig, from_dict
-from .runner import ResultBundle, run
-from .outputs import emit_outputs
+# Importing a submodule binds its name here, so ``errors.__all__`` and
+# the rest resolve below.
+from .errors import *
+from .grid import *
+from .states import *
+from .channels import *
+from .weak_values import *
+from .moments import *
+from .pointer import *
+from .config import *
+from .runner import *
+from .outputs import *
 
-__all__ = [
-    "__version__",
-    # errors
-    "WeakslitError", "ConfigError", "GeometryError", "GridMismatchError",
-    "MomentUndefinedError", "OutputError", "ResolutionError",
-    "WindowRangeError", "CoverageWarning",
-    # grids and lab frame
-    "SimGrid", "LabFrame",
-    # states
-    "SlitGeometry", "TransverseState", "build_double_slit",
-    "build_momentum_peak",
-    # channels
-    "MeasurementChannel", "identity_channel", "scully_wwm", "classical_kick",
-    # weak values
-    "MomentumWindow", "WvpCurve", "TransferDistribution", "joint_wvp",
-    "conditional_wvp", "eraser_curves", "momentum_distribution",
-    "transfer_distribution",
-    "window_mask",
-    # moments and regularization
-    "mean_transfer", "transfer_variance", "sharp_cutoff_variance",
-    "apodized_variance", "apodization_sweep", "window_variance",
-    "moment_change",
-    # pointer emulation
-    "run_tagged", "estimate_wvp", "marginal", "convergence_sweep",
-    # scenarios
-    "ScenarioConfig", "PRESETS", "from_dict",
-    "ResultBundle", "run", "emit_outputs",
-]
+__all__ = ["__version__", *errors.__all__, *grid.__all__, *states.__all__,
+           *channels.__all__, *weak_values.__all__, *moments.__all__,
+           *pointer.__all__, *config.__all__, *runner.__all__,
+           *outputs.__all__]

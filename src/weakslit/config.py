@@ -31,8 +31,7 @@ from .grid import LabFrame, SimGrid, _is_number, _show
 from .states import SlitGeometry, TransverseState, build_double_slit
 from .weak_values import MomentumWindow, _check_eraser
 
-__all__ = ["ScenarioConfig", "from_dict", "PRESETS",
-           "merge", "parse_json_object", "parse_override", "DEFAULTS"]
+__all__ = ["ScenarioConfig", "from_dict", "PRESETS"]
 
 _TWO_PI = 2.0 * math.pi
 

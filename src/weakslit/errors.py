@@ -5,6 +5,10 @@ exit codes: configuration problems (bad input before any numerics run),
 numeric problems (a computation refused or out of range), and I/O.
 """
 
+__all__ = ["WeakslitError", "ConfigError", "GeometryError",
+           "GridMismatchError", "ResolutionError", "WindowRangeError",
+           "MomentUndefinedError", "OutputError", "CoverageWarning"]
+
 
 class WeakslitError(Exception):
     """Base class for all package-specific errors."""

@@ -23,7 +23,7 @@ from .weak_values import (EPS_DEN_FRACTION, COVERAGE_MIN, eraser_curves,
 # the names in this module to trace them.
 from .weak_values import conditional_wvp, joint_wvp  # noqa: F401
 
-__all__ = ["ResultBundle", "run", "COMMANDS"]
+__all__ = ["ResultBundle", "run"]
 
 _TWO_PI = 2.0 * np.pi
 

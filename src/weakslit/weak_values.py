@@ -41,7 +41,6 @@ from .grid import SimGrid, _show, indicator
 from .states import TransverseState
 
 __all__ = [
-    "ERASERS",
     "MomentumWindow",
     "WvpCurve",
     "TransferDistribution",

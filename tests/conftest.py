@@ -11,13 +11,16 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from weakslit import (LabFrame, MeasurementChannel, MomentumWindow,
-                      SimGrid, SlitGeometry, build_double_slit, scully_wwm)
+from weakslit import (CoverageWarning, LabFrame, MeasurementChannel,
+                      MomentumWindow, SimGrid, SlitGeometry,
+                      build_double_slit, identity_channel, scully_wwm,
+                      transfer_distribution)
 
 #: Tagged-window width in internal units: the 1.77 mm focal-plane sliver
 #: mapped back through f = 1 m, lambda = 633 nm, s = 80 um.
@@ -53,14 +56,53 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=_refuse_constant)
 
 
-def partial_marker(grid, theta) -> MeasurementChannel:
-    """K = 1 on x >= 0 and exp(i theta S) = cos theta + i sin theta S on
-    x < 0, built straight from its (u, v): which-way distinguishability
-    sin theta, fringe visibility cos theta; theta = pi/2 marks fully."""
+def partial_marker(grid, theta, phi=np.pi / 2) -> MeasurementChannel:
+    """K = 1 on x >= 0 and cos theta + e^(i phi) sin theta S on x < 0,
+    built straight from its (u, v).  At the default phi = pi/2 it is
+    exp(i theta S): which-way distinguishability sin theta, fringe
+    visibility cos theta; theta = pi/2 marks fully.  e^(i phi) is formed
+    as i e^(i (phi - pi/2)), which is exactly i at the default."""
     left = grid.x < 0.0
+    swap = 1j * np.exp(1j * (phi - np.pi / 2)) * np.sin(theta)
     return MeasurementChannel("partial_marker", (
-        (np.where(left, np.cos(theta), 1.0),
-         np.where(left, 1j * np.sin(theta), 0.0)),), grid)
+        (np.where(left, np.cos(theta), 1.0), np.where(left, swap, 0.0)),),
+        grid)
+
+
+def eraser_port_basis(state, width, indices=None) -> tuple:
+    """(P_mk, R, L, I): the four eraser-free transfer densities whose
+    sums give a +-45 port of every :func:`partial_marker`.
+
+    P_mk is the marker's; R = P_id - P_mk; L = P_mk - P_right, where the
+    right-slit channel blocks x < 0; I = P_i - P_mk, where the phase-step
+    channel multiplies x < 0 by i.  None depends on (theta, phi).
+    """
+    grid = state.grid
+    left = grid.x < 0.0
+    channels = (scully_wwm(grid), identity_channel(grid),
+                MeasurementChannel("right_slit", ((~left, None),), grid),
+                MeasurementChannel("phase_step",
+                                   ((np.where(left, 1j, 1.0), None),), grid))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CoverageWarning)
+        marked, plain, right, step = (
+            transfer_distribution(state, ch, width, indices).density
+            for ch in channels)
+    return marked, plain - marked, marked - right, step - marked
+
+
+def eraser_port(basis, theta, phi, sign) -> np.ndarray:
+    """P_+ (sign 1, ``plus45``) or P_- (sign -1, ``minus45``) of
+    ``partial_marker(grid, theta, phi)`` from :func:`eraser_port_basis`:
+
+        1/2 [P_mk + cos(theta) R
+             + sign (sin(2 theta) cos(phi) L
+                     + sin(theta) (cos(phi) R + sin(phi) I))].
+    """
+    marked, r, l_, i = basis
+    return 0.5 * (marked + np.cos(theta) * r + sign * (
+        np.sin(2.0 * theta) * np.cos(phi) * l_
+        + np.sin(theta) * (np.cos(phi) * r + np.sin(phi) * i)))
 
 
 @pytest.fixture(autouse=True)

@@ -23,7 +23,7 @@ from weakslit import (CoverageWarning, PRESETS, SimGrid, SlitGeometry,
                       transfer_distribution, transfer_variance, window_mask,
                       window_variance)
 from weakslit.pointer import _floor_trend
-from conftest import partial_marker
+from conftest import eraser_port, eraser_port_basis, partial_marker
 from oracles import dense_transfer, kick_rect_density
 
 TWO_PI = 2.0 * math.pi
@@ -352,4 +352,32 @@ def test_criterion_11_closed_form():
             f"hbar/s {mass:.4f} vs 0.4801, S(Q) within {s_dev:.4f} at "
             f"Q = 2, 5, 10, 20; partial markers' mass / (1 - cos theta) "
             f"within {strength_dev:.1e} of the marker's",
+            elapsed, 10.0)
+
+
+def test_criterion_12_eraser_ports(bench):
+    """Both +-45 ports of the partial marker K_(theta, phi), cos theta +
+    e^(i phi) sin theta S on x < 0, at the paper's 15 windows: each is
+    1/2 [P_mk + cos theta R +- (sin 2 theta cos phi L + sin theta
+    (cos phi R + sin phi I))], four eraser-free distributions that do
+    not depend on (theta, phi) (``conftest.eraser_port_basis``).
+    (theta, phi) = (pi/2, 0) is the marker, up to round-off in u."""
+    t0 = time.perf_counter()
+    basis = eraser_port_basis(bench.state, bench.width, bench.indices)
+    devs = []
+    for theta, phi in ((0.9, 1.1), (math.pi / 2.0, 0.0), (2.2, -0.7)):
+        ch = partial_marker(bench.grid, theta, phi)
+        for eraser, sign in (("plus45", 1.0), ("minus45", -1.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", CoverageWarning)
+                got = transfer_distribution(bench.state, ch, bench.width,
+                                            bench.indices, eraser).density
+            want = eraser_port(basis, theta, phi, sign)
+            devs.append(float(np.max(np.abs(got - want))
+                              / np.max(np.abs(want))))
+    elapsed = time.perf_counter() - t0
+    _report(12, max(devs) <= 1e-13,
+            f"+-45 ports of the partial marker at (theta, phi) = (0.9, 1.1), "
+            f"(pi/2, 0), (2.2, -0.7) are sums of four fixed distributions "
+            f"to {max(devs):.1e} of max |P| (bound 1e-13)",
             elapsed, 10.0)

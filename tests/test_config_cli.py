@@ -231,6 +231,12 @@ class TestValidation:
         assert cfg.lab.slit_separation == 80e-6
         assert cfg.output_dir == DEFAULTS["output_dir"]
 
+    @pytest.mark.parametrize("overrides", [[], None, "grid"])
+    def test_config_root_must_be_a_dict(self, overrides):
+        with pytest.raises(ConfigError,
+                           match="^config root must be a JSON object$"):
+            from_dict(overrides)
+
 
 def parse_config(text: str):
     return from_dict(parse_json_object(text, "config"))
@@ -548,9 +554,15 @@ class TestCliExitCodes:
          "--set", "channel.kicks=[[1%s,1]]" % ("0" * 400)],
         ["wvp", "--set", "channel.kind=kick",
          "--set", "channel.kicks=[[0,1%s]]" % ("0" * 400)],
+        # an empty output directory, like --set output_dir=""
+        ["wvp", "--out", ""],
     ])
-    def test_rejected_values(self, tmp_path, capsys, argv):
-        assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+    def test_rejected_values(self, tmp_path, capsys, monkeypatch, argv):
+        """``--out`` goes first, so an ``--out`` in *argv* wins; a
+        default output directory would land in *tmp_path*."""
+        monkeypatch.chdir(tmp_path)
+        command, *rest = argv
+        assert main([command, "--out", str(tmp_path / "x"), *rest]) == 2
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["pointer", "sweep"])
@@ -761,6 +773,13 @@ class TestCliExitCodes:
     def test_missing_config_file(self, tmp_path):
         assert main(["wvp", "--config", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "x")]) == 4
+
+    def test_empty_config_path_is_read(self, tmp_path):
+        """An empty path names no file: reading it fails like any other
+        unreadable path."""
+        assert main(["wvp", "--config", "", "--out", str(tmp_path / "x")]
+                    + FAST) == 4
+        assert not (tmp_path / "x").exists()
 
     def test_unknown_preset_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:

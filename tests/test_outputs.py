@@ -3,6 +3,7 @@ split over forked writers, the memory one write takes, and
 byte-identical reruns of a whole output directory."""
 
 import os
+import re
 import shutil
 import tracemalloc
 
@@ -91,6 +92,14 @@ def emit_on(cores, monkeypatch, bundle, out_dir) -> dict:
     return {p.name: p.read_bytes() for p in out_dir.iterdir()}
 
 
+def two_writer_bundle(monkeypatch) -> ResultBundle:
+    """A one-table bundle ``t`` whose rows a 2-CPU process splits over
+    itself and one forked writer."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return ResultBundle("t", {"t": _table(_mixed(2 * _BLOCK_ROWS + 1))},
+                        {}, {}, {})
+
+
 @pytest.mark.parametrize("rows", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS,
                                   _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1,
                                   5 * _BLOCK_ROWS + 3])
@@ -147,9 +156,7 @@ def test_a_failed_row_writer_raises_and_is_reaped(tmp_path, monkeypatch):
         return format_rows(table, start, stop)
 
     monkeypatch.setattr(outputs, "_csv_rows", failing)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    bundle = ResultBundle("t", {"t": _table(_mixed(2 * _BLOCK_ROWS + 1))},
-                          {}, {}, {})
+    bundle = two_writer_bundle(monkeypatch)
     with pytest.raises(OutputError, match=r"t\.csv.* exited with status 1"):
         emit_outputs(bundle, tmp_path)
     with pytest.raises(ChildProcessError):
@@ -164,6 +171,48 @@ def test_row_writers_are_reaped_when_the_caller_fails(tmp_path, monkeypatch,
     bundle = ResultBundle("t", {"t": _table(_mixed(_BLOCK_ROWS + 1))},
                           {"bad": object()}, {}, {})
     with pytest.raises(AttributeError):
+        emit_outputs(bundle, tmp_path)
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_directory_in_place_of_a_table_is_named(tmp_path, monkeypatch,
+                                                  forks):
+    """The caller cannot open ``t.csv`` after the fork: the error names
+    it, and the child is waited for."""
+    (tmp_path / "t.csv").mkdir()
+    bundle = two_writer_bundle(monkeypatch)
+    with pytest.raises(OutputError, match=r"^cannot write .*t\.csv: "):
+        emit_outputs(bundle, tmp_path)
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_spill_files_that_cannot_be_made_fork_nothing(tmp_path, monkeypatch,
+                                                      forks):
+    def refuse(**kwargs):
+        raise OSError("no room")
+
+    monkeypatch.setattr(outputs.tempfile, "TemporaryFile", refuse)
+    bundle = two_writer_bundle(monkeypatch)
+    with pytest.raises(OutputError, match=f"^cannot write in "
+                       f"{re.escape(str(tmp_path))}: no room$"):
+        emit_outputs(bundle, tmp_path)
+    assert not forks
+
+
+def test_a_failed_append_raises_and_is_reaped(tmp_path, monkeypatch, forks):
+    """Appending a child's rows fails once the child has exited: the
+    error names the table."""
+    def refuse(source, target):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(outputs.shutil, "copyfileobj", refuse)
+    bundle = two_writer_bundle(monkeypatch)
+    with pytest.raises(OutputError, match=r"^cannot write .*t\.csv: "
+                                          "disk full$"):
         emit_outputs(bundle, tmp_path)
     assert len(forks) == 1
     with pytest.raises(ChildProcessError):

@@ -24,8 +24,14 @@ random probabilities), the eraser and the window:
 * without an eraser, the partial marker K_theta (cos theta + i sin
   theta S on x < 0, 1 elsewhere) gives the mixture
   cos theta P_id + (1 - cos theta) P_marker, to 1e-13 of max |P|, for
-  every theta in (0, pi) and window set.  A +-45 eraser breaks it: at
-  the paper's 15 windows it is off by up to 0.69 of max |P|.
+  every theta in (0, pi) and window set;
+* through a +-45 eraser, the partial marker with the swap phase phi
+  (cos theta + e^(i phi) sin theta S on x < 0) gives
+  1/2 [P_mk + cos theta R +- (sin 2 theta cos phi L
+  + sin theta (cos phi R + sin phi I))], to 1e-13 of max |P|, for
+  every theta in (0, pi), phi in [-pi, pi] and window set, where P_mk
+  is the marker's, R = P_id - P_mk, L = P_mk - P_right (the left slit
+  blocked) and I = P_i - P_mk (x < 0 multiplied by i).
 
 That round-off is normwise, as FFT round-off is: before the division
 by the covered mass c, each un-normalised sum is off by a few
@@ -59,7 +65,7 @@ from weakslit import (MomentumWindow, SimGrid, SlitGeometry,
 from weakslit.errors import CoverageWarning
 from weakslit.weak_values import ERASERS, _tiling_indices
 
-from conftest import partial_marker
+from conftest import eraser_port, eraser_port_basis, partial_marker
 from oracles import loop_transfer
 
 EPS = np.finfo(float).eps
@@ -164,6 +170,30 @@ def test_partial_marker_is_a_mixture(scenario, theta, half):
     want = c * plain.density + (1.0 - c) * marked.density
     np.testing.assert_allclose(got.density, want, rtol=0.0,
                                atol=1e-13 * np.max(np.abs(want)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(scenarios(), st.floats(0.0, math.pi, exclude_min=True,
+                              exclude_max=True),
+       st.floats(-math.pi, math.pi), st.one_of(st.none(), st.integers(0, 3)))
+def test_eraser_ports_are_sums_of_four_distributions(scenario, theta, phi,
+                                                     half):
+    """Through either +-45 port, P_wv of the partial marker K_(theta, phi)
+    is a fixed sum of the four distributions of ``eraser_port_basis``,
+    for any window set."""
+    state, _, window, _ = scenario
+    indices = None if half is None else range(window.index - half,
+                                              window.index + half + 1)
+    basis = eraser_port_basis(state, window.width, indices)
+    ch = partial_marker(state.grid, theta, phi)
+    for eraser, sign in (("plus45", 1.0), ("minus45", -1.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CoverageWarning)
+            got = transfer_distribution(state, ch, window.width, indices,
+                                        eraser)
+        want = eraser_port(basis, theta, phi, sign)
+        np.testing.assert_allclose(got.density, want, rtol=0.0,
+                                   atol=1e-13 * np.max(np.abs(want)))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
