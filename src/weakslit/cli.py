@@ -11,7 +11,6 @@ import argparse
 import contextlib
 import os
 import sys
-from pathlib import Path
 from typing import NoReturn
 
 from .config import (DEFAULTS, PRESETS, from_dict, merge, parse_json_object,
@@ -58,7 +57,8 @@ def _load_raw_config(args) -> dict:
         raw = merge(raw, PRESETS[args.preset])
     if args.config is not None:
         try:
-            text = Path(args.config).read_text(encoding="utf-8")
+            with open(args.config, encoding="utf-8") as file:
+                text = file.read()
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{args.config} is not UTF-8: {exc}") from None
         raw = merge(raw, parse_json_object(text, args.config))

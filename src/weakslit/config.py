@@ -27,9 +27,9 @@ import numpy as np
 
 from .channels import MeasurementChannel, classical_kick, identity_channel, scully_wwm
 from .errors import ConfigError
-from .grid import LabFrame, SimGrid, _is_number, _show
+from .grid import SimGrid, _is_number, _show
 from .states import SlitGeometry, TransverseState, build_double_slit
-from .weak_values import MomentumWindow, _check_eraser
+from .weak_values import _check_eraser
 
 __all__ = ["ScenarioConfig", "from_dict", "PRESETS"]
 
@@ -135,13 +135,21 @@ class ScenarioConfig:
     order.  Each object's constructor, or the block that builds it,
     checks its own ranges, orderings, names and sums; their errors come
     back prefixed with the config key.
-    ``lab`` comes first because it refuses a non-positive
-    ``geometry.separation``, which ``geometry`` divides by.
 
-    ``window`` is the focus window that every command reads and
-    ``indices`` the tiling's window numbers; the pointer contributes
-    only its weakness ``ratio`` = D/sigma and the sweep's ``ratios``;
-    ``q_max`` and ``kappa`` are the filled-in regularisation sweeps.
+    ``lab`` comes first: it refuses a non-positive
+    ``geometry.separation``, which ``geometry`` divides by, and converts
+    the lab lengths once.  The photon is a free particle of effective
+    mass m = h / (c * wavelength), and a lens of focal length f maps
+    transverse momentum p to the focal-plane position (f/c) * (p/m), so
+    the momentum h/s, 2 pi internal, lands one fringe period
+    f * wavelength / s out.  ``window_width`` is ``sliver_width`` in
+    hbar/s and ``mm_per_unit`` the focal-plane millimetres per hbar/s.
+
+    Every command reads the focus window, momentum bin ``focus_index``
+    of width ``window_width``, and ``indices`` are the tiling's window
+    numbers; the pointer contributes only its weakness ``ratio`` =
+    D/sigma and the sweep's ``ratios``; ``q_max`` and ``kappa`` are the
+    filled-in regularisation sweeps.
     """
 
     def __init__(self, data: dict):
@@ -150,8 +158,18 @@ class ScenarioConfig:
         geo, win, pt = data["geometry"], data["windows"], data["pointer"]
         sep = geo["separation"]
         with _key("lab"):
-            self.lab = LabFrame(data["lab"]["wavelength"],
-                                data["lab"]["focal_length"], sep)
+            lab = data["lab"]
+            for name, length in (("wavelength", lab["wavelength"]),
+                                 ("focal_length", lab["focal_length"]),
+                                 ("geometry.separation", sep)):
+                if not length > 0.0:
+                    raise ConfigError(f"{name} must be positive")
+            period = lab["focal_length"] * lab["wavelength"] / sep
+            if not 0.0 < period < math.inf:
+                raise ConfigError(f"fringe period {period} m is not a "
+                                  f"positive finite length")
+            self.window_width = float(win["sliver_width"] * _TWO_PI / period)
+            self.mm_per_unit = float(1.0 / _TWO_PI * period) * 1e3
         with _key("grid"):
             self.grid = SimGrid(data["grid"]["n_points"],
                                 data["grid"]["x_extent"])
@@ -171,12 +189,11 @@ class ScenarioConfig:
         with _key("windows"):
             if win["sliver_width"] <= 0.0:
                 raise ConfigError("sliver_width must be positive")
-            self.window = MomentumWindow(win["focus_index"], float(
-                self.lab.momentum_from_position(win["sliver_width"])))
-            if not math.isfinite(self.window.width):
+            if not math.isfinite(self.window_width):
                 raise ConfigError(f"sliver_width {win['sliver_width']} m is "
-                                  f"{self.window.width} hbar/s, not a finite "
+                                  f"{self.window_width} hbar/s, not a finite "
                                   f"window width")
+            self.focus_index = win["focus_index"]
             # Windows narrower than 2 dp are refused, so at most n/2 + 2 can
             # hold a sample; a larger count only costs time and memory.
             count = win["count"]
@@ -229,8 +246,8 @@ class ScenarioConfig:
         raise ConfigError(f"unknown channel kind {_show(ch['kind'])}")
 
     def window_width_internal(self) -> float:
-        """``window.width``; perfbench/layers.py reads it by this name."""
-        return self.window.width
+        """``window_width``; perfbench/layers.py reads it by this name."""
+        return self.window_width
 
     def config_hash(self) -> str:
         """Scenario fingerprint; excludes the output destination."""
@@ -271,20 +288,30 @@ def from_dict(overrides: dict) -> ScenarioConfig:
     return ScenarioConfig(merge(DEFAULTS, overrides))
 
 
+def _loads(text: str, source: str):
+    """``json.loads(text)``, whose :class:`json.JSONDecodeError` the
+    caller handles; the parser's two limits raise a :class:`ConfigError`
+    naming ``source``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:  # a ValueError too: caught first
+        raise
+    except ValueError:  # Python parses no integer of over 4,300 digits
+        raise ConfigError(f"{source} holds an integer too long to parse") \
+            from None
+    except RecursionError:
+        raise ConfigError(f"{source} nests too deeply") from None
+
+
 def parse_json_object(text: str, source: str) -> dict:
     """The JSON object of a config document, {} for blank text; an error
     names ``source``."""
     if not text.strip():
         return {}
     try:
-        payload = json.loads(text)
+        payload = _loads(text, source)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{source} is not valid JSON: {exc}") from None
-    except ValueError:  # Python parses no integer of over 4,300 digits
-        raise ConfigError(f"{source} holds an integer too long to parse") \
-            from None
-    except RecursionError:
-        raise ConfigError(f"{source} nests too deeply") from None
     if not isinstance(payload, dict):
         raise ConfigError(f"{source}: config root must be a JSON object")
     return payload
@@ -300,14 +327,9 @@ def parse_override(assignment: str) -> dict:
         raise ConfigError(f"override {assignment!r} is not of form key=value")
     path, _, raw_value = assignment.partition("=")
     try:
-        value = json.loads(raw_value)
+        value = _loads(raw_value, f"override {path!r}")
     except json.JSONDecodeError:
         value = raw_value
-    except ValueError:  # Python parses no integer of over 4,300 digits
-        raise ConfigError(f"override {path!r} holds an integer too long "
-                          f"to parse") from None
-    except RecursionError:
-        raise ConfigError(f"override {path!r} nests too deeply") from None
     for part in reversed(path.split(".")):
         value = {part: value}
     return value

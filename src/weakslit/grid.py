@@ -1,4 +1,4 @@
-"""Uniform conjugate grids, unitary transforms, and lab-unit mapping.
+"""Uniform conjugate grids and their unitary transforms.
 
 Internal units: hbar = 1 and the slit separation is the unit of length,
 so momentum is a wavenumber and the single-slit diffraction bound
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, GridMismatchError
 
-__all__ = ["SimGrid", "LabFrame"]
+__all__ = ["SimGrid"]
 
 #: Largest accepted grid.  A 2^22-point state is a 64 MiB complex
 #: field, and every analysis holds several such arrays.
@@ -173,44 +173,3 @@ def indicator(samples: np.ndarray, step: float, lo, hi) -> np.ndarray:
     mask[np.abs(samples - hi) < tol] = 0.5
     return mask
 
-
-class LabFrame:
-    """Conversion between internal units and laboratory lengths.
-
-    The photon behaves as a free particle of effective mass
-    m = h / (c * wavelength); a lens of focal length f then maps
-    transverse momentum p to the focal-plane position (f/c) * (p/m).
-    Composing the two, the momentum h/s lands at f*wavelength/s,
-    which is the fringe period on the detector.
-
-    All lab lengths are in metres.
-    """
-
-    def __init__(self, wavelength: float, focal_length: float,
-                 slit_separation: float):
-        self.wavelength = wavelength
-        self.focal_length = focal_length
-        self.slit_separation = slit_separation
-        for name in ("wavelength", "focal_length", "slit_separation"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"LabFrame.{name} must be positive")
-        if not 0.0 < self.fringe_period < np.inf:
-            raise ConfigError(f"LabFrame.fringe_period {self.fringe_period}"
-                              f" m is not a positive finite length")
-
-    @property
-    def fringe_period(self) -> float:
-        """Focal-plane period of the double-slit fringe, f*lambda/s in metres."""
-        return self.focal_length * self.wavelength / self.slit_separation
-
-    def focal_plane_position(self, p_internal):
-        """Map internal momentum (hbar/s = 1) to focal-plane position in metres.
-
-        Linear, with focal_plane_position(2*pi) == fringe_period exactly.
-        Accepts scalars or arrays.
-        """
-        return p_internal / (2.0 * np.pi) * self.fringe_period
-
-    def momentum_from_position(self, x_lab):
-        """Inverse of :meth:`focal_plane_position` (metres to internal momentum)."""
-        return x_lab * (2.0 * np.pi) / self.fringe_period

@@ -31,7 +31,7 @@ import numpy as np
 from .channels import MeasurementChannel
 from .errors import ConfigError
 from .states import TransverseState
-from .weak_values import MomentumWindow, WvpCurve, conditional_wvp, quotient
+from .weak_values import WvpCurve, conditional_wvp, quotient
 
 __all__ = [
     "run_tagged",
@@ -52,14 +52,15 @@ def _overlap(ratio: float) -> tuple[float, float]:
     return float(np.exp(-half)), float(-np.expm1(-half))
 
 
-def run_tagged(state: TransverseState, ch: MeasurementChannel,
-               window: MomentumWindow) -> WvpCurve:
-    """The tagged window's conditional curve, whose ``joint``,
-    ``density`` and ``strong`` are the J, P and T of the module
-    docstring; the pointer's sigma and D do not enter it.
+def run_tagged(state: TransverseState, ch: MeasurementChannel, width: float,
+               index: int) -> WvpCurve:
+    """The conditional curve of the tagged window, momentum bin ``index``
+    of width ``width``, whose ``joint``, ``density`` and ``strong`` are
+    the J, P and T of the module docstring; the pointer's sigma and D do
+    not enter it.
     """
     # Its own name only so that a profile can trace the pointer's curve.
-    return conditional_wvp(state, ch, window)
+    return conditional_wvp(state, ch, width, index)
 
 
 def marginal(curve: WvpCurve, ratio: float) -> np.ndarray:
@@ -127,7 +128,7 @@ def _roundoff_scales(curve: WvpCurve) -> tuple[float, float]:
 
 
 def convergence_sweep(state: TransverseState, ch: MeasurementChannel,
-                      window: MomentumWindow, ratios
+                      width: float, index: int, ratios
                       ) -> tuple[tuple[float, ...], ...]:
     """(ratios, errors, floors): the estimator error and its round-off
     floor for each distinct weakness ratio, strongest first.
@@ -144,7 +145,7 @@ def convergence_sweep(state: TransverseState, ch: MeasurementChannel,
     ratios = tuple(sorted({float(r) for r in ratios}, reverse=True))
     if any(r <= 0.0 for r in ratios):
         raise ConfigError(f"ratios must be positive, got {ratios}")
-    analytic = run_tagged(state, ch, window)
+    analytic = run_tagged(state, ch, width, index)
     quotient, difference = _roundoff_scales(analytic)
     errors, floors = [], []
     for ratio in ratios:

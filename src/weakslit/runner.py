@@ -46,11 +46,6 @@ class ResultBundle:
         self.provenance = provenance
 
 
-def _mm_per_unit(config: ScenarioConfig) -> float:
-    """Focal-plane millimetres per internal momentum unit."""
-    return float(config.lab.focal_plane_position(1.0)) * 1e3
-
-
 def _momentum_axis(p: np.ndarray, mm: float, x: str = "p_f") -> dict:
     """Columns *x*, momentum *p*, and *x*_lab, its focal-plane mm."""
     return {f"{x} [hbar/s]": p, f"{x}_lab [mm]": p * mm}
@@ -80,16 +75,16 @@ def _provenance(config: ScenarioConfig) -> dict:
 
 
 def _run_wvp(config: ScenarioConfig) -> tuple[dict, dict, dict]:
-    window = config.window
+    width, index = config.window_width, config.focus_index
     # One set of full-state sector sums gives the curve and, through the
     # un-erased density, the output distribution.
-    curves = eraser_curves(config.state, config.channel, window,
+    curves = eraser_curves(config.state, config.channel, width, index,
                            ("none", config.eraser))
     curve = curves[config.eraser]
     dens_in = momentum_distribution(config.state)
     dens_out = curves["none"].density
     dens_out = dens_out / (np.sum(dens_out) * config.grid.dp)
-    p, mm = config.grid.p, _mm_per_unit(config)
+    p, mm = config.grid.p, config.mm_per_unit
     axis = _momentum_axis(p, mm)
     ok = np.isfinite(curve.values)
     tables = {"wvp": {**axis, "conditional [1]": curve.values,
@@ -97,11 +92,11 @@ def _run_wvp(config: ScenarioConfig) -> tuple[dict, dict, dict]:
               "intensity": {**axis, "input_density [s/hbar]": dens_in,
                             "output_density [s/hbar]": dens_out}}
 
-    in_window = curve.values[window_mask(config.grid, window) > 0.5]
+    in_window = curve.values[window_mask(config.grid, width, index) > 0.5]
     in_window = in_window[np.isfinite(in_window)]
     summary = {
-        "window_index": window.index,
-        "window_width": window.width,
+        "window_index": index,
+        "window_width": width,
         "eraser": config.eraser,
         "conditional_min": float(np.nanmin(curve.values[ok])),
         "conditional_max": float(np.nanmax(curve.values[ok])),
@@ -118,9 +113,9 @@ def _run_wvp(config: ScenarioConfig) -> tuple[dict, dict, dict]:
 
 def _run_transfer(config: ScenarioConfig) -> tuple[dict, dict, dict]:
     dist = transfer_distribution(config.state, config.channel,
-                                 config.window.width, config.indices,
+                                 config.window_width, config.indices,
                                  config.eraser)
-    mm = _mm_per_unit(config)
+    mm = config.mm_per_unit
     tables = {"transfer": {**_momentum_axis(dist.q, mm, "q"),
                            "density [s/hbar]": dist.density}}
     summary = {
@@ -142,7 +137,7 @@ def _run_transfer(config: ScenarioConfig) -> tuple[dict, dict, dict]:
 
 def _run_variance(config: ScenarioConfig) -> tuple[dict, dict, dict]:
     dist = transfer_distribution(config.state, config.channel,
-                                 config.window.width, config.indices,
+                                 config.window_width, config.indices,
                                  config.eraser)
     # Each distinct point once, ascending, as the sign count reads them.
     q_max = np.array(sorted(set(config.q_max)))
@@ -188,16 +183,16 @@ def _run_variance(config: ScenarioConfig) -> tuple[dict, dict, dict]:
 
 
 def _run_eraser(config: ScenarioConfig) -> tuple[dict, dict, dict]:
-    window = config.window
-    curves = eraser_curves(config.state, config.channel, window)
+    width, index = config.window_width, config.focus_index
+    curves = eraser_curves(config.state, config.channel, width, index)
     plus, minus = curves["plus45"].values, curves["minus45"].values
     j_none, j_plus, j_minus = (curves["none"].joint, curves["plus45"].joint,
                                curves["minus45"].joint)
     # The densities and the un-erased values are not written: free them
     # before the summary's temporaries.
     del curves
-    p, mm = config.grid.p, _mm_per_unit(config)
-    in_window = window_mask(config.grid, window) > 0.5
+    p, mm = config.grid.p, config.mm_per_unit
+    in_window = window_mask(config.grid, width, index) > 0.5
     out = ~in_window
 
     def out_mass(j):
@@ -216,7 +211,7 @@ def _run_eraser(config: ScenarioConfig) -> tuple[dict, dict, dict]:
                                "joint_plus45 [s/hbar]": j_plus,
                                "joint_minus45 [s/hbar]": j_minus}}
     summary = {
-        "window_index": window.index,
+        "window_index": index,
         "partition_max_abs": float(np.max(np.abs(j_none - j_plus - j_minus))),
         "plus45_indicator_max_dev": plus_dev,
         "out_of_window_mass_none": out_mass(j_none),
@@ -230,8 +225,9 @@ def _run_eraser(config: ScenarioConfig) -> tuple[dict, dict, dict]:
 
 
 def _run_pointer(config: ScenarioConfig) -> tuple[dict, dict, dict]:
-    window, ratio = config.window, config.ratio
-    analytic = run_tagged(config.state, config.channel, window)
+    width, index = config.window_width, config.focus_index
+    ratio = config.ratio
+    analytic = run_tagged(config.state, config.channel, width, index)
     est = estimate_wvp(analytic, ratio)
     est_defined = np.isfinite(est)
     analytic_defined = np.isfinite(analytic.values)
@@ -241,7 +237,7 @@ def _run_pointer(config: ScenarioConfig) -> tuple[dict, dict, dict]:
     marg = marginal(analytic, ratio)
     marg = marg / (np.sum(marg) * config.grid.dp)
     marg_dev = np.subtract(marg, dens, out=marg)
-    p, mm = config.grid.p, _mm_per_unit(config)
+    p, mm = config.grid.p, config.mm_per_unit
 
     tables = {"pointer": {**_momentum_axis(p, mm), "estimate [1]": est,
                           "estimate_defined [0/1]": est_defined,
@@ -249,8 +245,8 @@ def _run_pointer(config: ScenarioConfig) -> tuple[dict, dict, dict]:
                           "analytic_defined [0/1]": analytic_defined}}
     summary = {
         "ratio": ratio,
-        "window_index": window.index,
-        "window_width": window.width,
+        "window_index": index,
+        "window_width": width,
         "max_abs_dev_vs_analytic": dev,
         "marginal_max_abs_dev": float(np.max(np.abs(marg_dev, out=marg_dev))),
     }
@@ -263,7 +259,8 @@ def _run_pointer(config: ScenarioConfig) -> tuple[dict, dict, dict]:
 
 def _run_sweep(config: ScenarioConfig) -> tuple[dict, dict, dict]:
     ratios, errors, floors = convergence_sweep(
-        config.state, config.channel, config.window, config.ratios)
+        config.state, config.channel, config.window_width,
+        config.focus_index, config.ratios)
     under_floor, monotone, slope = _floor_trend(ratios, errors, floors)
     ratio_col, error_col = np.array(ratios), np.array(errors)
     # An exact estimate's error is 0.0, which has no logarithm: the

@@ -113,12 +113,14 @@ def build_double_slit(geom: SlitGeometry, grid: SimGrid) -> TransverseState:
     """Normalised double-slit state, slits centred at -1/2 and +1/2.
 
     Uniform plane-wave illumination at normal incidence lights both
-    slits with equal amplitude and zero relative phase.
+    slits with equal amplitude and zero relative phase.  A slit narrower
+    than 2 position samples is refused (:class:`GeometryError`), as a
+    window narrower than 2 bins is; every slit then holds a sample.
     """
+    if geom.width < 2.0 * grid.dx:
+        raise GeometryError(f"slit width {geom.width:.4g} is below 2 "
+                            f"position samples ({2.0 * grid.dx:.4g})")
     amp = _slit_amplitude(geom, grid, -0.5) + _slit_amplitude(geom, grid, 0.5)
-    if not amp.any():
-        raise GeometryError(
-            f"the slits transmit on no sample of a grid with dx = {grid.dx:.4g}")
     tail = (np.abs(np.r_[amp[:EDGE_MARGIN], amp[-EDGE_MARGIN:]]).max()
             / np.abs(amp).max())
     if tail > EDGE_TAIL:

@@ -41,7 +41,6 @@ from .grid import SimGrid, _show, indicator
 from .states import TransverseState
 
 __all__ = [
-    "MomentumWindow",
     "WvpCurve",
     "TransferDistribution",
     "window_mask",
@@ -59,28 +58,6 @@ EPS_DEN_FRACTION = 1e-6
 
 #: Minimum fraction of momentum mass a window tiling must cover.
 COVERAGE_MIN = 0.99
-
-
-class MomentumWindow:
-    """Momentum bin number ``index`` of a tiling with bin width ``width``.
-
-    Window n covers the half-open interval
-    [n*width - width/2, n*width + width/2), so integer-indexed windows
-    tile momentum space without overlap.
-    """
-
-    def __init__(self, index: int, width: float):
-        self.index = index
-        self.width = width
-
-    @property
-    def center(self) -> float:
-        return self.index * self.width
-
-    @property
-    def bounds(self) -> tuple[float, float]:
-        half = self.width / 2.0
-        return (self.center - half, self.center + half)
 
 
 class WvpCurve:
@@ -161,28 +138,41 @@ def quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
                      where=den > EPS_DEN_FRACTION * den.max())
 
 
-def window_mask(grid: SimGrid, window: MomentumWindow) -> np.ndarray:
-    """Indicator of the window on the momentum samples.
+def _bin_edges(width: float, index) -> tuple:
+    """index*width -+ width/2, the edges of bin ``index``: the one bin
+    rule, which :func:`window_mask` applies."""
+    center, half = index * width, width / 2.0
+    return center - half, center + half
 
-    Half-open [lo, hi) so adjacent windows partition the axis exactly;
-    a sample landing on a boundary to round-off takes weight 1/2 (the
-    midpoint convention used for discontinuous apertures).
+
+def window_mask(grid: SimGrid, width: float, index) -> np.ndarray:
+    """Indicator of momentum bin ``index`` of width ``width`` on the
+    momentum samples.
+
+    Bin n covers the half-open [n*width - width/2, n*width + width/2),
+    so integer-indexed bins tile momentum space without overlap; a
+    sample landing on an edge to round-off takes weight 1/2 (the
+    midpoint convention used for discontinuous apertures).  ``index``
+    may be an integer array broadcasting against ``grid.p``: an (m, 1)
+    array stacks m masks, an (n,) one gives each sample its own bin.
     """
-    return indicator(grid.p, grid.dp, *window.bounds)
+    return indicator(grid.p, grid.dp, *_bin_edges(width, index))
 
 
-def _window_project(state: TransverseState, window: MomentumWindow) -> TransverseState:
-    """Project the state onto one momentum window (unnormalised result).
+def _window_project(state: TransverseState, width: float,
+                    index: int) -> TransverseState:
+    """Project the state onto momentum bin ``index`` of width ``width``
+    (unnormalised result).
 
     Refuses windows narrower than two bins (:class:`ResolutionError`)
     and windows that hold no momentum sample at all
     (:class:`WindowRangeError`).
     """
     grid = state.grid
-    _check_width(grid, window.width)
-    mask = window_mask(grid, window)
+    _check_width(grid, width)
+    mask = window_mask(grid, width, index)
     if not mask.any():
-        lo, hi = window.bounds
+        lo, hi = _bin_edges(width, index)
         raise WindowRangeError(
             f"window [{lo:.4g}, {hi:.4g}] outside the simulated momentum "
             f"range [{grid.p[0]:.4g}, {grid.p[-1]:.4g}]")
@@ -254,15 +244,15 @@ def _curve_sums(grid: SimGrid, psi: np.ndarray, chi: np.ndarray | None,
     return j, dens, t
 
 
-def _curves(state: TransverseState, ch: MeasurementChannel,
-            window: MomentumWindow, erasers: Iterable[str],
+def _curves(state: TransverseState, ch: MeasurementChannel, width: float,
+            index: int, erasers: Iterable[str],
             strong: bool) -> dict[str, WvpCurve]:
     """The curves of :func:`eraser_curves`, each with T if ``strong``."""
     erasers = tuple(dict.fromkeys(erasers))
     for eraser in erasers:
         _check_eraser(eraser)
     _check_grid(state, ch)
-    chi = _window_project(state, window).field
+    chi = _window_project(state, width, index).field
     sums = {eraser: _curve_sums(state.grid, state.field, chi, ch, eraser,
                                 strong, k == len(erasers))
             for k, eraser in enumerate(erasers, 1)}
@@ -271,8 +261,8 @@ def _curves(state: TransverseState, ch: MeasurementChannel,
             for eraser, (j, dens, t) in sums.items()}
 
 
-def joint_wvp(state: TransverseState, ch: MeasurementChannel,
-              window: MomentumWindow, eraser: str = "none") -> np.ndarray:
+def joint_wvp(state: TransverseState, ch: MeasurementChannel, width: float,
+              index: int, eraser: str = "none") -> np.ndarray:
     """J(p_f): conditional WVP times post-selection density, per sample.
 
     Computed as Re sum over the output rows of :func:`_output_rows` of
@@ -280,11 +270,12 @@ def joint_wvp(state: TransverseState, ch: MeasurementChannel,
     conjugate of the full state's.  Finite everywhere, negative where
     the weak value leaves [0, 1].
     """
-    return eraser_curves(state, ch, window, (eraser,))[eraser].joint
+    return eraser_curves(state, ch, width, index, (eraser,))[eraser].joint
 
 
 def conditional_wvp(state: TransverseState, ch: MeasurementChannel,
-                    window: MomentumWindow, eraser: str = "none") -> WvpCurve:
+                    width: float, index: int,
+                    eraser: str = "none") -> WvpCurve:
     """Conditional weak-valued probability J(p_f)/P(p_f), with T.
 
     Samples below the definedness threshold of :func:`quotient` are
@@ -292,11 +283,11 @@ def conditional_wvp(state: TransverseState, ch: MeasurementChannel,
     the identity channel (or the +45 eraser on the which-way marker)
     the defined part is the window indicator.
     """
-    return _curves(state, ch, window, (eraser,), True)[eraser]
+    return _curves(state, ch, width, index, (eraser,), True)[eraser]
 
 
 def eraser_curves(state: TransverseState, ch: MeasurementChannel,
-                  window: MomentumWindow,
+                  width: float, index: int,
                   erasers: Iterable[str] = ERASERS) -> dict[str, WvpCurve]:
     """:func:`conditional_wvp` for each eraser setting but without T,
     keyed by setting in the order requested, each built once.
@@ -308,7 +299,7 @@ def eraser_curves(state: TransverseState, ch: MeasurementChannel,
     arrays for all three settings at 2^16 points, 5.0 MiB for
     :func:`conditional_wvp`'s one with T.
     """
-    return _curves(state, ch, window, erasers, False)
+    return _curves(state, ch, width, index, erasers, False)
 
 
 def momentum_distribution(state: TransverseState,
@@ -347,23 +338,21 @@ def _tiling_weights(grid: SimGrid, width: float, indices: tuple[int, ...]
     sample in a window of ``indices``, as three flat arrays.
 
     Only windows k0 - 1, k0 and k0 + 1, with k0 = round(p/width), can
-    hold a sample, so one O(N) pass over those three candidates replaces
-    a :func:`window_mask` call per window.  ``weights[m]`` equals
-    ``window_mask(grid, MomentumWindow(windows[m], width))[samples[m]]``
-    bit for bit, times the number of times ``windows[m]`` occurs in
-    ``indices``.  The candidates are taken one at a time.
+    hold a sample, so three :func:`window_mask` calls, each giving every
+    sample its own candidate, replace a call per window.  ``weights[m]``
+    equals ``window_mask(grid, width, windows[m])[samples[m]]`` bit for
+    bit, times the number of times ``windows[m]`` occurs in ``indices``.
+    The candidates are taken one at a time.
     """
     k0 = np.rint(grid.p / width)
     k_lo, k_hi = int(k0[0]) - 1, int(k0[-1]) + 1
     counts = np.bincount(
         np.array([k - k_lo for k in indices if k_lo <= k <= k_hi],
                  dtype=np.int64), minlength=k_hi - k_lo + 1)
-    half = width / 2.0
     found = []
     for shift in (-1.0, 0.0, 1.0):
         windows = (k0 + shift).astype(np.int64)
-        center = windows * width
-        weights = indicator(grid.p, grid.dp, center - half, center + half)
+        weights = window_mask(grid, width, windows)
         weights *= counts[windows - k_lo]
         samples = np.flatnonzero(weights)
         found.append((samples, windows[samples], weights[samples]))

@@ -17,16 +17,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weakslit import (CoverageWarning, LabFrame, MeasurementChannel,
-                      MomentumWindow, SimGrid, SlitGeometry,
-                      build_double_slit, identity_channel, scully_wwm,
-                      transfer_distribution)
+from weakslit import (CoverageWarning, MeasurementChannel, SimGrid,
+                      SlitGeometry, build_double_slit, identity_channel,
+                      scully_wwm, transfer_distribution)
 
 #: Tagged-window width in internal units: the 1.77 mm focal-plane sliver
-#: mapped back through f = 1 m, lambda = 633 nm, s = 80 um.
-BENCH_LAB = LabFrame(wavelength=633e-9, focal_length=1.0,
-                     slit_separation=80e-6)
-WINDOW_WIDTH = float(BENCH_LAB.momentum_from_position(1.77e-3))
+#: over the fringe period f * lambda / s, with f = 1 m, lambda = 633 nm
+#: and s = 80 um, times 2 pi.
+WINDOW_WIDTH = 1.77e-3 * (2.0 * np.pi) / (1.0 * 633e-9 / 80e-6)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -155,12 +153,9 @@ def wwm(grid):
 
 @pytest.fixture
 def focus_window():
-    return MomentumWindow(-1, WINDOW_WIDTH)
-
-
-@pytest.fixture(scope="session")
-def lab():
-    return BENCH_LAB
+    """(width, index) of the tagged window, as the window functions
+    take them."""
+    return WINDOW_WIDTH, -1
 
 
 def assert_all_finite(arr):

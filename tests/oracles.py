@@ -38,9 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from weakslit import (MeasurementChannel, MomentumWindow,
-                      TransferDistribution, conditional_wvp, estimate_wvp,
-                      run_tagged)
+from weakslit import (MeasurementChannel, TransferDistribution,
+                      conditional_wvp, estimate_wvp, run_tagged)
 from weakslit.errors import CoverageWarning
 from weakslit.grid import indicator
 from weakslit.weak_values import (COVERAGE_MIN, EPS_DEN_FRACTION,
@@ -148,11 +147,19 @@ def array_tiling_weights(grid, width, indices):
     return samples, windows[rows, samples], weights[rows, samples]
 
 
-def dense_joint(state, ch, window, eraser="none"):
+def bin_edges(width, index):
+    """(lo, hi) of bin ``index`` of width ``width``: the half-open
+    [index*width - width/2, index*width + width/2) that integer-indexed
+    bins tile momentum space with."""
+    center = index * width
+    return center - width / 2.0, center + width / 2.0
+
+
+def dense_joint(state, ch, width, index, eraser="none"):
     """Brute-force J(p_f) via explicit transform matrices."""
     grid = state.grid
     dft, idft = dft_matrix(grid), idft_matrix(grid)
-    lo, hi = window.bounds
+    lo, hi = bin_edges(width, index)
     sel = ((grid.p >= lo) & (grid.p < hi)).astype(float)
     amps = two_rows(state.field)
     chi = (sel * (amps @ dft.T)) @ idft.T
@@ -166,11 +173,11 @@ def dense_joint(state, ch, window, eraser="none"):
     return j
 
 
-def dense_conditional(state, ch, window, eraser="none"):
+def dense_conditional(state, ch, width, index, eraser="none"):
     """(values-with-NaN, defined) like the package curve, dense arithmetic."""
     grid = state.grid
     dft = dft_matrix(grid)
-    j = dense_joint(state, ch, window, eraser)
+    j = dense_joint(state, ch, width, index, eraser)
     dens = np.zeros(grid.n_points)
     for psi_t in _sector_amps(two_rows(state.field), ch, dft):
         for pe in _erase(psi_t, eraser):
@@ -193,12 +200,11 @@ def dense_transfer(state, ch, width, indices, eraser="none"):
     acc = np.zeros(grid.n_points)
     coverage = 0.0
     for idx in indices:
-        window = MomentumWindow(idx, width)
-        lo, hi = window.bounds
+        lo, hi = bin_edges(width, idx)
         sel = (grid.p >= lo) & (grid.p < hi)
         coverage += float(np.sum(dens[sel]) * grid.dp)
-        j = dense_joint(state, ch, window, eraser)
-        m = int(round(window.center / grid.dp))
+        j = dense_joint(state, ch, width, idx, eraser)
+        m = int(round(idx * width / grid.dp))
         rolled = np.roll(j, -m)
         if m >= 0:
             rolled[grid.n_points - m:] = 0.0
@@ -233,15 +239,14 @@ def loop_transfer(state, ch, window_width, indices=None, eraser="none"):
     coverage = 0.0
     n = grid.n_points
     for idx in indices:
-        window = MomentumWindow(idx, window_width)
-        mask = window_mask(grid, window)
+        mask = window_mask(grid, window_width, idx)
         window_mass = float(np.sum(mask * input_dens) * grid.dp)
         coverage += window_mass
         if window_mass == 0.0:
             continue
         chi = transform_rows(grid, mask * amps_t, inverse=True)
         j = array_joint(two_row_sums(grid, chi, ch, eraser), psi_erased)
-        shift = int(round(window.center / grid.dp))
+        shift = int(round(idx * window_width / grid.dp))
         if shift >= n or shift <= -n:
             continue
         if shift >= 0:
@@ -329,7 +334,7 @@ def two_row_transfer(grid, amps, ch, window_width, indices, eraser="none"):
     return acc / coverage, coverage
 
 
-def loop_conditional_wvp(state, ch, window, eraser="none"):
+def loop_conditional_wvp(state, ch, width, index, eraser="none"):
     """(values, defined, joint) of one eraser setting, built from its own
     window projection and its own eraser-projected two-row sector sums
     (:func:`two_row_sums`), with J and P from :func:`array_joint` and
@@ -341,7 +346,7 @@ def loop_conditional_wvp(state, ch, window, eraser="none"):
     _check_eraser(eraser)
     grid = state.grid
     psi_erased = two_row_sums(grid, two_rows(state.field), ch, eraser)
-    chi = two_rows(_window_project(state, window).field)
+    chi = two_rows(_window_project(state, width, index).field)
     j = array_joint(two_row_sums(grid, chi, ch, eraser), psi_erased)
     dens = array_density(psi_erased)
     defined = dens > EPS_DEN_FRACTION * dens.max()
@@ -350,17 +355,17 @@ def loop_conditional_wvp(state, ch, window, eraser="none"):
     return values, defined, j
 
 
-def loop_convergence_sweep(state, ch, window, ratios):
+def loop_convergence_sweep(state, ch, width, index, ratios):
     """(ratios, errors) with one tagged run and one estimate per ratio.
 
     This was the package's ``convergence_sweep`` before the tagged run
     was hoisted out of the ratio loop.
     """
     ratios = tuple(sorted((float(r) for r in ratios), reverse=True))
-    analytic = conditional_wvp(state, ch, window)
+    analytic = conditional_wvp(state, ch, width, index)
     errors = []
     for ratio in ratios:
-        est = estimate_wvp(run_tagged(state, ch, window), ratio)
+        est = estimate_wvp(run_tagged(state, ch, width, index), ratio)
         both = np.isfinite(analytic.values) & np.isfinite(est)
         errors.append(float(np.max(np.abs(est[both]
                                           - analytic.values[both]))))
@@ -432,7 +437,7 @@ class StackMap:
     tagged: np.ndarray
     sigma: float
     displacement: float
-    window: MomentumWindow
+    window: tuple[float, int]
     ratio: float
 
     @property
@@ -451,9 +456,11 @@ class StackMap:
                          self.displacement, self.overlap)
 
 
-def stack_run_tagged(state, ch, window, sigma, displacement) -> StackMap:
-    """Propagate the state, ``window`` tagged by a pointer of half-width
-    ``sigma`` shifted by ``displacement``, through the channel.
+def stack_run_tagged(state, ch, width, index, sigma,
+                     displacement) -> StackMap:
+    """Propagate the state, bin ``index`` of width ``width`` tagged by a
+    pointer of half-width ``sigma`` shifted by ``displacement``, through
+    the channel.
 
     The window projection and its complement each pass through the
     channel, and their sector sums are kept as complex (rows, n)
@@ -462,15 +469,15 @@ def stack_run_tagged(state, ch, window, sigma, displacement) -> StackMap:
     ``run_tagged``.
     """
     grid = state.grid
-    proj = _window_project(state, window)
+    proj = _window_project(state, width, index)
     rest = two_rows(state.field - proj.field)
     tagged = np.concatenate(two_row_sums(grid, two_rows(proj.field), ch))
     untagged = np.concatenate(two_row_sums(grid, rest, ch))
     return StackMap(grid.p.copy(), untagged, tagged, sigma, displacement,
-                    window, displacement / sigma)
+                    (width, index), displacement / sigma)
 
 
-def stack_convergence_sweep(state, ch, window, sigma, ratios):
+def stack_convergence_sweep(state, ch, width, index, sigma, ratios):
     """(ratios, errors) from the row sums of :func:`stack_run_tagged`,
     with D = ratio * ``sigma`` at each ratio.
 
@@ -478,8 +485,8 @@ def stack_convergence_sweep(state, ch, window, sigma, ratios):
     built from J, P and T.
     """
     ratios = tuple(sorted((float(r) for r in ratios), reverse=True))
-    analytic = conditional_wvp(state, ch, window)
-    stacks = stack_run_tagged(state, ch, window, sigma, sigma)
+    analytic = conditional_wvp(state, ch, width, index)
+    stacks = stack_run_tagged(state, ch, width, index, sigma, sigma)
     sums = _row_sums(stacks.untagged, stacks.tagged)
     errors = []
     for ratio in ratios:
@@ -491,13 +498,13 @@ def stack_convergence_sweep(state, ch, window, sigma, ratios):
     return ratios, tuple(errors)
 
 
-def dense_pointer_stacks(state, ch, window):
+def dense_pointer_stacks(state, ch, width, index):
     """(untagged, tagged) momentum stacks, one row per (sector,
     polarisation), from explicit transform matrices: the channel
     outputs of the rest of the state and of its window projection."""
     grid = state.grid
     dft, idft = dft_matrix(grid), idft_matrix(grid)
-    lo, hi = window.bounds
+    lo, hi = bin_edges(width, index)
     sel = ((grid.p >= lo) & (grid.p < hi)).astype(float)
     amps = two_rows(state.field)
     chi = (sel * (amps @ dft.T)) @ idft.T

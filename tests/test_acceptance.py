@@ -43,13 +43,13 @@ def bench():
     """The flagship marked-slit scenario on the production grid."""
     cfg = from_dict(PRESETS["paper"])
     ns = SimpleNamespace(
-        cfg=cfg, grid=cfg.grid, lab=cfg.lab, state=cfg.state,
+        cfg=cfg, grid=cfg.grid, state=cfg.state,
         marker=cfg.channel,
         width=cfg.window_width_internal(),
-        window=cfg.window,
+        window=(cfg.window_width, cfg.focus_index),
         indices=cfg.indices,
+        mm_per_unit=cfg.mm_per_unit,
     )
-    ns.mm_per_unit = ns.lab.focal_plane_position(1.0) * 1e3
     return ns
 
 
@@ -77,13 +77,13 @@ def test_criterion_01_fringe_geometry(bench):
 
 def test_criterion_02_indicator_limit(bench):
     t0 = time.perf_counter()
-    mask = window_mask(bench.grid, bench.window)
+    mask = window_mask(bench.grid, *bench.window)
     devs = {}
     for label, curve in (
         ("identity", conditional_wvp(bench.state, identity_channel(bench.grid),
-                                     bench.window)),
+                                     *bench.window)),
         ("erased +45", conditional_wvp(bench.state, bench.marker,
-                                       bench.window, "plus45")),
+                                       *bench.window, "plus45")),
     ):
         ok = np.isfinite(curve.values)
         devs[label] = float(np.max(np.abs(curve.values[ok] - mask[ok])))
@@ -97,7 +97,7 @@ def test_criterion_02_indicator_limit(bench):
 
 def test_criterion_03_negativity(bench):
     t0 = time.perf_counter()
-    curve = conditional_wvp(bench.state, bench.marker, bench.window)
+    curve = conditional_wvp(bench.state, bench.marker, *bench.window)
     p = bench.grid.p
     ok = np.isfinite(curve.values)
     near_max = ok & (np.abs(p) < 0.25 * TWO_PI)
@@ -251,7 +251,7 @@ def test_criterion_08_classical_equivalence():
 def test_criterion_09_pointer_convergence(bench):
     t0 = time.perf_counter()
     ratios, errors, floors = convergence_sweep(
-        bench.state, bench.marker, bench.window, bench.cfg.ratios)
+        bench.state, bench.marker, *bench.window, bench.cfg.ratios)
     # log-log order over the last pair of ratios
     slope = float(np.log(errors[-2] / errors[-1])
                   / np.log(ratios[-2] / ratios[-1]))
@@ -270,12 +270,12 @@ def test_criterion_09_pointer_convergence(bench):
 
 def test_criterion_10_eraser_partition(bench):
     t0 = time.perf_counter()
-    j_none = joint_wvp(bench.state, bench.marker, bench.window, "none")
-    j_plus = joint_wvp(bench.state, bench.marker, bench.window, "plus45")
-    j_minus = joint_wvp(bench.state, bench.marker, bench.window, "minus45")
+    j_none = joint_wvp(bench.state, bench.marker, *bench.window, "none")
+    j_plus = joint_wvp(bench.state, bench.marker, *bench.window, "plus45")
+    j_minus = joint_wvp(bench.state, bench.marker, *bench.window, "minus45")
     partition = float(np.max(np.abs(j_plus + j_minus - j_none)))
 
-    outside = window_mask(bench.grid, bench.window) < 0.5
+    outside = window_mask(bench.grid, *bench.window) < 0.5
     dp = bench.grid.dp
     out_none = float(np.sum(np.abs(j_none)[outside]) * dp)
     out_plus = float(np.sum(np.abs(j_plus)[outside]) * dp)

@@ -10,10 +10,12 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+import scipy.constants as const
 
 from weakslit import ConfigError, PRESETS, from_dict
 from weakslit.cli import console_entry, main
-from weakslit.config import DEFAULTS, merge, parse_json_object, parse_override
+from weakslit.config import (_DEFAULT_KAPPA, DEFAULTS, _within, merge,
+                             parse_json_object, parse_override)
 from weakslit.runner import COMMANDS, run
 
 from conftest import run_python, strict_json
@@ -74,7 +76,7 @@ class TestDefaultsAndPresets:
         grid = cfg.sim_grid()
         assert grid.n_points == 16384 and grid.x_extent == 64.0
         assert cfg.indices == range(-7, 8)
-        assert cfg.window.index == -1
+        assert cfg.focus_index == -1
         assert cfg.ratio == pytest.approx(0.14 / 1.01, rel=1e-12)
         assert cfg.ratios == (0.3, 0.139, 0.05, 0.01, 0.001)
 
@@ -97,7 +99,8 @@ class TestDefaultsAndPresets:
         geom = cfg.geometry
         assert geom.width == pytest.approx(0.5)
         # the separation, in metres, is the internal length unit
-        assert cfg.lab.slit_separation == cfg.data["geometry"]["separation"]
+        assert geom.width == (cfg.data["geometry"]["width"]
+                              / cfg.data["geometry"]["separation"])
         base = {k: v for k, v in cfg.data.items() if k != "channel"}
         assert base == {k: v for k, v in from_dict({}).data.items()
                         if k != "channel"}
@@ -111,6 +114,14 @@ class TestDefaultsAndPresets:
         explicit = from_dict({"regularization": {"q_max": [1.0, 2.0]}})
         assert explicit.q_max == (1.0, 2.0)
 
+    def test_sweep_short_of_every_default_point(self):
+        """Below the smallest default kappa, 2 pi, the default kappa sweep
+        is the one point at the |q| range.  No accepted grid's range is
+        that short (a slit spans at least 2 samples, so dx < 1/2): the
+        fill rule is checked on its own."""
+        assert _within(_DEFAULT_KAPPA, 5.0) == [5.0]
+        assert _within(_DEFAULT_KAPPA, 2.0 * TWO_PI) == [TWO_PI, 2.0 * TWO_PI]
+
     @pytest.mark.filterwarnings("ignore::weakslit.errors.CoverageWarning")
     def test_defaults_are_not_mutated_by_merging(self, tmp_path):
         """A merged config shares its values with ``DEFAULTS``; no
@@ -121,6 +132,55 @@ class TestDefaultsAndPresets:
             assert main([command, "--out", str(tmp_path), "--set",
                          "grid.x_extent=16"] + FAST) == 0
         assert json.dumps(DEFAULTS, sort_keys=True) == before
+
+
+class TestLabUnits:
+    """The config converts lab lengths once: the momentum h/s, 2 pi
+    internal, lands one fringe period f * wavelength / s out."""
+
+    PERIOD = 1.0 * 633e-9 / 80e-6
+
+    @pytest.fixture(scope="class")
+    def cfg(self):
+        return from_dict({"grid": {"n_points": 1024}})
+
+    def test_fringe_period_is_f_lambda_over_s(self, cfg):
+        assert cfg.window_width == pytest.approx(
+            1.77e-3 * TWO_PI / self.PERIOD, rel=1e-15)
+        # h/s = 2 pi internal lands exactly one fringe out
+        assert TWO_PI * cfg.mm_per_unit == pytest.approx(self.PERIOD * 1e3,
+                                                         rel=1e-15)
+
+    def test_unit_round_trip(self, cfg):
+        """The sliver in hbar/s maps back to its width on the detector."""
+        assert cfg.window_width * cfg.mm_per_unit * 1e-3 == pytest.approx(
+            cfg.data["windows"]["sliver_width"], rel=1e-12)
+
+    def test_scalar_in_scalar_out(self, cfg):
+        assert type(cfg.window_width) is float
+        assert type(cfg.mm_per_unit) is float
+
+    def test_effective_mass_and_window_relation(self, cfg):
+        """The sliver width maps to (m c / f) * delta of physical momentum,
+        with the photon's effective mass m = h / (c * wavelength)."""
+        lab = cfg.data["lab"]
+        mass = const.h / (const.c * lab["wavelength"])
+        delta = cfg.data["windows"]["sliver_width"]
+        width_physical = (cfg.window_width * const.hbar
+                          / cfg.data["geometry"]["separation"])
+        assert width_physical == pytest.approx(
+            mass * const.c * delta / lab["focal_length"], rel=1e-12)
+
+    @pytest.mark.parametrize("overrides", [
+        {"lab": {"wavelength": 0.0}},
+        {"lab": {"focal_length": -1.0}},
+        {"geometry": {"separation": 0.0}},
+        # a fringe period f * wavelength / s that overflows to inf
+        {"lab": {"wavelength": 1e-3, "focal_length": 1e308}},
+    ])
+    def test_rejects_nonpositive_lengths(self, overrides):
+        with pytest.raises(ConfigError, match="^'lab': "):
+            from_dict(overrides)
 
 
 class TestValidation:
@@ -228,7 +288,8 @@ class TestValidation:
         cfg = from_dict(PRESETS["paper"])
         assert cfg.grid is cfg.sim_grid() and cfg.state.grid is cfg.grid
         assert cfg.channel.name == "scully_wwm" and cfg.channel.grid is cfg.grid
-        assert cfg.lab.slit_separation == 80e-6
+        assert cfg.mm_per_unit == pytest.approx(
+            1.0 * 633e-9 / 80e-6 / TWO_PI * 1e3, rel=1e-15)
         assert cfg.output_dir == DEFAULTS["output_dir"]
 
     @pytest.mark.parametrize("overrides", [[], None, "grid"])
@@ -556,6 +617,13 @@ class TestCliExitCodes:
          "--set", "channel.kicks=[[0,1%s]]" % ("0" * 400)],
         # an empty output directory, like --set output_dir=""
         ["wvp", "--out", ""],
+        # slits below 2 position samples: 1, 0.8 and about 1e-297 of one
+        ["variance", "--set", "grid.n_points=128",
+         "--set", "grid.x_extent=64.0"],
+        ["variance", "--set", "grid.n_points=128",
+         "--set", "grid.x_extent=80.0"],
+        ["transfer", "--set", "grid.x_extent=1e300",
+         "--set", "grid.n_points=1024"],
     ])
     def test_rejected_values(self, tmp_path, capsys, monkeypatch, argv):
         """``--out`` goes first, so an ``--out`` in *argv* wins; a
@@ -735,13 +803,11 @@ class TestCliExitCodes:
 
     @pytest.mark.filterwarnings("ignore::weakslit.errors.CoverageWarning")
     @pytest.mark.parametrize("n_points, x_extent", [
-        (128, 64.0), (256, 64.0), (512, 64.0), (1024, 64.0), (128, 80.0)])
+        (128, 32.0), (256, 64.0), (512, 64.0), (1024, 64.0), (128, 20.0)])
     def test_default_sweeps_fit_small_grids(self, tmp_path, n_points,
                                             x_extent):
         """With no sweep set, the default sweeps keep only their points
-        within the grid's |q| range, so a coarse grid runs ``variance``;
-        below the smallest default kappa, 2 pi, the kappa sweep is the
-        one point at the range."""
+        within the grid's |q| range, so a coarse grid runs ``variance``."""
         out = tmp_path / "x"
         assert main(["variance", "--set", f"grid.n_points={n_points}",
                      "--set", f"grid.x_extent={x_extent}",
@@ -754,14 +820,6 @@ class TestCliExitCodes:
         assert summary["largest_kappa"] == cfg.kappa[-1]
         if n_points == 1024:
             assert cfg.kappa[-1] == 8.0 * TWO_PI
-        if q_lim < TWO_PI:
-            assert cfg.kappa == (q_lim,)
-            assert summary["apodized_last_gap"] is None
-            # a kappa the user sets beyond the range is still refused
-            assert main(["variance", "--set", f"grid.n_points={n_points}",
-                         "--set", f"grid.x_extent={x_extent}",
-                         "--set", f"regularization.kappa=[{TWO_PI}]",
-                         "--out", str(out)]) == 3
 
     def test_unwritable_output_directory(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
@@ -774,12 +832,15 @@ class TestCliExitCodes:
         assert main(["wvp", "--config", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "x")]) == 4
 
-    def test_empty_config_path_is_read(self, tmp_path):
+    def test_empty_config_path_is_read(self, tmp_path, capsys):
         """An empty path names no file: reading it fails like any other
-        unreadable path."""
+        unreadable path, and the message names the path as given."""
         assert main(["wvp", "--config", "", "--out", str(tmp_path / "x")]
                     + FAST) == 4
         assert not (tmp_path / "x").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.rstrip().endswith("''")
+        assert "'.'" not in err
 
     def test_unknown_preset_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,10 +1,9 @@
-"""Grid construction, unitary transforms, and lab-unit conversion."""
+"""Grid construction and unitary transforms."""
 
 import numpy as np
 import pytest
-import scipy.constants as const
 
-from weakslit import ConfigError, GridMismatchError, LabFrame, SimGrid
+from weakslit import ConfigError, GridMismatchError, SimGrid
 from weakslit.grid import MAX_POINTS, indicator
 
 from oracles import dft_matrix, idft_matrix
@@ -216,41 +215,3 @@ def test_transform_rejects_wrong_length():
                            r"\(2, 64\) on a grid of 64 points$"):
             transform(np.zeros((2, 64), dtype=complex))
 
-
-class TestLabFrame:
-    def test_fringe_period_is_f_lambda_over_s(self, lab):
-        assert lab.fringe_period == pytest.approx(
-            1.0 * 633e-9 / 80e-6, rel=1e-15)
-        # h/s = 2 pi internal lands exactly one fringe out
-        assert lab.focal_plane_position(2.0 * np.pi) == pytest.approx(
-            lab.fringe_period, rel=1e-15)
-
-    def test_unit_round_trip(self, lab):
-        p = np.linspace(-40.0, 40.0, 17)
-        back = lab.momentum_from_position(lab.focal_plane_position(p))
-        np.testing.assert_allclose(back, p, rtol=1e-12)
-
-    def test_scalar_in_scalar_out(self, lab):
-        pos = lab.focal_plane_position(1.0)
-        assert isinstance(pos, float)
-
-    def test_effective_mass_and_window_relation(self, lab):
-        """The sliver width maps to (m c / f) * delta of physical momentum,
-        with the photon's effective mass m = h / (c * wavelength)."""
-        mass = const.h / (const.c * lab.wavelength)
-        delta = 1.77e-3
-        width_internal = lab.momentum_from_position(delta)
-        width_physical = width_internal * const.hbar / lab.slit_separation
-        assert width_physical == pytest.approx(
-            mass * const.c * delta / lab.focal_length, rel=1e-12)
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(wavelength=0.0, focal_length=1.0, slit_separation=80e-6),
-        dict(wavelength=633e-9, focal_length=-1.0, slit_separation=80e-6),
-        dict(wavelength=633e-9, focal_length=1.0, slit_separation=0.0),
-        # a fringe period f * wavelength / s that overflows to inf
-        dict(wavelength=1e-3, focal_length=1e308, slit_separation=80e-6),
-    ])
-    def test_rejects_nonpositive_lengths(self, kwargs):
-        with pytest.raises(ConfigError):
-            LabFrame(**kwargs)

@@ -12,6 +12,8 @@ random probabilities), the eraser and the window:
   J_none = J_plus45 + J_minus45;
 * the transform is unitary: Parseval holds and a round trip returns
   the state, to a few eps;
+* ``window_mask`` of an integer array of windows on and off the grid
+  is the scalar masks stacked, or picked one per sample, bit for bit;
 * over a full tiling of windows an odd number of samples wide, which
   puts every sample inside exactly one window and none on an edge,
   the windows' joint quantities J_w sum to the post-selection density
@@ -58,7 +60,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weakslit import (MomentumWindow, SimGrid, SlitGeometry,
+from weakslit import (SimGrid, SlitGeometry,
                       build_double_slit, classical_kick, conditional_wvp,
                       eraser_curves, identity_channel, scully_wwm,
                       transfer_distribution, window_mask)
@@ -108,8 +110,30 @@ def scenarios(draw):
         ch = classical_kick(draw(kicks(grid)), grid)
     width = draw(st.floats(2.0, 16.0)) * grid.dp
     reach = int(abs(float(grid.p[0])) / width) - 1
-    window = MomentumWindow(draw(st.integers(-reach, reach)), width)
+    window = width, draw(st.integers(-reach, reach))
     return state, ch, window, draw(st.sampled_from(ERASERS))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(st.sampled_from([128, 256, 512]),
+       st.one_of(st.integers(2, 40).map(float), st.floats(2.0, 40.0)),
+       st.lists(st.integers(-400, 400), min_size=1, max_size=8))
+def test_window_mask_of_an_index_array(n_points, bins, indices):
+    """An (m, 1) array stacks the m scalar masks, and an (n,) array gives
+    each sample its own window's mask value, bit for bit, for windows
+    of at least 2 dp (a whole number of dp puts edges on samples) both
+    inside and outside the grid, whose |p| range holds up to 128 such
+    windows."""
+    grid = SimGrid(n_points, 16.0)
+    width = bins * grid.dp
+    masks = {k: window_mask(grid, width, k) for k in indices}
+    stacked = window_mask(grid, width, np.array(indices)[:, np.newaxis])
+    assert stacked.tobytes() == np.stack([masks[k] for k in indices]
+                                         ).tobytes()
+    per_sample = np.resize(np.array(indices), n_points)
+    picked = [masks[k][i] for i, k in enumerate(per_sample.tolist())]
+    assert window_mask(grid, width, per_sample).tobytes() \
+        == np.array(picked).tobytes()
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
@@ -126,7 +150,7 @@ def test_kraus_set_is_complete(scenario):
 @given(scenarios())
 def test_erasers_partition_the_joint_quantity(scenario):
     state, ch, window, _ = scenario
-    curves = eraser_curves(state, ch, window)
+    curves = eraser_curves(state, ch, *window)
     np.testing.assert_allclose(
         curves["none"].joint,
         curves["plus45"].joint + curves["minus45"].joint, rtol=0.0,
@@ -136,13 +160,12 @@ def test_erasers_partition_the_joint_quantity(scenario):
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
 @given(scenarios(), st.one_of(st.none(), st.integers(0, 3)))
 def test_transfer_matches_the_window_loop(scenario, half):
-    state, ch, window, eraser = scenario
-    indices = None if half is None else range(window.index - half,
-                                              window.index + half + 1)
+    state, ch, (width, index), eraser = scenario
+    indices = None if half is None else range(index - half, index + half + 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CoverageWarning)
-        fast = transfer_distribution(state, ch, window.width, indices, eraser)
-        slow = loop_transfer(state, ch, window.width, indices, eraser)
+        fast = transfer_distribution(state, ch, width, indices, eraser)
+        slow = loop_transfer(state, ch, width, indices, eraser)
     assert fast.coverage == pytest.approx(slow.coverage, rel=1e-13)
     np.testing.assert_allclose(
         fast.density, slow.density, rtol=0.0,
@@ -156,14 +179,13 @@ def test_transfer_matches_the_window_loop(scenario, half):
 def test_partial_marker_is_a_mixture(scenario, theta, half):
     """Without an eraser, P_wv of the partial marker is
     cos theta P_id + (1 - cos theta) P_marker for any window set."""
-    state, _, window, _ = scenario
+    state, _, (width, index), _ = scenario
     grid = state.grid
-    indices = None if half is None else range(window.index - half,
-                                              window.index + half + 1)
+    indices = None if half is None else range(index - half, index + half + 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CoverageWarning)
         got, plain, marked = (
-            transfer_distribution(state, ch, window.width, indices)
+            transfer_distribution(state, ch, width, indices)
             for ch in (partial_marker(grid, theta), identity_channel(grid),
                        scully_wwm(grid)))
     c = math.cos(theta)
@@ -181,16 +203,14 @@ def test_eraser_ports_are_sums_of_four_distributions(scenario, theta, phi,
     """Through either +-45 port, P_wv of the partial marker K_(theta, phi)
     is a fixed sum of the four distributions of ``eraser_port_basis``,
     for any window set."""
-    state, _, window, _ = scenario
-    indices = None if half is None else range(window.index - half,
-                                              window.index + half + 1)
-    basis = eraser_port_basis(state, window.width, indices)
+    state, _, (width, index), _ = scenario
+    indices = None if half is None else range(index - half, index + half + 1)
+    basis = eraser_port_basis(state, width, indices)
     ch = partial_marker(state.grid, theta, phi)
     for eraser, sign in (("plus45", 1.0), ("minus45", -1.0)):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CoverageWarning)
-            got = transfer_distribution(state, ch, window.width, indices,
-                                        eraser)
+            got = transfer_distribution(state, ch, width, indices, eraser)
         want = eraser_port(basis, theta, phi, sign)
         np.testing.assert_allclose(got.density, want, rtol=0.0,
                                    atol=1e-13 * np.max(np.abs(want)))
@@ -210,12 +230,13 @@ def test_transform_is_unitary(scenario):
         np.abs(state.field))
 
 
-def odd_tiling(grid, samples) -> list[MomentumWindow]:
-    """The windows of a full tiling that hold a sample, each ``samples``
-    (odd) samples wide, so every edge falls halfway between two."""
+def odd_tiling(grid, samples) -> tuple[float, list[int]]:
+    """(width, indices) of the windows of a full tiling that hold a
+    sample, each ``samples`` (odd) samples wide, so every edge falls
+    halfway between two."""
     width = samples * grid.dp
-    windows = [MomentumWindow(k, width) for k in _tiling_indices(grid, width)]
-    return [w for w in windows if window_mask(grid, w).any()]
+    return width, [k for k in _tiling_indices(grid, width)
+                   if window_mask(grid, width, k).any()]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -223,17 +244,16 @@ def odd_tiling(grid, samples) -> list[MomentumWindow]:
 def test_full_tiling_sums_to_the_post_selection_density(scenario, half):
     state, ch, _, _ = scenario
     grid = state.grid
-    tiling = odd_tiling(grid, 2 * half + 1)
+    width, tiling = odd_tiling(grid, 2 * half + 1)
     np.testing.assert_array_equal(
-        sum(window_mask(grid, w) for w in tiling), 1.0)
-    curves = [eraser_curves(state, ch, w) for w in tiling]
+        sum(window_mask(grid, width, k) for k in tiling), 1.0)
+    curves = [eraser_curves(state, ch, width, k) for k in tiling]
     for eraser in ERASERS:
         density = curves[0][eraser].density
         np.testing.assert_allclose(
             sum(c[eraser].joint for c in curves), density, rtol=0.0,
             atol=16.0 * EPS * density.max())
-    strong = sum(float(np.sum(conditional_wvp(state, ch, w).strong))
-                 for w in tiling) * grid.dp
-    coverage = transfer_distribution(state, ch, tiling[0].width,
-                                     [w.index for w in tiling]).coverage
+    strong = sum(float(np.sum(conditional_wvp(state, ch, width, k).strong))
+                 for k in tiling) * grid.dp
+    coverage = transfer_distribution(state, ch, width, tiling).coverage
     assert strong == pytest.approx(coverage, rel=0.0, abs=16.0 * EPS)

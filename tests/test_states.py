@@ -116,8 +116,18 @@ def test_slit_needs_margin_inside_grid(geom):
 def test_slits_between_samples_are_refused(geom):
     """A slit narrower than dx and between samples would leave no field."""
     coarse = SimGrid(1024, 1024.0)
-    with pytest.raises(GeometryError, match="no sample"):
+    with pytest.raises(GeometryError, match="below 2 position samples"):
         build_double_slit(geom, coarse)
+
+
+def test_slits_need_two_samples(geom):
+    """A slit narrower than 2 dx is refused, even where its edges all
+    round onto one sample between the slits; exactly 2 dx is built."""
+    with pytest.raises(GeometryError, match="below 2 position samples"):
+        build_double_slit(geom, SimGrid(1024, 1e300))
+    assert geom.width == 2.0 * SimGrid(256, 64.0).dx
+    state = build_double_slit(geom, SimGrid(256, 64.0))
+    assert np.count_nonzero(state.field) == 6
 
 
 def test_smoothed_tails_must_not_wrap_around_the_grid(grid):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from weakslit import (ConfigError, CoverageWarning, GridMismatchError,
-                      MeasurementChannel, MomentumWindow, ResolutionError,
+                      MeasurementChannel, ResolutionError,
                       SimGrid, SlitGeometry,
                       TransferDistribution, TransverseState,
                       WindowRangeError, build_double_slit, classical_kick, conditional_wvp,
@@ -21,7 +21,8 @@ from weakslit import (ConfigError, CoverageWarning, GridMismatchError,
 from weakslit.config import PRESETS, from_dict
 from weakslit.runner import run
 from weakslit.weak_values import (ERASERS, _curve_sums, _output_rows,
-                                  _tiling_weights, _window_project, quotient)
+                                  _bin_edges, _tiling_weights,
+                                  _window_project, quotient)
 
 from conftest import WINDOW_WIDTH, partial_marker, run_python
 from oracles import (array_density, array_joint, array_tiling_weights,
@@ -37,29 +38,28 @@ def full_tiling(grid, width):
 
 class TestWindowAlgebra:
     def test_center_and_bounds(self):
-        win = MomentumWindow(-3, 0.4)
-        assert win.center == pytest.approx(-1.2)
-        lo, hi = win.bounds
+        lo, hi = _bin_edges(0.4, -3)
+        assert (lo + hi) / 2.0 == pytest.approx(-1.2)
         assert (lo, hi) == (pytest.approx(-1.4), pytest.approx(-1.0))
 
     def test_masks_partition_the_axis(self, grid):
         """Half-open windows tile momentum space with no seams."""
         for width in (WINDOW_WIDTH, 16.0 * grid.dp):
-            total = sum(window_mask(grid, MomentumWindow(n, width))
+            total = sum(window_mask(grid, width, n)
                         for n in full_tiling(grid, width))
             np.testing.assert_allclose(total, 1.0, atol=1e-14)
 
     def test_boundary_samples_take_half_weight(self, grid):
         # width 16 dp puts both edges exactly on momentum samples
-        mask = window_mask(grid, MomentumWindow(0, 16.0 * grid.dp))
+        mask = window_mask(grid, 16.0 * grid.dp, 0)
         k0 = grid.n_points // 2
         assert mask[k0 - 8] == 0.5
         assert mask[k0 + 8] == 0.5
         np.testing.assert_array_equal(mask[k0 - 7:k0 + 8], 1.0)
 
     def test_project_keeps_window_mass_only(self, slit_state, focus_window):
-        proj = _window_project(slit_state, focus_window)
-        mask = window_mask(slit_state.grid, focus_window)
+        proj = _window_project(slit_state, *focus_window)
+        mask = window_mask(slit_state.grid, *focus_window)
         h_t = slit_state.momentum_field()
         expected = float(np.sum(mask * np.abs(h_t) ** 2) * slit_state.grid.dp)
         norm_sq = np.sum(np.abs(proj.field) ** 2) * proj.grid.dx
@@ -67,13 +67,13 @@ class TestWindowAlgebra:
         assert norm_sq < 1.0
 
     def test_project_is_idempotent_off_lattice(self, slit_state, focus_window):
-        once = _window_project(slit_state, focus_window)
-        twice = _window_project(once, focus_window)
+        once = _window_project(slit_state, *focus_window)
+        twice = _window_project(once, *focus_window)
         np.testing.assert_allclose(twice.field, once.field, atol=1e-13)
 
     def test_project_rejects_unresolvable_window(self, slit_state, grid):
         with pytest.raises(ResolutionError):
-            _window_project(slit_state, MomentumWindow(0, 1.9 * grid.dp))
+            _window_project(slit_state, 1.9 * grid.dp, 0)
 
     @pytest.mark.parametrize("width", [float("nan"), float("inf"),
                                        float("-inf")])
@@ -88,7 +88,7 @@ class TestWindowAlgebra:
             warnings.simplefilter("error")
             with pytest.raises(ResolutionError, match="must be finite"):
                 if call == "conditional":
-                    conditional_wvp(slit_state, ch, MomentumWindow(0, width))
+                    conditional_wvp(slit_state, ch, width, 0)
                 else:
                     transfer_distribution(
                         slit_state, ch, width,
@@ -110,7 +110,7 @@ class TestWindowAlgebra:
             mask = np.zeros(grid.n_points)
             mask[samples[sel]] = weights[sel]
             assert np.array_equal(
-                mask, window_mask(grid, MomentumWindow(idx, width)))
+                mask, window_mask(grid, width, idx))
         assert np.any(weights == 0.5) == (bins is not None)
 
     @pytest.mark.parametrize("n_points, x_extent",
@@ -140,7 +140,7 @@ class TestWindowAlgebra:
         assert set(windows.tolist()) == {0, 3}
         for idx, times in ((0, 2.0), (3, 1.0)):
             sel = windows == idx
-            mask = window_mask(grid, MomentumWindow(idx, WINDOW_WIDTH))
+            mask = window_mask(grid, WINDOW_WIDTH, idx)
             np.testing.assert_array_equal(weights[sel],
                                           times * mask[samples[sel]])
 
@@ -148,16 +148,16 @@ class TestWindowAlgebra:
 class TestJointAndConditional:
     def test_identity_joint_closed_form(self, slit_state, grid, focus_window):
         """With no channel, J is just the masked momentum density."""
-        j = joint_wvp(slit_state, identity_channel(grid), focus_window)
+        j = joint_wvp(slit_state, identity_channel(grid), *focus_window)
         h_t = slit_state.momentum_field()
-        expected = window_mask(grid, focus_window) * np.abs(h_t) ** 2
+        expected = window_mask(grid, *focus_window) * np.abs(h_t) ** 2
         np.testing.assert_allclose(j, expected, atol=1e-12 * expected.max())
 
     def test_identity_conditional_is_indicator(self, slit_state, grid,
                                                focus_window):
         curve = conditional_wvp(slit_state, identity_channel(grid),
-                                focus_window)
-        indicator = window_mask(grid, focus_window)
+                                *focus_window)
+        indicator = window_mask(grid, *focus_window)
         ok = np.isfinite(curve.values)
         dev = np.abs(curve.values - indicator)[ok]
         assert np.max(dev) < 1e-10
@@ -166,29 +166,29 @@ class TestJointAndConditional:
     def test_joints_sum_to_post_selection_density(self, slit_state, wwm, grid):
         """Sum rule: summing J over a complete tiling recovers P(p_f)."""
         width = 4.0 * 2.0 * np.pi
-        windows = [MomentumWindow(n, width) for n in full_tiling(grid, width)]
         # the outermost windows hold no sample: they add nothing to the
         # sum, and joint_wvp refuses them
-        total = sum(joint_wvp(slit_state, wwm, w) for w in windows
-                    if window_mask(grid, w).any())
+        total = sum(joint_wvp(slit_state, wwm, width, n)
+                    for n in full_tiling(grid, width)
+                    if window_mask(grid, width, n).any())
         total /= float(np.sum(total) * grid.dp)
         dens = momentum_distribution(slit_state, wwm)
         np.testing.assert_allclose(total, dens, atol=1e-10 * dens.max())
 
     def test_eraser_label_is_validated(self, slit_state, wwm, focus_window):
         with pytest.raises(ConfigError):
-            joint_wvp(slit_state, wwm, focus_window, eraser="circular")
+            joint_wvp(slit_state, wwm, *focus_window, eraser="circular")
 
     def test_channel_grid_must_match_state(self, slit_state, focus_window):
         other = scully_wwm(SimGrid(1024, 32.0))
         with pytest.raises(GridMismatchError):
-            joint_wvp(slit_state, other, focus_window)
+            joint_wvp(slit_state, other, *focus_window)
 
     def test_eraser_partition_is_pointwise(self, slit_state, wwm,
                                            focus_window):
-        j_none = joint_wvp(slit_state, wwm, focus_window, "none")
-        j_plus = joint_wvp(slit_state, wwm, focus_window, "plus45")
-        j_minus = joint_wvp(slit_state, wwm, focus_window, "minus45")
+        j_none = joint_wvp(slit_state, wwm, *focus_window, "none")
+        j_plus = joint_wvp(slit_state, wwm, *focus_window, "plus45")
+        j_minus = joint_wvp(slit_state, wwm, *focus_window, "minus45")
         np.testing.assert_allclose(j_plus + j_minus, j_none, atol=1e-13)
 
 
@@ -206,7 +206,7 @@ class TestEraserCurves:
               "kick": classical_kick([(0.7, 0.4), (-1.3, 0.6)], grid),
               "identity": identity_channel(grid)}[channel]
         for state in (slit_state, smooth_state):
-            curves = eraser_curves(state, ch, focus_window)
+            curves = eraser_curves(state, ch, *focus_window)
             assert tuple(curves) == ERASERS
             for eraser, curve in curves.items():
                 if eraser == "none":
@@ -214,33 +214,34 @@ class TestEraserCurves:
                 else:
                     one_row = erased_channel(ch, eraser)
                     projected = loop_conditional_wvp(
-                        state, ch, focus_window, eraser)[2]
+                        state, ch, *focus_window, eraser)[2]
                     scale = np.max(np.abs(projected))
                     assert np.max(np.abs(curve.joint - projected)) \
                         <= 1e-13 * scale
                 values, defined, joint = loop_conditional_wvp(
-                    state, one_row, focus_window)
+                    state, one_row, *focus_window)
                 np.testing.assert_array_equal(curve.values, values)
                 np.testing.assert_array_equal(np.isfinite(curve.values),
                                               defined)
                 np.testing.assert_array_equal(curve.joint, joint)
-                single = conditional_wvp(state, ch, focus_window, eraser)
+                single = conditional_wvp(state, ch, *focus_window, eraser)
                 np.testing.assert_array_equal(single.values, values)
                 np.testing.assert_array_equal(
-                    joint_wvp(state, ch, focus_window, eraser), joint)
+                    joint_wvp(state, ch, *focus_window, eraser), joint)
 
     def test_subset_and_validation(self, slit_state, wwm, focus_window):
-        curves = eraser_curves(slit_state, wwm, focus_window, ["minus45"])
+        curves = eraser_curves(slit_state, wwm, *focus_window, ["minus45"])
         assert list(curves) == ["minus45"]
         # a repeated setting is built once, from sums still alive
-        curves = eraser_curves(slit_state, wwm, focus_window,
+        curves = eraser_curves(slit_state, wwm, *focus_window,
                                ["plus45", "none", "plus45"])
         assert list(curves) == ["plus45", "none"]
         np.testing.assert_array_equal(
             curves["plus45"].joint,
-            conditional_wvp(slit_state, wwm, focus_window, "plus45").joint)
+            conditional_wvp(slit_state, wwm, *focus_window, "plus45").joint)
         with pytest.raises(ConfigError):
-            eraser_curves(slit_state, wwm, focus_window, ["none", "circular"])
+            eraser_curves(slit_state, wwm, *focus_window,
+                          ["none", "circular"])
 
 
 class TestRowBuffers:
@@ -269,7 +270,7 @@ class TestRowBuffers:
     def test_channel_sums(self, smooth_state, grid, focus_window, kind,
                           eraser):
         self._check(grid, smooth_state.field,
-                    _window_project(smooth_state, focus_window).field,
+                    _window_project(smooth_state, *focus_window).field,
                     _equivalence_channel(kind, grid), eraser)
 
     @pytest.mark.parametrize("rows", [1, 2])
@@ -302,7 +303,7 @@ class TestHRowPath:
         if eraser != "none":
             ch = erased_channel(ch, eraser)
         ce = two_row_sums(grid, two_rows(
-            _window_project(state, window).field), ch)
+            _window_project(state, *window).field), ch)
         pe = two_row_sums(grid, two_rows(state.field), ch)
         assert all(len(total) == 2 for total in ce + pe)
         j, dens = array_joint(ce, pe), array_density(pe)
@@ -322,8 +323,8 @@ class TestHRowPath:
             state = build_double_slit(
                 SlitGeometry(0.5, edge_profile=source), grid)
         ch = _equivalence_channel(kind, grid)
-        window = MomentumWindow(-1, WINDOW_WIDTH)
-        curves = eraser_curves(state, ch, window)
+        window = WINDOW_WIDTH, -1
+        curves = eraser_curves(state, ch, *window)
         for eraser in ERASERS:
             expected = [a.tobytes() for a in self._two_row_curve(
                 grid, state, window, ch, eraser)]
@@ -331,7 +332,7 @@ class TestHRowPath:
             assert curve.strong is None
             got = (curve.values, curve.joint, curve.density)
             assert [a.tobytes() for a in got] == expected[:3]
-            curve = conditional_wvp(state, ch, window, eraser)
+            curve = conditional_wvp(state, ch, *window, eraser)
             got = (curve.values, curve.joint, curve.density, curve.strong)
             assert [a.tobytes() for a in got] == expected
 
@@ -405,7 +406,8 @@ class TestPeakMemory:
     @pytest.fixture(scope="class")
     def large(self):
         config = from_dict(dict(PRESETS["paper"], grid={"n_points": 2 ** 16}))
-        return config.state, config.channel, config.window
+        return (config.state, config.channel, config.window_width,
+                config.focus_index)
 
     @pytest.fixture(scope="class")
     def paper(self):
@@ -414,7 +416,7 @@ class TestPeakMemory:
     @pytest.mark.parametrize("tiling, mib", [
         ("fifteen", 2.0), ("full", 3.3), ("full-minus45", 2.9)])
     def test_transfer_distribution(self, paper, tiling, mib):
-        width = paper.window.width
+        width = paper.window_width
         tiling, _, eraser = tiling.partition("-")
         indices = {"fifteen": paper.indices,
                    "full": full_tiling(paper.grid, width)}[tiling]
@@ -429,9 +431,9 @@ class TestPeakMemory:
         assert peak <= 6.4 * 2 ** 20
 
     def test_eraser_curves_two_kicks(self, large):
-        state, _, window = large
+        state, _, width, index = large
         ch = classical_kick([(0.7, 0.4), (-1.3, 0.6)], state.grid)
-        peak = _traced_peak(lambda: eraser_curves(state, ch, window))
+        peak = _traced_peak(lambda: eraser_curves(state, ch, width, index))
         assert peak <= 7.5 * 2 ** 20
 
     def test_conditional_wvp(self, large):
@@ -450,26 +452,26 @@ class TestDenseOracle:
     @pytest.mark.parametrize("eraser", ["none", "plus45", "minus45"])
     def test_joint_scully(self, dense_state, dense_grid, eraser):
         ch = scully_wwm(dense_grid)
-        win = MomentumWindow(-1, WINDOW_WIDTH)
-        fast = joint_wvp(dense_state, ch, win, eraser)
-        slow = dense_joint(dense_state, ch, win, eraser)
+        win = WINDOW_WIDTH, -1
+        fast = joint_wvp(dense_state, ch, *win, eraser)
+        slow = dense_joint(dense_state, ch, *win, eraser)
         np.testing.assert_allclose(fast, slow, atol=1e-12)
 
     def test_joint_identity_and_kick(self, dense_state, dense_grid):
-        win = MomentumWindow(1, WINDOW_WIDTH)
+        win = WINDOW_WIDTH, 1
         for ch in (identity_channel(dense_grid),
                    classical_kick([(3.0 * dense_grid.dp, 0.7),
                                    (-2.0 * dense_grid.dp, 0.3)],
                                   dense_grid)):
-            fast = joint_wvp(dense_state, ch, win)
-            slow = dense_joint(dense_state, ch, win)
+            fast = joint_wvp(dense_state, ch, *win)
+            slow = dense_joint(dense_state, ch, *win)
             np.testing.assert_allclose(fast, slow, atol=1e-12)
 
     def test_conditional_scully(self, dense_state, dense_grid):
         ch = scully_wwm(dense_grid)
-        win = MomentumWindow(0, WINDOW_WIDTH)
-        curve = conditional_wvp(dense_state, ch, win)
-        values, defined = dense_conditional(dense_state, ch, win)
+        win = WINDOW_WIDTH, 0
+        curve = conditional_wvp(dense_state, ch, *win)
+        values, defined = dense_conditional(dense_state, ch, *win)
         np.testing.assert_array_equal(np.isfinite(curve.values), defined)
         np.testing.assert_allclose(curve.values[defined], values[defined],
                                    atol=1e-9)
@@ -494,13 +496,13 @@ class TestPartialMarker:
     @pytest.mark.parametrize("theta", [0.3, 0.9, np.pi / 2])
     def test_eraser_curves(self, dense_state, dense_grid, theta):
         ch = partial_marker(dense_grid, theta)
-        win = MomentumWindow(-1, WINDOW_WIDTH)
-        curves = eraser_curves(dense_state, ch, win)
+        win = WINDOW_WIDTH, -1
+        curves = eraser_curves(dense_state, ch, *win)
         for eraser, curve in curves.items():
             np.testing.assert_allclose(
-                curve.joint, dense_joint(dense_state, ch, win, eraser),
+                curve.joint, dense_joint(dense_state, ch, *win, eraser),
                 atol=1e-12)
-            values, defined = dense_conditional(dense_state, ch, win, eraser)
+            values, defined = dense_conditional(dense_state, ch, *win, eraser)
             np.testing.assert_array_equal(np.isfinite(curve.values), defined)
             np.testing.assert_allclose(curve.values[defined],
                                        values[defined], atol=1e-9)
@@ -674,7 +676,7 @@ class TestRoundoffFloor:
             warnings.simplefilter("ignore", CoverageWarning)
             summary = run(config, command).summary
             dist = transfer_distribution(config.state, config.channel,
-                                         config.window.width, config.indices,
+                                         config.window_width, config.indices,
                                          config.eraser)
         assert summary["roundoff_floor"] == dist.roundoff_floor
 
