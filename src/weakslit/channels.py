@@ -18,8 +18,8 @@ The three channel families differ only in their (u, v):
 
 Amplitudes are summed coherently within a sector and incoherently
 across sectors.  The distinction only matters once a polarisation
-eraser recombines amplitudes: the two halves of one unitary can
-interfere again, distinct classical outcomes cannot.
+eraser, ``erase(ch, eraser)``, recombines amplitudes: the two halves
+of one unitary can interfere again, distinct classical outcomes cannot.
 """
 
 import numpy as np
@@ -32,7 +32,10 @@ __all__ = [
     "identity_channel",
     "scully_wwm",
     "classical_kick",
+    "erase",
 ]
+
+ERASERS = ("none", "plus45", "minus45")
 
 
 class MeasurementChannel:
@@ -120,3 +123,22 @@ def classical_kick(kicks: list[tuple[float, float]],
         u *= float(np.sqrt(pr))
         sectors.append((u, None))
     return MeasurementChannel("classical_kick", tuple(sectors), grid)
+
+
+def _check_eraser(eraser: str):
+    if eraser not in ERASERS:
+        raise ConfigError(f"eraser must be one of {ERASERS}, "
+                          f"got {_show(eraser)}")
+
+
+def erase(ch: MeasurementChannel, eraser: str) -> MeasurementChannel:
+    """``ch`` itself for "none"; else one sector ((u +- v)/sqrt(2), None)
+    per sector (u, v), v = 0 where None: the (H +- V)/sqrt(2) part of
+    the sector's output, u h in H and v h in V, for a +-45 eraser."""
+    _check_eraser(eraser)
+    if eraser == "none":
+        return ch
+    sign = 1.0 if eraser == "plus45" else -1.0
+    return MeasurementChannel(f"{ch.name}_{eraser}", tuple(
+        ((u if v is None else u + sign * v) / np.sqrt(2.0), None)
+        for u, v in ch.sectors), ch.grid)

@@ -25,11 +25,11 @@ except ImportError:
 
 import numpy as np
 
-from .channels import MeasurementChannel, classical_kick, identity_channel, scully_wwm
+from .channels import (MeasurementChannel, _check_eraser, classical_kick,
+                       identity_channel, scully_wwm)
 from .errors import ConfigError
 from .grid import SimGrid, _is_number, _show
 from .states import SlitGeometry, TransverseState, build_double_slit
-from .weak_values import _check_eraser
 
 __all__ = ["ScenarioConfig", "from_dict", "PRESETS"]
 
@@ -87,10 +87,9 @@ _DEFAULT_KAPPA = [_TWO_PI * k for k in (1.0, 2.0, 4.0, 8.0, 16.0)]
 
 
 def _within(sweep: list, limit: float) -> list:
-    """The default sweep's points up to ``limit``, the grid's |q| range,
-    so that a coarse grid runs a shorter sweep; the one point ``limit``
-    when no default point fits."""
-    return [v for v in sweep if v <= limit] or [limit]
+    """The default sweep's points up to ``limit`` = pi/dx: fewer on a
+    coarse grid, never none (a slit 2 dx < 1 wide puts pi/dx above 2 pi)."""
+    return [v for v in sweep if v <= limit]
 
 
 def merge(base: dict, override: dict, path: str = "") -> dict:

@@ -72,8 +72,9 @@ def apodized_variance(dist: TransferDistribution, kappa: float) -> float:
     """integral of q^2 P_wv(q) exp(-|q|/kappa) over the simulated range."""
     if kappa <= 0.0:
         raise ConfigError(f"kappa must be positive, got {kappa}")
-    integrand = dist.density * dist.q ** 2 * np.exp(-np.abs(dist.q) / kappa)
-    return float(np.trapezoid(integrand, dist.q))
+    with np.errstate(over="ignore"):  # exp(-inf) = 0 at a tiny kappa
+        decay = np.exp(-np.abs(dist.q) / kappa)
+    return float(np.trapezoid(dist.density * dist.q ** 2 * decay, dist.q))
 
 
 def apodization_sweep(dist: TransferDistribution, kappas

@@ -9,6 +9,7 @@ wraps them in a :class:`ResultBundle`.  File emission lives in
 import numpy as np
 
 from . import __version__
+from .channels import erase
 from .config import ScenarioConfig
 from .errors import ConfigError
 from .grid import _show
@@ -112,9 +113,9 @@ def _run_wvp(config: ScenarioConfig) -> tuple[dict, dict, dict]:
 
 
 def _run_transfer(config: ScenarioConfig) -> tuple[dict, dict, dict]:
-    dist = transfer_distribution(config.state, config.channel,
-                                 config.window_width, config.indices,
-                                 config.eraser)
+    dist = transfer_distribution(config.state,
+                                 erase(config.channel, config.eraser),
+                                 config.window_width, config.indices)
     mm = config.mm_per_unit
     tables = {"transfer": {**_momentum_axis(dist.q, mm, "q"),
                            "density [s/hbar]": dist.density}}
@@ -122,9 +123,9 @@ def _run_transfer(config: ScenarioConfig) -> tuple[dict, dict, dict]:
         "integral": dist.integral(),
         "coverage": dist.coverage,
         "mass_outside_hbar_over_s": dist.mass_outside(1.0),
-        "window_width": dist.window_width,
-        "n_windows": len(dist.windows),
-        "eraser": dist.eraser,
+        "window_width": config.window_width,
+        "n_windows": len(config.indices),
+        "eraser": config.eraser,
         "density_min": float(dist.density.min()),
         "density_max": float(dist.density.max()),
         "roundoff_floor": dist.roundoff_floor,
@@ -136,9 +137,9 @@ def _run_transfer(config: ScenarioConfig) -> tuple[dict, dict, dict]:
 
 
 def _run_variance(config: ScenarioConfig) -> tuple[dict, dict, dict]:
-    dist = transfer_distribution(config.state, config.channel,
-                                 config.window_width, config.indices,
-                                 config.eraser)
+    dist = transfer_distribution(config.state,
+                                 erase(config.channel, config.eraser),
+                                 config.window_width, config.indices)
     # Each distinct point once, ascending, as the sign count reads them.
     q_max = np.array(sorted(set(config.q_max)))
     sharp = np.array([sharp_cutoff_variance(dist, q) for q in q_max])
@@ -163,9 +164,9 @@ def _run_variance(config: ScenarioConfig) -> tuple[dict, dict, dict]:
         "apodized_last_gap": (abs(values[-1] - values[-2])
                               if len(values) > 1 else None),
         "apodized_trend": trend,
-        "window_variance_lattice": window_variance(dist.window_width,
+        "window_variance_lattice": window_variance(config.window_width,
                                                    config.grid.dp),
-        "window_variance_continuum": window_variance(dist.window_width),
+        "window_variance_continuum": window_variance(config.window_width),
         "coverage": dist.coverage,
         "roundoff_floor": dist.roundoff_floor,
     }

@@ -2,20 +2,18 @@
 
 The central objects are built from the joint quantity
 
-    J(p_f) = Re sum_sectors < e(U chi) , e(U psi) > (p_f),
+    J(p_f) = Re sum_sectors < U chi , U psi > (p_f),
 
-where chi is the momentum-window projection of the input state, U the
-measurement channel applied one sector's operator u + v S at a time,
-and e the optional polarisation-eraser projection.  Every state is H
-polarised, so a sector's output is one or two multiples of the H field
-h: u h in H and v h in V without an eraser, and
-e(K h) = ((u +- v)/sqrt(2)) h with a +-45 one (:func:`_output_rows`).
-J is a sum over those rows, one (chi row, psi row) pair at a time.
-J equals
-the conditional weak-valued probability times the post-selection
-density, so it is finite everywhere -- including the fringe zeros where
-the conditional ratio is 0/0.  Division happens only at display time,
-guarded by a relative threshold on the denominator.
+where chi is the momentum-window projection of the input state and U the
+measurement channel applied one sector's operator u + v S at a time.
+Every state is H polarised, so a sector's output rows are multiples of
+the H field h: u h in H and, unless v is None, v h in V.  J is a sum
+over those rows, one (chi row, psi row) pair at a time.  An eraser is a
+channel here, ``channels.erase(ch, eraser)``.  J equals the conditional
+weak-valued probability times the post-selection density, so it is
+finite everywhere -- including the fringe zeros where the conditional
+ratio is 0/0.  Division happens only at display time, guarded by a
+relative threshold on the denominator.
 
 Summing J over a window tiling, with each window's contribution shifted
 to its momentum offset q = p_f - p_i, yields the weak-valued
@@ -34,10 +32,11 @@ from typing import Iterable
 
 import numpy as np
 
-from .channels import MeasurementChannel, identity_channel
-from .errors import (ConfigError, CoverageWarning, GridMismatchError,
-                     ResolutionError, WindowRangeError)
-from .grid import SimGrid, _show, indicator
+from .channels import (ERASERS, MeasurementChannel, _check_eraser, erase,
+                       identity_channel)
+from .errors import (CoverageWarning, GridMismatchError, ResolutionError,
+                     WindowRangeError)
+from .grid import SimGrid, indicator
 from .states import TransverseState
 
 __all__ = [
@@ -50,8 +49,6 @@ __all__ = [
     "transfer_distribution",
     "momentum_distribution",
 ]
-
-ERASERS = ("none", "plus45", "minus45")
 
 #: Relative denominator threshold below which conditional values are undefined.
 EPS_DEN_FRACTION = 1e-6
@@ -66,8 +63,8 @@ class WvpCurve:
     ``values`` holds NaN where the post-selection density is below the
     definedness threshold (:func:`quotient`), and nowhere else.
     ``joint`` is the numerator J(p_f), defined everywhere, ``density``
-    the denominator P(p_f) = sum |e(U psi)|^2 and ``strong``
-    T(p_f) = sum |e(U chi)|^2, the joint probability a projective
+    the denominator P(p_f) = sum |U psi|^2 and ``strong``
+    T(p_f) = sum |U chi|^2, the joint probability a projective
     measurement of the window gives, which only :func:`conditional_wvp`
     builds (None otherwise).  Every array is sampled on the grid's ``p``.
     """
@@ -92,14 +89,12 @@ class TransferDistribution:
     """
 
     def __init__(self, q: np.ndarray, density: np.ndarray,
-                 window_width: float, windows: tuple[int, ...],
-                 coverage: float, eraser: str, roundoff_floor: float):
+                 windows: tuple[int, ...], coverage: float,
+                 roundoff_floor: float):
         self.q = q
         self.density = density
-        self.window_width = window_width
         self.windows = windows
         self.coverage = coverage
-        self.eraser = eraser
         self.roundoff_floor = roundoff_floor
 
     def integral(self) -> float:
@@ -117,12 +112,6 @@ class TransferDistribution:
             if np.count_nonzero(sel) >= 2:
                 total += float(np.trapezoid(mag[sel], self.q[sel]))
         return total
-
-
-def _check_eraser(eraser: str):
-    if eraser not in ERASERS:
-        raise ConfigError(f"eraser must be one of {ERASERS}, "
-                          f"got {_show(eraser)}")
 
 
 def _check_width(grid: SimGrid, width: float):
@@ -189,59 +178,47 @@ def _check_grid(state: TransverseState, ch: MeasurementChannel):
         )
 
 
-def _output_rows(ch: MeasurementChannel, eraser: str):
-    """Yield each sector's list of output-row multipliers under
-    ``eraser``, one sector at a time.
-
-    A sector K = u + v S sends the H field h to an H row u h and, unless
-    v is None, a V row v h: [u] or [u, v] with no eraser.  A +-45 eraser
-    keeps the projection (H +- V)/sqrt(2), e(K h) = ((u +- v)/sqrt(2)) h,
-    so its sector is the one row [(u +- v)/sqrt(2)], with v = 0 where
-    v is None.
-    """
-    sign = 1.0 if eraser == "plus45" else -1.0
-    for u, v in ch.sectors:
-        if eraser == "none":
-            yield [u] if v is None else [u, v]
-        else:
-            yield [(u if v is None else u + sign * v) / np.sqrt(2.0)]
+def _rows(ch: MeasurementChannel) -> list:
+    """The output-row multipliers of ``ch``: [u] or [u, v] per sector."""
+    return [m for sector in ch.sectors for m in sector if m is not None]
 
 
 def _curve_sums(grid: SimGrid, psi: np.ndarray, chi: np.ndarray | None,
-                ch: MeasurementChannel, eraser: str, strong: bool = False,
-                consume: bool = False) -> tuple:
+                rows: list, strong: bool = False, consume: bool = False,
+                sums: tuple | None = None) -> tuple:
     """(J, P, T) of the full field ``psi`` and the window-projected
-    field ``chi`` through the output rows of :func:`_output_rows`; J is
-    None if ``chi`` is, T unless ``strong``.
+    field ``chi`` through the multipliers ``rows`` (:func:`_rows`),
+    added to ``sums`` if given; J is None if ``chi`` is, T unless
+    ``strong``.
 
     Row m adds, one (chi row, psi row) pair at a time and 4,096 samples
-    at a time, Re ce conj(pe) to J, |pe|^2 to P and |ce|^2 to T, each
-    starting from 0.0, with ce and pe the momentum rows of m chi and
-    m psi.  A row's multiplier is released once both products are
-    built, and ``consume`` builds the last ce in chi's own buffer.
+    at a time, Re ce conj(pe) to J, |pe|^2 to P and |ce|^2 to T, with ce
+    and pe the momentum rows of m chi and m psi.  ``rows`` is emptied,
+    releasing a multiplier it alone holds once both products are built;
+    ``consume`` builds the last ce in chi's own buffer.
     """
     n = grid.n_points
-    j, dens, t = (np.zeros(n) if want else None
-                  for want in (chi is not None, True, strong))
-    for s, rows in enumerate(_output_rows(ch, eraser), 1):
-        while rows:
-            m = rows.pop(0)
+    if sums is None:
+        sums = tuple(np.zeros(n) if want else None
+                     for want in (chi is not None, True, strong))
+    j, dens, t = sums
+    while rows:
+        m = rows.pop(0)
+        if chi is not None:
+            ce = np.multiply(chi, m, out=chi if consume and not rows else None)
+            grid.to_momentum(ce, out=ce)
+        pe = psi * m
+        del m
+        grid.to_momentum(pe, out=pe)
+        for lo in range(0, n, 4096):
+            part = slice(lo, lo + 4096)
+            dens[part] += np.square(np.abs(pe[part]))
             if chi is not None:
-                last = consume and not rows and s == len(ch.sectors)
-                ce = np.multiply(chi, m, out=chi if last else None)
-                grid.to_momentum(ce, out=ce)
-            pe = psi * m
-            del m
-            grid.to_momentum(pe, out=pe)
-            for lo in range(0, n, 4096):
-                part = slice(lo, lo + 4096)
-                dens[part] += np.square(np.abs(pe[part]))
-                if chi is not None:
-                    j[part] += (ce[part] * np.conj(pe[part])).real
-                if strong:
-                    t[part] += np.square(np.abs(ce[part]))
-            pe = ce = None  # free this pair's rows before the next pair's
-    return j, dens, t
+                j[part] += (ce[part] * np.conj(pe[part])).real
+            if strong:
+                t[part] += np.square(np.abs(ce[part]))
+        pe = ce = None  # free this pair's rows before the next pair's
+    return sums
 
 
 def _curves(state: TransverseState, ch: MeasurementChannel, width: float,
@@ -253,63 +230,64 @@ def _curves(state: TransverseState, ch: MeasurementChannel, width: float,
         _check_eraser(eraser)
     _check_grid(state, ch)
     chi = _window_project(state, width, index).field
-    sums = {eraser: _curve_sums(state.grid, state.field, chi, ch, eraser,
-                                strong, k == len(erasers))
-            for k, eraser in enumerate(erasers, 1)}
+    sums = {}
+    for k, eraser in enumerate(erasers, 1):
+        # Sectors add incoherently: erase each alone, one new row at a time.
+        for s, sector in enumerate(ch.sectors, 1):
+            one = MeasurementChannel(ch.name, (sector,), ch.grid)
+            sums[eraser] = _curve_sums(
+                state.grid, state.field, chi, _rows(erase(one, eraser)),
+                strong, k == len(erasers) and s == len(ch.sectors),
+                sums.get(eraser))
     del chi  # holds the last row: free it before the values rows
     return {eraser: WvpCurve(quotient(j, dens), j, dens, t)
             for eraser, (j, dens, t) in sums.items()}
 
 
 def joint_wvp(state: TransverseState, ch: MeasurementChannel, width: float,
-              index: int, eraser: str = "none") -> np.ndarray:
+              index: int) -> np.ndarray:
     """J(p_f): conditional WVP times post-selection density, per sample.
 
-    Computed as Re sum over the output rows of :func:`_output_rows` of
-    the product of the window-projected state's momentum row and the
-    conjugate of the full state's.  Finite everywhere, negative where
-    the weak value leaves [0, 1].
+    Computed as Re sum over the output rows of ``ch`` of the product of
+    the window-projected state's momentum row and the conjugate of the
+    full state's.  Finite everywhere, negative where the weak value
+    leaves [0, 1].
     """
-    return eraser_curves(state, ch, width, index, (eraser,))[eraser].joint
+    return eraser_curves(state, ch, width, index, ("none",))["none"].joint
 
 
 def conditional_wvp(state: TransverseState, ch: MeasurementChannel,
-                    width: float, index: int,
-                    eraser: str = "none") -> WvpCurve:
+                    width: float, index: int) -> WvpCurve:
     """Conditional weak-valued probability J(p_f)/P(p_f), with T.
 
     Samples below the definedness threshold of :func:`quotient` are
     NaN; everything else is an exact ratio.  With
-    the identity channel (or the +45 eraser on the which-way marker)
-    the defined part is the window indicator.
+    the identity channel (or ``erase(scully_wwm(grid), "plus45")``) the
+    defined part is the window indicator.
     """
-    return _curves(state, ch, width, index, (eraser,), True)[eraser]
+    return _curves(state, ch, width, index, ("none",), True)["none"]
 
 
 def eraser_curves(state: TransverseState, ch: MeasurementChannel,
                   width: float, index: int,
                   erasers: Iterable[str] = ERASERS) -> dict[str, WvpCurve]:
-    """:func:`conditional_wvp` for each eraser setting but without T,
-    keyed by setting in the order requested, each built once.
-
-    The window projection does not depend on the eraser, so it is built
-    once; each setting then sums its own output rows.  Every setting's J
-    and P come before any ``values`` row, and the last setting builds
-    its last window-side row in the projected field's buffer: 5.6 MiB of
-    arrays for all three settings at 2^16 points, 5.0 MiB for
-    :func:`conditional_wvp`'s one with T.
+    """:func:`conditional_wvp` of ``erase(ch, eraser)`` for each setting
+    but without T, keyed by setting in the order requested, each built
+    once, after every name is checked, from one window projection.
+    Every J and P comes before any ``values`` row, and the last setting
+    builds its last window-side row in the projected field's buffer:
+    5.6 MiB of arrays for the marker's three settings at 2^16 points,
+    5.0 MiB for :func:`conditional_wvp`'s.
     """
     return _curves(state, ch, width, index, erasers, False)
 
 
 def momentum_distribution(state: TransverseState,
-                          ch: MeasurementChannel | None = None,
-                          eraser: str = "none") -> np.ndarray:
+                          ch: MeasurementChannel | None = None) -> np.ndarray:
     """Normalised momentum density before (ch=None) or after a channel."""
-    _check_eraser(eraser)
     ch = identity_channel(state.grid) if ch is None else ch
     _check_grid(state, ch)
-    dens = _curve_sums(state.grid, state.field, None, ch, eraser)[1]
+    dens = _curve_sums(state.grid, state.field, None, _rows(ch))[1]
     return np.divide(dens, np.sum(dens) * state.grid.dp, out=dens)
 
 
@@ -376,8 +354,8 @@ def _sector_kernels(grid: SimGrid, rows: list) -> list[np.ndarray]:
 
 def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
                           window_width: float,
-                          indices: Iterable[int] | None = None,
-                          eraser: str = "none") -> TransferDistribution:
+                          indices: Iterable[int] | None = None
+                          ) -> TransferDistribution:
     """Assemble P_wv(q) by summing shifted per-window joint quantities.
 
     Parameters
@@ -391,8 +369,6 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
         occurrence.  An index whose window holds no momentum sample adds
         nothing but stays in ``windows``; only a tiling none of whose
         windows holds a sample is refused (:class:`WindowRangeError`).
-    eraser :
-        Optional polarisation post-selection applied to every window.
 
     Window w contributes its J_w(p_f) shifted by s_w, its centre
     rounded to the nearest sample: P(i) = sum_w J_w(i + s_w), dropping
@@ -406,7 +382,7 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
     than silently rescaling.
 
     The sum is not built window by window.  Each output row of a
-    sector (:func:`_output_rows`) is a multiplier m of the H field,
+    sector, u or v, is a multiplier m of the H field,
     diagonal in x, hence a circular convolution with a kernel K_m in
     momentum space (see :func:`_sector_kernels`).
     Grouping every input sample j by its offset d = j - s_w - n/2 from
@@ -434,16 +410,15 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
     ``roundoff_floor``, 16 eps sqrt(max P / c), bounds that difference
     after the division.
 
-    Only the H field is transformed and correlated: a +-45 eraser is
-    one row, hence one kernel per pass, like a sector whose v is None.
-    Within a pass a sector's V row adds its term before its H row.
+    Only the H field is transformed and correlated.  An erased channel
+    has one row per sector, hence one kernel per pass.  Within a pass a
+    sector's V row adds its term before its H row.
     The build order sets the peak memory, not the bits: the passes keep
     only the tiled span of the H spectrum, each sector builds its
     kernels after its padded output spectra, so its output rows, those
     spectra and the kernels never coexist, and each pass combines its
     output rows 4,096 at a time.
     """
-    _check_eraser(eraser)
     grid = state.grid
     _check_width(grid, window_width)
     if indices is None:
@@ -487,7 +462,8 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
     size = _fast_len(max(max(n + lag0 - i_lo, i_hi - 1 - lag0 + span)
                          for _, lag0, i_lo, i_hi in passes))
     # One sector at a time, so only one sector's spectra exist.
-    for rows in _output_rows(ch, eraser):
+    for u, v in ch.sectors:
+        rows = [u] if v is None else [u, v]
         # conj(FFT(Phi)) / L turns each correlation into one forward FFT.
         spectra = np.fft.fft([grid.to_momentum(state.field * m)
                               for m in rows], size)
@@ -523,5 +499,5 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
             f"(< {COVERAGE_MIN}); density is normalised to the covered part"),
             stacklevel=2)
     density = acc / coverage
-    return TransferDistribution(grid.p, density, window_width,
-                                indices, coverage, eraser, roundoff_floor)
+    return TransferDistribution(grid.p, density, indices, coverage,
+                                roundoff_floor)

@@ -28,8 +28,8 @@ the package's two-row sector sum on them, and :func:`two_row_transfer`
 its two-row correlation-form transfer assembly.  They project a +-45
 eraser on each sector's momentum rows, (H +- V)/sqrt(2), as the package
 once did; the package applies it in x, as the one-row multiplier
-(u +- v)/sqrt(2) that :func:`erased_channel` builds, so the oracles
-check that identity from outside it.
+(u +- v)/sqrt(2) of ``channels.erase``, so the oracles check that
+identity from outside it.
 """
 
 import math
@@ -38,12 +38,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from weakslit import (MeasurementChannel, TransferDistribution,
-                      conditional_wvp, estimate_wvp, run_tagged)
+from weakslit import (TransferDistribution, conditional_wvp, estimate_wvp,
+                      run_tagged)
+from weakslit.channels import _check_eraser
 from weakslit.errors import CoverageWarning
 from weakslit.grid import indicator
 from weakslit.weak_values import (COVERAGE_MIN, EPS_DEN_FRACTION,
-                                  _check_eraser, _check_width, _fast_len,
+                                  _check_width, _fast_len,
                                   _tiling_indices, _tiling_weights,
                                   _window_project, window_mask)
 
@@ -264,8 +265,8 @@ def loop_transfer(state, ch, window_width, indices=None, eraser="none"):
         )
     density = acc / coverage
     floor = 16.0 * np.finfo(float).eps * np.sqrt(input_dens.max() / coverage)
-    return TransferDistribution(grid.p.copy(), density, window_width,
-                                indices, coverage, eraser, float(floor))
+    return TransferDistribution(grid.p.copy(), density, indices, coverage,
+                                float(floor))
 
 
 def sector_kernels(grid, u, v):
@@ -277,18 +278,6 @@ def sector_kernels(grid, u, v):
     flat = grid.from_momentum(unit)
     return [(swap, grid.to_momentum(m * flat))
             for swap, m in ((True, v), (False, u)) if m is not None]
-
-
-def erased_channel(ch, eraser):
-    """The channel whose one sector row is, for each sector K = u + v S
-    of ``ch``, the multiplier (u +- v)/sqrt(2) of a +-45 eraser: the
-    x-space form of projecting the sector's output on (H +- V)/sqrt(2).
-    Run with no eraser, it is the one-row form of ``ch`` under
-    ``eraser``."""
-    sign = 1.0 if eraser == "plus45" else -1.0
-    return MeasurementChannel(f"{ch.name}_{eraser}", tuple(
-        ((u if v is None else u + sign * v) / np.sqrt(2.0), None)
-        for u, v in ch.sectors), ch.grid)
 
 
 def two_row_transfer(grid, amps, ch, window_width, indices, eraser="none"):

@@ -17,7 +17,8 @@ import pytest
 from weakslit import (CoverageWarning, PRESETS, SimGrid, SlitGeometry,
                       apodization_sweep, build_double_slit,
                       build_momentum_peak, classical_kick, conditional_wvp,
-                      convergence_sweep, from_dict, identity_channel,
+                      convergence_sweep, erase, from_dict,
+                      identity_channel,
                       joint_wvp, mean_transfer, moment_change,
                       momentum_distribution, scully_wwm, sharp_cutoff_variance,
                       transfer_distribution, transfer_variance, window_mask,
@@ -57,7 +58,7 @@ def test_criterion_01_fringe_geometry(bench):
     t0 = time.perf_counter()
     # dark-fringe positions are envelope-independent, so measure those;
     # bright maxima get pulled inward by the single-slit envelope
-    dens = momentum_distribution(bench.state, bench.marker, eraser="plus45")
+    dens = momentum_distribution(bench.state, erase(bench.marker, "plus45"))
     p = bench.grid.p
     sel = np.abs(p) < 3.4 * math.pi
     d, ps = dens[sel], p[sel]
@@ -82,8 +83,9 @@ def test_criterion_02_indicator_limit(bench):
     for label, curve in (
         ("identity", conditional_wvp(bench.state, identity_channel(bench.grid),
                                      *bench.window)),
-        ("erased +45", conditional_wvp(bench.state, bench.marker,
-                                       *bench.window, "plus45")),
+        ("erased +45", conditional_wvp(bench.state,
+                                       erase(bench.marker, "plus45"),
+                                       *bench.window)),
     ):
         ok = np.isfinite(curve.values)
         devs[label] = float(np.max(np.abs(curve.values[ok] - mask[ok])))
@@ -270,9 +272,9 @@ def test_criterion_09_pointer_convergence(bench):
 
 def test_criterion_10_eraser_partition(bench):
     t0 = time.perf_counter()
-    j_none = joint_wvp(bench.state, bench.marker, *bench.window, "none")
-    j_plus = joint_wvp(bench.state, bench.marker, *bench.window, "plus45")
-    j_minus = joint_wvp(bench.state, bench.marker, *bench.window, "minus45")
+    j_none, j_plus, j_minus = (
+        joint_wvp(bench.state, erase(bench.marker, eraser), *bench.window)
+        for eraser in ("none", "plus45", "minus45"))
     partition = float(np.max(np.abs(j_plus + j_minus - j_none)))
 
     outside = window_mask(bench.grid, *bench.window) < 0.5
@@ -370,8 +372,9 @@ def test_criterion_12_eraser_ports(bench):
         for eraser, sign in (("plus45", 1.0), ("minus45", -1.0)):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", CoverageWarning)
-                got = transfer_distribution(bench.state, ch, bench.width,
-                                            bench.indices, eraser).density
+                got = transfer_distribution(bench.state, erase(ch, eraser),
+                                            bench.width,
+                                            bench.indices).density
             want = eraser_port(basis, theta, phi, sign)
             devs.append(float(np.max(np.abs(got - want))
                               / np.max(np.abs(want))))

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from weakslit import (ConfigError, GridMismatchError, MeasurementChannel,
-                      SimGrid, build_momentum_peak, classical_kick,
-                      identity_channel, momentum_distribution, scully_wwm)
+                      SimGrid, build_momentum_peak, classical_kick, erase,
+                      from_dict, identity_channel, momentum_distribution,
+                      scully_wwm)
 
+from conftest import partial_marker
 from oracles import apply_sector, two_rows
 
 
@@ -180,3 +182,45 @@ class TestCompletenessDefect:
                 np.array([[u[i], v[i]], [v[i], u[i]]]) for u, v in sectors))
             worst = max(worst, np.max(np.abs(np.linalg.eigvalsh(total) - 1.0)))
         assert ch.completeness_defect() == pytest.approx(worst, rel=1e-12)
+
+
+class TestErase:
+    """``erase(ch, eraser)``: the channel ``ch`` read through a
+    polarisation eraser."""
+
+    def test_none_is_the_channel_itself(self, wwm):
+        assert erase(wwm, "none") is wwm
+
+    def test_unknown_name_is_refused_with_the_config_message(self, wwm):
+        with pytest.raises(ConfigError) as config_error:
+            from_dict({"grid": {"n_points": 1024}, "eraser": "circular"})
+        with pytest.raises(ConfigError) as erase_error:
+            erase(wwm, "circular")
+        assert str(config_error.value) == f"'eraser': {erase_error.value}"
+
+    @pytest.mark.parametrize("eraser", ["plus45", "minus45"])
+    def test_each_sector_is_one_row(self, grid, eraser):
+        kicks = classical_kick([(0.7, 0.4), (-1.3, 0.6)], grid)
+        for ch in (identity_channel(grid), scully_wwm(grid), kicks):
+            erased = erase(ch, eraser)
+            assert erased.grid is ch.grid
+            assert len(erased.sectors) == len(ch.sectors)
+            assert all(v is None for _, v in erased.sectors)
+
+    def test_marker_plus45_is_the_identity_over_root_2(self, wwm, grid):
+        ((u, _),) = erase(wwm, "plus45").sectors
+        np.testing.assert_array_equal(u, np.full(grid.n_points,
+                                                 1.0 / np.sqrt(2.0)))
+
+    @pytest.mark.parametrize("eraser, sign", [("plus45", 1.0),
+                                              ("minus45", -1.0)])
+    def test_projects_each_sector_output(self, slit_state, grid, eraser,
+                                         sign):
+        """Each erased sector's output is the (H +- V)/sqrt(2) projection
+        of the sector's (2, n) output, written out row by row."""
+        ch = partial_marker(grid, 0.9, 1.1)
+        ((u, v),) = ch.sectors
+        (out,) = sector_outputs(slit_state, erase(ch, eraser))
+        h, vert = apply_sector(two_rows(slit_state.field), u, v)
+        np.testing.assert_allclose(out[0], (h + sign * vert) / np.sqrt(2.0),
+                                   rtol=0.0, atol=1e-15)

@@ -14,8 +14,8 @@ import scipy.constants as const
 
 from weakslit import ConfigError, PRESETS, from_dict
 from weakslit.cli import console_entry, main
-from weakslit.config import (_DEFAULT_KAPPA, DEFAULTS, _within, merge,
-                             parse_json_object, parse_override)
+from weakslit.config import (DEFAULTS, merge, parse_json_object,
+                             parse_override)
 from weakslit.runner import COMMANDS, run
 
 from conftest import run_python, strict_json
@@ -114,13 +114,17 @@ class TestDefaultsAndPresets:
         explicit = from_dict({"regularization": {"q_max": [1.0, 2.0]}})
         assert explicit.q_max == (1.0, 2.0)
 
-    def test_sweep_short_of_every_default_point(self):
-        """Below the smallest default kappa, 2 pi, the default kappa sweep
-        is the one point at the |q| range.  No accepted grid's range is
-        that short (a slit spans at least 2 samples, so dx < 1/2): the
-        fill rule is checked on its own."""
-        assert _within(_DEFAULT_KAPPA, 5.0) == [5.0]
-        assert _within(_DEFAULT_KAPPA, 2.0 * TWO_PI) == [TWO_PI, 2.0 * TWO_PI]
+    def test_default_sweeps_keep_a_point_on_the_coarsest_grid(self):
+        """A slit exactly 2 dx wide, as wide as a float below 1 allows:
+        the coarsest grid a slit accepts.  Its |q| range pi/dx still
+        reaches 2 pi, the smallest default kappa, so neither default
+        sweep comes out empty."""
+        width = math.nextafter(1.0, 0.0)
+        cfg = from_dict({"geometry": {"width": width, "separation": 1.0},
+                         "grid": {"n_points": 16, "x_extent": 8.0 * width}})
+        assert 2.0 * cfg.grid.dx == cfg.geometry.width == width
+        assert cfg.kappa == (TWO_PI,)
+        assert cfg.q_max
 
     @pytest.mark.filterwarnings("ignore::weakslit.errors.CoverageWarning")
     def test_defaults_are_not_mutated_by_merging(self, tmp_path):

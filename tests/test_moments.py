@@ -15,7 +15,7 @@ def gaussian_dist(mu=0.0, sigma=1.5, q_lim=30.0, n=6001):
     q = np.linspace(-q_lim, q_lim, n)
     dens = np.exp(-(q - mu) ** 2 / (2.0 * sigma ** 2)) / (
         sigma * np.sqrt(2.0 * np.pi))
-    return TransferDistribution(q, dens, 1.0, (0,), 1.0, "none", 0.0)
+    return TransferDistribution(q, dens, (0,), 1.0, 0.0)
 
 
 class TestSweepPoints:
@@ -83,6 +83,12 @@ class TestGaussianClosedForms:
             transfer_variance(dist), rel=1e-3)
         with pytest.raises(ConfigError):
             apodized_variance(dist, 0.0)
+
+    @pytest.mark.parametrize("kappa", [5e-324, 1e-310])
+    def test_apodized_at_a_vanishing_kappa_is_its_limit(self, kappa):
+        """|q|/kappa overflows to inf there, and exp(-inf) = 0 is the
+        factor's limit: the integral is 0.0, with no RuntimeWarning."""
+        assert apodized_variance(gaussian_dist(), kappa) == 0.0
 
 
 class TestApodizationSweep:

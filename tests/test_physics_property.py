@@ -62,10 +62,11 @@ from hypothesis import strategies as st
 
 from weakslit import (SimGrid, SlitGeometry,
                       build_double_slit, classical_kick, conditional_wvp,
-                      eraser_curves, identity_channel, scully_wwm,
+                      erase, eraser_curves, identity_channel, scully_wwm,
                       transfer_distribution, window_mask)
+from weakslit.channels import ERASERS
 from weakslit.errors import CoverageWarning
-from weakslit.weak_values import ERASERS, _tiling_indices
+from weakslit.weak_values import _tiling_indices
 
 from conftest import eraser_port, eraser_port_basis, partial_marker
 from oracles import loop_transfer
@@ -164,7 +165,7 @@ def test_transfer_matches_the_window_loop(scenario, half):
     indices = None if half is None else range(index - half, index + half + 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CoverageWarning)
-        fast = transfer_distribution(state, ch, width, indices, eraser)
+        fast = transfer_distribution(state, erase(ch, eraser), width, indices)
         slow = loop_transfer(state, ch, width, indices, eraser)
     assert fast.coverage == pytest.approx(slow.coverage, rel=1e-13)
     np.testing.assert_allclose(
@@ -210,7 +211,8 @@ def test_eraser_ports_are_sums_of_four_distributions(scenario, theta, phi,
     for eraser, sign in (("plus45", 1.0), ("minus45", -1.0)):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CoverageWarning)
-            got = transfer_distribution(state, ch, width, indices, eraser)
+            got = transfer_distribution(state, erase(ch, eraser), width,
+                                        indices)
         want = eraser_port(basis, theta, phi, sign)
         np.testing.assert_allclose(got.density, want, rtol=0.0,
                                    atol=1e-13 * np.max(np.abs(want)))

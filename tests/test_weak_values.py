@@ -15,19 +15,19 @@ from weakslit import (ConfigError, CoverageWarning, GridMismatchError,
                       SimGrid, SlitGeometry,
                       TransferDistribution, TransverseState,
                       WindowRangeError, build_double_slit, classical_kick, conditional_wvp,
-                      eraser_curves, identity_channel, joint_wvp,
+                      erase, eraser_curves, identity_channel, joint_wvp,
                       momentum_distribution, scully_wwm,
                       transfer_distribution, window_mask)
+from weakslit.channels import ERASERS
 from weakslit.config import PRESETS, from_dict
 from weakslit.runner import run
-from weakslit.weak_values import (ERASERS, _curve_sums, _output_rows,
-                                  _bin_edges, _tiling_weights,
-                                  _window_project, quotient)
+from weakslit.weak_values import (_curve_sums, _bin_edges, _rows,
+                                  _tiling_weights, _window_project, quotient)
 
 from conftest import WINDOW_WIDTH, partial_marker, run_python
 from oracles import (array_density, array_joint, array_tiling_weights,
                      dense_conditional, dense_joint, dense_transfer,
-                     erased_channel, kick_rect_density, loop_conditional_wvp,
+                     kick_rect_density, loop_conditional_wvp,
                      loop_transfer, two_row_sums, two_row_transfer, two_rows)
 
 
@@ -175,10 +175,6 @@ class TestJointAndConditional:
         dens = momentum_distribution(slit_state, wwm)
         np.testing.assert_allclose(total, dens, atol=1e-10 * dens.max())
 
-    def test_eraser_label_is_validated(self, slit_state, wwm, focus_window):
-        with pytest.raises(ConfigError):
-            joint_wvp(slit_state, wwm, *focus_window, eraser="circular")
-
     def test_channel_grid_must_match_state(self, slit_state, focus_window):
         other = scully_wwm(SimGrid(1024, 32.0))
         with pytest.raises(GridMismatchError):
@@ -186,18 +182,19 @@ class TestJointAndConditional:
 
     def test_eraser_partition_is_pointwise(self, slit_state, wwm,
                                            focus_window):
-        j_none = joint_wvp(slit_state, wwm, *focus_window, "none")
-        j_plus = joint_wvp(slit_state, wwm, *focus_window, "plus45")
-        j_minus = joint_wvp(slit_state, wwm, *focus_window, "minus45")
+        j_none, j_plus, j_minus = (
+            joint_wvp(slit_state, erase(wwm, eraser), *focus_window)
+            for eraser in ERASERS)
         np.testing.assert_allclose(j_plus + j_minus, j_none, atol=1e-13)
 
 
 class TestEraserCurves:
     """One projection for every eraser setting equals one call per
-    setting, bit for bit.  Without an eraser the curves equal the two-row
-    oracle's bit for bit; with a +-45 one, they equal the oracle's on the
-    erased one-row channel bit for bit, and its projection of the
-    momentum rows to 1e-13 of max |J|."""
+    setting on ``erase(ch, eraser)``, bit for bit.  Without an eraser the
+    curves equal the two-row oracle's bit for bit; with a +-45 one, they
+    equal the oracle's on ``erase(ch, eraser)`` bit for bit, and the
+    oracle's projection of the momentum rows of ``ch`` to 1e-13 of
+    max |J|."""
 
     @pytest.mark.parametrize("channel", ["scully", "kick", "identity"])
     def test_equals_one_call_per_setting(self, slit_state, smooth_state,
@@ -209,10 +206,8 @@ class TestEraserCurves:
             curves = eraser_curves(state, ch, *focus_window)
             assert tuple(curves) == ERASERS
             for eraser, curve in curves.items():
-                if eraser == "none":
-                    one_row = ch
-                else:
-                    one_row = erased_channel(ch, eraser)
+                one_row = erase(ch, eraser)
+                if eraser != "none":
                     projected = loop_conditional_wvp(
                         state, ch, *focus_window, eraser)[2]
                     scale = np.max(np.abs(projected))
@@ -224,10 +219,10 @@ class TestEraserCurves:
                 np.testing.assert_array_equal(np.isfinite(curve.values),
                                               defined)
                 np.testing.assert_array_equal(curve.joint, joint)
-                single = conditional_wvp(state, ch, *focus_window, eraser)
+                single = conditional_wvp(state, one_row, *focus_window)
                 np.testing.assert_array_equal(single.values, values)
                 np.testing.assert_array_equal(
-                    joint_wvp(state, ch, *focus_window, eraser), joint)
+                    joint_wvp(state, one_row, *focus_window), joint)
 
     def test_subset_and_validation(self, slit_state, wwm, focus_window):
         curves = eraser_curves(slit_state, wwm, *focus_window, ["minus45"])
@@ -238,8 +233,9 @@ class TestEraserCurves:
         assert list(curves) == ["plus45", "none"]
         np.testing.assert_array_equal(
             curves["plus45"].joint,
-            conditional_wvp(slit_state, wwm, *focus_window, "plus45").joint)
-        with pytest.raises(ConfigError):
+            conditional_wvp(slit_state, erase(wwm, "plus45"),
+                            *focus_window).joint)
+        with pytest.raises(ConfigError, match="got 'circular'"):
             eraser_curves(slit_state, wwm, *focus_window,
                           ["none", "circular"])
 
@@ -249,18 +245,18 @@ class TestRowBuffers:
     4,096-sample slices, equal the whole-stack expressions they replaced
     bit for bit: :func:`array_joint` and :func:`array_density` of the
     same momentum rows, each row its own (1, n) stack, in order.  One or
-    two rows per sector (identity, marker, each +-45 setting) and one
-    sector or two (two kicks).  The two-row curve tests of
+    two rows per sector (identity, marker, each +-45 ``erase`` of them)
+    and one sector or two (two kicks).  The two-row curve tests of
     :class:`TestHRowPath` check the (2, n) form of each sector."""
 
     @staticmethod
-    def _check(grid, psi, chi, ch, eraser):
+    def _check(grid, psi, chi, ch):
         def stacks(field):
             return [grid.to_momentum(field * m)[np.newaxis]
-                    for rows in _output_rows(ch, eraser) for m in rows]
+                    for u, v in ch.sectors for m in (u, v) if m is not None]
         ce, pe = stacks(chi), stacks(psi)
-        j, dens, strong = _curve_sums(grid, psi, chi.copy(), ch, eraser,
-                                      True, True)
+        j, dens, strong = _curve_sums(grid, psi, chi.copy(), _rows(ch), True,
+                                      True)
         assert np.array_equal(j, array_joint(ce, pe))
         assert np.array_equal(dens, array_density(pe))
         assert np.array_equal(strong, array_density(ce))
@@ -271,7 +267,7 @@ class TestRowBuffers:
                           eraser):
         self._check(grid, smooth_state.field,
                     _window_project(smooth_state, *focus_window).field,
-                    _equivalence_channel(kind, grid), eraser)
+                    erase(_equivalence_channel(kind, grid), eraser))
 
     @pytest.mark.parametrize("rows", [1, 2])
     @pytest.mark.parametrize("sectors", [1, 2])
@@ -286,22 +282,21 @@ class TestRowBuffers:
         ch = MeasurementChannel("noise", tuple(
             (noise(), noise() if rows == 2 else None)
             for _ in range(sectors)), grid)
-        self._check(grid, noise(), noise(), ch, "none")
+        self._check(grid, noise(), noise(), ch)
 
 
 class TestHRowPath:
     """A state is worked from its H field alone; its curves and input
     density equal, byte for byte, the ones built from the two-row sector
     sums of tests/oracles.py, with a zero V row, and that module's J and
-    P; a +-45 setting equals them on its erased one-row channel.  Bytes,
+    P; a +-45 setting equals them on ``erase(ch, eraser)``, and their
+    projection of the momentum rows of ``ch`` to 1e-13.  Bytes,
     not np.array_equal, so that -0.0 and +0.0, which %.12g prints apart,
     count as different.  T is compared on ``conditional_wvp``'s curve,
     the one that builds it; every curve of ``eraser_curves`` has none."""
 
     @staticmethod
-    def _two_row_curve(grid, state, window, ch, eraser):
-        if eraser != "none":
-            ch = erased_channel(ch, eraser)
+    def _two_row_curve(grid, state, window, ch):
         ce = two_row_sums(grid, two_rows(
             _window_project(state, *window).field), ch)
         pe = two_row_sums(grid, two_rows(state.field), ch)
@@ -327,12 +322,12 @@ class TestHRowPath:
         curves = eraser_curves(state, ch, *window)
         for eraser in ERASERS:
             expected = [a.tobytes() for a in self._two_row_curve(
-                grid, state, window, ch, eraser)]
+                grid, state, window, erase(ch, eraser))]
             curve = curves[eraser]
             assert curve.strong is None
             got = (curve.values, curve.joint, curve.density)
             assert [a.tobytes() for a in got] == expected[:3]
-            curve = conditional_wvp(state, ch, *window, eraser)
+            curve = conditional_wvp(state, erase(ch, eraser), *window)
             got = (curve.values, curve.joint, curve.density, curve.strong)
             assert [a.tobytes() for a in got] == expected
 
@@ -341,14 +336,16 @@ class TestHRowPath:
     def test_input_density_matches_the_two_row_path(self, request, fixture,
                                                     eraser):
         state = request.getfixturevalue(fixture)
+        amps = two_rows(state.field)
         ch = identity_channel(state.grid)
-        if eraser != "none":
-            ch = erased_channel(ch, eraser)
-        dens = array_density(two_row_sums(state.grid, two_rows(state.field),
-                                          ch))
-        dens = dens / (np.sum(dens) * state.grid.dp)
-        assert momentum_distribution(state, eraser=eraser).tobytes() \
-            == dens.tobytes()
+        got = momentum_distribution(state, erase(ch, eraser))
+        one_row = array_density(two_row_sums(state.grid, amps,
+                                             erase(ch, eraser)))
+        one_row = one_row / (np.sum(one_row) * state.grid.dp)
+        assert got.tobytes() == one_row.tobytes()
+        projected = array_density(two_row_sums(state.grid, amps, ch, eraser))
+        projected = projected / (np.sum(projected) * state.grid.dp)
+        assert np.max(np.abs(got - projected)) <= 1e-13 * projected.max()
 
 
 def _traced_peak(call) -> int:
@@ -374,17 +371,19 @@ class TestPeakMemory:
     where one complex row is 1 MiB.  The results themselves are three
     float rows per setting (values, J and P), and T for
     ``conditional_wvp``.  Each setting sums its own output rows one
-    (chi row, psi row) pair at a time, releases a +-45 multiplier once
-    both of its products are built, and builds every J and P before any
-    values row; the last setting builds its last window-side row in the
-    projected field's buffer.  The marker's three settings peak at 5.6
-    MiB, ``conditional_wvp`` at 5.0 MiB, and the two kicks' three
-    settings at 7.0 MiB (10.5 MiB when every sector's rows of both
-    states were kept, so the peak grew with the sector count); the
-    two-kick bound is that figure plus 0.5 MiB.  Keeping the previous
-    pair's rows while the next pair was built peaked at 6.0 MiB for
-    ``conditional_wvp``; keeping each +-45 multiplier through its rows'
-    transforms, at 6.0 MiB for the marker and 7.5 MiB for two kicks.
+    (chi row, psi row) pair at a time, erasing one sector at a time and
+    releasing each +-45 multiplier once both of its products are built,
+    and builds every J and P before any values row; the last setting
+    builds its last window-side row in the projected field's buffer.
+    The marker's three settings peak at 5.6 MiB, ``conditional_wvp`` at
+    5.0 MiB, and the two kicks' three settings at 7.0 MiB (10.5 MiB
+    when every sector's rows of both states were kept, so the peak grew
+    with the sector count); the two-kick bound is that figure plus 0.5
+    MiB.  Keeping the previous pair's rows while the next pair was built
+    peaked at 6.0 MiB for ``conditional_wvp``; keeping each +-45
+    multiplier through its rows' transforms, at 6.0 MiB for the marker
+    and 7.5 MiB for two kicks; erasing the whole two-kick channel at
+    once, so that both sectors' multipliers coexist, at 8.5 MiB.
     The ``eraser_curves`` bounds also guard that its curves carry no
     strong density T, which only the pointer reads.
 
@@ -423,7 +422,8 @@ class TestPeakMemory:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CoverageWarning)
             peak = _traced_peak(lambda: transfer_distribution(
-                paper.state, paper.channel, width, indices, eraser or "none"))
+                paper.state, erase(paper.channel, eraser or "none"), width,
+                indices))
         assert peak <= mib * 2 ** 20
 
     def test_eraser_curves(self, large):
@@ -453,7 +453,7 @@ class TestDenseOracle:
     def test_joint_scully(self, dense_state, dense_grid, eraser):
         ch = scully_wwm(dense_grid)
         win = WINDOW_WIDTH, -1
-        fast = joint_wvp(dense_state, ch, *win, eraser)
+        fast = joint_wvp(dense_state, erase(ch, eraser), *win)
         slow = dense_joint(dense_state, ch, *win, eraser)
         np.testing.assert_allclose(fast, slow, atol=1e-12)
 
@@ -515,8 +515,8 @@ class TestPartialMarker:
         indices = _INDEX_SETS[tiling](dense_grid)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CoverageWarning)
-            dist = transfer_distribution(dense_state, ch, WINDOW_WIDTH,
-                                         indices, eraser)
+            dist = transfer_distribution(dense_state, erase(ch, eraser),
+                                         WINDOW_WIDTH, indices)
         _, slow, coverage = dense_transfer(dense_state, ch, WINDOW_WIDTH,
                                            indices, eraser)
         assert dist.coverage == pytest.approx(coverage, rel=1e-12)
@@ -526,13 +526,13 @@ class TestPartialMarker:
 
 class TestEraserDistributions:
     def test_plus45_restores_the_input_fringes(self, slit_state, wwm):
-        erased = momentum_distribution(slit_state, wwm, "plus45")
+        erased = momentum_distribution(slit_state, erase(wwm, "plus45"))
         original = momentum_distribution(slit_state)
         np.testing.assert_allclose(erased, original,
                                    atol=1e-12 * original.max())
 
     def test_minus45_forms_the_antifringe(self, slit_state, wwm, grid):
-        anti = momentum_distribution(slit_state, wwm, "minus45")
+        anti = momentum_distribution(slit_state, erase(wwm, "minus45"))
         k0 = grid.n_points // 2
         assert anti[k0] < 1e-8 * anti.max()
         k_half = int(np.argmin(np.abs(grid.p - np.pi)))
@@ -549,7 +549,8 @@ class TestEraserDistributions:
     def test_distributions_are_normalised(self, slit_state, wwm, grid):
         for dens in (momentum_distribution(slit_state),
                      momentum_distribution(slit_state, wwm),
-                     momentum_distribution(slit_state, wwm, "minus45")):
+                     momentum_distribution(slit_state,
+                                           erase(wwm, "minus45"))):
             assert float(np.sum(dens) * grid.dp) == pytest.approx(1.0,
                                                                   rel=1e-12)
 
@@ -622,7 +623,7 @@ class TestTransferDistribution:
         sigma = 2.0
         dens = np.exp(-q ** 2 / (2.0 * sigma ** 2)) / (sigma
                                                        * np.sqrt(2.0 * np.pi))
-        dist = TransferDistribution(q, dens, 1.0, (0,), 1.0, "none", 0.0)
+        dist = TransferDistribution(q, dens, (0,), 1.0, 0.0)
         # the statistic counts whole samples beyond the threshold, so it
         # undershoots the continuum tail by O(density(a) * dq)
         for a in (1.0, 3.0, 5.0):
@@ -652,11 +653,11 @@ class TestRoundoffFloor:
         state = build_double_slit(
             SlitGeometry(0.5, "gaussian_smoothed", 0.08), grid)
         ch = identity_channel(grid)
-        args = (state, ch, 2.0 * grid.dp, [-127], "plus45")
+        args = (2.0 * grid.dp, [-127])
         with pytest.warns(CoverageWarning):
-            fast = transfer_distribution(*args)
+            fast = transfer_distribution(state, erase(ch, "plus45"), *args)
         with pytest.warns(CoverageWarning):
-            slow = loop_transfer(*args)
+            slow = loop_transfer(state, ch, *args, "plus45")
         peak = np.max(np.abs(state.momentum_field()) ** 2)
         assert fast.roundoff_floor == pytest.approx(
             16.0 * np.finfo(float).eps * np.sqrt(peak / fast.coverage),
@@ -675,9 +676,9 @@ class TestRoundoffFloor:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CoverageWarning)
             summary = run(config, command).summary
-            dist = transfer_distribution(config.state, config.channel,
-                                         config.window_width, config.indices,
-                                         config.eraser)
+            dist = transfer_distribution(
+                config.state, erase(config.channel, config.eraser),
+                config.window_width, config.indices)
         assert summary["roundoff_floor"] == dist.roundoff_floor
 
 
@@ -721,8 +722,8 @@ class TestCorrelationForm:
         indices = _INDEX_SETS[index_set](grid)
         with warnings.catch_warnings(record=True) as fast_warned:
             warnings.simplefilter("always")
-            fast = transfer_distribution(state, ch, WINDOW_WIDTH, indices,
-                                         eraser)
+            fast = transfer_distribution(state, erase(ch, eraser),
+                                         WINDOW_WIDTH, indices)
         with warnings.catch_warnings(record=True) as slow_warned:
             warnings.simplefilter("always")
             slow = loop_transfer(state, ch, WINDOW_WIDTH, indices, eraser)
@@ -766,7 +767,7 @@ class TestCorrelationForm:
                                                    kind, eraser, index_set):
         """The package correlates the H field alone; the two-row form of
         tests/oracles.py, run on the state's mirror in V, gives the same
-        bits, a +-45 setting on its erased one-row channel.
+        bits on ``erase(ch, eraser)``.
 
         Every channel's K = u + v S commutes with the swap S, so the
         mirror's P_wv equals the original's.
@@ -774,14 +775,11 @@ class TestCorrelationForm:
         grid = SimGrid(n_points, 16.0 if n_points == 256 else 64.0)
         state = build_double_slit(SlitGeometry(0.5, edge_profile=edge), grid)
         mirror = two_rows(state.field)[::-1].copy()
-        ch = _equivalence_channel(kind, grid)
+        ch = erase(_equivalence_channel(kind, grid), eraser)
         indices = _INDEX_SETS[index_set](grid)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CoverageWarning)
-            one = transfer_distribution(state, ch, WINDOW_WIDTH, indices,
-                                        eraser)
-        if eraser != "none":
-            ch = erased_channel(ch, eraser)
+            one = transfer_distribution(state, ch, WINDOW_WIDTH, indices)
         density, coverage = two_row_transfer(grid, mirror, ch, WINDOW_WIDTH,
                                              indices)
         assert one.coverage == coverage
