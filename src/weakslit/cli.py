@@ -15,8 +15,7 @@ from typing import NoReturn
 
 from .config import (DEFAULTS, PRESETS, from_dict, merge, parse_json_object,
                      parse_override)
-from .errors import (ConfigError, GridMismatchError, MomentUndefinedError,
-                     OutputError, ResolutionError, WindowRangeError)
+from .errors import ConfigError, NumericError, OutputError
 from .outputs import emit_outputs
 from .runner import COMMANDS, run
 
@@ -25,9 +24,6 @@ __all__ = ["main", "console_entry", "build_parser"]
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
-
-_NUMERIC_ERRORS = (ResolutionError, WindowRangeError, MomentUndefinedError,
-                   GridMismatchError)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,7 +76,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _NUMERIC_ERRORS as exc:
+    except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except MemoryError:

@@ -123,7 +123,7 @@ def _key(path: str):
     try:
         yield
     except ConfigError as exc:
-        raise type(exc)(f"{path!r}: {exc}") from None
+        raise ConfigError(f"{path!r}: {exc}") from None
 
 
 class ScenarioConfig:
@@ -133,7 +133,8 @@ class ScenarioConfig:
     (:func:`_validate`), then builds every object once, in dependency
     order.  Each object's constructor, or the block that builds it,
     checks its own ranges, orderings, names and sums; their errors come
-    back prefixed with the config key.
+    back prefixed with the config key.  Last it takes the digest that
+    :meth:`config_hash` returns.
 
     ``lab`` comes first: it refuses a non-positive
     ``geometry.separation``, which ``geometry`` divides by, and converts
@@ -226,6 +227,7 @@ class ScenarioConfig:
         if not isinstance(data["output_dir"], str) or not data["output_dir"]:
             raise ConfigError("'output_dir' must be a non-empty string")
         self.output_dir = data["output_dir"]
+        self._digest = _digest(data)
 
     def sim_grid(self) -> SimGrid:
         """The built grid, ``self.grid``."""
@@ -250,11 +252,24 @@ class ScenarioConfig:
 
     def config_hash(self) -> str:
         """Scenario fingerprint; excludes the output destination."""
-        payload = {k: v for k, v in self.data.items() if k != "output_dir"}
+        return self._digest
+
+
+def _digest(data: dict) -> str:
+    """SHA-256 of the canonical JSON of ``data`` without ``output_dir``.
+
+    A list no object reads (``channel.kicks`` under a kind other than
+    ``kick``) may nest deeper than the encoder recurses; that is a
+    :class:`ConfigError`, raised before any numerics run.
+    """
+    payload = {k: v for k, v in data.items() if k != "output_dir"}
+    try:
         # A numpy scalar passes the number test; it hashes as its value.
         canon = json.dumps(payload, sort_keys=True, separators=(",", ":"),
                            default=lambda v: v.item())
-        return sha256(canon.encode()).hexdigest()
+    except RecursionError:
+        raise ConfigError("config nests too deeply") from None
+    return sha256(canon.encode()).hexdigest()
 
 
 def _validate(data: dict, schema: dict = DEFAULTS, path: str = ""):

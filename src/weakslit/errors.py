@@ -1,49 +1,27 @@
 """Exception and warning types shared across the package.
 
-Split into three coarse categories so the CLI can map failures onto
-exit codes: configuration problems (bad input before any numerics run),
-numeric problems (a computation refused or out of range), and I/O.
+One exception class per CLI exit code, so the code is decided where the
+error is raised: :class:`ConfigError` exits 2 (bad input, refused before
+any numerics run), :class:`NumericError` exits 3 (a computation refused
+or out of range) and :class:`OutputError` exits 4 (file emission).
+Every ``raise`` in the package raises one of the three or re-raises.
 """
 
-__all__ = ["WeakslitError", "ConfigError", "GeometryError",
-           "GridMismatchError", "ResolutionError", "WindowRangeError",
-           "MomentUndefinedError", "OutputError", "CoverageWarning"]
+__all__ = ["ConfigError", "NumericError", "OutputError", "CoverageWarning"]
 
 
-class WeakslitError(Exception):
-    """Base class for all package-specific errors."""
+class ConfigError(Exception):
+    """Invalid configuration: unknown key, bad value, unit mismatch, or a
+    slit geometry that cannot be realised on the requested grid."""
 
 
-class ConfigError(WeakslitError):
-    """Invalid configuration: unknown key, bad value, unit mismatch."""
+class NumericError(Exception):
+    """A computation refused: a feature below the grid's resolution, a
+    window or cutoff outside the simulated range, momentum moments that
+    diverge (sharp-edged apertures), or operands on different grids."""
 
 
-class GeometryError(ConfigError):
-    """Slit geometry that cannot be realised on the requested grid."""
-
-
-class GridMismatchError(WeakslitError):
-    """Operands defined on different grids were combined."""
-
-
-class ResolutionError(WeakslitError):
-    """A requested feature is below the resolving power of the grid."""
-
-
-class WindowRangeError(WeakslitError):
-    """A momentum window (or cutoff) falls outside the simulated range."""
-
-
-class MomentUndefinedError(WeakslitError):
-    """Momentum moments requested for a state whose moments diverge.
-
-    Raised for sharp-edged apertures: their momentum densities carry
-    1/p^2 tails, so the variance integral has no finite value and no
-    regularisation rescues it.  Rebuild the state with smoothed edges.
-    """
-
-
-class OutputError(WeakslitError):
+class OutputError(Exception):
     """File emission failed; the message carries the offending path."""
 
 

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, GridMismatchError
+from .errors import ConfigError, NumericError
 
 __all__ = ["SimGrid"]
 
@@ -102,7 +102,7 @@ class SimGrid:
         """:meth:`to_momentum` (or :meth:`from_momentum`) of the row
         ``values`` into ``out``: a new complex array, or one the caller
         owns, which may be ``values`` itself.  Any shape but (n,) raises
-        :class:`GridMismatchError`.
+        :class:`NumericError`.
 
         Equals fftshift(fft(ifftshift(values))) * scale bit for bit, but
         shifts, transforms and scales in ``out``; the only temporary is
@@ -110,8 +110,8 @@ class SimGrid:
         """
         values = np.asarray(values)
         if values.shape != (self.n_points,):
-            raise GridMismatchError(f"array of shape {values.shape} on a "
-                                    f"grid of {self.n_points} points")
+            raise NumericError(f"array of shape {values.shape} on a "
+                               f"grid of {self.n_points} points")
         if out is None:
             out = np.empty(self.n_points, dtype=complex)
         half = self.n_points // 2

@@ -20,7 +20,7 @@ the exact lattice value.
 import numpy as np
 
 from .channels import MeasurementChannel
-from .errors import ConfigError, MomentUndefinedError, WindowRangeError
+from .errors import ConfigError, NumericError
 from .states import TransverseState
 from .weak_values import TransferDistribution, momentum_distribution
 
@@ -56,7 +56,7 @@ def sharp_cutoff_variance(dist: TransferDistribution, q_max: float) -> float:
     result continuous in q_max.
     """
     if q_max <= 0.0 or q_max > float(np.abs(dist.q).max()):
-        raise WindowRangeError(f"q_max {q_max} outside the simulated q range")
+        raise NumericError(f"q_max {q_max} outside the simulated q range")
     integrand = dist.density * dist.q ** 2
     inside = (dist.q > -q_max) & (dist.q < q_max)
     nodes = np.concatenate(([-q_max], dist.q[inside], [q_max]))
@@ -85,7 +85,7 @@ def apodization_sweep(dist: TransferDistribution, kappas
     kappas = tuple(sorted({float(k) for k in kappas}))
     q_lim = float(np.abs(dist.q).max())
     if kappas and kappas[-1] > q_lim:
-        raise WindowRangeError(
+        raise NumericError(
             f"kappa {kappas[-1]} beyond the simulated |q| range {q_lim:.4g}")
     return kappas, tuple(apodized_variance(dist, k) for k in kappas)
 
@@ -116,7 +116,7 @@ def moment_change(state: TransverseState,
     apodisation assigns it a value.
     """
     if state.sharp_edges:
-        raise MomentUndefinedError(
+        raise NumericError(
             "momentum moments diverge for sharp-edged apertures; "
             "rebuild the state with edge_profile='gaussian_smoothed'"
         )

@@ -50,8 +50,8 @@ _BLOCK_ROWS = 256
 _exit = os._exit
 
 
-def _csv_header(table) -> str:
-    return ",".join(table) + "\n"
+def _csv_header(table) -> bytes:
+    return (",".join(table) + "\n").encode()
 
 
 def _rows(table) -> int:
@@ -59,16 +59,17 @@ def _rows(table) -> int:
 
 
 def _csv_rows(table, start: int, stop: int):
-    """Yield rows [start, stop) of the table as CSV text, one block of
-    rows at a time.
+    """Yield rows [start, stop) of the table as UTF-8 CSV bytes, one
+    block of rows at a time.
 
     Every number is printed as ``%.12g``, which spells undefined samples
     ``nan`` and infinities ``inf``/``-inf``; a bool column reads 0/1.
     Each block stacks only its own slice of the columns and is one ``%``
-    operation on a repeated row template, so formatting costs no Python
-    call per value.
+    operation on a repeated bytes row template, so formatting costs no
+    Python call per value and no encoding pass; ``b"%.12g" % x`` spells
+    every value as ``"%.12g" % x`` does.
     """
-    row = ",".join(["%.12g"] * len(table)) + "\n"
+    row = (",".join(["%.12g"] * len(table)) + "\n").encode()
     for lo in range(start, stop, _BLOCK_ROWS):
         block = np.column_stack([c[lo:min(lo + _BLOCK_ROWS, stop)]
                                  for c in table.values()])
@@ -99,10 +100,10 @@ def _shares(tables) -> list:
 
 
 def _write(target, chunks) -> None:
-    """Write the strings of *chunks* to *target*, a path or an open file
+    """Write the bytes of *chunks* to *target*, a path or an open file
     descriptor (which is closed), one after another."""
     try:
-        with open(target, "w", encoding="utf-8") as handle:
+        with open(target, "wb") as handle:
             handle.writelines(chunks)
     except OSError as exc:
         raise OutputError(f"cannot write {target}: {exc}") from exc
@@ -204,12 +205,13 @@ def emit_outputs(bundle: ResultBundle, out_dir) -> list:
         }
         path = root / "summary.json"
         # A numpy int or bool is not JSON; a numpy float is a float already.
-        _write(path, (json.dumps(summary_doc, sort_keys=True, indent=2,
-                                 default=lambda v: v.item()), "\n"))
+        _write(path, ((json.dumps(summary_doc, sort_keys=True, indent=2,
+                                  default=lambda v: v.item())
+                       + "\n").encode(),))
         written = [*paths, path]
 
         for name, kwargs in bundle.figures.items():
             path = root / f"{name}.svg"
-            _write(path, (render_plot(**kwargs),))
+            _write(path, (render_plot(**kwargs).encode(),))
             written.append(path)
     return written

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .errors import GeometryError, ResolutionError, WindowRangeError
+from .errors import ConfigError, NumericError
 from .grid import SimGrid, _show, indicator
 
 __all__ = [
@@ -40,17 +40,17 @@ class SlitGeometry:
     def __init__(self, width: float, edge_profile: str = "sharp",
                  edge_scale: float | None = None):
         if not 0.0 < width < 1.0:
-            raise GeometryError(
+            raise ConfigError(
                 f"need 0 < width < 1 slit separation, got width={width}")
         if edge_profile not in ("sharp", "gaussian_smoothed"):
-            raise GeometryError(f"unknown edge_profile {_show(edge_profile)}")
+            raise ConfigError(f"unknown edge_profile {_show(edge_profile)}")
         if edge_profile == "sharp" and edge_scale is not None:
-            raise GeometryError(
+            raise ConfigError(
                 "edge_scale applies to gaussian_smoothed edges only")
         if edge_profile == "gaussian_smoothed" and edge_scale is None:
             edge_scale = width / 10.0
         if edge_scale is not None and not edge_scale > 0.0:
-            raise GeometryError("edge_scale must be positive")
+            raise ConfigError("edge_scale must be positive")
         self.width = width
         self.edge_profile = edge_profile
         self.edge_scale = edge_scale
@@ -94,7 +94,7 @@ def _slit_amplitude(geom: SlitGeometry, grid: SimGrid, center: float) -> np.ndar
     lo = center - geom.width / 2.0
     hi = center + geom.width / 2.0
     if hi > x[-1] - EDGE_MARGIN * grid.dx or lo < x[0] + EDGE_MARGIN * grid.dx:
-        raise GeometryError(
+        raise ConfigError(
             f"slit [{lo}, {hi}] needs {EDGE_MARGIN} samples of margin inside "
             f"the grid extent [{x[0]}, {x[-1]}]"
         )
@@ -114,17 +114,17 @@ def build_double_slit(geom: SlitGeometry, grid: SimGrid) -> TransverseState:
 
     Uniform plane-wave illumination at normal incidence lights both
     slits with equal amplitude and zero relative phase.  A slit narrower
-    than 2 position samples is refused (:class:`GeometryError`), as a
+    than 2 position samples is refused (:class:`ConfigError`), as a
     window narrower than 2 bins is; every slit then holds a sample.
     """
     if geom.width < 2.0 * grid.dx:
-        raise GeometryError(f"slit width {geom.width:.4g} is below 2 "
-                            f"position samples ({2.0 * grid.dx:.4g})")
+        raise ConfigError(f"slit width {geom.width:.4g} is below 2 "
+                          f"position samples ({2.0 * grid.dx:.4g})")
     amp = _slit_amplitude(geom, grid, -0.5) + _slit_amplitude(geom, grid, 0.5)
     tail = (np.abs(np.r_[amp[:EDGE_MARGIN], amp[-EDGE_MARGIN:]]).max()
             / np.abs(amp).max())
     if tail > EDGE_TAIL:
-        raise GeometryError(
+        raise ConfigError(
             f"the field within {EDGE_MARGIN} samples of the grid boundary is "
             f"{tail:.3g} of its peak (> {EDGE_TAIL}) and would wrap around "
             f"the periodic grid; shorten edge_scale")
@@ -138,15 +138,15 @@ def build_momentum_peak(p0: float, width: float, grid: SimGrid) -> TransverseSta
     *density* has standard deviation width/sqrt(2).  Widths below 4 grid
     bins are refused as unresolvable, and a peak so far outside the
     simulated momentum range that it is zero on every sample is refused
-    as out of range (:class:`WindowRangeError`).
+    as out of range (:class:`NumericError`).
     """
     if width < 4.0 * grid.dp:
-        raise ResolutionError(
+        raise NumericError(
             f"momentum width {width} below 4 grid bins ({4.0 * grid.dp:.4g})"
         )
     tilde = np.exp(-((grid.p - p0) ** 2) / (2.0 * width ** 2)).astype(complex)
     if not tilde.any():
-        raise WindowRangeError(
+        raise NumericError(
             f"momentum peak at {p0:.4g} of width {width:.4g} is zero on every "
             f"sample of the simulated momentum range "
             f"[{grid.p[0]:.4g}, {grid.p[-1]:.4g}]")

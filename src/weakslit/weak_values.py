@@ -34,8 +34,7 @@ import numpy as np
 
 from .channels import (ERASERS, MeasurementChannel, _check_eraser, erase,
                        identity_channel)
-from .errors import (CoverageWarning, GridMismatchError, ResolutionError,
-                     WindowRangeError)
+from .errors import CoverageWarning, NumericError
 from .grid import SimGrid, indicator
 from .states import TransverseState
 
@@ -116,8 +115,8 @@ class TransferDistribution:
 
 def _check_width(grid: SimGrid, width: float):
     if not 2.0 * grid.dp <= width < np.inf:
-        raise ResolutionError(f"window width {width} must be finite and at "
-                              f"least 2 bins ({2.0 * grid.dp:.4g})")
+        raise NumericError(f"window width {width} must be finite and at "
+                           f"least 2 bins ({2.0 * grid.dp:.4g})")
 
 
 def quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -153,16 +152,15 @@ def _window_project(state: TransverseState, width: float,
     """Project the state onto momentum bin ``index`` of width ``width``
     (unnormalised result).
 
-    Refuses windows narrower than two bins (:class:`ResolutionError`)
-    and windows that hold no momentum sample at all
-    (:class:`WindowRangeError`).
+    Refuses windows narrower than two bins and windows that hold no
+    momentum sample at all (:class:`NumericError`).
     """
     grid = state.grid
     _check_width(grid, width)
     mask = window_mask(grid, width, index)
     if not mask.any():
         lo, hi = _bin_edges(width, index)
-        raise WindowRangeError(
+        raise NumericError(
             f"window [{lo:.4g}, {hi:.4g}] outside the simulated momentum "
             f"range [{grid.p[0]:.4g}, {grid.p[-1]:.4g}]")
     field = state.momentum_field()
@@ -173,7 +171,7 @@ def _window_project(state: TransverseState, width: float,
 
 def _check_grid(state: TransverseState, ch: MeasurementChannel):
     if ch.grid != state.grid:
-        raise GridMismatchError(
+        raise NumericError(
             f"channel {ch.name!r} built on a different grid than the state"
         )
 
@@ -368,7 +366,7 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
         passes range(-7, 8).  A repeated index counts once per
         occurrence.  An index whose window holds no momentum sample adds
         nothing but stays in ``windows``; only a tiling none of whose
-        windows holds a sample is refused (:class:`WindowRangeError`).
+        windows holds a sample is refused (:class:`NumericError`).
 
     Window w contributes its J_w(p_f) shifted by s_w, its centre
     rounded to the nearest sample: P(i) = sum_w J_w(i + s_w), dropping
@@ -430,7 +428,7 @@ def transfer_distribution(state: TransverseState, ch: MeasurementChannel,
 
     samples, windows, weights = _tiling_weights(grid, window_width, indices)
     if not samples.size:
-        raise WindowRangeError(
+        raise NumericError(
             f"none of the {len(indices)} windows of width {window_width:.4g} "
             f"holds a sample of the simulated momentum range "
             f"[{grid.p[0]:.4g}, {grid.p[-1]:.4g}]")

@@ -387,6 +387,17 @@ class TestConfigHash:
         b = parse_config('{"grid": {"n_points": 16384, "x_extent": 64.0}}')
         assert a.config_hash() == b.config_hash()
 
+    def test_a_value_too_deep_to_hash_is_a_config_error(self):
+        """``channel.kicks`` under a kind that reads no kicks only has
+        to be a list; one nested deeper than the digest's encoder
+        recurses is refused when the scenario is built, not when its
+        digest is first read."""
+        kicks = []
+        for _ in range(1200):
+            kicks = [kicks]
+        with pytest.raises(ConfigError, match="nests too deeply"):
+            from_dict({"channel": {"kicks": kicks}})
+
 
 class TestCliRuns:
     def test_commands_leave_heavy_modules_unloaded(self, tmp_path):
@@ -542,6 +553,35 @@ class TestCliExitCodes:
                      "--out", str(tmp_path / "x")]) == 2
         assert "config error: override 'grid' nests too deeply" \
             in capsys.readouterr().err
+
+    def test_deepest_accepted_override_never_raises(self, tmp_path, capsys):
+        """The deepest ``channel.kicks`` list the CLI parses: under the
+        paper preset's channel nothing reads it, and the run exits 0 or
+        2, never with an exception out of ``main``.
+
+        The depth depends on the stack in use, so it is searched for
+        with ``main`` itself: an unknown key set after the list is
+        reported only when the list parsed.
+        """
+        def nested(depth):
+            return "channel.kicks=" + "[" * depth + "]" * depth
+
+        accepted, refused = 1, 100000
+        while refused - accepted > 1:
+            depth = (accepted + refused) // 2
+            assert main(["wvp", "--set", nested(depth), "--set", "nope=1",
+                         "--out", str(tmp_path / "x")]) == 2
+            err = capsys.readouterr().err
+            if "unknown config key 'nope'" in err:
+                accepted = depth
+            else:
+                assert "override 'channel.kicks' nests too deeply" in err
+                refused = depth
+        rc = main(["wvp", "--preset", "paper", "--set", nested(accepted),
+                   "--out", str(tmp_path / "x")] + FAST)
+        assert rc in (0, 2)
+        if rc == 2:
+            assert capsys.readouterr().err.startswith("config error: ")
 
     def test_integer_too_long_to_parse(self, tmp_path, capsys):
         """Python parses no integer literal of over 4,300 digits; one in

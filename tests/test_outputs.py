@@ -31,8 +31,10 @@ def _table(columns):
 
 
 def table_csv(table) -> str:
-    """The whole table as CSV text, formatted in this process."""
-    return _csv_header(table) + "".join(_csv_rows(table, 0, _rows(table)))
+    """The whole table as CSV text: the bytes formatted in this process,
+    decoded."""
+    return (_csv_header(table)
+            + b"".join(_csv_rows(table, 0, _rows(table)))).decode()
 
 
 def assert_same_text(text, expected):

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from weakslit import (ConfigError, SimGrid, SlitGeometry,
-                      WindowRangeError, WvpCurve, build_double_slit,
+from weakslit import (ConfigError, NumericError, SimGrid, SlitGeometry,
+                      WvpCurve, build_double_slit,
                       classical_kick, conditional_wvp, convergence_sweep,
                       estimate_wvp, from_dict, identity_channel, marginal,
                       momentum_distribution, run, run_tagged, scully_wwm)
@@ -32,7 +32,8 @@ def _last_slope(ratios, errors):
 def test_window_outside_grid_range_is_rejected(geom):
     coarse = SimGrid(256, 64.0)  # p range +-12.6, window at -1.4 is fine,
     state = build_double_slit(geom, coarse)
-    with pytest.raises(WindowRangeError):  # but centre -16.9 is not
+    with pytest.raises(NumericError,  # but centre -16.9 is not
+                       match="outside the simulated momentum range"):
         run_tagged(state, identity_channel(coarse), WINDOW_WIDTH, -12)
 
 
