@@ -238,6 +238,8 @@ class ScenarioConfig:
 
     def build_channel(self, grid: SimGrid) -> MeasurementChannel:
         ch = self.data["channel"]
+        if ch["kicks"] and ch["kind"] != "kick":
+            raise ConfigError("kicks apply to the kick channel only")
         if ch["kind"] == "identity":
             return identity_channel(grid)
         if ch["kind"] == "scully":
@@ -258,17 +260,13 @@ class ScenarioConfig:
 def _digest(data: dict) -> str:
     """SHA-256 of the canonical JSON of ``data`` without ``output_dir``.
 
-    A list no object reads (``channel.kicks`` under a kind other than
-    ``kick``) may nest deeper than the encoder recurses; that is a
-    :class:`ConfigError`, raised before any numerics run.
+    Every value in it has passed a check of its key, so none nests
+    deeper than the encoder recurses.
     """
     payload = {k: v for k, v in data.items() if k != "output_dir"}
-    try:
-        # A numpy scalar passes the number test; it hashes as its value.
-        canon = json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                           default=lambda v: v.item())
-    except RecursionError:
-        raise ConfigError("config nests too deeply") from None
+    # A numpy scalar passes the number test; it hashes as its value.
+    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                       default=lambda v: v.item())
     return sha256(canon.encode()).hexdigest()
 
 

@@ -26,7 +26,6 @@ from .weak_values import TransferDistribution, momentum_distribution
 
 __all__ = [
     "sharp_cutoff_variance",
-    "apodized_variance",
     "apodization_sweep",
     "mean_transfer",
     "transfer_variance",

@@ -10,7 +10,7 @@ U the joint intensity is, per coherent sector and polarisation,
 with G_a(y) = (2/(pi sigma^2))^(1/4) exp(-(y-a)^2/sigma^2), t = U chi
 and u = U psi - U chi.  Every y integral is analytic (no y grid exists
 anywhere).  Summed over the rows, the integrals need only the window's
-conditional curve (:func:`run_tagged`) and the weakness r = D/sigma.
+conditional curve (:func:`conditional_wvp`) and the weakness r = D/sigma.
 The curve's J = Re sum <U chi, U psi> (``joint``), P = sum |U psi|^2
 (``density``) and T = sum |U chi|^2 (``strong``) do not depend on D,
 since Re sum u conj(t) = J - T, sum |t|^2 = T and
@@ -34,7 +34,6 @@ from .states import TransverseState
 from .weak_values import WvpCurve, conditional_wvp, quotient
 
 __all__ = [
-    "run_tagged",
     "estimate_wvp",
     "marginal",
     "convergence_sweep",
@@ -54,12 +53,8 @@ def _overlap(ratio: float) -> tuple[float, float]:
 
 def run_tagged(state: TransverseState, ch: MeasurementChannel, width: float,
                index: int) -> WvpCurve:
-    """The conditional curve of the tagged window, momentum bin ``index``
-    of width ``width``, whose ``joint``, ``density`` and ``strong`` are
-    the J, P and T of the module docstring; the pointer's sigma and D do
-    not enter it.
-    """
-    # Its own name only so that a profile can trace the pointer's curve.
+    """A benchmark hook, not exported: :func:`conditional_wvp` under the
+    name that ``perfbench/layers.py`` traces as the pointer's curve."""
     return conditional_wvp(state, ch, width, index)
 
 
@@ -127,32 +122,29 @@ def _roundoff_scales(curve: WvpCurve) -> tuple[float, float]:
             float(np.max(noise * np.abs(2.0 * j - p) / (p * p))))
 
 
-def convergence_sweep(state: TransverseState, ch: MeasurementChannel,
-                      width: float, index: int, ratios
+def convergence_sweep(curve: WvpCurve, ratios
                       ) -> tuple[tuple[float, ...], ...]:
     """(ratios, errors, floors): the estimator error and its round-off
     floor for each distinct weakness ratio, strongest first.
 
     A ratio given twice is swept once, and ratios are sorted descending;
-    errors are max-abs deviations from the analytic conditional curve
-    over samples where both are defined.
+    errors are max-abs deviations of :func:`estimate_wvp` of ``curve``,
+    a window's :func:`conditional_wvp`, from its ``values`` over samples
+    where both are defined.
     The floor at a ratio is ``ROUNDOFF_EPS`` eps times the curve's
     largest magnitude plus 1 - c times the round-off of J - T carried
-    into the estimate.  J, P and T do not depend on D, so the state is
-    propagated once; each ratio costs only the O(N) estimate of
-    :func:`estimate_wvp`.
+    into the estimate.  Each ratio costs only the O(N) estimate.
     """
     ratios = tuple(sorted({float(r) for r in ratios}, reverse=True))
     if any(r <= 0.0 for r in ratios):
         raise ConfigError(f"ratios must be positive, got {ratios}")
-    analytic = run_tagged(state, ch, width, index)
-    quotient, difference = _roundoff_scales(analytic)
+    quotient, difference = _roundoff_scales(curve)
     errors, floors = [], []
     for ratio in ratios:
-        values = estimate_wvp(analytic, ratio)
-        both = np.isfinite(analytic.values) & np.isfinite(values)
+        values = estimate_wvp(curve, ratio)
+        both = np.isfinite(curve.values) & np.isfinite(values)
         errors.append(float(np.max(np.abs(values[both]
-                                          - analytic.values[both]))))
+                                          - curve.values[both]))))
         floors.append(float(ROUNDOFF_EPS * np.finfo(float).eps
                             * (quotient + _overlap(ratio)[1] * difference)))
     return ratios, tuple(errors), tuple(floors)

@@ -260,8 +260,8 @@ def _run_pointer(config: ScenarioConfig) -> tuple[dict, dict, dict]:
 
 def _run_sweep(config: ScenarioConfig) -> tuple[dict, dict, dict]:
     ratios, errors, floors = convergence_sweep(
-        config.state, config.channel, config.window_width,
-        config.focus_index, config.ratios)
+        run_tagged(config.state, config.channel, config.window_width,
+                   config.focus_index), config.ratios)
     under_floor, monotone, slope = _floor_trend(ratios, errors, floors)
     ratio_col, error_col = np.array(ratios), np.array(errors)
     # An exact estimate's error is 0.0, which has no logarithm: the

@@ -42,7 +42,6 @@ __all__ = [
     "WvpCurve",
     "TransferDistribution",
     "window_mask",
-    "joint_wvp",
     "conditional_wvp",
     "eraser_curves",
     "transfer_distribution",
@@ -244,13 +243,9 @@ def _curves(state: TransverseState, ch: MeasurementChannel, width: float,
 
 def joint_wvp(state: TransverseState, ch: MeasurementChannel, width: float,
               index: int) -> np.ndarray:
-    """J(p_f): conditional WVP times post-selection density, per sample.
-
-    Computed as Re sum over the output rows of ``ch`` of the product of
-    the window-projected state's momentum row and the conjugate of the
-    full state's.  Finite everywhere, negative where the weak value
-    leaves [0, 1].
-    """
+    """A benchmark hook, not exported: J(p_f), the ``joint`` of
+    :func:`eraser_curves` without an eraser, under the name that
+    ``perfbench/layers.py`` traces."""
     return eraser_curves(state, ch, width, index, ("none",))["none"].joint
 
 

@@ -38,8 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from weakslit import (TransferDistribution, conditional_wvp, estimate_wvp,
-                      run_tagged)
+from weakslit import TransferDistribution, conditional_wvp, estimate_wvp
 from weakslit.channels import _check_eraser
 from weakslit.errors import CoverageWarning
 from weakslit.grid import indicator
@@ -354,7 +353,7 @@ def loop_convergence_sweep(state, ch, width, index, ratios):
     analytic = conditional_wvp(state, ch, width, index)
     errors = []
     for ratio in ratios:
-        est = estimate_wvp(run_tagged(state, ch, width, index), ratio)
+        est = estimate_wvp(conditional_wvp(state, ch, width, index), ratio)
         both = np.isfinite(analytic.values) & np.isfinite(est)
         errors.append(float(np.max(np.abs(est[both]
                                           - analytic.values[both]))))
@@ -453,9 +452,9 @@ def stack_run_tagged(state, ch, width, index, sigma,
 
     The window projection and its complement each pass through the
     channel, and their sector sums are kept as complex (rows, n)
-    stacks.  This was the package's ``run_tagged`` before the pointer
-    was built from the conditional curve's J, P and T; the oracle for
-    ``run_tagged``.
+    stacks.  This was the package's tagged run before the pointer was
+    built from the conditional curve's J, P and T; the oracle for the
+    pointer's reading of that curve.
     """
     grid = state.grid
     proj = _window_project(state, width, index)

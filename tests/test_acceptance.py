@@ -17,9 +17,8 @@ import pytest
 from weakslit import (CoverageWarning, PRESETS, SimGrid, SlitGeometry,
                       apodization_sweep, build_double_slit,
                       build_momentum_peak, classical_kick, conditional_wvp,
-                      convergence_sweep, erase, from_dict,
-                      identity_channel,
-                      joint_wvp, mean_transfer, moment_change,
+                      convergence_sweep, erase, eraser_curves, from_dict,
+                      identity_channel, mean_transfer, moment_change,
                       momentum_distribution, scully_wwm, sharp_cutoff_variance,
                       transfer_distribution, transfer_variance, window_mask,
                       window_variance)
@@ -46,7 +45,7 @@ def bench():
     ns = SimpleNamespace(
         cfg=cfg, grid=cfg.grid, state=cfg.state,
         marker=cfg.channel,
-        width=cfg.window_width_internal(),
+        width=cfg.window_width,
         window=(cfg.window_width, cfg.focus_index),
         indices=cfg.indices,
         mm_per_unit=cfg.mm_per_unit,
@@ -253,7 +252,8 @@ def test_criterion_08_classical_equivalence():
 def test_criterion_09_pointer_convergence(bench):
     t0 = time.perf_counter()
     ratios, errors, floors = convergence_sweep(
-        bench.state, bench.marker, *bench.window, bench.cfg.ratios)
+        conditional_wvp(bench.state, bench.marker, *bench.window),
+        bench.cfg.ratios)
     # log-log order over the last pair of ratios
     slope = float(np.log(errors[-2] / errors[-1])
                   / np.log(ratios[-2] / ratios[-1]))
@@ -272,9 +272,9 @@ def test_criterion_09_pointer_convergence(bench):
 
 def test_criterion_10_eraser_partition(bench):
     t0 = time.perf_counter()
-    j_none, j_plus, j_minus = (
-        joint_wvp(bench.state, erase(bench.marker, eraser), *bench.window)
-        for eraser in ("none", "plus45", "minus45"))
+    curves = eraser_curves(bench.state, bench.marker, *bench.window)
+    j_none, j_plus, j_minus = (curves[eraser].joint
+                               for eraser in ("none", "plus45", "minus45"))
     partition = float(np.max(np.abs(j_plus + j_minus - j_none)))
 
     outside = window_mask(bench.grid, *bench.window) < 0.5

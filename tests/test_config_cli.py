@@ -73,7 +73,7 @@ class TestDefaultsAndPresets:
         cfg = from_dict({})
         assert cfg.data["channel"]["kind"] == "identity"
         assert cfg.eraser == "none"
-        grid = cfg.sim_grid()
+        grid = cfg.grid
         assert grid.n_points == 16384 and grid.x_extent == 64.0
         assert cfg.indices == range(-7, 8)
         assert cfg.focus_index == -1
@@ -87,10 +87,9 @@ class TestDefaultsAndPresets:
         sep = cfg.data["geometry"]["separation"]
         expected = TWO_PI * sliver * sep / (lab["wavelength"]
                                             * lab["focal_length"])
-        assert cfg.window_width_internal() == pytest.approx(expected,
-                                                            rel=1e-12)
+        assert cfg.window_width == pytest.approx(expected, rel=1e-12)
         # a shade under a quarter of the fringe spacing
-        assert cfg.window_width_internal() / TWO_PI == pytest.approx(
+        assert cfg.window_width / TWO_PI == pytest.approx(
             0.2237, abs=1e-4)
 
     def test_paper_preset_toggles_the_marker_only(self):
@@ -290,7 +289,7 @@ class TestValidation:
 
     def test_scenario_objects_are_built_from_the_data(self):
         cfg = from_dict(PRESETS["paper"])
-        assert cfg.grid is cfg.sim_grid() and cfg.state.grid is cfg.grid
+        assert cfg.state.grid is cfg.grid
         assert cfg.channel.name == "scully_wwm" and cfg.channel.grid is cfg.grid
         assert cfg.mm_per_unit == pytest.approx(
             1.0 * 633e-9 / 80e-6 / TWO_PI * 1e3, rel=1e-15)
@@ -388,15 +387,26 @@ class TestConfigHash:
         assert a.config_hash() == b.config_hash()
 
     def test_a_value_too_deep_to_hash_is_a_config_error(self):
-        """``channel.kicks`` under a kind that reads no kicks only has
-        to be a list; one nested deeper than the digest's encoder
-        recurses is refused when the scenario is built, not when its
-        digest is first read."""
+        """A ``channel.kicks`` list nested deeper than the digest's
+        encoder recurses is refused when the scenario is built, before
+        its digest is taken: a kind other than ``kick`` takes no kicks."""
         kicks = []
         for _ in range(1200):
             kicks = [kicks]
-        with pytest.raises(ConfigError, match="nests too deeply"):
+        with pytest.raises(ConfigError, match="^'channel': kicks apply to "
+                           "the kick channel only$"):
             from_dict({"channel": {"kicks": kicks}})
+
+    @pytest.mark.parametrize("kicks", [
+        pytest.param([10 ** 5000], id="5001-digits"),
+        pytest.param([object()], id="object"),
+        pytest.param([{(1, 2): 3}], id="tuple-key")])
+    @pytest.mark.parametrize("kind", ["identity", "scully"])
+    def test_kicks_under_a_kind_that_reads_none_are_refused(self, kind,
+                                                           kicks):
+        """No value the digest cannot encode gets past its key."""
+        with pytest.raises(ConfigError, match="^'channel': kicks apply"):
+            from_dict({"channel": {"kind": kind, "kicks": kicks}})
 
 
 class TestCliRuns:
@@ -555,9 +565,9 @@ class TestCliExitCodes:
             in capsys.readouterr().err
 
     def test_deepest_accepted_override_never_raises(self, tmp_path, capsys):
-        """The deepest ``channel.kicks`` list the CLI parses: under the
-        paper preset's channel nothing reads it, and the run exits 0 or
-        2, never with an exception out of ``main``.
+        """The deepest ``channel.kicks`` list the CLI parses: the paper
+        preset's channel takes no kicks, so the run exits 2 naming
+        ``'channel'``, never with an exception out of ``main``.
 
         The depth depends on the stack in use, so it is searched for
         with ``main`` itself: an unknown key set after the list is
@@ -577,11 +587,10 @@ class TestCliExitCodes:
             else:
                 assert "override 'channel.kicks' nests too deeply" in err
                 refused = depth
-        rc = main(["wvp", "--preset", "paper", "--set", nested(accepted),
-                   "--out", str(tmp_path / "x")] + FAST)
-        assert rc in (0, 2)
-        if rc == 2:
-            assert capsys.readouterr().err.startswith("config error: ")
+        assert main(["wvp", "--preset", "paper", "--set", nested(accepted),
+                     "--out", str(tmp_path / "x")] + FAST) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: 'channel': kicks apply to the kick channel only")
 
     def test_integer_too_long_to_parse(self, tmp_path, capsys):
         """Python parses no integer literal of over 4,300 digits; one in

@@ -5,6 +5,8 @@ list."""
 
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ import weakslit
 from weakslit import (channels, config, errors, grid, moments, outputs,
                       pointer, runner, states, weak_values)
 
+ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(info.name for info in pkgutil.iter_modules(weakslit.__path__)
                  if info.name != "__main__")
 
@@ -44,3 +47,23 @@ def test_every_public_name_is_listed_once():
     twice = sorted({n for n in listed if listed.count(n) > 1})
     assert not twice, f"listed in more than one __all__: {twice}"
     assert len(set(weakslit.__all__)) == len(weakslit.__all__)
+
+
+def _owner(name: str) -> str:
+    """The file of the module whose ``__all__`` lists ``name``."""
+    for module in MODULES:
+        if name in importlib.import_module(f"weakslit.{module}").__all__:
+            return f"{module}.py"
+    return "__init__.py"
+
+
+@pytest.mark.parametrize("name", weakslit.__all__)
+def test_every_public_name_is_used(name):
+    """A public name occurs, as a word, in README.md, in the acceptance
+    claims or in a module of the package other than its own: no name
+    is exported for the tests alone."""
+    src = ROOT / "src" / "weakslit"
+    texts = [ROOT / "README.md", ROOT / "tests" / "test_acceptance.py",
+             *(p for p in sorted(src.glob("*.py")) if p.name != _owner(name))]
+    word = re.compile(rf"\b{re.escape(name)}\b")
+    assert any(word.search(p.read_text(encoding="utf-8")) for p in texts)

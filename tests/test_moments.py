@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from weakslit import (ConfigError, NumericError, TransferDistribution,
-                      apodization_sweep, apodized_variance,
-                      classical_kick, from_dict, identity_channel,
-                      mean_transfer, moment_change, run, scully_wwm,
-                      sharp_cutoff_variance, transfer_variance,
+                      apodization_sweep, classical_kick, from_dict,
+                      identity_channel, mean_transfer, moment_change, run,
+                      scully_wwm, sharp_cutoff_variance, transfer_variance,
                       window_variance)
+from weakslit.moments import apodized_variance
 
 
 def gaussian_dist(mu=0.0, sigma=1.5, q_lim=30.0, n=6001):

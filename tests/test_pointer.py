@@ -9,7 +9,7 @@ from weakslit import (ConfigError, NumericError, SimGrid, SlitGeometry,
                       WvpCurve, build_double_slit,
                       classical_kick, conditional_wvp, convergence_sweep,
                       estimate_wvp, from_dict, identity_channel, marginal,
-                      momentum_distribution, run, run_tagged, scully_wwm)
+                      momentum_distribution, run, scully_wwm)
 from weakslit.pointer import _floor_trend, _overlap
 
 from conftest import WINDOW_WIDTH
@@ -34,13 +34,14 @@ def test_window_outside_grid_range_is_rejected(geom):
     state = build_double_slit(geom, coarse)
     with pytest.raises(NumericError,  # but centre -16.9 is not
                        match="outside the simulated momentum range"):
-        run_tagged(state, identity_channel(coarse), WINDOW_WIDTH, -12)
+        conditional_wvp(state, identity_channel(coarse), WINDOW_WIDTH, -12)
 
 
 class TestMarginal:
     def test_identity_marginal_is_channel_density(self, slit_state, grid,
                                                   focus_window):
-        curve = run_tagged(slit_state, identity_channel(grid), *focus_window)
+        curve = conditional_wvp(slit_state, identity_channel(grid),
+                                *focus_window)
         dens = np.abs(slit_state.momentum_field()) ** 2
         np.testing.assert_allclose(marginal(curve, RATIO), dens,
                                    atol=1e-13 * dens.max())
@@ -49,7 +50,7 @@ class TestMarginal:
                                               focus_window):
         ch = classical_kick([(12.0 * grid.dp, 0.4), (-6.0 * grid.dp, 0.6)],
                             grid)
-        curve = run_tagged(smooth_state, ch, *focus_window)
+        curve = conditional_wvp(smooth_state, ch, *focus_window)
         stacks = stack_run_tagged(smooth_state, ch, *focus_window, SIGMA,
                                   SHIFT)
         dens = np.zeros(grid.n_points)
@@ -64,7 +65,7 @@ class TestMarginal:
         """The tag physically disturbs a which-way-marked beam at
         O(ratio^2)."""
         dens = momentum_distribution(slit_state, wwm)
-        curve = run_tagged(slit_state, wwm, *focus_window)
+        curve = conditional_wvp(slit_state, wwm, *focus_window)
         strong = marginal(curve, RATIO)
         dev_strong = np.max(np.abs(strong - dens)) / dens.max()
         dev_weak = np.max(np.abs(marginal(curve, 1e-3) - dens)) / dens.max()
@@ -81,7 +82,7 @@ class TestAgainstYGridQuadrature:
         read, against stacks built with dense transform matrices."""
         state = build_double_slit(geom, dense_grid)
         ch = scully_wwm(dense_grid)
-        curve = run_tagged(state, ch, *focus_window)
+        curve = conditional_wvp(state, ch, *focus_window)
         untagged, tagged = dense_pointer_stacks(state, ch, *focus_window)
         marg_o, cent_o = ygrid_pointer_stats(untagged, tagged, SIGMA,
                                              SHIFT)
@@ -107,7 +108,7 @@ class TestAgainstYGridQuadrature:
                            "pointer": {"sigma": sigma,
                                        "displacement": displacement}}).ratio
         assert _overlap(ratio)[0] == expected
-        curve = run_tagged(slit_state, wwm, *focus_window)
+        curve = conditional_wvp(slit_state, wwm, *focus_window)
         assert np.all(np.isfinite(marginal(curve, ratio)))
 
     @pytest.mark.parametrize("ratio", [1e-3, 1e-5, 1e-8])
@@ -127,14 +128,15 @@ class TestAgainstYGridQuadrature:
 class TestEstimator:
     def test_weak_limit_matches_analytic_curve(self, slit_state, wwm,
                                                focus_window):
-        est = estimate_wvp(run_tagged(slit_state, wwm, *focus_window), 1e-3)
         analytic = conditional_wvp(slit_state, wwm, *focus_window)
+        est = estimate_wvp(analytic, 1e-3)
         both = np.isfinite(est) & np.isfinite(analytic.values)
         assert np.max(np.abs(est[both] - analytic.values[both])) < 1e-4
 
     def test_convergence_sweep(self, slit_state, wwm, focus_window):
         ratios, errors, floors = convergence_sweep(
-            slit_state, wwm, *focus_window, [0.05, 0.3, 0.001, 0.01])
+            conditional_wvp(slit_state, wwm, *focus_window),
+            [0.05, 0.3, 0.001, 0.01])
         assert ratios == (0.3, 0.05, 0.01, 0.001)
         assert _floor_trend(ratios, errors, floors)[1]
         assert _last_slope(ratios, errors) == pytest.approx(2.0, abs=0.4)
@@ -147,7 +149,8 @@ class TestEstimator:
               else classical_kick([(0.7, 0.4), (-1.3, 0.6)], grid))
         ratios = [0.3, 0.139, 0.05, 0.01, 0.001, 0.2, 1.0, 1e-6]
         for state in (slit_state, smooth_state):
-            sweep = convergence_sweep(state, ch, *focus_window, ratios)
+            sweep = convergence_sweep(
+                conditional_wvp(state, ch, *focus_window), ratios)
             assert sweep[:2] == loop_convergence_sweep(state, ch,
                                                        *focus_window, ratios)
 
@@ -165,10 +168,10 @@ class TestEstimator:
                                             focus_window):
         """A ratio given twice is one sweep entry: two equal errors
         would put 0/0 into the slope."""
-        ratios, errors, floors = convergence_sweep(
-            slit_state, wwm, *focus_window, [0.1, 0.5, 0.1])
+        curve = conditional_wvp(slit_state, wwm, *focus_window)
+        ratios, errors, floors = convergence_sweep(curve, [0.1, 0.5, 0.1])
         assert ratios == (0.5, 0.1)
-        once = convergence_sweep(slit_state, wwm, *focus_window, [0.1, 0.5])
+        once = convergence_sweep(curve, [0.1, 0.5])
         assert (ratios, errors, floors) == once
         assert (_floor_trend(ratios, errors, floors)[2]
                 == _last_slope(ratios, errors))
@@ -176,7 +179,8 @@ class TestEstimator:
     def test_sweep_refuses_a_non_positive_ratio(self, slit_state, wwm,
                                                 focus_window):
         with pytest.raises(ConfigError, match="positive"):
-            convergence_sweep(slit_state, wwm, *focus_window, [0.1, 0.0])
+            convergence_sweep(conditional_wvp(slit_state, wwm,
+                                              *focus_window), [0.1, 0.0])
 
     def test_errors_at_or_below_the_floor_count_as_exact(self):
         ratios = (1.0, 0.3, 0.1, 0.01, 0.001)
@@ -227,7 +231,8 @@ class TestEstimator:
     def test_scully_sweep_is_above_the_floor(self, slit_state, wwm,
                                              focus_window):
         ratios, errors, floors = convergence_sweep(
-            slit_state, wwm, *focus_window, [0.3, 0.139, 0.05, 0.01, 0.001])
+            conditional_wvp(slit_state, wwm, *focus_window),
+            [0.3, 0.139, 0.05, 0.01, 0.001])
         under, _, slope = _floor_trend(ratios, errors, floors)
         assert under == 0
         assert slope == _last_slope(ratios, errors)
@@ -246,7 +251,8 @@ class TestEstimator:
                   else [slit_state, smooth_state])
         for state in states:
             under, monotone, _ = _floor_trend(*convergence_sweep(
-                state, ch, *focus_window, [1.0, 0.3, 0.05, 0.001, 1e-5]))
+                conditional_wvp(state, ch, *focus_window),
+                [1.0, 0.3, 0.05, 0.001, 1e-5]))
             assert under == 0
             assert monotone
 
@@ -269,7 +275,7 @@ class TestAgainstAmplitudeStacks:
         ch = {"identity": identity_channel, "scully": scully_wwm,
               "kick": lambda g: classical_kick([(0.7, 0.4), (-1.3, 0.6)],
                                                g)}[channel](grid)
-        curve = run_tagged(state, ch, *focus_window)
+        curve = conditional_wvp(state, ch, *focus_window)
         for ratio in (1.0, RATIO, 1e-3):
             shift = ratio * SIGMA
             stacks = stack_run_tagged(state, ch, *focus_window, SIGMA, shift)
@@ -281,7 +287,7 @@ class TestAgainstAmplitudeStacks:
             np.testing.assert_array_equal(np.isfinite(cent), ok)
             assert np.max(np.abs(cent[ok] - cent_o[ok])) <= 5e-12 * shift
         ratios = [1.0, 0.3, 0.139, 0.05, 0.01, 0.001, 1e-6]
-        swept, errors, _ = convergence_sweep(state, ch, *focus_window, ratios)
+        swept, errors, _ = convergence_sweep(curve, ratios)
         ratios_o, errors_o = stack_convergence_sweep(state, ch, *focus_window,
                                                      SIGMA, ratios)
         assert swept == ratios_o
@@ -297,7 +303,7 @@ class TestAgainstAmplitudeStacks:
               else classical_kick([(0.7, 0.4), (-1.3, 0.6)], grid))
         shift = 100.0 * SIGMA
         assert _overlap(shift / SIGMA)[0] == 0.0
-        est = estimate_wvp(run_tagged(slit_state, ch, *focus_window),
+        est = estimate_wvp(conditional_wvp(slit_state, ch, *focus_window),
                            shift / SIGMA)
         stacks = stack_run_tagged(slit_state, ch, *focus_window, SIGMA, shift)
         _, tagged_w, squares = _row_sums(stacks.untagged, stacks.tagged)

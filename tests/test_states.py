@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from weakslit import (ConfigError, NumericError, SimGrid, SlitGeometry,
-                      build_double_slit, build_momentum_peak)
+                      build_double_slit, build_momentum_peak, from_dict)
 from weakslit.states import EDGE_MARGIN, _slit_amplitude
 
 from conftest import run_python
@@ -140,6 +140,30 @@ def test_smoothed_tails_must_not_wrap_around_the_grid(grid):
     with pytest.raises(ConfigError, match="wrap around"):
         build_double_slit(
             SlitGeometry(0.5, "gaussian_smoothed", 12.5), grid)
+
+
+@pytest.mark.parametrize("scale, tail, refused", [(4.46, 1e-11, True),
+                                                   (4.1, 1e-13, False)])
+def test_the_tail_bound_is_one_in_a_trillion_of_the_peak(scale, tail,
+                                                         refused):
+    """``EDGE_TAIL`` = 1e-12: a smoothed field whose outer samples hold
+    about 1e-11 of its peak is refused, about 1e-13 is kept, and the
+    config names ``'geometry'`` for it."""
+    grid = SimGrid(4096, 64.0)
+    geom = SlitGeometry(0.5, "gaussian_smoothed", scale)
+    amp = (_slit_amplitude(geom, grid, -0.5)
+           + _slit_amplitude(geom, grid, 0.5))
+    outer = np.abs(np.r_[amp[:EDGE_MARGIN], amp[-EDGE_MARGIN:]]).max()
+    assert outer / amp.max() == pytest.approx(tail, rel=0.05)
+    overrides = {"grid": {"n_points": 4096},
+                 "geometry": {"edge_profile": "gaussian_smoothed",
+                              "edge_scale": scale * 80e-6}}
+    if refused:
+        with pytest.raises(ConfigError, match="^'geometry': .*wrap around"):
+            from_dict(overrides)
+    else:
+        assert from_dict(overrides).geometry.edge_scale == pytest.approx(
+            scale, rel=1e-15)
 
 
 def test_smoothed_slits_suppress_spectral_tails(slit_state, smooth_state, grid):
