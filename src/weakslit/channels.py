@@ -77,8 +77,8 @@ def scully_wwm(grid: SimGrid) -> MeasurementChannel:
 
     Acting at the slit-image plane, the half-line split is equivalent
     to projecting onto the individual slit supports (the field between
-    the slits vanishes, since every :class:`SlitGeometry` is narrower
-    than the separation) but is insensitive to how edge samples are
+    the slits vanishes, since :func:`build_double_slit` refuses a slit
+    as wide as the separation) but is insensitive to how edge samples are
     assigned.  The summed spatial density is pointwise unchanged; only
     the polarisation record differs.  Both halves form one unitary, so
     they share one sector.

@@ -29,7 +29,7 @@ from .channels import (MeasurementChannel, _check_eraser, classical_kick,
                        identity_channel, scully_wwm)
 from .errors import ConfigError
 from .grid import SimGrid, _is_number, _show
-from .states import SlitGeometry, TransverseState, build_double_slit
+from .states import TransverseState, build_double_slit
 
 __all__ = ["ScenarioConfig", "from_dict", "PRESETS"]
 
@@ -144,6 +144,9 @@ class ScenarioConfig:
     the momentum h/s, 2 pi internal, lands one fringe period
     f * wavelength / s out.  ``window_width`` is ``sliver_width`` in
     hbar/s and ``mm_per_unit`` the focal-plane millimetres per hbar/s.
+    ``slit_width`` and ``edge_scale`` are in slit separations; the scale
+    is None for sharp edges and defaults to a tenth of the width for
+    smoothed ones.
 
     Every command reads the focus window, momentum bin ``focus_index``
     of width ``window_width``, and ``indices`` are the tiling's window
@@ -174,12 +177,18 @@ class ScenarioConfig:
             self.grid = SimGrid(data["grid"]["n_points"],
                                 data["grid"]["x_extent"])
         with _key("geometry"):
-            scale = geo["edge_scale"]
-            self.geometry = SlitGeometry(
-                width=geo["width"] / sep,
-                edge_profile=geo["edge_profile"],
-                edge_scale=None if scale is None else scale / sep,
-            )
+            profile, scale = geo["edge_profile"], geo["edge_scale"]
+            if profile not in ("sharp", "gaussian_smoothed"):
+                raise ConfigError(f"unknown edge_profile {_show(profile)}")
+            if profile == "sharp" and scale is not None:
+                raise ConfigError(
+                    "edge_scale applies to gaussian_smoothed edges only")
+            self.slit_width = geo["width"] / sep
+            if scale is not None:
+                scale = scale / sep
+            elif profile == "gaussian_smoothed":
+                scale = self.slit_width / 10.0
+            self.edge_scale = scale
             self.state = self.build_state(self.grid)
         with _key("channel"):
             self.channel = self.build_channel(self.grid)
@@ -189,10 +198,14 @@ class ScenarioConfig:
         with _key("windows"):
             if win["sliver_width"] <= 0.0:
                 raise ConfigError("sliver_width must be positive")
-            if not math.isfinite(self.window_width):
+            # A wider window holds every sample and costs one transfer pass
+            # per sample; an infinite one has no bins at all.
+            span = self.grid.n_points * self.grid.dp
+            if not self.window_width <= span:
                 raise ConfigError(f"sliver_width {win['sliver_width']} m is "
-                                  f"{self.window_width} hbar/s, not a finite "
-                                  f"window width")
+                                  f"{self.window_width:.4g} hbar/s, wider "
+                                  f"than the simulated momentum range "
+                                  f"{span:.4g} hbar/s")
             self.focus_index = win["focus_index"]
             # Windows narrower than 2 dp are refused, so at most n/2 + 2 can
             # hold a sample; a larger count only costs time and memory.
@@ -234,7 +247,7 @@ class ScenarioConfig:
         return self.grid
 
     def build_state(self, grid: SimGrid) -> TransverseState:
-        return build_double_slit(self.geometry, grid)
+        return build_double_slit(self.slit_width, grid, self.edge_scale)
 
     def build_channel(self, grid: SimGrid) -> MeasurementChannel:
         ch = self.data["channel"]

@@ -27,25 +27,20 @@ from .weak_values import TransferDistribution, momentum_distribution
 __all__ = [
     "sharp_cutoff_variance",
     "apodization_sweep",
-    "mean_transfer",
-    "transfer_variance",
+    "transfer_moments",
     "window_variance",
     "moment_change",
 ]
 
 
-def mean_transfer(dist: TransferDistribution) -> float:
-    """First moment of the transfer density, trapezoid on the native grid."""
-    return _density_moments(dist.density, dist.q)[0]
+def transfer_moments(dist: TransferDistribution) -> tuple[float, float]:
+    """(mean, variance) of the transfer density, trapezoid on the native grid.
 
-
-def transfer_variance(dist: TransferDistribution) -> float:
-    """Central second moment over the full simulated range (unregularised).
-
-    Only meaningful when the density decays fast enough -- smooth-edge
+    The variance is unregularised, over the full simulated range: only
+    meaningful when the density decays fast enough -- smooth-edge
     scenarios; for sharp edges use the regularised sweeps instead.
     """
-    return _density_moments(dist.density, dist.q)[1]
+    return _density_moments(dist.density, dist.q)
 
 
 def sharp_cutoff_variance(dist: TransferDistribution, q_max: float) -> float:
@@ -94,9 +89,10 @@ def window_variance(width: float, dp: float = 0.0) -> float:
 
     With dp > 0 this is the exact lattice value (width^2 - dp^2)/12 for
     windows aligned to samples of spacing dp; dp = 0 gives the
-    continuum width^2/12.
+    continuum width^2/12.  ``width * width`` gives inf where
+    ``width ** 2`` would raise.
     """
-    return (width ** 2 - dp ** 2) / 12.0
+    return (width * width - dp * dp) / 12.0
 
 
 def _density_moments(dens: np.ndarray, p: np.ndarray) -> tuple[float, float]:
@@ -117,7 +113,7 @@ def moment_change(state: TransverseState,
     if state.sharp_edges:
         raise NumericError(
             "momentum moments diverge for sharp-edged apertures; "
-            "rebuild the state with edge_profile='gaussian_smoothed'"
+            "rebuild the state with an edge_scale"
         )
     p = state.grid.p
     mean_i, var_i = _density_moments(momentum_distribution(state), p)

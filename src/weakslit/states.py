@@ -10,10 +10,9 @@ import math
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .grid import SimGrid, _show, indicator
+from .grid import SimGrid, indicator
 
 __all__ = [
-    "SlitGeometry",
     "TransverseState",
     "build_double_slit",
     "build_momentum_peak",
@@ -25,39 +24,6 @@ EDGE_MARGIN = 4
 #: Largest field, relative to its peak, allowed on the EDGE_MARGIN samples
 #: at either end of the grid, where it would wrap around to the other end.
 EDGE_TAIL = 1e-12
-
-
-class SlitGeometry:
-    """Double-slit aperture parameters in internal length units.
-
-    The slit separation is the length unit: the slits sit at -1/2 and
-    +1/2, and ``width`` lies in (0, 1).  edge_profile is "sharp" for
-    ideal top-hats or "gaussian_smoothed" for error-function edges of
-    scale ``edge_scale`` (default width/10), which sharp edges refuse.
-    Smoothed edges keep all momentum moments finite; sharp edges do not.
-    """
-
-    def __init__(self, width: float, edge_profile: str = "sharp",
-                 edge_scale: float | None = None):
-        if not 0.0 < width < 1.0:
-            raise ConfigError(
-                f"need 0 < width < 1 slit separation, got width={width}")
-        if edge_profile not in ("sharp", "gaussian_smoothed"):
-            raise ConfigError(f"unknown edge_profile {_show(edge_profile)}")
-        if edge_profile == "sharp" and edge_scale is not None:
-            raise ConfigError(
-                "edge_scale applies to gaussian_smoothed edges only")
-        if edge_profile == "gaussian_smoothed" and edge_scale is None:
-            edge_scale = width / 10.0
-        if edge_scale is not None and not edge_scale > 0.0:
-            raise ConfigError("edge_scale must be positive")
-        self.width = width
-        self.edge_profile = edge_profile
-        self.edge_scale = edge_scale
-
-    @property
-    def sharp(self) -> bool:
-        return self.edge_profile == "sharp"
 
 
 class TransverseState:
@@ -88,19 +54,20 @@ def _h_polarised(grid: SimGrid, field: np.ndarray,
     return TransverseState(grid, field, sharp_edges)
 
 
-def _slit_amplitude(geom: SlitGeometry, grid: SimGrid, center: float) -> np.ndarray:
+def _slit_amplitude(width: float, grid: SimGrid, center: float,
+                    edge_scale: float | None = None) -> np.ndarray:
     """Unnormalised aperture transmission for one slit centred at `center`."""
     x = grid.x
-    lo = center - geom.width / 2.0
-    hi = center + geom.width / 2.0
+    lo = center - width / 2.0
+    hi = center + width / 2.0
     if hi > x[-1] - EDGE_MARGIN * grid.dx or lo < x[0] + EDGE_MARGIN * grid.dx:
         raise ConfigError(
             f"slit [{lo}, {hi}] needs {EDGE_MARGIN} samples of margin inside "
             f"the grid extent [{x[0]}, {x[-1]}]"
         )
-    if geom.sharp:
+    if edge_scale is None:
         return indicator(x, grid.dx, lo, hi)
-    scale = geom.edge_scale * np.sqrt(2.0)
+    scale = edge_scale * np.sqrt(2.0)
     return 0.5 * (_erf((x - lo) / scale) - _erf((x - hi) / scale))
 
 
@@ -109,18 +76,31 @@ def _erf(z: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.erf, z.tolist()), float, count=len(z))
 
 
-def build_double_slit(geom: SlitGeometry, grid: SimGrid) -> TransverseState:
+def build_double_slit(width: float, grid: SimGrid,
+                      edge_scale: float | None = None) -> TransverseState:
     """Normalised double-slit state, slits centred at -1/2 and +1/2.
+
+    The slit separation is the length unit, so ``width`` lies in (0, 1).
+    With no ``edge_scale`` the slits are ideal top-hats; otherwise their
+    edges are error functions of that (positive) scale.  Smoothed edges
+    keep all momentum moments finite; sharp edges do not, and the state
+    records them in ``sharp_edges``.
 
     Uniform plane-wave illumination at normal incidence lights both
     slits with equal amplitude and zero relative phase.  A slit narrower
     than 2 position samples is refused (:class:`ConfigError`), as a
     window narrower than 2 bins is; every slit then holds a sample.
     """
-    if geom.width < 2.0 * grid.dx:
-        raise ConfigError(f"slit width {geom.width:.4g} is below 2 "
+    if not 0.0 < width < 1.0:
+        raise ConfigError(
+            f"need 0 < width < 1 slit separation, got width={width}")
+    if edge_scale is not None and not edge_scale > 0.0:
+        raise ConfigError("edge_scale must be positive")
+    if width < 2.0 * grid.dx:
+        raise ConfigError(f"slit width {width:.4g} is below 2 "
                           f"position samples ({2.0 * grid.dx:.4g})")
-    amp = _slit_amplitude(geom, grid, -0.5) + _slit_amplitude(geom, grid, 0.5)
+    amp = (_slit_amplitude(width, grid, -0.5, edge_scale)
+           + _slit_amplitude(width, grid, 0.5, edge_scale))
     tail = (np.abs(np.r_[amp[:EDGE_MARGIN], amp[-EDGE_MARGIN:]]).max()
             / np.abs(amp).max())
     if tail > EDGE_TAIL:
@@ -128,7 +108,7 @@ def build_double_slit(geom: SlitGeometry, grid: SimGrid) -> TransverseState:
             f"the field within {EDGE_MARGIN} samples of the grid boundary is "
             f"{tail:.3g} of its peak (> {EDGE_TAIL}) and would wrap around "
             f"the periodic grid; shorten edge_scale")
-    return _h_polarised(grid, amp, geom.sharp)
+    return _h_polarised(grid, amp, edge_scale is None)
 
 
 def build_momentum_peak(p0: float, width: float, grid: SimGrid) -> TransverseState:

@@ -18,13 +18,21 @@ import numpy as np
 import pytest
 
 from weakslit import (CoverageWarning, MeasurementChannel, SimGrid,
-                      SlitGeometry, build_double_slit, identity_channel,
-                      scully_wwm, transfer_distribution)
+                      build_double_slit, identity_channel, scully_wwm,
+                      transfer_distribution)
 
 #: Tagged-window width in internal units: the 1.77 mm focal-plane sliver
 #: over the fringe period f * lambda / s, with f = 1 m, lambda = 633 nm
 #: and s = 80 um, times 2 pi.
 WINDOW_WIDTH = 1.77e-3 * (2.0 * np.pi) / (1.0 * 633e-9 / 80e-6)
+
+#: The standard slit: half a separation wide; smoothed slits take the
+#: config's default edge scale, a tenth of the width.
+SLIT_WIDTH = 0.5
+EDGE_SCALE = SLIT_WIDTH / 10.0
+
+#: The standard slit's edge scale by the config's edge_profile name.
+EDGE_SCALES = {"sharp": None, "gaussian_smoothed": EDGE_SCALE}
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -127,23 +135,13 @@ def dense_grid():
 
 
 @pytest.fixture(scope="session")
-def geom():
-    return SlitGeometry(width=0.5)
+def slit_state(grid):
+    return build_double_slit(SLIT_WIDTH, grid)
 
 
 @pytest.fixture(scope="session")
-def smooth_geom():
-    return SlitGeometry(width=0.5, edge_profile="gaussian_smoothed")
-
-
-@pytest.fixture(scope="session")
-def slit_state(geom, grid):
-    return build_double_slit(geom, grid)
-
-
-@pytest.fixture(scope="session")
-def smooth_state(smooth_geom, grid):
-    return build_double_slit(smooth_geom, grid)
+def smooth_state(grid):
+    return build_double_slit(SLIT_WIDTH, grid, EDGE_SCALE)
 
 
 @pytest.fixture(scope="session")

@@ -95,11 +95,10 @@ class TestDefaultsAndPresets:
     def test_paper_preset_toggles_the_marker_only(self):
         cfg = from_dict(PRESETS["paper"])
         assert cfg.data["channel"]["kind"] == "scully"
-        geom = cfg.geometry
-        assert geom.width == pytest.approx(0.5)
+        assert cfg.slit_width == pytest.approx(0.5)
         # the separation, in metres, is the internal length unit
-        assert geom.width == (cfg.data["geometry"]["width"]
-                              / cfg.data["geometry"]["separation"])
+        assert cfg.slit_width == (cfg.data["geometry"]["width"]
+                                  / cfg.data["geometry"]["separation"])
         base = {k: v for k, v in cfg.data.items() if k != "channel"}
         assert base == {k: v for k, v in from_dict({}).data.items()
                         if k != "channel"}
@@ -117,11 +116,13 @@ class TestDefaultsAndPresets:
         """A slit exactly 2 dx wide, as wide as a float below 1 allows:
         the coarsest grid a slit accepts.  Its |q| range pi/dx still
         reaches 2 pi, the smallest default kappa, so neither default
-        sweep comes out empty."""
+        sweep comes out empty.  A window of 2 pi hbar/s fits its
+        momentum range 2 pi/dx = 4 pi."""
         width = math.nextafter(1.0, 0.0)
         cfg = from_dict({"geometry": {"width": width, "separation": 1.0},
-                         "grid": {"n_points": 16, "x_extent": 8.0 * width}})
-        assert 2.0 * cfg.grid.dx == cfg.geometry.width == width
+                         "grid": {"n_points": 16, "x_extent": 8.0 * width},
+                         "windows": {"sliver_width": 633e-9}})
+        assert 2.0 * cfg.grid.dx == cfg.slit_width == width
         assert cfg.kappa == (TWO_PI,)
         assert cfg.q_max
 
@@ -278,6 +279,21 @@ class TestValidation:
     def test_constructor_errors_carry_their_key(self, overrides, key):
         with pytest.raises(ConfigError, match=f"^'{key}': "):
             from_dict(overrides)
+
+    def test_a_window_may_span_the_momentum_range_but_no_more(self):
+        """1024 points over 64 separations simulate a momentum range of
+        n dp = 2 pi/dx = 32 pi hbar/s, which a sliver of 16 fringe
+        periods spans; a wider window holds every sample."""
+        small = {"grid": {"n_points": 1024}}
+        edge = 16.0 * (1.0 * 633e-9 / 80e-6)
+        inside = from_dict(dict(small, windows={
+            "sliver_width": edge * (1.0 - 1e-12)}))
+        span = inside.grid.n_points * inside.grid.dp
+        assert span * (1.0 - 1e-11) < inside.window_width <= span
+        with pytest.raises(ConfigError, match="^'windows': .* wider than "
+                                              "the simulated momentum range"):
+            from_dict(dict(small, windows={
+                "sliver_width": edge * (1.0 + 1e-12)}))
 
     @pytest.mark.parametrize("command", [
         "teleport", None, pytest.param(10 ** 5000, id="5001-digits")])
@@ -616,6 +632,16 @@ class TestCliExitCodes:
         assert main(["sweep", "--config", str(cfg),
                      "--out", str(tmp_path / "x")] + FAST) == 2
         assert "config error: 'pointer': " in capsys.readouterr().err
+
+    def test_a_window_wider_than_the_momentum_range(self, tmp_path, capsys):
+        """A 1e160 m sliver, 7.9e162 hbar/s, holds every sample; its
+        lattice variance, squared with ``**``, raised OverflowError and
+        the command exited 1."""
+        assert main(["variance", "--preset", "paper",
+                     "--set", "windows.sliver_width=1e160",
+                     "--out", str(tmp_path / "x")] + FAST) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: 'windows': sliver_width 1e+160 m")
 
     def test_config_file_root_must_be_an_object(self, tmp_path, capsys):
         cfg = tmp_path / "list.json"

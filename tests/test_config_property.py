@@ -5,9 +5,9 @@ Random leaves of ``DEFAULTS`` are replaced by wrong types, bools, NaN,
 +-inf, zero, negatives, tiny and huge finite numbers, integers up to
 +-10**400, beyond float range, and empty and one-element lists;
 explicit examples add a list nested 1,500 deep, which no random draw
-comes near, and a kick q of 10**400, which needs two keys drawn
-together.  Whatever they hold, the one validation
-path either returns a built scenario or refuses it with a
+comes near, a kick q of 10**400, which needs two keys drawn together,
+and a window whose width overflows when squared.  Whatever they hold,
+the one validation path either returns a built scenario or refuses it with a
 ``ConfigError``; nothing else may escape.  The same values, given as
 ``--set`` overrides to any command with and without ``--preset``, and
 sweeps of the defaults' own values that hold one point or repeat one,
@@ -219,6 +219,8 @@ def out_dir(tmp_path_factory):
 @example(command="transfer", preset=False,
          assignments=["channel.kind=kick",
                       "channel.kicks=" + json.dumps([[10 ** 400, 1]])])
+@example(command="variance", preset=True,
+         assignments=["windows.sliver_width=1e160"])
 def test_cli_exits_with_a_documented_code(out_dir, command, preset,
                                           assignments):
     _check_cli(out_dir, command, preset, assignments)

@@ -5,8 +5,8 @@ import pytest
 
 from weakslit import (ConfigError, NumericError, TransferDistribution,
                       apodization_sweep, classical_kick, from_dict,
-                      identity_channel, mean_transfer, moment_change, run,
-                      scully_wwm, sharp_cutoff_variance, transfer_variance,
+                      identity_channel, moment_change, run, scully_wwm,
+                      sharp_cutoff_variance, transfer_moments,
                       window_variance)
 from weakslit.moments import apodized_variance
 
@@ -43,15 +43,15 @@ class TestSweepPoints:
 class TestGaussianClosedForms:
     def test_mean_and_variance(self):
         dist = gaussian_dist(mu=0.7, sigma=1.5)
-        assert mean_transfer(dist) == pytest.approx(0.7, abs=1e-10)
-        assert transfer_variance(dist) == pytest.approx(1.5 ** 2, rel=1e-10)
+        mean, variance = transfer_moments(dist)
+        assert mean == pytest.approx(0.7, abs=1e-10)
+        assert variance == pytest.approx(1.5 ** 2, rel=1e-10)
 
     def test_moments_are_the_trapezoid_integrals(self):
         dist = gaussian_dist(mu=0.7, sigma=1.5)
         mean = float(np.trapezoid(dist.density * dist.q, dist.q))
         second = float(np.trapezoid(dist.density * dist.q ** 2, dist.q))
-        assert mean_transfer(dist) == mean
-        assert transfer_variance(dist) == second - mean ** 2
+        assert transfer_moments(dist) == (mean, second - mean ** 2)
 
     def test_sharp_cutoff_approaches_full_variance(self):
         dist = gaussian_dist(mu=0.0, sigma=1.5)
@@ -80,7 +80,7 @@ class TestGaussianClosedForms:
     def test_apodized_approaches_unregularised(self):
         dist = gaussian_dist(sigma=1.5)
         assert apodized_variance(dist, 1e4) == pytest.approx(
-            transfer_variance(dist), rel=1e-3)
+            transfer_moments(dist)[1], rel=1e-3)
         with pytest.raises(ConfigError):
             apodized_variance(dist, 0.0)
 
@@ -132,6 +132,12 @@ def test_window_variance_matches_discrete_uniform():
         brute = float(np.mean((k * dp) ** 2))
         assert window_variance(width, dp) == pytest.approx(brute, rel=1e-14)
     assert window_variance(1.2) == pytest.approx(1.2 ** 2 / 12.0, rel=1e-15)
+
+
+def test_window_variance_of_a_huge_width_is_inf():
+    """``width ** 2`` raises OverflowError above about 1.34e154."""
+    assert window_variance(1e160, 0.1) == np.inf
+    assert window_variance(1e160) == np.inf
 
 
 class TestMomentChange:

@@ -60,10 +60,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weakslit import (SimGrid, SlitGeometry,
-                      build_double_slit, classical_kick, conditional_wvp,
-                      erase, eraser_curves, identity_channel, scully_wwm,
-                      transfer_distribution, window_mask)
+from weakslit import (SimGrid, build_double_slit, classical_kick,
+                      conditional_wvp, erase, eraser_curves, identity_channel,
+                      scully_wwm, transfer_distribution, window_mask)
 from weakslit.channels import ERASERS
 from weakslit.errors import CoverageWarning
 from weakslit.weak_values import _tiling_indices
@@ -75,12 +74,14 @@ EPS = np.finfo(float).eps
 
 
 @st.composite
-def geometries(draw) -> SlitGeometry:
+def slits(draw) -> tuple[float, float | None]:
+    """(width, edge_scale): sharp edges, or smoothed ones at a drawn
+    scale or the config's default of a tenth of the width."""
     width = draw(st.floats(0.25, 0.8))
     if draw(st.booleans()):
-        return SlitGeometry(width)
+        return width, None
     scale = draw(st.one_of(st.none(), st.floats(0.01, 0.08)))
-    return SlitGeometry(width, "gaussian_smoothed", scale)
+    return width, width / 10.0 if scale is None else scale
 
 
 @st.composite
@@ -101,7 +102,8 @@ def kicks(draw, grid) -> list[tuple[float, float]]:
 @st.composite
 def scenarios(draw):
     grid = SimGrid(draw(st.sampled_from([128, 256, 512])), 16.0)
-    state = build_double_slit(draw(geometries()), grid)
+    width, edge_scale = draw(slits())
+    state = build_double_slit(width, grid, edge_scale)
     kind = draw(st.sampled_from(["identity", "scully", "kick"]))
     if kind == "identity":
         ch = identity_channel(grid)

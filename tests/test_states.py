@@ -3,34 +3,42 @@
 import numpy as np
 import pytest
 
-from weakslit import (ConfigError, NumericError, SimGrid, SlitGeometry,
-                      build_double_slit, build_momentum_peak, from_dict)
+from weakslit import (ConfigError, NumericError, SimGrid, build_double_slit,
+                      build_momentum_peak, from_dict)
 from weakslit.states import EDGE_MARGIN, _slit_amplitude
 
-from conftest import run_python
+from conftest import EDGE_SCALE, SLIT_WIDTH, run_python
 from oracles import double_slit_momentum_amplitude
 
 
-class TestSlitGeometry:
+class TestSlitParameters:
     @pytest.mark.parametrize("width", [2.0, 1.0, 0.0, -0.5, float("nan")])
-    def test_width_is_inside_the_separation(self, width):
+    def test_width_is_inside_the_separation(self, grid, width):
         """The separation is the length unit: a width must lie in (0, 1)."""
         with pytest.raises(ConfigError, match="need 0 < width < 1"):
-            SlitGeometry(width=width)
+            build_double_slit(width, grid)
 
-    def test_rejects_unknown_profile(self):
-        with pytest.raises(ConfigError, match="unknown edge_profile"):
-            SlitGeometry(width=0.5, edge_profile="cosine")
+    def test_config_rejects_unknown_profile(self):
+        with pytest.raises(ConfigError,
+                           match="^'geometry': unknown edge_profile"):
+            from_dict({"geometry": {"edge_profile": "cosine"}})
+
+    def test_config_rejects_a_scale_on_sharp_edges(self):
+        with pytest.raises(ConfigError, match="^'geometry': edge_scale "
+                                              "applies to gaussian_smoothed"):
+            from_dict({"geometry": {"edge_scale": 4e-6}})
 
     def test_default_edge_scale_is_tenth_of_width(self):
-        geom = SlitGeometry(width=0.5, edge_profile="gaussian_smoothed")
-        assert geom.edge_scale == pytest.approx(0.05)
-        assert not geom.sharp
+        cfg = from_dict({"grid": {"n_points": 1024},
+                         "geometry": {"edge_profile": "gaussian_smoothed"}})
+        assert cfg.edge_scale == pytest.approx(0.05)
+        assert not cfg.state.sharp_edges
+        assert from_dict({"grid": {"n_points": 1024}}).edge_scale is None
 
-    def test_rejects_nonpositive_edge_scale(self):
+    @pytest.mark.parametrize("scale", [-0.1, 0.0, float("nan")])
+    def test_rejects_nonpositive_edge_scale(self, grid, scale):
         with pytest.raises(ConfigError, match="edge_scale must be positive"):
-            SlitGeometry(width=0.5, edge_profile="gaussian_smoothed",
-                         edge_scale=-0.1)
+            build_double_slit(0.5, grid, scale)
 
 
 def test_double_slit_is_normalised_h_polarised(slit_state):
@@ -47,12 +55,12 @@ def test_double_slit_density_is_even(slit_state):
     np.testing.assert_allclose(dens[1:], dens[1:][::-1], atol=1e-14)
 
 
-def test_double_slit_momentum_matches_closed_form(geom, grid):
+def test_double_slit_momentum_matches_closed_form(grid):
     """FFT spectrum vs the continuum transform of the two top-hats."""
-    state = build_double_slit(geom, grid)
+    state = build_double_slit(SLIT_WIDTH, grid)
     h_t = state.momentum_field()
     sel = np.abs(grid.p) < 6.0 * np.pi
-    expected = double_slit_momentum_amplitude(grid.p[sel], geom.width)
+    expected = double_slit_momentum_amplitude(grid.p[sel], SLIT_WIDTH)
     # both are real-positive-normalised up to a common factor
     scale = np.max(np.abs(h_t[sel].real)) / np.max(np.abs(expected))
     np.testing.assert_allclose(h_t[sel].real, expected * scale,
@@ -68,9 +76,9 @@ def test_double_slit_fringe_zeros(slit_state, grid):
         assert dens[k] < 1e-6 * dens.max()
 
 
-def test_sharp_edges_take_midpoint_value(geom, grid):
+def test_sharp_edges_take_midpoint_value(grid):
     """Slit edges land on lattice sites here; the sample gets half height."""
-    amp = _slit_amplitude(geom, grid, -0.5)
+    amp = _slit_amplitude(SLIT_WIDTH, grid, -0.5)
     interior = np.max(amp)
     for edge in (-0.75, -0.25):
         k = int(np.argmin(np.abs(grid.x - edge)))
@@ -78,17 +86,17 @@ def test_sharp_edges_take_midpoint_value(geom, grid):
         assert amp[k] == pytest.approx(0.5 * interior, rel=1e-12)
 
 
-def test_single_slit_sides(geom, grid):
+def test_single_slit_sides(grid):
     x = grid.x
     for center in (-0.5, 0.5):
-        dens = _slit_amplitude(geom, grid, center) ** 2
+        dens = _slit_amplitude(SLIT_WIDTH, grid, center) ** 2
         mean = float(np.sum(dens * x) / np.sum(dens))
         assert mean == pytest.approx(center, abs=1e-9)
 
 
-def test_one_slit_is_a_top_hat(geom, grid):
+def test_one_slit_is_a_top_hat(grid):
     """One slit's amplitude is a flat top-hat over that slit alone."""
-    amp = _slit_amplitude(geom, grid, -0.5)
+    amp = _slit_amplitude(SLIT_WIDTH, grid, -0.5)
     inside = np.abs(grid.x + 0.5) < 0.25 - 1e-12
     outside = np.abs(grid.x + 0.5) > 0.25 + 1e-12
     top = amp[inside]
@@ -96,36 +104,36 @@ def test_one_slit_is_a_top_hat(geom, grid):
     np.testing.assert_array_equal(amp[outside], 0.0)
 
 
-def test_double_slit_is_the_normalised_sum_of_its_slits(geom, grid):
-    pair = build_double_slit(geom, grid)
-    amp = (_slit_amplitude(geom, grid, -0.5)
-           + _slit_amplitude(geom, grid, 0.5))
+def test_double_slit_is_the_normalised_sum_of_its_slits(grid):
+    pair = build_double_slit(SLIT_WIDTH, grid)
+    amp = (_slit_amplitude(SLIT_WIDTH, grid, -0.5)
+           + _slit_amplitude(SLIT_WIDTH, grid, 0.5))
     amp /= np.sqrt(np.sum(amp ** 2) * grid.dx)
     np.testing.assert_allclose(pair.field.real, amp, rtol=0.0, atol=1e-15)
     assert np.sum(np.abs(pair.field) ** 2) * grid.dx == pytest.approx(
         1.0, rel=1e-12)
 
 
-def test_slit_needs_margin_inside_grid(geom):
+def test_slit_needs_margin_inside_grid():
     tight = SimGrid(64, 1.55)
     with pytest.raises(ConfigError, match="samples of margin inside"):
-        build_double_slit(geom, tight)
+        build_double_slit(SLIT_WIDTH, tight)
 
 
-def test_slits_between_samples_are_refused(geom):
+def test_slits_between_samples_are_refused():
     """A slit narrower than dx and between samples would leave no field."""
     coarse = SimGrid(1024, 1024.0)
     with pytest.raises(ConfigError, match="below 2 position samples"):
-        build_double_slit(geom, coarse)
+        build_double_slit(SLIT_WIDTH, coarse)
 
 
-def test_slits_need_two_samples(geom):
+def test_slits_need_two_samples():
     """A slit narrower than 2 dx is refused, even where its edges all
     round onto one sample between the slits; exactly 2 dx is built."""
     with pytest.raises(ConfigError, match="below 2 position samples"):
-        build_double_slit(geom, SimGrid(1024, 1e300))
-    assert geom.width == 2.0 * SimGrid(256, 64.0).dx
-    state = build_double_slit(geom, SimGrid(256, 64.0))
+        build_double_slit(SLIT_WIDTH, SimGrid(1024, 1e300))
+    assert SLIT_WIDTH == 2.0 * SimGrid(256, 64.0).dx
+    state = build_double_slit(SLIT_WIDTH, SimGrid(256, 64.0))
     assert np.count_nonzero(state.field) == 6
 
 
@@ -133,13 +141,11 @@ def test_smoothed_tails_must_not_wrap_around_the_grid(grid):
     """An erf tail reaching the periodic boundary wraps onto the far end:
     refused.  Edge scales up to width * 5 leave exact zeros there."""
     for scale in (5e-5, 0.05, 0.5, 2.5):
-        state = build_double_slit(
-            SlitGeometry(0.5, "gaussian_smoothed", scale), grid)
+        state = build_double_slit(0.5, grid, scale)
         amp = state.field
         assert not amp[:EDGE_MARGIN].any() and not amp[-EDGE_MARGIN:].any()
     with pytest.raises(ConfigError, match="wrap around"):
-        build_double_slit(
-            SlitGeometry(0.5, "gaussian_smoothed", 12.5), grid)
+        build_double_slit(0.5, grid, 12.5)
 
 
 @pytest.mark.parametrize("scale, tail, refused", [(4.46, 1e-11, True),
@@ -150,9 +156,8 @@ def test_the_tail_bound_is_one_in_a_trillion_of_the_peak(scale, tail,
     about 1e-11 of its peak is refused, about 1e-13 is kept, and the
     config names ``'geometry'`` for it."""
     grid = SimGrid(4096, 64.0)
-    geom = SlitGeometry(0.5, "gaussian_smoothed", scale)
-    amp = (_slit_amplitude(geom, grid, -0.5)
-           + _slit_amplitude(geom, grid, 0.5))
+    amp = (_slit_amplitude(0.5, grid, -0.5, scale)
+           + _slit_amplitude(0.5, grid, 0.5, scale))
     outer = np.abs(np.r_[amp[:EDGE_MARGIN], amp[-EDGE_MARGIN:]]).max()
     assert outer / amp.max() == pytest.approx(tail, rel=0.05)
     overrides = {"grid": {"n_points": 4096},
@@ -162,7 +167,7 @@ def test_the_tail_bound_is_one_in_a_trillion_of_the_peak(scale, tail,
         with pytest.raises(ConfigError, match="^'geometry': .*wrap around"):
             from_dict(overrides)
     else:
-        assert from_dict(overrides).geometry.edge_scale == pytest.approx(
+        assert from_dict(overrides).edge_scale == pytest.approx(
             scale, rel=1e-15)
 
 
@@ -178,16 +183,17 @@ def test_smoothed_slits_suppress_spectral_tails(slit_state, smooth_state, grid):
     assert smooth_tail < 1e-8 * sharp_tail
 
 
-def test_smoothed_edges_match_scipy_erf(smooth_geom, grid):
+def test_smoothed_edges_match_scipy_erf(grid):
     """The package's elementwise math.erf against scipy's, on one slit."""
     from scipy.special import erf
 
     x = grid.x
-    scale = smooth_geom.edge_scale * np.sqrt(2.0)
-    lo, hi = 0.5 - smooth_geom.width / 2.0, 0.5 + smooth_geom.width / 2.0
+    scale = EDGE_SCALE * np.sqrt(2.0)
+    lo, hi = 0.5 - SLIT_WIDTH / 2.0, 0.5 + SLIT_WIDTH / 2.0
     amp = 0.5 * (erf((x - lo) / scale) - erf((x - hi) / scale))
-    np.testing.assert_allclose(_slit_amplitude(smooth_geom, grid, 0.5), amp,
-                               rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(
+        _slit_amplitude(SLIT_WIDTH, grid, 0.5, EDGE_SCALE), amp,
+        rtol=0.0, atol=1e-15)
 
 
 def test_import_leaves_scipy_out():

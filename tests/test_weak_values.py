@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from weakslit import (ConfigError, CoverageWarning, MeasurementChannel,
-                      NumericError, SimGrid, SlitGeometry,
-                      TransferDistribution, TransverseState,
-                      build_double_slit, classical_kick, conditional_wvp,
+                      NumericError, SimGrid, TransferDistribution,
+                      TransverseState, build_double_slit, classical_kick,
+                      conditional_wvp,
                       erase, eraser_curves, identity_channel,
                       momentum_distribution, scully_wwm,
                       transfer_distribution, window_mask)
@@ -23,7 +23,8 @@ from weakslit.runner import run
 from weakslit.weak_values import (_curve_sums, _bin_edges, _rows,
                                   _tiling_weights, _window_project, quotient)
 
-from conftest import WINDOW_WIDTH, partial_marker, run_python
+from conftest import (EDGE_SCALES, SLIT_WIDTH, WINDOW_WIDTH, partial_marker,
+                      run_python)
 from oracles import (array_density, array_joint, array_tiling_weights,
                      dense_conditional, dense_joint, dense_transfer,
                      kick_rect_density, loop_conditional_wvp,
@@ -314,8 +315,7 @@ class TestHRowPath:
             state = TransverseState(grid, rng.normal(size=n_points)
                                     + 1j * rng.normal(size=n_points))
         else:
-            state = build_double_slit(
-                SlitGeometry(0.5, edge_profile=source), grid)
+            state = build_double_slit(SLIT_WIDTH, grid, EDGE_SCALES[source])
         ch = _equivalence_channel(kind, grid)
         window = WINDOW_WIDTH, -1
         curves = eraser_curves(state, ch, *window)
@@ -441,8 +441,8 @@ class TestPeakMemory:
 
 
 @pytest.fixture(scope="module")
-def dense_state(geom, dense_grid):
-    return build_double_slit(geom, dense_grid)
+def dense_state(dense_grid):
+    return build_double_slit(SLIT_WIDTH, dense_grid)
 
 
 class TestDenseOracle:
@@ -596,7 +596,7 @@ class TestTransferDistribution:
         """Windows that hold no momentum sample are refused, not summed
         to a zero coverage and an all-NaN density."""
         grid = SimGrid(1024, 64.0)
-        state = build_double_slit(SlitGeometry(width=0.5), grid)
+        state = build_double_slit(SLIT_WIDTH, grid)
         with pytest.raises(NumericError, match="holds a sample"):
             transfer_distribution(state, scully_wwm(grid), WINDOW_WIDTH,
                                   indices)
@@ -605,7 +605,7 @@ class TestTransferDistribution:
         """A tiling that also names a window holding no sample is kept:
         the density and coverage are those of the other windows alone."""
         grid = SimGrid(1024, 64.0)
-        state = build_double_slit(SlitGeometry(width=0.5), grid)
+        state = build_double_slit(SLIT_WIDTH, grid)
         ch = scully_wwm(grid)
         with pytest.warns(CoverageWarning):
             both = transfer_distribution(state, ch, WINDOW_WIDTH, [0, 10 ** 6])
@@ -647,8 +647,7 @@ class TestRoundoffFloor:
         holds 4e-36 of the mass: the two paths' densities are
         round-off, and the floor covers their disagreement."""
         grid = SimGrid(512, 8.0)
-        state = build_double_slit(
-            SlitGeometry(0.5, "gaussian_smoothed", 0.08), grid)
+        state = build_double_slit(0.5, grid, 0.08)
         ch = identity_channel(grid)
         args = (2.0 * grid.dp, [-127])
         with pytest.warns(CoverageWarning):
@@ -713,8 +712,7 @@ class TestCorrelationForm:
     def test_matches_the_window_loop(self, n_points, edge, kind, eraser,
                                      index_set):
         grid = SimGrid(n_points, 16.0 if n_points == 256 else 64.0)
-        geom = SlitGeometry(width=0.5, edge_profile=edge)
-        state = build_double_slit(geom, grid)
+        state = build_double_slit(SLIT_WIDTH, grid, EDGE_SCALES[edge])
         ch = _equivalence_channel(kind, grid)
         indices = _INDEX_SETS[index_set](grid)
         with warnings.catch_warnings(record=True) as fast_warned:
@@ -769,7 +767,7 @@ class TestCorrelationForm:
         mirror's P_wv equals the original's.
         """
         grid = SimGrid(n_points, 16.0 if n_points == 256 else 64.0)
-        state = build_double_slit(SlitGeometry(0.5, edge_profile=edge), grid)
+        state = build_double_slit(SLIT_WIDTH, grid, EDGE_SCALES[edge])
         mirror = two_rows(state.field)[::-1].copy()
         ch = erase(_equivalence_channel(kind, grid), eraser)
         indices = _INDEX_SETS[index_set](grid)
